@@ -26,6 +26,7 @@ from .monoidal import (
     identity_mon_functor,
     restrict_braiding,
     restrict_monoidal,
+    tabulate_monoidal,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -213,35 +214,26 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
                           cat: FinCategory, forgetful: Functor,
                           mor_index) -> MonoidalStructure:
     """Monoidal structure on half-braided objects over a single functor."""
-    base = ms.base
     obj_index = {(o.carrier, o.components): i for i, o in enumerate(objects)}
-    budget = Budget(cat.num_objects ** 2 + 1, cat.num_morphisms ** 2 + 1)
-    square = product_category(cat, cat, budget)
-    tensor_obj = []
-    for p in range(cat.num_objects ** 2):
-        i, j = square.object_factors(p)
+
+    def tensor_obj(i: int, j: int) -> int:
         key = (ms.tensor_obj(objects[i].carrier, objects[j].carrier),
                _pasted_half_braiding(ms, g, g, objects[i], objects[j]))
         if key not in obj_index:
             raise StructureError(
                 f"half-braided objects are not closed under tensor at ({i}, {j})")
-        tensor_obj.append(obj_index[key])
-    tensor_mor = []
-    for k in range(cat.num_morphisms ** 2):
-        a, b = square.morphism_factors(k)
-        img = ms.tensor_mor(forgetful.morphism_map[a], forgetful.morphism_map[b])
-        key = (tensor_obj[square.object_pair(cat.source[a], cat.source[b])],
-               tensor_obj[square.object_pair(cat.target[a], cat.target[b])],
-               img)
+        return obj_index[key]
+
+    def tensor_mor(a: int, b: int, s: int, t: int) -> int:
+        key = (s, t, ms.tensor_mor(forgetful.morphism_map[a],
+                                   forgetful.morphism_map[b]))
         if key not in mor_index:
             raise StructureError("tensor of center morphisms left the center")
-        tensor_mor.append(mor_index[key])
-    tensor = Functor(square.category, cat, tuple(tensor_obj), tuple(tensor_mor))
+        return mor_index[key]
+
     unit_key = (ms.unit, _unit_half_braiding(ms, g))
     if unit_key not in obj_index:
         raise StructureError("the unit carries no half-braiding")
-    unit = obj_index[unit_key]
-    n = cat.num_objects
 
     def lift(src_idx: int, tgt_idx: int, ambient_mor: int) -> int:
         key = (src_idx, tgt_idx, ambient_mor)
@@ -249,24 +241,12 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
             raise StructureError("coherence component is not a center morphism")
         return mor_index[key]
 
-    associator = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = tensor_obj[square.object_pair(
-                    tensor_obj[square.object_pair(i, j)], k)]
-                rhs = tensor_obj[square.object_pair(
-                    i, tensor_obj[square.object_pair(j, k)])]
-                associator.append(lift(lhs, rhs, ms.alpha(
-                    objects[i].carrier, objects[j].carrier, objects[k].carrier)))
-    left_unitor = tuple(lift(tensor_obj[square.object_pair(unit, i)], i,
-                             ms.left_unitor[objects[i].carrier])
-                        for i in range(n))
-    right_unitor = tuple(lift(tensor_obj[square.object_pair(i, unit)], i,
-                              ms.right_unitor[objects[i].carrier])
-                         for i in range(n))
-    return MonoidalStructure(cat, square, tensor, unit, tuple(associator),
-                             left_unitor, right_unitor)
+    return tabulate_monoidal(
+        cat, obj_index[unit_key], tensor_obj, tensor_mor,
+        associator=lambda i, j, k, s, t: lift(s, t, ms.alpha(
+            objects[i].carrier, objects[j].carrier, objects[k].carrier)),
+        left_unitor=lambda i, s: lift(s, i, ms.left_unitor[objects[i].carrier]),
+        right_unitor=lambda i, s: lift(s, i, ms.right_unitor[objects[i].carrier]))
 
 
 # ---------------------------------------------------------------------------

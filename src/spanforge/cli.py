@@ -49,8 +49,7 @@ from .docs import (
 )
 from .fincat import (
     Budget,
-    BudgetError,
-    MediationError,
+    SpanforgeError,
     StructureError,
     check_category,
     check_functor,
@@ -109,7 +108,11 @@ def _budget(args) -> Budget:
     cap = args.cap
     if cap is None:
         env = os.environ.get("SPANFORGE_CAP")
-        cap = int(env) if env else None
+        try:
+            cap = int(env) if env else None
+        except ValueError:
+            raise StructureError(
+                f"SPANFORGE_CAP must be an integer, got {env!r}") from None
     if cap is None:
         return Budget()
     if cap <= 0:
@@ -648,7 +651,7 @@ def main(argv=None) -> int:
     try:
         budget = _budget(args)
         _HANDLERS[args.command](args, budget, out)
-    except (SchemaError, BudgetError, MediationError, StructureError) as exc:
+    except SpanforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     structured = serialize(Document("report", out.payload()))

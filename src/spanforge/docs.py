@@ -16,7 +16,7 @@ from .fincat import (
     NatTrans,
     StructureError,
 )
-from .monoidal import Braiding, MonFunctor, MonoidalStructure
+from .monoidal import Braiding, MonFunctor, MonoidalStructure, tabulate_monoidal
 from .spans import (
     ModuleData,
     ModuleFunctorData,
@@ -422,20 +422,14 @@ def decode_nat_trans(tree) -> NatTrans:
 
 
 def decode_monoidal(tree) -> MonoidalStructure:
-    from .fincat import Budget, product_category
-    base = decode_category(tree["base"])
-    n, m = base.num_objects, base.num_morphisms
-    square = product_category(base, base, Budget(n * n + 1, m * m + 1))
-    tensor_obj = tuple(tree["tensor"]["objects"][x][y]
-                       for x in range(n) for y in range(n))
-    tensor_mor = tuple(tree["tensor"]["morphisms"][f][g]
-                       for f in range(m) for g in range(m))
-    tensor = Functor(square.category, base, tensor_obj, tensor_mor)
-    associator = tuple(tree["associator"][x][y][z]
-                       for x in range(n) for y in range(n) for z in range(n))
-    return MonoidalStructure(base, square, tensor, tree["unit"], associator,
-                             tuple(tree["left_unitor"]),
-                             tuple(tree["right_unitor"]))
+    tensor = tree["tensor"]
+    return tabulate_monoidal(
+        decode_category(tree["base"]), tree["unit"],
+        lambda x, y: tensor["objects"][x][y],
+        lambda f, g, s, t: tensor["morphisms"][f][g],
+        associator=lambda x, y, z, s, t: tree["associator"][x][y][z],
+        left_unitor=lambda x, s: tree["left_unitor"][x],
+        right_unitor=lambda x, s: tree["right_unitor"][x])
 
 
 def decode_braiding(tree) -> Braiding:

@@ -191,22 +191,6 @@ def check_category(c: FinCategory, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     return rb.report()
 
 
-def category_from_sparse(num_objects: int,
-                         endpoints: list[tuple[int, int]],
-                         identity: list[int],
-                         composites: dict[tuple[int, int], int]) -> FinCategory:
-    """Build the dense composition table from a sparse {(g, f): h} map."""
-    m = len(endpoints)
-    comp = [[-1] * m for _ in range(m)]
-    for (g, f), h in composites.items():
-        comp[g][f] = h
-    return FinCategory(num_objects,
-                       tuple(s for s, _ in endpoints),
-                       tuple(t for _, t in endpoints),
-                       tuple(identity),
-                       tuple(tuple(row) for row in comp))
-
-
 def terminal_category() -> FinCategory:
     return FinCategory(1, (0,), (0,), (0,), ((0,),))
 
@@ -589,9 +573,6 @@ class ProductCategory:
     def object_factors(self, p: int) -> tuple[int, int]:
         return divmod(p, self.right.num_objects)
 
-    def morphism_pair(self, f: int, g: int) -> int:
-        return f * self.right.num_morphisms + g
-
     def morphism_factors(self, m: int) -> tuple[int, int]:
         return divmod(m, self.right.num_morphisms)
 
@@ -643,37 +624,6 @@ def product_category(a: FinCategory, b: FinCategory,
     cat = FinCategory(num_objects, tuple(source), tuple(target), identity,
                       tuple(tuple(row) for row in comp))
     return ProductCategory(cat, a, b)
-
-
-def pair_functor(f: Functor, g: Functor, source: ProductCategory,
-                 target: ProductCategory) -> Functor:
-    """(f × g): source.category -> target.category acting factor-wise."""
-    if f.source != source.left or g.source != source.right:
-        raise StructureError("pair functor: sources do not match the product")
-    if f.target != target.left or g.target != target.right:
-        raise StructureError("pair functor: targets do not match the product")
-    obj_map = []
-    for p in range(source.category.num_objects):
-        x, y = source.object_factors(p)
-        obj_map.append(target.object_pair(f.object_map[x], g.object_map[y]))
-    mor_map = []
-    for m in range(source.category.num_morphisms):
-        u, v = source.morphism_factors(m)
-        mor_map.append(target.morphism_pair(f.morphism_map[u], g.morphism_map[v]))
-    return Functor(source.category, target.category, tuple(obj_map), tuple(mor_map))
-
-
-def fork_functor(f: Functor, g: Functor, target: ProductCategory) -> Functor:
-    """⟨f, g⟩: the common source into target with components f and g."""
-    if f.source != g.source:
-        raise StructureError("fork: the two functors have different sources")
-    if f.target != target.left or g.target != target.right:
-        raise StructureError("fork: targets do not match the product")
-    obj_map = tuple(target.object_pair(f.object_map[a], g.object_map[a])
-                    for a in range(f.source.num_objects))
-    mor_map = tuple(target.morphism_pair(f.morphism_map[m], g.morphism_map[m])
-                    for m in range(f.source.num_morphisms))
-    return Functor(f.source, target.category, obj_map, mor_map)
 
 
 def full_subcategory(c: FinCategory, objects: tuple[int, ...]) -> tuple[FinCategory, Functor]:

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .fincat import SpanforgeError
 
-class GroupError(Exception):
+
+class GroupError(SpanforgeError):
     """The given table is not a group table with identity at index 0."""
 
 

@@ -33,6 +33,8 @@ from .monoidal import (
     check_mon_nattrans,
     compose_mon_functors,
     identity_mon_functor,
+    strict_mon_functor,
+    tabulate_monoidal,
 )
 from .reporting import Report, ReportBuilder
 from .spans import (
@@ -42,7 +44,6 @@ from .spans import (
     compose_module_functors,
     identity_module_functor,
 )
-from .fincat import product_category
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,8 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
     xs, ys = f.source, g.source
     apex_cat = fp.apex
     n = apex_cat.num_objects
-    square = product_category(apex_cat, apex_cat, budget)
-    tensor_obj = []
-    for pair in range(n * n):
-        a0, a1 = square.object_factors(pair)
+
+    def tensor_obj(a0: int, a1: int) -> int:
         x0, y0, xi0 = fp.objects[a0]
         x1, y1, xi1 = fp.objects[a1]
         xi = zb.compose_path(g.gamma(y0, y1), z.tensor_mor(xi0, xi1),
@@ -83,27 +82,7 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
         key = (xs.tensor_obj(x0, x1), ys.tensor_obj(y0, y1), xi)
         if key not in oi:
             raise StructureError("monoidal fiber tensor left the apex")
-        tensor_obj.append(oi[key])
-    tensor_mor = []
-    for k in range(apex_cat.num_morphisms ** 2):
-        k0, k1 = square.morphism_factors(k)
-        p = xs.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0])
-        q = ys.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1])
-        key = (tensor_obj[square.object_pair(apex_cat.source[k0], apex_cat.source[k1])],
-               tensor_obj[square.object_pair(apex_cat.target[k0], apex_cat.target[k1])],
-               p, q)
-        if key not in mi:
-            raise StructureError("monoidal fiber tensor of morphisms left the apex")
-        tensor_mor.append(mi[key])
-    tensor = Functor(square.category, apex_cat, tuple(tensor_obj),
-                     tuple(tensor_mor))
-    eta_f_inv = zb.inverse(f.unit_iso)
-    if eta_f_inv is None:
-        raise StructureError("unit cell of the first leg is not invertible")
-    unit_key = (xs.unit, ys.unit, zb.compose(g.unit_iso, eta_f_inv))
-    if unit_key not in oi:
-        raise StructureError("monoidal fiber unit is missing")
-    unit = oi[unit_key]
+        return oi[key]
 
     def lift(src: int, tgt: int, p: int, q: int, what: str) -> int:
         key = (src, tgt, p, q)
@@ -111,37 +90,32 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
             raise StructureError(f"{what} is not an apex morphism")
         return mi[key]
 
-    associator = []
-    for i in range(n):
-        for j in range(n):
-            ij = tensor_obj[square.object_pair(i, j)]
-            for k in range(n):
-                src = tensor_obj[square.object_pair(ij, k)]
-                tgt = tensor_obj[square.object_pair(
-                    i, tensor_obj[square.object_pair(j, k)])]
-                associator.append(lift(
-                    src, tgt,
-                    xs.alpha(fp.objects[i][0], fp.objects[j][0], fp.objects[k][0]),
-                    ys.alpha(fp.objects[i][1], fp.objects[j][1], fp.objects[k][1]),
-                    "associator pair"))
-    left_unitor = tuple(lift(tensor_obj[square.object_pair(unit, i)], i,
-                             xs.left_unitor[fp.objects[i][0]],
-                             ys.left_unitor[fp.objects[i][1]], "left unitor pair")
-                        for i in range(n))
-    right_unitor = tuple(lift(tensor_obj[square.object_pair(i, unit)], i,
-                              xs.right_unitor[fp.objects[i][0]],
-                              ys.right_unitor[fp.objects[i][1]], "right unitor pair")
-                         for i in range(n))
-    apex_ms = MonoidalStructure(apex_cat, square, tensor, unit,
-                                tuple(associator), left_unitor, right_unitor)
-    mult1 = tuple(xs.base.identity[xs.tensor_obj(
-        fp.objects[divmod(i, n)[0]][0], fp.objects[divmod(i, n)[1]][0])]
-        for i in range(n * n))
-    pr1 = MonFunctor(apex_ms, xs, fp.pr1, mult1, xs.base.identity[xs.unit])
-    mult2 = tuple(ys.base.identity[ys.tensor_obj(
-        fp.objects[divmod(i, n)[0]][1], fp.objects[divmod(i, n)[1]][1])]
-        for i in range(n * n))
-    pr2 = MonFunctor(apex_ms, ys, fp.pr2, mult2, ys.base.identity[ys.unit])
+    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
+        key = (s, t, xs.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0]),
+               ys.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1]))
+        if key not in mi:
+            raise StructureError("monoidal fiber tensor of morphisms left the apex")
+        return mi[key]
+
+    eta_f_inv = zb.inverse(f.unit_iso)
+    if eta_f_inv is None:
+        raise StructureError("unit cell of the first leg is not invertible")
+    unit_key = (xs.unit, ys.unit, zb.compose(g.unit_iso, eta_f_inv))
+    if unit_key not in oi:
+        raise StructureError("monoidal fiber unit is missing")
+    obj = fp.objects
+    apex_ms = tabulate_monoidal(
+        apex_cat, oi[unit_key], tensor_obj, tensor_mor,
+        associator=lambda i, j, k, s, t: lift(
+            s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
+            ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
+        left_unitor=lambda i, s: lift(s, i, xs.left_unitor[obj[i][0]],
+                                      ys.left_unitor[obj[i][1]], "left unitor pair"),
+        right_unitor=lambda i, s: lift(s, i, xs.right_unitor[obj[i][0]],
+                                       ys.right_unitor[obj[i][1]], "right unitor pair"),
+        budget=budget)
+    pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
+    pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)
     braiding = None
     if braidings is not None:
         bx, by = braidings

@@ -3,25 +3,28 @@
 Structure data is stored as full component tables (associators, unitors,
 braidings, multiplicativity cells), never as formulas or strictness flags;
 the checkers scan every instance of every coherence law and report witnesses.
+The tensor is two flat tables, n² object pairs and m² morphism pairs, not a
+functor on base × base, whose composition table would have m⁴ entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .fincat import (
     Budget,
     FinCategory,
     Functor,
     NatTrans,
-    ProductCategory,
     StructureError,
+    check_category,
     check_functor,
     check_nat_trans,
     compose_functors,
     full_subcategory,
     horizontal_composite,
+    identity_functor,
     identity_nat_trans,
-    product_category,
     vertical_composite,
 )
 from .groups import GroupTable, validate_group
@@ -30,25 +33,28 @@ from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
 @dataclass(frozen=True)
 class MonoidalStructure:
-    """Tensor bifunctor, unit object, and associator/unitor component tables.
+    """Tensor tables, unit object, and associator/unitor component tables.
 
+    For a base with n objects and m morphisms, ``tensor_objects[x*n + y]``
+    is x⊗y and ``tensor_morphisms[f*m + g]`` is f⊗g; only this module reads
+    that layout, and constructors fill it through tabulate_monoidal.
     ``associator[(x*n + y)*n + z]`` is the component (x⊗y)⊗z -> x⊗(y⊗z);
     unitor tables are indexed by object id.
     """
 
     base: FinCategory
-    square: ProductCategory
-    tensor: Functor
+    tensor_objects: tuple[int, ...]
+    tensor_morphisms: tuple[int, ...]
     unit: int
     associator: tuple[int, ...]
     left_unitor: tuple[int, ...]
     right_unitor: tuple[int, ...]
 
     def tensor_obj(self, x: int, y: int) -> int:
-        return self.tensor.object_map[self.square.object_pair(x, y)]
+        return self.tensor_objects[x * self.base.num_objects + y]
 
     def tensor_mor(self, f: int, g: int) -> int:
-        return self.tensor.morphism_map[self.square.morphism_pair(f, g)]
+        return self.tensor_morphisms[f * self.base.num_morphisms + g]
 
     def alpha(self, x: int, y: int, z: int) -> int:
         n = self.base.num_objects
@@ -59,6 +65,46 @@ class MonoidalStructure:
         if inv is None:
             raise StructureError(f"associator at ({x}, {y}, {z}) is not invertible")
         return inv
+
+
+def tabulate_monoidal(base: FinCategory, unit: int,
+                      on_objects: Callable[[int, int], int],
+                      on_morphisms: Callable[[int, int, int, int], int],
+                      associator: Callable[[int, int, int, int, int], int] | None = None,
+                      left_unitor: Callable[[int, int], int] | None = None,
+                      right_unitor: Callable[[int, int], int] | None = None,
+                      budget: Budget | None = None) -> MonoidalStructure:
+    """A monoidal structure on base whose tables are filled from callbacks.
+
+    on_objects(x, y) is x⊗y; on_morphisms(f, g, s, t) is f⊗g, with s and t
+    the tensors of the endpoints of f and g.  associator(x, y, z, s, t) is
+    the component s = (x⊗y)⊗z -> t = x⊗(y⊗z); left_unitor(x, s) and
+    right_unitor(x, s) map s = I⊗x and s = x⊗I to x.  Coherence callbacks
+    left out give identity components (a strict structure).  A budget, when
+    given, refuses the n² and m² pairs before any is tabulated.
+    """
+    n, m = base.num_objects, base.num_morphisms
+    if budget is not None:
+        budget.check_objects(n * n, "tensor table")
+        budget.check_morphisms(m * m, "tensor table")
+    objects = tuple(on_objects(x, y) for x in range(n) for y in range(n))
+
+    def tensor(x: int, y: int) -> int:
+        return objects[x * n + y]
+
+    morphisms = tuple(on_morphisms(f, g, tensor(base.source[f], base.source[g]),
+                                   tensor(base.target[f], base.target[g]))
+                      for f in range(m) for g in range(m))
+    identity = base.identity
+    associator = associator or (lambda x, y, z, s, t: identity[s])
+    left_unitor = left_unitor or (lambda x, s: identity[x])
+    right_unitor = right_unitor or (lambda x, s: identity[x])
+    return MonoidalStructure(
+        base, objects, morphisms, unit,
+        tuple(associator(x, y, z, tensor(tensor(x, y), z), tensor(x, tensor(y, z)))
+              for x in range(n) for y in range(n) for z in range(n)),
+        tuple(left_unitor(x, tensor(unit, x)) for x in range(n)),
+        tuple(right_unitor(x, tensor(x, unit)) for x in range(n)))
 
 
 @dataclass(frozen=True)
@@ -109,22 +155,103 @@ class MonNatTrans:
 # checkers
 # ---------------------------------------------------------------------------
 
-def _check_tensor_bifunctor(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+def _check_tables(ms: MonoidalStructure) -> None:
+    """Reject ill-shaped tables and dangling tensor ids; laws come after."""
     base = ms.base
-    if ms.square.left != base or ms.square.right != base:
-        raise StructureError("tensor square is not base × base")
-    if ms.tensor.source != ms.square.category or ms.tensor.target != base:
-        raise StructureError("tensor functor has the wrong shape")
-    if not 0 <= ms.unit < base.num_objects:
+    n, m = base.num_objects, base.num_morphisms
+    if len(ms.tensor_objects) != n * n or len(ms.tensor_morphisms) != m * m:
+        raise StructureError("tensor table has the wrong length")
+    if not 0 <= ms.unit < n:
         raise StructureError(f"unit object {ms.unit} is dangling")
-    n = base.num_objects
     if len(ms.associator) != n ** 3:
         raise StructureError("associator table has the wrong length")
     if len(ms.left_unitor) != n or len(ms.right_unitor) != n:
         raise StructureError("unitor table has the wrong length")
-    sub = check_functor(ms.tensor)
-    for v in sub.violations:
-        rb.add("tensor-" + v.law, v.witness, v.detail)
+    for x in ms.tensor_objects:
+        if not 0 <= x < n:
+            raise StructureError(f"tensor maps an object pair to dangling id {x}")
+    for f in ms.tensor_morphisms:
+        if not 0 <= f < m:
+            raise StructureError(f"tensor maps a morphism pair to dangling id {f}")
+
+
+def _scan_tensor_bifunctor(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Functoriality of the tensor on base × base by the bifunctor criterion
+    (CWM §II.3): endpoints and identities on every entry, functoriality in
+    each variable separately, and interchange f⊗g = (f⊗1)∘(1⊗g) = (1⊗g)∘(f⊗1),
+    varying only non-identity morphisms.  Over a lawful base this is
+    equivalent to the composition law at all O(m⁴) composable pairs.  Laws
+    and witnesses are check_functor's on the product, pair (f, g) numbered
+    f*m + g, so each witness is an instance of the full law.
+    """
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    src, tgt, ident, comp = base.source, base.target, base.identity, base.comp
+    t_obj, t_mor = ms.tensor_objects, ms.tensor_morphisms
+    for k in range(m * m):
+        f, g = divmod(k, m)
+        img = t_mor[k]
+        if src[img] != t_obj[src[f] * n + src[g]] \
+                or tgt[img] != t_obj[tgt[f] * n + tgt[g]]:
+            rb.add("tensor-functor-endpoints", (k,),
+                   f"image {img} has endpoints {src[img]} -> {tgt[img]}")
+    for p in range(n * n):
+        x, y = divmod(p, n)
+        if t_mor[ident[x] * m + ident[y]] != ident[t_obj[p]]:
+            rb.add("tensor-functor-identity", (p,), "identity not preserved")
+    into: list[list[int]] = [[] for _ in range(n)]
+    for f in range(m):
+        if ident[src[f]] != f:
+            into[tgt[f]].append(f)
+    for k2 in range(m * m):
+        f2, g2 = divmod(k2, m)
+        if (ident[src[f2]] == f2) == (ident[src[g2]] == g2):
+            continue
+        if ident[src[g2]] == g2:
+            # (f2∘f1)⊗1 and the interchange f2⊗g = (f2⊗1)∘(1⊗g)
+            firsts = [f1 * m + g2 for f1 in into[src[f2]]] \
+                + [ident[src[f2]] * m + g for g in into[src[g2]]]
+        else:
+            # 1⊗(g2∘g1) and the interchange f⊗g2 = (1⊗g2)∘(f⊗1)
+            firsts = [f2 * m + g1 for g1 in into[src[g2]]] \
+                + [f * m + ident[src[g2]] for f in into[src[f2]]]
+        for k1 in sorted(firsts):
+            f1, g1 = divmod(k1, m)
+            cf, cg = comp[f2][f1], comp[g2][g1]
+            if cf == -1 or cg == -1:
+                continue
+            got = comp[t_mor[k2]][t_mor[k1]]
+            want = t_mor[cf * m + cg]
+            if got != want:
+                rb.add("tensor-functor-composition", (k2, k1),
+                       f"F(g)∘F(f) = {got} but F(g∘f) = {want}")
+                if rb.full:
+                    return
+
+
+def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Naturality of the associator one variable at a time (CWM §II.3): for
+    a bifunctorial tensor, natural in each variable separately means natural
+    jointly, so the 3·m·n² triples with at most one non-identity morphism
+    stand for all m³.
+    """
+    base = ms.base
+    m = base.num_morphisms
+    ids = sorted(base.identity)
+    for p in range(m):
+        for q in (range(m) if base.is_identity(p) else ids):
+            pq = ms.tensor_mor(p, q)
+            rs = range(m) if base.is_identity(p) and base.is_identity(q) else ids
+            for r in rs:
+                lhs = base.comp[ms.alpha(base.target[p], base.target[q], base.target[r])][
+                    ms.tensor_mor(pq, r)]
+                rhs = base.comp[ms.tensor_mor(p, ms.tensor_mor(q, r))][
+                    ms.alpha(base.source[p], base.source[q], base.source[r])]
+                if lhs != rhs or lhs == -1:
+                    rb.add("associator-naturality", (p, q, r),
+                           f"paths {lhs} vs {rhs}")
+                    if rb.full:
+                        return
 
 
 def _component_ok(base: FinCategory, mor: int, src: int, tgt: int) -> str | None:
@@ -137,9 +264,30 @@ def _component_ok(base: FinCategory, mor: int, src: int, tgt: int) -> str | None
 
 
 def check_monoidal(ms: MonoidalStructure, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """Pentagon, triangle, and naturality/invertibility of all components."""
+    """Category laws of the base, bifunctoriality of the tensor, pentagon,
+    triangle, and naturality and invertibility of all components.  The base
+    is checked first because the reduced bifunctor and naturality scans are
+    exact only over a lawful base.
+    """
+    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor,
+                                _scan_associator_naturality)
+
+
+ScanFn = Callable[[MonoidalStructure, ReportBuilder], None]
+
+
+def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
+                         scan_associator_naturality: ScanFn) -> Report:
+    """check_monoidal with its two reduced scans passed in, so that the
+    exhaustive scans they stand for can be run in their place as a reference."""
     rb = ReportBuilder("monoidal", cap)
-    _check_tensor_bifunctor(ms, rb)
+    _check_tables(ms)
+    base_laws = check_category(ms.base, cap)
+    for v in base_laws.violations:
+        rb.add("base-" + v.law, v.witness, v.detail)
+    if not base_laws.ok:
+        return rb.report()
+    scan_tensor(ms, rb)
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
 
@@ -172,24 +320,16 @@ def check_monoidal(ms: MonoidalStructure, cap: int = DEFAULT_VIOLATION_CAP) -> R
         if rb.full:
             return rb.report()
 
-    # ill-typed components make the law scans meaningless
-    if any(v.law.endswith("-component") for v in rb.report().violations):
+    # ill-typed components or tensor entries make the law scans meaningless,
+    # and their paths need not compose
+    if any(v.law.endswith("-component") or v.law == "tensor-functor-endpoints"
+           for v in rb.report().violations):
         return rb.report()
 
-    # naturality of the associator in all three arguments at once
-    for p in range(m):
-        for q in range(m):
-            pq = ms.tensor_mor(p, q)
-            for r in range(m):
-                lhs = base.comp[ms.alpha(base.target[p], base.target[q], base.target[r])][
-                    ms.tensor_mor(pq, r)]
-                rhs = base.comp[ms.tensor_mor(p, ms.tensor_mor(q, r))][
-                    ms.alpha(base.source[p], base.source[q], base.source[r])]
-                if lhs != rhs or lhs == -1:
-                    rb.add("associator-naturality", (p, q, r),
-                           f"paths {lhs} vs {rhs}")
-                    if rb.full:
-                        return rb.report()
+    scan_associator_naturality(ms, rb)
+    if rb.full:
+        return rb.report()
+
     id_unit = base.identity[ms.unit]
     for p in range(m):
         x, y = base.source[p], base.target[p]
@@ -443,15 +583,20 @@ def check_braided_functor(mf: MonFunctor, b_src: Braiding, b_tgt: Braiding,
 # constructors and composites
 # ---------------------------------------------------------------------------
 
+def strict_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
+                       underlying: Functor) -> MonFunctor:
+    """A functor that preserves tensor and unit on the nose, with identity
+    multiplicativity and unit cells."""
+    n = source.base.num_objects
+    on_obj = underlying.object_map
+    mult = tuple(target.base.identity[target.tensor_obj(on_obj[x], on_obj[y])]
+                 for x in range(n) for y in range(n))
+    return MonFunctor(source, target, underlying, mult,
+                      target.base.identity[target.unit])
+
+
 def identity_mon_functor(ms: MonoidalStructure) -> MonFunctor:
-    base = ms.base
-    n = base.num_objects
-    return MonFunctor(ms, ms,
-                      Functor(base, base, tuple(range(n)),
-                              tuple(range(base.num_morphisms))),
-                      tuple(base.identity[ms.tensor_obj(*divmod(i, n))]
-                            for i in range(n * n)),
-                      base.identity[ms.unit])
+    return strict_mon_functor(ms, ms, identity_functor(ms.base))
 
 
 def compose_mon_functors(g: MonFunctor, f: MonFunctor) -> MonFunctor:
@@ -519,26 +664,17 @@ def make_skeletal_group_category(g: GroupTable, u: GroupTable,
                 comp[mor(x, a)][mor(x, b)] = mor(x, u.mul(a, b))
     base = FinCategory(ng, source, source, identity,
                        tuple(tuple(row) for row in comp))
-    square = product_category(base, base, Budget(max_objects=ng * ng + 1,
-                                                 max_morphisms=num_morphisms ** 2 + 1))
-    tensor_obj = tuple(g.mul(*square.object_factors(p))
-                       for p in range(ng * ng))
-    tensor_mor = []
-    for k in range(num_morphisms ** 2):
-        f1, f2 = square.morphism_factors(k)
+
+    def tensor_mor(f1: int, f2: int, s: int, t: int) -> int:
         x1, a1 = divmod(f1, nu)
         x2, a2 = divmod(f2, nu)
-        tensor_mor.append(mor(g.mul(x1, x2), u.mul(a1, a2)))
-    tensor = Functor(square.category, base, tensor_obj, tuple(tensor_mor))
-    associator = []
-    for x in range(ng):
-        for y in range(ng):
-            for z in range(ng):
-                associator.append(mor(g.mul(g.mul(x, y), z), omega[x][y][z]))
-    left_unitor = tuple(mor(y, u.inv(omega[0][0][y])) for y in range(ng))
-    right_unitor = tuple(mor(x, omega[x][0][0]) for x in range(ng))
-    return MonoidalStructure(base, square, tensor, 0, tuple(associator),
-                             left_unitor, right_unitor)
+        return mor(g.mul(x1, x2), u.mul(a1, a2))
+
+    return tabulate_monoidal(
+        base, 0, g.mul, tensor_mor,
+        associator=lambda x, y, z, s, t: mor(s, omega[x][y][z]),
+        left_unitor=lambda y, s: mor(y, u.inv(omega[0][0][y])),
+        right_unitor=lambda x, s: mor(x, omega[x][0][0]))
 
 
 def trivial_cochain(g: GroupTable) -> tuple:
@@ -588,27 +724,21 @@ def restrict_monoidal(ms: MonoidalStructure,
                     f"subcategory is not closed under tensor at ({x}, {y})")
     sub, inclusion = full_subcategory(ms.base, objects)
     mor_index = {inclusion.morphism_map[i]: i for i in range(sub.num_morphisms)}
-    square = product_category(sub, sub, Budget(sub.num_objects ** 2 + 1,
-                                               sub.num_morphisms ** 2 + 1))
-    tensor_obj = []
-    for p in range(sub.num_objects ** 2):
-        x, y = square.object_factors(p)
-        tensor_obj.append(obj_index[ms.tensor_obj(objects[x], objects[y])])
-    tensor_mor = []
-    for k in range(sub.num_morphisms ** 2):
-        f1, f2 = square.morphism_factors(k)
+
+    def tensor_mor(f1: int, f2: int, s: int, t: int) -> int:
         img = ms.tensor_mor(inclusion.morphism_map[f1], inclusion.morphism_map[f2])
         if img not in mor_index:
             raise StructureError("subcategory is not closed under tensor of morphisms")
-        tensor_mor.append(mor_index[img])
-    tensor = Functor(square.category, sub, tuple(tensor_obj), tuple(tensor_mor))
-    n = sub.num_objects
-    associator = tuple(mor_index[ms.alpha(objects[x], objects[y], objects[z])]
-                       for x in range(n) for y in range(n) for z in range(n))
-    left_unitor = tuple(mor_index[ms.left_unitor[objects[x]]] for x in range(n))
-    right_unitor = tuple(mor_index[ms.right_unitor[objects[x]]] for x in range(n))
-    restricted = MonoidalStructure(sub, square, tensor, obj_index[ms.unit],
-                                   associator, left_unitor, right_unitor)
+        return mor_index[img]
+
+    restricted = tabulate_monoidal(
+        sub, obj_index[ms.unit],
+        lambda x, y: obj_index[ms.tensor_obj(objects[x], objects[y])],
+        tensor_mor,
+        associator=lambda x, y, z, s, t: mor_index[
+            ms.alpha(objects[x], objects[y], objects[z])],
+        left_unitor=lambda x, s: mor_index[ms.left_unitor[objects[x]]],
+        right_unitor=lambda x, s: mor_index[ms.right_unitor[objects[x]]])
     return restricted, inclusion
 
 

@@ -64,11 +64,3 @@ class ReportBuilder:
     def report(self) -> Report:
         return Report(self.subject, tuple(self._violations), self._truncated)
 
-
-def merge_reports(subject: str, *reports: Report) -> Report:
-    violations: list[Violation] = []
-    truncated = False
-    for r in reports:
-        violations.extend(r.violations)
-        truncated = truncated or r.truncated
-    return Report(subject, tuple(violations), truncated)

@@ -20,15 +20,13 @@ from .fincat import (
     FunctorCategory,
     NatTrans,
     StructureError,
+    check_category,
     check_nat_trans,
     compose_functors,
     enumerate_nat_transes,
-    fork_functor,
     functor_category,
     identity_functor,
     identity_nat_trans,
-    pair_functor,
-    product_category,
     pullback,
     pushforward,
     vertical_composite,
@@ -41,6 +39,8 @@ from .monoidal import (
     MonNatTrans,
     MonoidalStructure,
     compose_mon_functors,
+    strict_mon_functor,
+    tabulate_monoidal,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -54,36 +54,27 @@ class EndCategory:
 
 
 def end_monoidal(carrier: FinCategory, budget: Budget = DEFAULT_BUDGET) -> EndCategory:
-    """End(carrier) with tensor = composition of endofunctors (strict)."""
+    """End(carrier) with tensor = composition of endofunctors (strict).
+    Enumeration assumes a lawful carrier, so the laws are checked first."""
+    laws = check_category(carrier, cap=1)
+    if not laws.ok:
+        raise StructureError("carrier is not a category: "
+                             + laws.violations[0].render())
     fc = functor_category(carrier, carrier, budget)
     cat = fc.as_category
     fi = fc.functor_index()
     ti = fc.transformation_index()
-    square = product_category(cat, cat, Budget(cat.num_objects ** 2 + 1,
-                                               cat.num_morphisms ** 2 + 1))
-    tensor_obj = []
-    for p in range(cat.num_objects ** 2):
-        i, j = square.object_factors(p)
-        tensor_obj.append(fi[compose_functors(fc.functors[i], fc.functors[j])])
-    tensor_mor = []
-    for k in range(cat.num_morphisms ** 2):
-        a, b = square.morphism_factors(k)
+
+    def tensor_mor(a: int, b: int, s: int, t: int) -> int:
         mu, nu = fc.transformations[a], fc.transformations[b]
         composite = vertical_composite(whisker_pre(mu, nu.target),
                                        whisker_post(mu.source, nu))
-        tensor_mor.append(ti[(tensor_obj[square.object_pair(cat.source[a], cat.source[b])],
-                              tensor_obj[square.object_pair(cat.target[a], cat.target[b])],
-                              composite.components)])
-    tensor = Functor(square.category, cat, tuple(tensor_obj), tuple(tensor_mor))
-    unit = fi[identity_functor(carrier)]
-    n = cat.num_objects
-    associator = tuple(cat.identity[tensor_obj[square.object_pair(
-        tensor_obj[square.object_pair(i, j)], k)]]
-        for i in range(n) for j in range(n) for k in range(n))
-    left_unitor = tuple(cat.identity[i] for i in range(n))
-    right_unitor = tuple(cat.identity[i] for i in range(n))
-    monoidal = MonoidalStructure(cat, square, tensor, unit, associator,
-                                 left_unitor, right_unitor)
+        return ti[(s, t, composite.components)]
+
+    monoidal = tabulate_monoidal(
+        cat, fi[identity_functor(carrier)],
+        lambda i, j: fi[compose_functors(fc.functors[i], fc.functors[j])],
+        tensor_mor)
     return EndCategory(fc, monoidal)
 
 
@@ -356,18 +347,6 @@ class SpanCell:
     vertical_fillers: tuple[MonNatTrans, MonNatTrans] | None = None
 
 
-def _identity_mon_leg(apex: MonoidalStructure, target: MonoidalStructure,
-                      underlying: Functor) -> MonFunctor:
-    """A projection that preserves tensors on the nose: identity cells."""
-    n = apex.base.num_objects
-    mult = tuple(target.base.identity[target.tensor_obj(
-        underlying.object_map[divmod(i, n)[0]],
-        underlying.object_map[divmod(i, n)[1]])]
-        for i in range(n * n))
-    return MonFunctor(apex, target, underlying, mult,
-                      target.base.identity[target.unit])
-
-
 def _pasted_transport(t0: NatTrans, t1: NatTrans,
                       p1: Functor, q0: Functor) -> NatTrans:
     """(Q0 after t1) ∘ (t0 before P1): the transport of a composite pair."""
@@ -411,29 +390,22 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
         return hom_ti[(hom_fi[pasted.source], hom_fi[pasted.target],
                        pasted.components)]
 
-    n = apex_cat.num_objects
-    square = product_category(apex_cat, apex_cat, budget)
-    tensor_obj = []
-    for pair in range(n * n):
-        a0, a1 = square.object_factors(pair)
+    def tensor_obj(a0: int, a1: int) -> int:
         key = (endM.monoidal.tensor_obj(fp.objects[a0][0], fp.objects[a1][0]),
                endN.monoidal.tensor_obj(fp.objects[a0][1], fp.objects[a1][1]),
                pasted_id(a0, a1))
         if key not in oi:
             raise StructureError("span tensor left the apex; transports do not paste")
-        tensor_obj.append(oi[key])
-    tensor_mor = []
-    for k in range(apex_cat.num_morphisms ** 2):
-        k0, k1 = square.morphism_factors(k)
-        mu = endM.monoidal.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0])
-        nu = endN.monoidal.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1])
-        key = (tensor_obj[square.object_pair(apex_cat.source[k0], apex_cat.source[k1])],
-               tensor_obj[square.object_pair(apex_cat.target[k0], apex_cat.target[k1])],
-               mu, nu)
+        return oi[key]
+
+    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
+        key = (s, t,
+               endM.monoidal.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0]),
+               endN.monoidal.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1]))
         if key not in mi:
             raise StructureError("span tensor of morphisms left the apex")
-        tensor_mor.append(mi[key])
-    tensor = Functor(square.category, apex_cat, tuple(tensor_obj), tuple(tensor_mor))
+        return mi[key]
+
     unit_hom = fp.left.object_map[endM.monoidal.unit]
     unit_key = (endM.monoidal.unit, endN.monoidal.unit,
                 hom_ti[(unit_hom, unit_hom,
@@ -441,16 +413,11 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     if unit_key not in oi:
         raise StructureError("span unit is missing from the apex")
     unit = oi[unit_key]
-    associator = tuple(apex_cat.identity[tensor_obj[square.object_pair(
-        tensor_obj[square.object_pair(i, j)], k)]]
-        for i in range(n) for j in range(n) for k in range(n))
-    left_unitor = tuple(apex_cat.identity[i] for i in range(n))
-    right_unitor = tuple(apex_cat.identity[i] for i in range(n))
-    apex_ms = MonoidalStructure(apex_cat, square, tensor, unit, associator,
-                                left_unitor, right_unitor)
+    apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
+                                budget=budget)
 
-    leg_left = _identity_mon_leg(apex_ms, endM.monoidal, fp.pr1)
-    leg_right = _identity_mon_leg(apex_ms, endN.monoidal, fp.pr2)
+    leg_left = strict_mon_functor(apex_ms, endM.monoidal, fp.pr1)
+    leg_right = strict_mon_functor(apex_ms, endN.monoidal, fp.pr2)
 
     # the action lift c ↦ (F(c), G(c), xi_c)
     acting = dom.acting
@@ -474,7 +441,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     nb = acting.base.num_objects
     for x in range(nb):
         for y in range(nb):
-            key = (tensor_obj[square.object_pair(lift_obj[x], lift_obj[y])],
+            key = (apex_ms.tensor_obj(lift_obj[x], lift_obj[y]),
                    lift_obj[acting.tensor_obj(x, y)],
                    dom.action.gamma(x, y), cod.action.gamma(x, y))
             if key not in mi:
@@ -497,29 +464,59 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     return cell
 
 
+def _partial_tensor(ms: MonoidalStructure, a: int, on_left: bool,
+                    leg: Functor) -> Functor:
+    """x ↦ a⊗leg(x) (on_left) or leg(x)⊗a, read off the tables."""
+    id_a = ms.base.identity[a]
+    if on_left:
+        return Functor(leg.source, ms.base,
+                       tuple(ms.tensor_obj(a, x) for x in leg.object_map),
+                       tuple(ms.tensor_mor(id_a, f) for f in leg.morphism_map))
+    return Functor(leg.source, ms.base,
+                   tuple(ms.tensor_obj(x, a) for x in leg.object_map),
+                   tuple(ms.tensor_mor(f, id_a) for f in leg.morphism_map))
+
+
 def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                               endN: EndCategory, budget: Budget) -> None:
     """Cross-check the explicit tensor against the mediator of the fiber
-    product, and the coherence components against the unique-2-cell route."""
+    product, and the coherence components against the unique-2-cell route.
+
+    The mediator is taken one variable at a time: each partial tensor a⊗−
+    and −⊗a of the apex is a cone over the two partial tensors of the End
+    categories, so 2n calls to mediate fix every object entry and every
+    morphism entry with an identity factor.  The interchange law of a
+    bifunctor, f⊗g = (f⊗1)∘(1⊗g) (CWM §II.3), then ties every other entry
+    to those, as the mediator on apex × apex would.
+    """
     fp = cell.fp
     apex_ms = cell.apex
-    square = apex_ms.square
-    # the mediator route for the tensor
-    p_cone = compose_functors(
-        endM.monoidal.tensor,
-        pair_functor(fp.pr1, fp.pr1, square, endM.monoidal.square))
-    q_cone = compose_functors(
-        endN.monoidal.tensor,
-        pair_functor(fp.pr2, fp.pr2, square, endN.monoidal.square))
-    comparison = NatTrans(
-        compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
-        tuple(fp.filler.components[apex_ms.tensor.object_map[pair]]
-              for pair in range(square.category.num_objects)))
-    med = mediate(fp, p_cone, q_cone, comparison)
-    if med.functor != apex_ms.tensor:
-        raise StructureError("mediator tensor disagrees with the explicit tensor")
+    base = apex_ms.base
+    n = base.num_objects
+    ident = identity_functor(base)
+    partials: dict[bool, list[Functor]] = {True: [], False: []}
+    for on_left in (True, False):
+        for a in range(n):
+            explicit = _partial_tensor(apex_ms, a, on_left, ident)
+            p_cone = _partial_tensor(endM.monoidal, fp.pr1.object_map[a], on_left,
+                                     fp.pr1)
+            q_cone = _partial_tensor(endN.monoidal, fp.pr2.object_map[a], on_left,
+                                     fp.pr2)
+            comparison = NatTrans(
+                compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
+                tuple(fp.filler.components[x] for x in explicit.object_map))
+            if mediate(fp, p_cone, q_cone, comparison).functor != explicit:
+                raise StructureError("mediator tensor disagrees with the explicit tensor")
+            partials[on_left].append(explicit)
+    a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
+    for f in range(base.num_morphisms):
+        for g in range(base.num_morphisms):
+            interchanged = base.comp[tensor_b[base.target[g]].morphism_map[f]][
+                a_tensor[base.source[f]].morphism_map[g]]
+            if apex_ms.tensor_mor(f, g) != interchanged:
+                raise StructureError(
+                    f"explicit tensor breaks interchange at ({f}, {g})")
     # associator compatibility: pasting is associative on the nose
-    n = apex_ms.base.num_objects
     for i in range(n):
         for j in range(n):
             ij = apex_ms.tensor_obj(i, j)
@@ -532,18 +529,9 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                 if fp.filler.components[left] != fp.filler.components[right]:
                     raise StructureError("pasted transports do not associate")
     # unitor compatibility via the unique-2-cell machinery
-    ident = identity_functor(apex_ms.base)
-    unit_const = Functor(apex_ms.base, apex_ms.base,
-                         (apex_ms.unit,) * n,
-                         (apex_ms.base.identity[apex_ms.unit],)
-                         * apex_ms.base.num_morphisms)
-    for pick_left in (True, False):
-        if pick_left:
-            tensored = compose_functors(apex_ms.tensor,
-                                        fork_functor(unit_const, ident, square))
-        else:
-            tensored = compose_functors(apex_ms.tensor,
-                                        fork_functor(ident, unit_const, square))
+    for on_left, expected in ((True, apex_ms.left_unitor),
+                              (False, apex_ms.right_unitor)):
+        tensored = partials[on_left][apex_ms.unit]
         gamma1 = NatTrans(compose_functors(fp.pr1, tensored),
                           compose_functors(fp.pr1, ident),
                           tuple(endM.monoidal.base.identity[fp.pr1.object_map[a]]
@@ -553,7 +541,6 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                           tuple(endN.monoidal.base.identity[fp.pr2.object_map[a]]
                                 for a in range(n)))
         theta = mediate_2cell(fp, tensored, ident, gamma1, gamma2)
-        expected = apex_ms.left_unitor if pick_left else apex_ms.right_unitor
         if theta.components != expected:
             raise StructureError("mediated unitor disagrees with the explicit one")
 
@@ -723,41 +710,28 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     apex_cat = FinCategory(len(quads), tuple(source), tuple(target), identity,
                            tuple(tuple(row) for row in comp))
 
-    square = product_category(apex_cat, apex_cat, budget)
-    f_oi = span_f.fp.object_index()
-    g_oi = span_g.fp.object_index()
-    tensor_obj = []
-    for pair in range(len(quads) ** 2):
-        a0, a1 = square.object_factors(pair)
+    def tensor_obj(a0: int, a1: int) -> int:
         fi0, gi0 = quads[a0]
         fi1, gi1 = quads[a1]
-        f_t = span_f.apex.tensor_obj(fi0, fi1)
-        g_t = span_g.apex.tensor_obj(gi0, gi1)
-        if (f_t, g_t) not in quad_index:
+        pair = (span_f.apex.tensor_obj(fi0, fi1), span_g.apex.tensor_obj(gi0, gi1))
+        if pair not in quad_index:
             raise StructureError("2-span tensor left the apex")
-        tensor_obj.append(quad_index[(f_t, g_t)])
-    tensor_mor = []
-    for k in range(num * num):
-        k0, k1 = square.morphism_factors(k)
-        mu = endM.monoidal.tensor_mor(morphisms[k0][0], morphisms[k1][0])
-        nu = endN.monoidal.tensor_mor(morphisms[k0][1], morphisms[k1][1])
-        key = (tensor_obj[square.object_pair(source[k0], source[k1])],
-               tensor_obj[square.object_pair(target[k0], target[k1])], mu, nu)
+        return quad_index[pair]
+
+    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
+        key = (s, t,
+               endM.monoidal.tensor_mor(morphisms[k0][0], morphisms[k1][0]),
+               endN.monoidal.tensor_mor(morphisms[k0][1], morphisms[k1][1]))
         if key not in mor_index:
             raise StructureError("2-span tensor of morphisms left the apex")
-        tensor_mor.append(mor_index[key])
-    tensor = Functor(square.category, apex_cat, tuple(tensor_obj), tuple(tensor_mor))
+        return mor_index[key]
+
     unit_pair = (span_f.apex.unit, span_g.apex.unit)
     if unit_pair not in quad_index:
         raise StructureError("2-span unit is missing")
     unit = quad_index[unit_pair]
-    nq = len(quads)
-    associator = tuple(apex_cat.identity[tensor_obj[square.object_pair(
-        tensor_obj[square.object_pair(i, j)], k)]]
-        for i in range(nq) for j in range(nq) for k in range(nq))
-    apex_ms = MonoidalStructure(apex_cat, square, tensor, unit, associator,
-                                tuple(apex_cat.identity[i] for i in range(nq)),
-                                tuple(apex_cat.identity[i] for i in range(nq)))
+    apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
+                                budget=budget)
 
     # vertical legs through the mediators of the two fiber products
     p_proj = Functor(apex_cat, endM.fc.as_category,
@@ -774,21 +748,11 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
                     tuple(g_objs[gi][2] for _, gi in quads))
     med_f = mediate(span_f.fp, p_proj, q_proj, xi_f)
     med_g = mediate(span_g.fp, p_proj, q_proj, xi_g)
-    vert_f = MonFunctor(apex_ms, span_f.apex, med_f.functor,
-                        tuple(span_f.apex.base.identity[
-                            span_f.apex.tensor_obj(quads[divmod(i, nq)[0]][0],
-                                                   quads[divmod(i, nq)[1]][0])]
-                            for i in range(nq * nq)),
-                        span_f.apex.base.identity[span_f.apex.unit])
-    vert_g = MonFunctor(apex_ms, span_g.apex, med_g.functor,
-                        tuple(span_g.apex.base.identity[
-                            span_g.apex.tensor_obj(quads[divmod(i, nq)[0]][1],
-                                                   quads[divmod(i, nq)[1]][1])]
-                            for i in range(nq * nq)),
-                        span_g.apex.base.identity[span_g.apex.unit])
+    vert_f = strict_mon_functor(apex_ms, span_f.apex, med_f.functor)
+    vert_g = strict_mon_functor(apex_ms, span_g.apex, med_g.functor)
 
-    leg_left = _identity_mon_leg(apex_ms, endM.monoidal, p_proj)
-    leg_right = _identity_mon_leg(apex_ms, endN.monoidal, q_proj)
+    leg_left = strict_mon_functor(apex_ms, endM.monoidal, p_proj)
+    leg_right = strict_mon_functor(apex_ms, endN.monoidal, q_proj)
     hom_ti = hom_fc.transformation_index()
     hom_fi = hom_fc.functor_index()
     # the comma-shaped filler: slide the transformation through Q after xi_f
@@ -832,7 +796,7 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
                                 fd.dom.action.on_mor(u), fd.cod.action.on_mor(u))]
                      for u in range(acting.base.num_morphisms))
     nb = acting.base.num_objects
-    lift_mult = tuple(mor_index[(tensor_obj[square.object_pair(lift_obj[x], lift_obj[y])],
+    lift_mult = tuple(mor_index[(apex_ms.tensor_obj(lift_obj[x], lift_obj[y]),
                                  lift_obj[acting.tensor_obj(x, y)],
                                  fd.dom.action.gamma(x, y), fd.cod.action.gamma(x, y))]
                       for x in range(nb) for y in range(nb))

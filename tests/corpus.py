@@ -1,7 +1,7 @@
 """Deterministic corpus of small module-functor setups.
 
 Carriers stay at <= 3 objects and acting categories at <= 6 objects so that
-every span apex (and its square, needed for tensor tables) stays desk-sized.
+every span apex, and its n² and m² tensor tables, stays desk-sized.
 """
 from __future__ import annotations
 
@@ -258,7 +258,8 @@ def terminal_id() -> ModuleFunctorData:
 
 def composable_pairs() -> list[tuple[str, ModuleFunctorData, ModuleFunctorData]]:
     """Composable module functors whose pairings stay small enough for the
-    full monoidal treatment (the square of the pairing apex is materialized)."""
+    full monoidal treatment (tensor tables and coherence checks on the
+    pairing apex)."""
     named = dict(span_corpus())
     return [
         ("arrow-id-id", named["arrow-id"], named["arrow-id"]),

@@ -2,14 +2,25 @@
 
 Everything here deliberately avoids the library's incremental/backtracking
 code paths: full cartesian products filtered by the defining laws, and
-direct cochain arithmetic for cocycle and bicharacter conditions.
+direct cochain arithmetic for cocycle and bicharacter conditions.  The
+exhaustive monoidal scans at the end are the ones check_monoidal replaced
+with reduced scans, kept as their reference.
 """
 from __future__ import annotations
 
 from itertools import product
 
-from spanforge.fincat import FinCategory, Functor, NatTrans
+from spanforge.fincat import (
+    Budget,
+    FinCategory,
+    Functor,
+    NatTrans,
+    check_functor,
+    product_category,
+)
 from spanforge.groups import GroupTable
+from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
+from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
 
 def brute_force_functors(m: FinCategory, n: FinCategory) -> list[Functor]:
@@ -135,3 +146,42 @@ def brute_force_half_braidings(ms, x: int) -> list[tuple[int, ...]]:
         if hexagon:
             found.append(tuple(comps))
     return found
+
+
+def exhaustive_tensor_scan(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """check_functor on the tensor as a functor out of the materialised
+    product base × base, whose pair (f, g) has id f*m + g."""
+    base = ms.base
+    square = product_category(base, base, Budget(base.num_objects ** 2,
+                                                 base.num_morphisms ** 2))
+    tensor = Functor(square.category, base, ms.tensor_objects,
+                     ms.tensor_morphisms)
+    for v in check_functor(tensor, rb.cap).violations:
+        rb.add("tensor-" + v.law, v.witness, v.detail)
+
+
+def joint_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Naturality of the associator in all three arguments at once: m³ triples."""
+    base = ms.base
+    m = base.num_morphisms
+    for p in range(m):
+        for q in range(m):
+            pq = ms.tensor_mor(p, q)
+            for r in range(m):
+                lhs = base.comp[ms.alpha(base.target[p], base.target[q], base.target[r])][
+                    ms.tensor_mor(pq, r)]
+                rhs = base.comp[ms.tensor_mor(p, ms.tensor_mor(q, r))][
+                    ms.alpha(base.source[p], base.source[q], base.source[r])]
+                if lhs != rhs or lhs == -1:
+                    rb.add("associator-naturality", (p, q, r),
+                           f"paths {lhs} vs {rhs}")
+                    if rb.full:
+                        return
+
+
+def exhaustive_check_monoidal(ms: MonoidalStructure,
+                              cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_monoidal with the exhaustive bifunctor and associator-naturality
+    scans in place of the reduced ones; every other scan is shared."""
+    return _check_monoidal_laws(ms, cap, exhaustive_tensor_scan,
+                                joint_associator_naturality)

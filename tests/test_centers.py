@@ -225,16 +225,10 @@ def test_intertwiner_of_identities_on_discrete_matches_center():
 
 def idempotent_monoid_monoidal():
     """One object, endomorphisms {1, e} with e∘e = e, tensor by multiplication."""
-    from spanforge.fincat import product_category
-    from spanforge.monoidal import MonoidalStructure
+    from spanforge.monoidal import tabulate_monoidal
     base = FinCategory(1, (0, 0), (0, 0), (0,), ((0, 1), (1, 1)))
-    square = product_category(base, base)
-    tensor = Functor(square.category, base, (0,),
-                     tuple(base.comp[f][0] if g == 0 else base.comp[f][g]
-                           for k in range(4)
-                           for f, g in [square.morphism_factors(k)]))
-    ms = MonoidalStructure(base, square, tensor, 0, (base.identity[0],),
-                           (base.identity[0],), (base.identity[0],))
+    ms = tabulate_monoidal(base, 0, lambda x, y: 0,
+                           lambda f, g, s, t: base.comp[f][g])
     assert check_monoidal(ms).ok
     return ms
 

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 from spanforge.cli import main
@@ -268,3 +269,22 @@ def test_budget_flag_and_env(capsys, monkeypatch):
     monkeypatch.delenv("SPANFORGE_CAP")
     code, _, _ = run(capsys, "end", data("walking_arrow.json"))
     assert code == 0
+
+
+def test_non_integer_cap_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("SPANFORGE_CAP", "abc")
+    code, _, err = run(capsys, "validate", data("walking_arrow.json"))
+    assert code == 2
+    assert err.startswith("error:") and "SPANFORGE_CAP" in err
+
+
+def test_module_on_lawless_carrier_exits_two(capsys, tmp_path):
+    tree = json.loads(data("arrow_trivial_module.json").read_text())
+    composition = tree["payload"]["carrier"]["composition"]
+    assert composition[2][0] == 2
+    composition[2][0] = 1
+    mutant = tmp_path / "lawless_carrier_module.json"
+    mutant.write_text(json.dumps(tree))
+    code, _, err = run(capsys, "validate", mutant)
+    assert code == 2
+    assert err.startswith("error:") and "carrier is not a category" in err

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from spanforge.fincat import SpanforgeError
 from spanforge.groups import (
     GroupError,
     GroupTable,
@@ -13,6 +14,7 @@ from spanforge.groups import (
     symmetric_3,
     validate_group,
 )
+from spanforge.monoidal import make_skeletal_group_category, trivial_cochain
 
 
 def brute_force_center(g: GroupTable) -> set[int]:
@@ -83,6 +85,13 @@ def test_validate_rejects_broken_tables():
     shifted = GroupTable(((1, 0), (0, 1)))  # identity not at index 0
     with pytest.raises(GroupError):
         validate_group(shifted)
+
+
+def test_group_errors_are_spanforge_errors():
+    broken = GroupTable(((0, 1), (1, 1)))
+    with pytest.raises(SpanforgeError) as exc:
+        make_skeletal_group_category(broken, cyclic(1), trivial_cochain(broken))
+    assert isinstance(exc.value, GroupError)
 
 
 def test_associativity_scan_is_exhaustive():

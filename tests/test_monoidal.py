@@ -72,6 +72,19 @@ def test_nontrivial_cocycle_passes():
     assert check_monoidal(ms).ok
 
 
+def test_lawless_base_is_reported_before_the_tensor_laws():
+    from dataclasses import replace
+    ms = make_skeletal_group_category(Z2, Z2, trivial_cochain(Z2))
+    comp = [list(row) for row in ms.base.comp]
+    comp[0][1] = 0  # id∘a = id breaks the identity law
+    lawless = replace(ms, base=replace(ms.base,
+                                       comp=tuple(tuple(row) for row in comp)))
+    report = check_monoidal(lawless)
+    assert not report.ok
+    assert {v.law for v in report.violations} >= {"base-left-identity"}
+    assert all(v.law.startswith("base-") for v in report.violations)
+
+
 def test_non_cocycle_fails_pentagon():
     omega = cochain_from({(1, 1, 0): 1}, Z2, Z2)
     assert not coboundary_vanishes(omega, Z2, Z2)

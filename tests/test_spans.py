@@ -5,6 +5,8 @@ import pytest
 import corpus
 from oracles import brute_force_functors
 from spanforge.fincat import (
+    Budget,
+    BudgetError,
     Functor,
     StructureError,
     check_nat_trans,
@@ -113,6 +115,69 @@ def test_span_corpus_passes_all_coherence_checks():
         assert left.underlying.object_map == fd.dom.action.underlying.object_map, name
         right = compose_mon_functors(cell.leg_right, cell.action_lift)
         assert right.underlying.object_map == fd.cod.action.underlying.object_map, name
+
+
+def test_build_span_budget_refuses_the_tensor_table():
+    fd = dict(corpus.span_corpus())["bz2-id"]
+    m = build_span(fd, verify=False).apex.base.num_morphisms
+    with pytest.raises(BudgetError) as exc:
+        build_span(fd, Budget(max_morphisms=m * m - 1), verify=False)
+    assert exc.value.what == "tensor table (morphisms)"
+    assert exc.value.estimate == m * m
+    build_span(fd, Budget(max_morphisms=m * m), verify=False)
+
+
+def test_span_verification_mediates_each_partial_tensor(monkeypatch):
+    import spanforge.spans as spans
+    calls = {"mediate": 0, "mediate_2cell": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(spans, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(spans, name, counted)
+    cell = build_span(dict(corpus.span_corpus())["bz2-id"], verify=True)
+    assert calls == {"mediate": 2 * cell.apex.base.num_objects,
+                     "mediate_2cell": 2}
+
+
+def test_span_verification_compares_the_mediated_tensor(monkeypatch):
+    from dataclasses import replace
+    import spanforge.spans as spans
+    real = spans.mediate
+
+    def skewed(*args):
+        med = real(*args)
+        rotated = med.functor.object_map[1:] + med.functor.object_map[:1]
+        return replace(med, functor=replace(med.functor, object_map=rotated))
+
+    monkeypatch.setattr(spans, "mediate", skewed)
+    with pytest.raises(StructureError, match="mediator tensor disagrees"):
+        build_span(dict(corpus.span_corpus())["bz2-id"], verify=True)
+
+
+def test_span_verification_catches_a_wrong_tensor_entry():
+    from dataclasses import replace
+    from spanforge.spans import _verify_span_construction
+    fd = dict(corpus.span_corpus())["bz2-id"]
+    cell = build_span(fd, verify=False)
+    base = cell.apex.base
+    m = base.num_morphisms
+    caught = set()
+    for k, img in enumerate(cell.apex.tensor_morphisms):
+        f, g = divmod(k, m)
+        kind = (base.is_identity(f), base.is_identity(g))
+        parallel = [h for h in base.hom(base.source[img], base.target[img])
+                    if h != img]
+        if kind in caught or kind == (True, True) or not parallel:
+            continue
+        entries = list(cell.apex.tensor_morphisms)
+        entries[k] = parallel[0]
+        wrong = replace(cell, apex=replace(cell.apex,
+                                           tensor_morphisms=tuple(entries)))
+        with pytest.raises(StructureError):
+            _verify_span_construction(wrong, fd.dom.end, fd.cod.end, Budget())
+        caught.add(kind)
+    assert caught == {(True, False), (False, True), (False, False)}
 
 
 def test_span_apex_of_set_pullback_flavor():
