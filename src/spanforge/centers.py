@@ -15,6 +15,7 @@ from .fincat import (
     FinCategory,
     Functor,
     StructureError,
+    category_over_product,
     full_subcategory,
     product_category,
 )
@@ -145,36 +146,16 @@ def _half_braided_category(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
                            objects: list[HalfBraidedObject],
                            budget: Budget, what: str):
     """The category whose morphisms are ambient morphisms commuting with the
-    half-braidings, together with the forgetful functor."""
+    half-braidings, built over the ambient base through
+    category_over_product, together with the forgetful functor."""
     base = ms.base
-    budget.check_objects(len(objects), what)
-    morphisms: list[int] = []
-    source: list[int] = []
-    target: list[int] = []
-    for i, a in enumerate(objects):
-        for j, b in enumerate(objects):
-            for f in base.hom(a.carrier, b.carrier):
-                if _is_center_morphism(ms, g, h, a, b, f):
-                    morphisms.append(f)
-                    source.append(i)
-                    target.append(j)
-        budget.check_morphisms(len(morphisms), what)
-    index = {(source[k], target[k], morphisms[k]): k
-             for k in range(len(morphisms))}
-    identity = tuple(index[(i, i, base.identity[o.carrier])]
-                     for i, o in enumerate(objects))
-    num = len(morphisms)
-    comp = [[-1] * num for _ in range(num)]
-    for b2 in range(num):
-        for a2 in range(num):
-            if target[a2] != source[b2]:
-                continue
-            comp[b2][a2] = index[(source[a2], target[b2],
-                                  base.comp[morphisms[b2]][morphisms[a2]])]
-    cat = FinCategory(len(objects), tuple(source), tuple(target), identity,
-                      tuple(tuple(row) for row in comp))
-    forgetful = Functor(cat, base,
-                        tuple(o.carrier for o in objects), tuple(morphisms))
+    cat, arrows, index = category_over_product(
+        (base,), [(o.carrier,) for o in objects],
+        lambda i, j, arrow: _is_center_morphism(ms, g, h, objects[i], objects[j],
+                                                arrow[0]),
+        budget, what)
+    forgetful = Functor(cat, base, tuple(o.carrier for o in objects),
+                        tuple(f for (f,) in arrows))
     return cat, forgetful, index
 
 
@@ -420,13 +401,9 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
 
     def action(center: CenterCategory, on_left: bool) -> Functor:
         if on_left:
-            square = product_category(center.as_category, cat,
-                                      Budget(center.as_category.num_objects * cat.num_objects + 1,
-                                             center.as_category.num_morphisms * cat.num_morphisms + 1))
+            square = product_category(center.as_category, cat, budget)
         else:
-            square = product_category(cat, center.as_category,
-                                      Budget(cat.num_objects * center.as_category.num_objects + 1,
-                                             cat.num_morphisms * center.as_category.num_morphisms + 1))
+            square = product_category(cat, center.as_category, budget)
         obj_map = []
         for p in range(square.category.num_objects):
             i, j = square.object_factors(p)

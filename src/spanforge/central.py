@@ -26,6 +26,7 @@ from .fincat import (
     FinCategory,
     Functor,
     StructureError,
+    category_over_product,
 )
 from .laxators import MonoidalSquare, monoidal_fiber_product
 from .monoidal import (
@@ -324,42 +325,8 @@ def _phi_quadruples_z1(rb: ReportBuilder, setup: CentralFunctorSetup,
                         g, m_half, n_half, xi_g, h, xi_h, phi))
                     if cond.ok:
                         objects.append((i, j, xi_g, xi_h))
-    budget.check_objects(len(objects), "phi quadruple category")
-    left_cat = left.center.as_category
-    right_cat = right.center.as_category
-    morphisms = []
-    source = []
-    target = []
-    for si, (i0, j0, xg0, xh0) in enumerate(objects):
-        for ti, (i1, j1, xg1, xh1) in enumerate(objects):
-            for p in left_cat.hom(i0, i1):
-                fp = left.center.forgetful.morphism_map[p]
-                for q in right_cat.hom(j0, j1):
-                    fq = right.center.forgetful.morphism_map[q]
-                    ok_g = base.comp[fq][xg0] == base.comp[xg1][g.on_mor(fp)] != -1
-                    ok_h = base.comp[fq][xh0] == base.comp[xh1][h.on_mor(fp)] != -1
-                    if ok_g and ok_h:
-                        morphisms.append((p, q))
-                        source.append(si)
-                        target.append(ti)
-        budget.check_morphisms(len(morphisms), "phi quadruple category")
-    mor_index = {(source[k], target[k]) + morphisms[k]: k
-                 for k in range(len(morphisms))}
-    identity = tuple(mor_index[(i, i, left_cat.identity[o[0]],
-                                right_cat.identity[o[1]])]
-                     for i, o in enumerate(objects))
-    num = len(morphisms)
-    comp = [[-1] * num for _ in range(num)]
-    for b2 in range(num):
-        for a2 in range(num):
-            if target[a2] != source[b2]:
-                continue
-            comp[b2][a2] = mor_index[(source[a2], target[b2],
-                                      left_cat.comp[morphisms[b2][0]][morphisms[a2][0]],
-                                      right_cat.comp[morphisms[b2][1]][morphisms[a2][1]])]
-    cat = FinCategory(len(objects), tuple(source), tuple(target), identity,
-                      tuple(tuple(row) for row in comp))
-
+    cat, _, mor_index = _phi_quadruple_category(setup, base, objects, budget,
+                                                "phi quadruple category")
     acting = left.base.on.base
     obj_index = {o: i for i, o in enumerate(objects)}
     assignment: list[int] | None = []
@@ -380,41 +347,60 @@ def _phi_quadruples_z1(rb: ReportBuilder, setup: CentralFunctorSetup,
                 rb.add("phi-induced-morphism", (u,),
                        "pair is not a quadruple morphism")
                 break
-    _phi_braiding_scan(rb, objects, obj_index, mor_index,
-                       left.center, right.center, base,
-                       lambda i0, i1, xg0, xg1: base.compose_path(
-                           right.carrier.tensor_mor(xg0, xg1),
-                           g.gamma_inv(left.center.objects_data[i0].carrier,
-                                       left.center.objects_data[i1].carrier)),
-                       lambda i0, i1, xh0, xh1: base.compose_path(
-                           right.carrier.tensor_mor(xh0, xh1),
-                           h.gamma_inv(left.center.objects_data[i0].carrier,
-                                       left.center.objects_data[i1].carrier)),
-                       left_beta=lambda i0, i1: left.center.braiding.at(i0, i1),
-                       right_beta=lambda j0, j1: right.center.braiding.at(j0, j1),
-                       left_tensor=left.center.monoidal.tensor_obj,
-                       right_tensor=right.center.monoidal.tensor_obj)
+    _phi_braiding_scan(rb, setup, right.carrier, objects, obj_index, mor_index)
     return PhiFiberResult(cat, tuple(objects), None, None)
 
 
-def _phi_braiding_scan(rb: ReportBuilder, objects, obj_index, mor_index,
-                       left_center, right_center, base,
-                       paste_g, paste_h, left_beta, right_beta,
-                       left_tensor, right_tensor) -> None:
+def _phi_quadruple_category(setup, base: FinCategory, objects, budget: Budget,
+                            what: str):
+    """The category of quadruples (i, j, xi_g, xi_h) over the product of the
+    two centers: a pair of center morphisms is a morphism when both
+    comparison squares commute."""
+    left, right, g, h = setup.left, setup.right, setup.g, setup.h
+    left_forget = left.center.forgetful.morphism_map
+    right_forget = right.center.forgetful.morphism_map
+
+    def admits(s: int, t: int, arrow: tuple[int, int]) -> bool:
+        _, _, xg0, xh0 = objects[s]
+        _, _, xg1, xh1 = objects[t]
+        fp, fq = left_forget[arrow[0]], right_forget[arrow[1]]
+        return (base.comp[fq][xg0] == base.comp[xg1][g.on_mor(fp)] != -1
+                and base.comp[fq][xh0] == base.comp[xh1][h.on_mor(fp)] != -1)
+
+    return category_over_product(
+        (left.center.as_category, right.center.as_category),
+        [o[:2] for o in objects], admits, budget, what)
+
+
+def _phi_braiding_scan(rb: ReportBuilder, setup, carrier: MonoidalStructure,
+                       objects, obj_index, mor_index) -> None:
     """The componentwise braiding on quadruples: each pair of center braiding
     components must be a quadruple morphism between the two tensorings."""
+    left_center, right_center = setup.left.center, setup.right.center
+    left_tensor = left_center.monoidal.tensor_obj
+    right_tensor = right_center.monoidal.tensor_obj
+    base = carrier.base
+
+    def paste(fun: MonFunctor, i0: int, i1: int, x0: int, x1: int) -> int:
+        return base.compose_path(
+            carrier.tensor_mor(x0, x1),
+            fun.gamma_inv(left_center.objects_data[i0].carrier,
+                          left_center.objects_data[i1].carrier))
+
+    g, h = setup.g, setup.h
     for a0, (i0, j0, xg0, xh0) in enumerate(objects):
         for a1, (i1, j1, xg1, xh1) in enumerate(objects):
             src = (left_tensor(i0, i1), right_tensor(j0, j1),
-                   paste_g(i0, i1, xg0, xg1), paste_h(i0, i1, xh0, xh1))
+                   paste(g, i0, i1, xg0, xg1), paste(h, i0, i1, xh0, xh1))
             tgt = (left_tensor(i1, i0), right_tensor(j1, j0),
-                   paste_g(i1, i0, xg1, xg0), paste_h(i1, i0, xh1, xh0))
+                   paste(g, i1, i0, xg1, xg0), paste(h, i1, i0, xh1, xh0))
             if src not in obj_index or tgt not in obj_index:
                 rb.add("phi-tensor", (a0, a1),
                        "tensored quadruple left the category")
                 return
             key = (obj_index[src], obj_index[tgt],
-                   left_beta(i0, i1), right_beta(j0, j1))
+                   left_center.braiding.at(i0, i1),
+                   right_center.braiding.at(j0, j1))
             if key not in mor_index:
                 rb.add("phi-braiding", (a0, a1),
                        "braiding pair is not a quadruple morphism")
@@ -597,40 +583,8 @@ def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralBraidedSetup,
                 for xi_h in base.isos(h.on_obj(xo.carrier), yo.carrier):
                     if base.comp[xi_h][phi_x] == xi_g:
                         objects.append((i, j, xi_g, xi_h))
-    budget.check_objects(len(objects), "transparent quadruple category")
-    left_cat = left.center.as_category
-    right_cat = right.center.as_category
-    morphisms = []
-    source = []
-    target = []
-    for si, (i0, j0, xg0, xh0) in enumerate(objects):
-        for ti, (i1, j1, xg1, xh1) in enumerate(objects):
-            for p in left_cat.hom(i0, i1):
-                fp = left.center.forgetful.morphism_map[p]
-                for q in right_cat.hom(j0, j1):
-                    fq = right.center.forgetful.morphism_map[q]
-                    ok_g = base.comp[fq][xg0] == base.comp[xg1][g.on_mor(fp)] != -1
-                    ok_h = base.comp[fq][xh0] == base.comp[xh1][h.on_mor(fp)] != -1
-                    if ok_g and ok_h:
-                        morphisms.append((p, q))
-                        source.append(si)
-                        target.append(ti)
-    mor_index = {(source[k], target[k]) + morphisms[k]: k
-                 for k in range(len(morphisms))}
-    identity = tuple(mor_index[(i, i, left_cat.identity[o[0]],
-                                right_cat.identity[o[1]])]
-                     for i, o in enumerate(objects))
-    num = len(morphisms)
-    comp = [[-1] * num for _ in range(num)]
-    for b2 in range(num):
-        for a2 in range(num):
-            if target[a2] != source[b2]:
-                continue
-            comp[b2][a2] = mor_index[(source[a2], target[b2],
-                                      left_cat.comp[morphisms[b2][0]][morphisms[a2][0]],
-                                      right_cat.comp[morphisms[b2][1]][morphisms[a2][1]])]
-    cat = FinCategory(len(objects), tuple(source), tuple(target), identity,
-                      tuple(tuple(row) for row in comp))
+    cat, _, mor_index = _phi_quadruple_category(setup, base, objects, budget,
+                                                "transparent quadruple category")
     # the induced quadruple assignment must exist when psi_h is coupled to
     # psi_g through phi; record a violation otherwise
     acting = left.base.on.base
@@ -642,21 +596,7 @@ def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralBraidedSetup,
             rb.add("phi-induced-object", (x,),
                    "comparisons do not satisfy the transparent quadruple conditions")
             break
-    carrier = right.carrier.on
-    _phi_braiding_scan(rb, objects, obj_index, mor_index,
-                       left.center, right.center, base,
-                       lambda i0, i1, xg0, xg1: base.compose_path(
-                           carrier.tensor_mor(xg0, xg1),
-                           g.gamma_inv(left.center.objects_data[i0].carrier,
-                                       left.center.objects_data[i1].carrier)),
-                       lambda i0, i1, xh0, xh1: base.compose_path(
-                           carrier.tensor_mor(xh0, xh1),
-                           h.gamma_inv(left.center.objects_data[i0].carrier,
-                                       left.center.objects_data[i1].carrier)),
-                       left_beta=lambda i0, i1: left.center.braiding.at(i0, i1),
-                       right_beta=lambda j0, j1: right.center.braiding.at(j0, j1),
-                       left_tensor=left.center.monoidal.tensor_obj,
-                       right_tensor=right.center.monoidal.tensor_obj)
+    _phi_braiding_scan(rb, setup, right.carrier.on, objects, obj_index, mor_index)
     return PhiFiberResult(cat, tuple(objects), None, None)
 
 

@@ -7,8 +7,10 @@ operations take a size budget and fail loudly rather than truncate.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import getitem
 
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -624,6 +626,82 @@ def product_category(a: FinCategory, b: FinCategory,
     cat = FinCategory(num_objects, tuple(source), tuple(target), identity,
                       tuple(tuple(row) for row in comp))
     return ProductCategory(cat, a, b)
+
+
+def category_over_product(factors: tuple[FinCategory, ...],
+                          objects: list[tuple[int, ...]],
+                          admits: Callable[[int, int, tuple[int, ...]], bool],
+                          budget: Budget = DEFAULT_BUDGET,
+                          what: str = "category over a product"):
+    """A category with a faithful functor into the product of the factors,
+    cut out by commuting squares (comma categories, CWM §II.6).
+
+    Object i lies over objects[i], one object per factor; several objects may
+    lie over the same tuple.  The morphisms i -> j are the tuples of factor
+    morphisms objects[i] -> objects[j] that admits(i, j, arrow) accepts, and
+    identities and composites are taken factor by factor.  Ids run in
+    (i, j, arrow) lexicographic order, each factor's hom-set ascending.
+    Returns the category, the arrow of each morphism id, and the index
+    (i, j) + arrow -> id.  The budget sees the objects first, then the
+    morphisms after each object pair with candidate arrows.  An identity or
+    composite that is not admitted raises StructureError naming what.
+
+    Three builders keep their own loops: full_subcategory numbers morphisms
+    in the relative order of its ambient category, functor_category's
+    morphisms are enumerated natural transformations, and product_category
+    uses row-major pair ids, which perfbench/spantrace.py wraps by name.
+    """
+    budget.check_objects(len(objects), what)
+    homs: list[dict[tuple[int, int], list[int]]] = []
+    for c in factors:
+        table: dict[tuple[int, int], list[int]] = {}
+        for f in range(c.num_morphisms):
+            table.setdefault((c.source[f], c.target[f]), []).append(f)
+        homs.append(table)
+    arrows: list[tuple[int, ...]] = []
+    source: list[int] = []
+    target: list[int] = []
+    index: dict[tuple[int, ...], int] = {}
+    for i, xs in enumerate(objects):
+        for j, ys in enumerate(objects):
+            hom_sets = [hom.get((x, y)) for hom, x, y in zip(homs, xs, ys)]
+            if None in hom_sets:
+                continue
+            for arrow in iter_product(*hom_sets):
+                if admits(i, j, arrow):
+                    index[(i, j) + arrow] = len(arrows)
+                    arrows.append(arrow)
+                    source.append(i)
+                    target.append(j)
+            budget.check_morphisms(len(arrows), what)
+
+    identity = []
+    for i, xs in enumerate(objects):
+        key = (i, i) + tuple(c.identity[x] for c, x in zip(factors, xs))
+        if key not in index:
+            raise StructureError(f"{what}: the identity of object {i} is not a morphism")
+        identity.append(index[key])
+    num = len(arrows)
+    incoming: list[list[int]] = [[] for _ in objects]
+    outgoing: list[list[int]] = [[] for _ in objects]
+    for k in range(num):
+        incoming[target[k]].append(k)
+        outgoing[source[k]].append(k)
+    tables = [c.comp for c in factors]
+    comp = [[-1] * num for _ in range(num)]
+    for middle in range(len(objects)):
+        for b in outgoing[middle]:
+            row, head = comp[b], target[b]
+            factor_rows = [t[g] for t, g in zip(tables, arrows[b])]
+            for a in incoming[middle]:
+                h = index.get((source[a], head, *map(getitem, factor_rows, arrows[a])))
+                if h is None:
+                    raise StructureError(
+                        f"{what}: the composite of morphisms {b} and {a} is not a morphism")
+                row[a] = h
+    cat = FinCategory(len(objects), tuple(source), tuple(target), tuple(identity),
+                      tuple(tuple(row) for row in comp))
+    return cat, tuple(arrows), index
 
 
 def full_subcategory(c: FinCategory, objects: tuple[int, ...]) -> tuple[FinCategory, Functor]:

@@ -422,21 +422,18 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
     endP = gd.cod.end.fc.as_category
     endQ = hd.cod.end.fc.as_category
 
-    def isos_between(cat, a, b):
-        return cat.isos(a, b)
-
     checked = 0
     for af in range(len(span_f.fp.objects)):
         qf = span_f.fp.objects[af][1]
         for ag in range(len(span_g.fp.objects)):
             pg, qg = span_g.fp.objects[ag][0], span_g.fp.objects[ag][1]
-            for w1 in isos_between(endN, qf, pg):
+            for w1 in endN.isos(qf, pg):
                 for ah in range(len(span_h.fp.objects)):
                     ph, qh = span_h.fp.objects[ah][0], span_h.fp.objects[ah][1]
-                    for w2 in isos_between(endP, qg, ph):
+                    for w2 in endP.isos(qg, ph):
                         for ak in range(len(span_k.fp.objects)):
                             pk = span_k.fp.objects[ak][0]
-                            for w3 in isos_between(endQ, qh, pk):
+                            for w3 in endQ.isos(qh, pk):
                                 left = collapse(fd, gd, span_f, span_g,
                                                 span_gf, af, ag, w1)
                                 left = collapse(gf, hd, span_gf, span_h,

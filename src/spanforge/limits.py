@@ -16,6 +16,7 @@ from .fincat import (
     MediationError,
     NatTrans,
     StructureError,
+    category_over_product,
     check_nat_trans,
     compose_functors,
 )
@@ -66,6 +67,9 @@ def _square_commutes(z: FinCategory, f_img: int, g_img: int,
 
 def _build(f: Functor, g: Functor, budget: Budget, invertible: bool,
            orientation: str, what: str):
+    """Enumerate the triples (x, y, xi), then build the apex over the two
+    feet through category_over_product: (p, q) is a morphism when its
+    square commutes."""
     if f.target != g.target:
         raise StructureError(f"{what}: the two functors have different codomains")
     if orientation not in (FORWARD, REVERSE):
@@ -80,41 +84,13 @@ def _build(f: Functor, g: Functor, budget: Budget, invertible: bool,
                 if invertible and z.inverse(xi) is None:
                     continue
                 objects.append((x, y, xi))
-    budget.check_objects(len(objects), what)
 
-    morphisms: list[tuple[int, int]] = []
-    source: list[int] = []
-    target: list[int] = []
-    for si, (x0, y0, xi0) in enumerate(objects):
-        for ti, (x1, y1, xi1) in enumerate(objects):
-            for p in f.source.hom(x0, x1):
-                fp = f.morphism_map[p]
-                for q in g.source.hom(y0, y1):
-                    if _square_commutes(z, fp, g.morphism_map[q], xi0, xi1,
-                                        orientation):
-                        morphisms.append((p, q))
-                        source.append(si)
-                        target.append(ti)
-            budget.check_morphisms(len(morphisms), what)
+    def admits(i: int, j: int, arrow: tuple[int, int]) -> bool:
+        return _square_commutes(z, f.morphism_map[arrow[0]], g.morphism_map[arrow[1]],
+                                objects[i][2], objects[j][2], orientation)
 
-    mor_index = {(source[k], target[k]) + morphisms[k]: k
-                 for k in range(len(morphisms))}
-    identity = tuple(mor_index[(i, i,
-                                f.source.identity[x], g.source.identity[y])]
-                     for i, (x, y, _) in enumerate(objects))
-    num = len(morphisms)
-    comp = [[-1] * num for _ in range(num)]
-    for b2 in range(num):
-        p2, q2 = morphisms[b2]
-        for a2 in range(num):
-            if target[a2] != source[b2]:
-                continue
-            p1, q1 = morphisms[a2]
-            comp[b2][a2] = mor_index[(source[a2], target[b2],
-                                      f.source.comp[p2][p1],
-                                      g.source.comp[q2][q1])]
-    apex = FinCategory(len(objects), tuple(source), tuple(target), identity,
-                       tuple(tuple(row) for row in comp))
+    apex, morphisms, _ = category_over_product(
+        (f.source, g.source), [(x, y) for x, y, _ in objects], admits, budget, what)
     pr1 = Functor(apex, f.source,
                   tuple(x for x, _, _ in objects),
                   tuple(p for p, _ in morphisms))
@@ -128,7 +104,7 @@ def _build(f: Functor, g: Functor, budget: Budget, invertible: bool,
         filler = NatTrans(compose_functors(g, pr2), compose_functors(f, pr1),
                           tuple(xi for _, _, xi in objects))
     cls = FiberProductResult if invertible else CommaResult
-    return cls(f, g, apex, pr1, pr2, filler, tuple(objects), tuple(morphisms),
+    return cls(f, g, apex, pr1, pr2, filler, tuple(objects), morphisms,
                orientation)
 
 

@@ -20,6 +20,7 @@ from .fincat import (
     FunctorCategory,
     NatTrans,
     StructureError,
+    category_over_product,
     check_category,
     check_nat_trans,
     compose_functors,
@@ -630,8 +631,10 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     """The 2-span associated to a module transformation.
 
     The apex holds quadruples (P, Q, xi_f, xi_g) subject to the exchange
-    condition against the transformation; its vertical legs into the two
-    spans are produced through the mediator of each fiber product.
+    condition against the transformation, built over End(M) × End(N) through
+    category_over_product: (mu, nu) is a morphism when it is one in both
+    fiber products.  Its vertical legs into the two spans are produced
+    through the mediator of each fiber product.
     """
     fd, gd = ad.dom, ad.cod
     if fd.dom != gd.dom or fd.cod != gd.cod:
@@ -672,43 +675,19 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
         for j in range(len(g_objs)):
             if exchange(i, j):
                 quads.append((i, j))
-    budget.check_objects(len(quads), "2-span apex")
     quad_index = {q: i for i, q in enumerate(quads)}
 
     f_mi = span_f.fp.morphism_index()
     g_mi = span_g.fp.morphism_index()
-    morphisms: list[tuple[int, int]] = []
-    source: list[int] = []
-    target: list[int] = []
-    for si, (fi0, gi0) in enumerate(quads):
-        for ti, (fi1, gi1) in enumerate(quads):
-            for k in range(span_f.fp.apex.num_morphisms):
-                if span_f.fp.apex.source[k] != fi0 or span_f.fp.apex.target[k] != fi1:
-                    continue
-                mu, nu = span_f.fp.morphisms[k]
-                if (gi0, gi1, mu, nu) in g_mi:
-                    morphisms.append((mu, nu))
-                    source.append(si)
-                    target.append(ti)
-        budget.check_morphisms(len(morphisms), "2-span apex")
-    mor_index = {(source[k], target[k]) + morphisms[k]: k
-                 for k in range(len(morphisms))}
     endM, endN = fd.dom.end, fd.cod.end
-    identity = tuple(mor_index[(i, i,
-                                endM.fc.as_category.identity[f_objs[fi][0]],
-                                endN.fc.as_category.identity[f_objs[fi][1]])]
-                     for i, (fi, _) in enumerate(quads))
-    num = len(morphisms)
-    comp = [[-1] * num for _ in range(num)]
-    for b2 in range(num):
-        for a2 in range(num):
-            if target[a2] != source[b2]:
-                continue
-            comp[b2][a2] = mor_index[(source[a2], target[b2],
-                                      endM.fc.as_category.comp[morphisms[b2][0]][morphisms[a2][0]],
-                                      endN.fc.as_category.comp[morphisms[b2][1]][morphisms[a2][1]])]
-    apex_cat = FinCategory(len(quads), tuple(source), tuple(target), identity,
-                           tuple(tuple(row) for row in comp))
+
+    def admits(i: int, j: int, arrow: tuple[int, int]) -> bool:
+        (fi0, gi0), (fi1, gi1) = quads[i], quads[j]
+        return (fi0, fi1) + arrow in f_mi and (gi0, gi1) + arrow in g_mi
+
+    apex_cat, morphisms, mor_index = category_over_product(
+        (endM.fc.as_category, endN.fc.as_category),
+        [f_objs[fi][:2] for fi, _ in quads], admits, budget, "2-span apex")
 
     def tensor_obj(a0: int, a1: int) -> int:
         fi0, gi0 = quads[a0]

@@ -2,6 +2,8 @@ import pytest
 
 from oracles import bicharacter_radical, brute_force_half_braidings
 from spanforge.fincat import (
+    Budget,
+    BudgetError,
     FinCategory,
     Functor,
     check_category,
@@ -254,6 +256,18 @@ def test_intertwiner_of_terminal_target():
     assert result.as_category.num_objects == 1
     assert check_intertwiner_actions(result).ok
 
+
+def test_intertwiner_action_squares_honour_the_budget():
+    ident = identity_mon_functor(toric_z2())
+    result = monoidal_intertwiner(ident, ident, Budget(max_morphisms=64))
+    assert result.as_category.num_morphisms == 8
+    assert result.left_center.as_category.num_morphisms == 8
+    assert result.right_center.as_category.num_morphisms == 8
+    assert result.left_action.source.num_morphisms == 64
+    with pytest.raises(BudgetError) as info:
+        monoidal_intertwiner(ident, ident, Budget(max_morphisms=8))
+    assert info.value.what == "product category (morphisms)"
+    assert info.value.estimate == 64
 
 def braided_embedding(ms_a, ms_b, obj_map):
     """MonFunctor between skeletal group categories from a group embedding."""

@@ -3,12 +3,19 @@ import pytest
 from spanforge.central import (
     CentralBraidedSetup,
     CentralFunctorSetup,
+    _phi_quadruples_z2,
     central_braided_module,
     central_module,
     central_module_check,
 )
 from spanforge.centers import drinfeld_center, mueger_center
-from spanforge.fincat import Functor, StructureError, identity_nat_trans
+from spanforge.fincat import (
+    Budget,
+    BudgetError,
+    Functor,
+    StructureError,
+    identity_nat_trans,
+)
 from spanforge.groups import cyclic, klein_four
 from spanforge.monoidal import (
     Braiding,
@@ -23,6 +30,7 @@ from spanforge.monoidal import (
     terminal_monoidal,
     trivial_cochain,
 )
+from spanforge.reporting import ReportBuilder
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -208,8 +216,9 @@ def character_phi(ms, scalars):
     return MonNatTrans(ident, ident, nt.__class__(nt.source, nt.target, comps))
 
 
-@pytest.mark.parametrize("name", ["z2-trivial", "z3-pairing", "klein-pairing"])
-def test_phi_fiber_matches_common_subcategory(name):
+def phi_fiber_setup(name):
+    """A central braided module over the terminal base mapped to itself by
+    the identity, with phi a character of the carrier's group."""
     if name == "z2-trivial":
         carrier_ms = make_skeletal_group_category(Z2, Z2, trivial_cochain(Z2))
         b = make_bicharacter_braiding(
@@ -236,12 +245,17 @@ def test_phi_fiber_matches_common_subcategory(name):
     module = central_braided_module(base, b, action)
     ident = identity_mon_functor(carrier_ms)
     phi = character_phi(carrier_ms, phi_scalars)
-    nu = carrier_ms.base.num_morphisms // carrier_ms.base.num_objects
     unit_carrier = center.objects_data[center.monoidal.unit].carrier
     psi_g = (carrier_ms.base.identity[unit_carrier],)
     # xi_h = xi_g ∘ phi⁻¹ at the unit carrier; the characters vanish there
     psi_h = psi_g
-    setup = CentralBraidedSetup(module, module, ident, psi_g, ident, psi_h, phi)
+    return CentralBraidedSetup(module, module, ident, psi_g, ident, psi_h, phi), b
+
+
+@pytest.mark.parametrize("name", ["z2-trivial", "z3-pairing", "klein-pairing"])
+def test_phi_fiber_matches_common_subcategory(name):
+    setup, b = phi_fiber_setup(name)
+    ident = setup.g
     result = central_module_check(setup)
     assert result.report.ok, result.report.lines()
     assert result.phi_matches_common is True
@@ -284,3 +298,13 @@ def test_phi_fiber_can_be_smaller_than_common_subcategory():
     assert result.report.ok
     assert set(result.common_carriers) == {0, 1, 2}
     assert result.phi_matches_common is False
+
+
+def test_transparent_quadruple_category_honours_the_morphism_budget():
+    setup, _ = phi_fiber_setup("z3-pairing")
+    rb = ReportBuilder("central_braided_check")
+    fiber = _phi_quadruples_z2(rb, setup, Budget(max_morphisms=27))
+    assert fiber.as_category.num_morphisms == 27
+    with pytest.raises(BudgetError) as info:
+        _phi_quadruples_z2(rb, setup, Budget(max_morphisms=26))
+    assert info.value.what == "transparent quadruple category (morphisms)"

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from spanforge.cli import main
 from spanforge.docs import parse
 
@@ -92,6 +94,31 @@ def test_fiber_product_and_comma(capsys):
     assert code == 0
     assert parse(out).payload["summary"]["orientation"] == "reverse"
 
+
+@pytest.mark.parametrize("name", ["arrow_identity_functor.json",
+                                  "broken_functor.json",
+                                  "disc2_swap_functor.json"])
+def test_fiber_product_and_comma_on_lawless_feet_never_raise(capsys, tmp_path, name):
+    # delete one composition entry from either category of the functor and
+    # feed the mutant as either foot: each run exits 1 or 2
+    fixture = data(name)
+    tree = json.loads(fixture.read_text())
+    codes = []
+    for side in ("source", "target"):
+        for k in range(len(tree["payload"][side]["composition"])):
+            mutant_tree = json.loads(fixture.read_text())
+            del mutant_tree["payload"][side]["composition"][k]
+            mutant = tmp_path / f"{side}-{k}.json"
+            mutant.write_text(json.dumps(mutant_tree))
+            for feet in ((mutant, fixture), (fixture, mutant)):
+                for command in (["fiber-product"], ["comma"],
+                                ["--orientation", "reverse", "comma"]):
+                    code, _, err = run(capsys, *command, *feet)
+                    assert code in (1, 2), (side, k, command, code)
+                    assert code == 1 or err.startswith("error:")
+                    codes.append(code)
+    assert len(codes) == 6 * (len(tree["payload"]["source"]["composition"])
+                              + len(tree["payload"]["target"]["composition"]))
 
 def test_end_command(capsys):
     code, out, _ = run(capsys, "--report", "structured", "end",

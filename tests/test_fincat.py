@@ -8,6 +8,7 @@ from spanforge.fincat import (
     Functor,
     NatTrans,
     StructureError,
+    category_over_product,
     chain_category,
     check_category,
     check_functor,
@@ -367,3 +368,95 @@ def test_relabel_roundtrip():
     inv_obj = tuple(obj_perm.index(i) for i in range(3))
     inv_mor = tuple(mor_perm.index(i) for i in range(c.num_morphisms))
     assert relabel_category(renamed, inv_obj, inv_mor) == c
+
+
+# ---------------------------------------------------------------------------
+# categories over a product
+# ---------------------------------------------------------------------------
+
+def admit_all(i, j, arrow):
+    return True
+
+
+def test_over_product_ids_run_in_lexicographic_order():
+    z2 = z2_category()
+    cat, arrows, index = category_over_product(
+        (z2, z2), [(0, 0), (0, 0)], admit_all)
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    hom = [(p, q) for p in range(2) for q in range(2)]
+    assert arrows == tuple(a for _ in pairs for a in hom)
+    assert cat.source == tuple(i for i, _ in pairs for _ in hom)
+    assert cat.target == tuple(j for _, j in pairs for _ in hom)
+    assert index == {(i, j) + a: k for k, ((i, j), a) in
+                     enumerate((pair, a) for pair in pairs for a in hom)}
+    assert check_category(cat).ok
+
+
+def test_over_product_identities_and_composites_are_factorwise():
+    arrow, z2 = walking_arrow(), z2_category()
+    objects = [(x, 0) for x in range(2)]
+    cat, arrows, _ = category_over_product((arrow, z2), objects, admit_all)
+    assert check_category(cat).ok
+    assert cat.num_morphisms == 3 * 2
+    for i, (x, y) in enumerate(objects):
+        assert arrows[cat.identity[i]] == (arrow.identity[x], z2.identity[y])
+    for b in range(cat.num_morphisms):
+        for a in range(cat.num_morphisms):
+            if cat.target[a] != cat.source[b]:
+                assert cat.comp[b][a] == -1
+                continue
+            assert arrows[cat.comp[b][a]] == (arrow.comp[arrows[b][0]][arrows[a][0]],
+                                              z2.comp[arrows[b][1]][arrows[a][1]])
+
+
+def test_over_product_missing_identity_names_the_construction():
+    with pytest.raises(StructureError, match="probe category: the identity"):
+        category_over_product((z2_category(),), [(0,)],
+                              lambda i, j, arrow: arrow != (0,),
+                              what="probe category")
+
+
+def test_over_product_missing_composite_names_the_construction():
+    three = chain_category(3)
+    long_arrow = three.hom(0, 2)
+    with pytest.raises(StructureError, match="probe category: the composite"):
+        category_over_product((three,), [(0,), (1,), (2,)],
+                              lambda i, j, arrow: arrow != long_arrow,
+                              what="probe category")
+
+
+def test_over_product_budget_refuses_objects_before_any_morphism():
+    calls = []
+
+    def admits(i, j, arrow):
+        calls.append((i, j))
+        return True
+
+    with pytest.raises(BudgetError) as info:
+        category_over_product((discrete_category(3),), [(0,), (1,), (2,)],
+                              admits, Budget(max_objects=2), "probe category")
+    assert info.value.what == "probe category (objects)"
+    assert calls == []
+
+
+def test_over_product_budget_refuses_morphisms():
+    z2 = z2_category()
+    objects = [(0, 0), (0, 0)]
+    with pytest.raises(BudgetError) as info:
+        category_over_product((z2, z2), objects, admit_all,
+                              Budget(max_morphisms=15), "probe category")
+    assert info.value.what == "probe category (morphisms)"
+    assert info.value.estimate == 16
+    cat, _, _ = category_over_product((z2, z2), objects, admit_all,
+                                      Budget(max_morphisms=16))
+    assert cat.num_morphisms == 16
+
+
+def test_over_product_empty_hom_set_in_one_factor():
+    arrow, z2 = walking_arrow(), z2_category()
+    cat, arrows, _ = category_over_product((arrow, z2), [(1, 0), (0, 0)], admit_all)
+    assert cat.hom(0, 1) == ()
+    assert [arrows[k] for k in cat.hom(1, 0)] == [(a, g) for a in arrow.hom(0, 1)
+                                                  for g in range(2)]
+    assert cat.num_morphisms == 2 + 2 + 2
+    assert check_category(cat).ok
