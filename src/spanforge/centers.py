@@ -17,6 +17,7 @@ from .fincat import (
     StructureError,
     category_over_product,
     full_subcategory,
+    lift_functor,
     product_category,
 )
 from .monoidal import (
@@ -402,8 +403,10 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
     def action(center: CenterCategory, on_left: bool) -> Functor:
         if on_left:
             square = product_category(center.as_category, cat, budget)
+            first, second = center.forgetful, forgetful
         else:
             square = product_category(cat, center.as_category, budget)
+            first, second = forgetful, center.forgetful
         obj_map = []
         for p in range(square.category.num_objects):
             i, j = square.object_factors(p)
@@ -419,24 +422,11 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
             if key not in obj_index:
                 raise StructureError("action left the intertwiner")
             obj_map.append(obj_index[key])
-        mor_map = []
-        for k in range(square.category.num_morphisms):
-            a, b = square.morphism_factors(k)
-            if on_left:
-                img = ms.tensor_mor(center.forgetful.morphism_map[a],
-                                    forgetful.morphism_map[b])
-                src = square.object_pair(center.as_category.source[a], cat.source[b])
-                tgt = square.object_pair(center.as_category.target[a], cat.target[b])
-            else:
-                img = ms.tensor_mor(forgetful.morphism_map[a],
-                                    center.forgetful.morphism_map[b])
-                src = square.object_pair(cat.source[a], center.as_category.source[b])
-                tgt = square.object_pair(cat.target[a], center.as_category.target[b])
-            key = (obj_map[src], obj_map[tgt], img)
-            if key not in mor_index:
-                raise StructureError("action morphism left the intertwiner")
-            mor_map.append(mor_index[key])
-        return Functor(square.category, cat, tuple(obj_map), tuple(mor_map))
+        # product morphism ids are row-major pairs (a, b)
+        arrows = ((ms.tensor_mor(a, b),) for a in first.morphism_map
+                  for b in second.morphism_map)
+        return lift_functor(square.category, cat, mor_index, obj_map, arrows,
+                            "intertwiner action")
 
     return IntertwinerResult(g, h, tuple(objects), cat, forgetful,
                              z1h, z1g, action(z1h, on_left=True),

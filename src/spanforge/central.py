@@ -24,9 +24,10 @@ from .fincat import (
     Budget,
     DEFAULT_BUDGET,
     FinCategory,
-    Functor,
+    MediationError,
     StructureError,
     category_over_product,
+    compose_functors,
 )
 from .laxators import MonoidalSquare, monoidal_fiber_product
 from .monoidal import (
@@ -38,6 +39,8 @@ from .monoidal import (
     check_braiding,
     check_mon_functor,
     is_symmetric,
+    lift_mon_functor,
+    strict_mon_functor,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -68,13 +71,23 @@ def central_module(base: Braiding, carrier: MonoidalStructure,
     return CentralModule(base, carrier, center, action)
 
 
+def _forgetful_then(g: MonFunctor, center: CenterCategory) -> MonFunctor:
+    """g after the forgetful functor of center, with g's own cells at the
+    carriers.  The forgetful functor is strict, so no cell of it is pasted
+    in; compose_mon_functors would paste g of its identity cells, which
+    differs when g does not preserve identities."""
+    carriers = center.forgetful.object_map
+    return MonFunctor(center.monoidal, g.target,
+                      compose_functors(g.underlying, center.forgetful),
+                      tuple(g.gamma(cx, cy) for cx in carriers for cy in carriers),
+                      g.unit_iso)
+
+
 def _push_center(g: MonFunctor, center_src: CenterCategory,
                  z1g: CenterCategory) -> MonFunctor:
     """Apply g to half-braidings: (m, b) ↦ (g m, conjugated components)."""
-    ms = g.target
-    base = ms.base
+    base = g.target.base
     oi = z1g.object_index()
-    mi = z1g.morphism_index()
     obj_map = []
     for o in center_src.objects_data:
         comps = []
@@ -88,40 +101,15 @@ def _push_center(g: MonFunctor, center_src: CenterCategory,
             raise StructureError(
                 "image of a half-braiding is not in the centralizer")
         obj_map.append(oi[key])
-    src_cat = center_src.as_category
-    mor_map = []
-    for k in range(src_cat.num_morphisms):
-        key = (obj_map[src_cat.source[k]], obj_map[src_cat.target[k]],
-               g.on_mor(center_src.forgetful.morphism_map[k]))
-        if key not in mi:
-            raise StructureError("image morphism left the centralizer")
-        mor_map.append(mi[key])
-    n = src_cat.num_objects
-    src_mon = center_src.monoidal
-    mult = []
-    for x in range(n):
-        for y in range(n):
-            key = (z1g.monoidal.tensor_obj(obj_map[x], obj_map[y]),
-                   obj_map[src_mon.tensor_obj(x, y)],
-                   g.gamma(center_src.objects_data[x].carrier,
-                           center_src.objects_data[y].carrier))
-            if key not in mi:
-                raise StructureError("multiplicativity cell left the centralizer")
-            mult.append(mi[key])
-    unit_key = (z1g.monoidal.unit, obj_map[src_mon.unit], g.unit_iso)
-    if unit_key not in mi:
-        raise StructureError("unit cell left the centralizer")
-    return MonFunctor(src_mon, z1g.monoidal,
-                      Functor(src_cat, z1g.as_category, tuple(obj_map),
-                              tuple(mor_map)),
-                      tuple(mult), mi[unit_key])
+    return lift_mon_functor(center_src.monoidal, z1g.monoidal, z1g.morphism_index(),
+                            obj_map, (_forgetful_then(g, center_src),),
+                            "push into the centralizer")
 
 
 def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
                  z1g: CenterCategory) -> MonFunctor:
     """Restrict half-braidings to the image: (n, b) ↦ (n, b at g(-))."""
     oi = z1g.object_index()
-    mi = z1g.morphism_index()
     obj_map = []
     for o in center_tgt.objects_data:
         comps = tuple(o.components[g.on_obj(y)]
@@ -131,36 +119,9 @@ def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
             raise StructureError(
                 "restricted half-braiding is not in the centralizer")
         obj_map.append(oi[key])
-    tgt_cat = center_tgt.as_category
-    mor_map = []
-    for k in range(tgt_cat.num_morphisms):
-        key = (obj_map[tgt_cat.source[k]], obj_map[tgt_cat.target[k]],
-               center_tgt.forgetful.morphism_map[k])
-        if key not in mi:
-            raise StructureError("restricted morphism left the centralizer")
-        mor_map.append(mi[key])
-    n = tgt_cat.num_objects
-    tgt_mon = center_tgt.monoidal
-    base = g.target.base
-    mult = []
-    for x in range(n):
-        for y in range(n):
-            carrier = g.target.tensor_obj(center_tgt.objects_data[x].carrier,
-                                          center_tgt.objects_data[y].carrier)
-            key = (z1g.monoidal.tensor_obj(obj_map[x], obj_map[y]),
-                   obj_map[tgt_mon.tensor_obj(x, y)],
-                   base.identity[carrier])
-            if key not in mi:
-                raise StructureError("multiplicativity cell left the centralizer")
-            mult.append(mi[key])
-    unit_key = (z1g.monoidal.unit, obj_map[tgt_mon.unit],
-                base.identity[g.target.unit])
-    if unit_key not in mi:
-        raise StructureError("unit cell left the centralizer")
-    return MonFunctor(tgt_mon, z1g.monoidal,
-                      Functor(tgt_cat, z1g.as_category, tuple(obj_map),
-                              tuple(mor_map)),
-                      tuple(mult), mi[unit_key])
+    forget = strict_mon_functor(center_tgt.monoidal, g.target, center_tgt.forgetful)
+    return lift_mon_functor(center_tgt.monoidal, z1g.monoidal, z1g.morphism_index(),
+                            obj_map, (forget,), "pull into the centralizer")
 
 
 @dataclass(frozen=True)
@@ -197,50 +158,34 @@ class CentralCheckResult:
     phi_matches_common: bool | None = None
 
 
+# law and detail by the witness of lift_mon_functor's MediationError
+_INDUCED_MISSES = {1: ("induced-morphism", "pair is not a fiber morphism"),
+                   2: ("induced-mult", "pair cell is not a fiber morphism"),
+                   0: ("induced-unit", "unit pair is not a fiber morphism")}
+
+
 def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
                         left: CentralModule, right: CentralModule,
                         fiber: MonoidalSquare, psi_ids: tuple[int, ...],
                         ) -> MonFunctor | None:
     """x ↦ (F_left(x), F_right(x), psi_x) with all cells forced as pairs."""
     oi = fiber.fp.object_index()
-    mi = fiber.fp.morphism_index()
-    acting = base_struct.base
     obj_map = []
-    for x in range(acting.num_objects):
+    for x in range(base_struct.base.num_objects):
         key = (left.action.on_obj(x), right.action.on_obj(x), psi_ids[x])
         if key not in oi:
             rb.add("induced-object", (x,),
                    "comparison is not a fiber object at the witness")
             return None
         obj_map.append(oi[key])
-    mor_map = []
-    for u in range(acting.num_morphisms):
-        key = (obj_map[acting.source[u]], obj_map[acting.target[u]],
-               left.action.on_mor(u), right.action.on_mor(u))
-        if key not in mi:
-            rb.add("induced-morphism", (u,), "pair is not a fiber morphism")
-            return None
-        mor_map.append(mi[key])
-    n = acting.num_objects
-    mult = []
-    for x in range(n):
-        for y in range(n):
-            key = (fiber.apex.tensor_obj(obj_map[x], obj_map[y]),
-                   obj_map[base_struct.tensor_obj(x, y)],
-                   left.action.gamma(x, y), right.action.gamma(x, y))
-            if key not in mi:
-                rb.add("induced-mult", (x, y), "pair cell is not a fiber morphism")
-                return None
-            mult.append(mi[key])
-    unit_key = (fiber.apex.unit, obj_map[base_struct.unit],
-                left.action.unit_iso, right.action.unit_iso)
-    if unit_key not in mi:
-        rb.add("induced-unit", (), "unit pair is not a fiber morphism")
+    try:
+        return lift_mon_functor(base_struct, fiber.apex, fiber.fp.morphism_index(),
+                                obj_map, (left.action, right.action),
+                                "induced functor")
+    except MediationError as exc:
+        law, detail = _INDUCED_MISSES[len(exc.witness)]
+        rb.add(law, exc.witness, detail)
         return None
-    return MonFunctor(base_struct, fiber.apex,
-                      Functor(acting, fiber.apex.base, tuple(obj_map),
-                              tuple(mor_map)),
-                      tuple(mult), mi[unit_key])
 
 
 def central_monoidal_check(setup: CentralFunctorSetup,
@@ -252,7 +197,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
         raise StructureError("central modules live over different bases")
     if setup.g.source != left.carrier or setup.g.target != right.carrier:
         raise StructureError("candidate functor does not match the carriers")
-    base_cat = right.carrier.base
     z1g = monoidal_centralizer(setup.g, budget)
     g_push = _push_center(setup.g, left.center, z1g)
     g_pull = _pull_center(setup.g, right.center, z1g)
@@ -270,6 +214,7 @@ def central_monoidal_check(setup: CentralFunctorSetup,
     acting = left.base.on.base
     if len(setup.psi_g) != acting.num_objects:
         raise StructureError("one comparison per base object is required")
+    mi = z1g.morphism_index()
     psi_ids = []
     complete = True
     for x in range(acting.num_objects):
@@ -284,7 +229,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
         key = (g_push.on_obj(left.action.on_obj(x)),
                g_pull.on_obj(right.action.on_obj(x)),
                setup.psi_g[x])
-        mi = z1g.morphism_index()
         if key not in mi:
             complete = False
             continue
@@ -450,8 +394,6 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
                     z2g: CenterCategory, apply_g: bool) -> MonFunctor:
     """mueger -> braided centralizer, either applying g or including."""
     carriers = {o.carrier: i for i, o in enumerate(z2g.objects_data)}
-    mor_index = z2g.morphism_index()
-    src_cat = src_center.as_category
     obj_map = []
     for o in src_center.objects_data:
         carrier = g.on_obj(o.carrier) if apply_g else o.carrier
@@ -459,39 +401,12 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
             raise StructureError(
                 f"object {o.carrier} does not land in the centralizer")
         obj_map.append(carriers[carrier])
-    mor_map = []
-    for k in range(src_cat.num_morphisms):
-        underlying = src_center.forgetful.morphism_map[k]
-        img = g.on_mor(underlying) if apply_g else underlying
-        key = (obj_map[src_cat.source[k]], obj_map[src_cat.target[k]], img)
-        if key not in mor_index:
-            raise StructureError("morphism left the centralizer")
-        mor_map.append(mor_index[key])
-    n = src_cat.num_objects
-    src_mon = src_center.monoidal
-    base = g.target.base
-    mult = []
-    for x in range(n):
-        for y in range(n):
-            cx = src_center.objects_data[x].carrier
-            cy = src_center.objects_data[y].carrier
-            if apply_g:
-                cell = g.gamma(cx, cy)
-            else:
-                cell = base.identity[g.target.tensor_obj(cx, cy)]
-            key = (z2g.monoidal.tensor_obj(obj_map[x], obj_map[y]),
-                   obj_map[src_mon.tensor_obj(x, y)], cell)
-            if key not in mor_index:
-                raise StructureError("multiplicativity cell left the centralizer")
-            mult.append(mor_index[key])
-    unit_cell = g.unit_iso if apply_g else base.identity[g.target.unit]
-    unit_key = (z2g.monoidal.unit, obj_map[src_mon.unit], unit_cell)
-    if unit_key not in mor_index:
-        raise StructureError("unit cell left the centralizer")
-    return MonFunctor(src_mon, z2g.monoidal,
-                      Functor(src_cat, z2g.as_category, tuple(obj_map),
-                              tuple(mor_map)),
-                      tuple(mult), mor_index[unit_key])
+    if apply_g:
+        leg = _forgetful_then(g, src_center)
+    else:
+        leg = strict_mon_functor(src_center.monoidal, g.target, src_center.forgetful)
+    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g.morphism_index(),
+                            obj_map, (leg,), "braided centralizer functor")
 
 
 def central_braided_check(setup: CentralBraidedSetup,

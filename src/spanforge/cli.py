@@ -166,6 +166,14 @@ class Outcome:
 # handlers
 # ---------------------------------------------------------------------------
 
+def _ends_lawful(out: Outcome, subject: str, mf) -> bool:
+    """Law-check the source and target of a mon_functor input, each as its
+    own subject; the functor checks read both as lawful, so a missing
+    composite in either would otherwise pass unseen."""
+    ok = out.check(f"{subject}-source", check_monoidal(mf.source))
+    return out.check(f"{subject}-target", check_monoidal(mf.target)) and ok
+
+
 def _cmd_validate(args, budget, out: Outcome) -> None:
     checked = []
     for path in args.files:
@@ -182,7 +190,9 @@ def _cmd_validate(args, budget, out: Outcome) -> None:
         elif doc.kind == "braiding":
             out.check(subject, check_braiding(decode_braiding(doc.payload)))
         elif doc.kind == "mon_functor":
-            out.check(subject, check_mon_functor(decode_mon_functor(doc.payload)))
+            mf = decode_mon_functor(doc.payload)
+            if _ends_lawful(out, subject, mf):
+                out.check(subject, check_mon_functor(mf))
         elif doc.kind == "module":
             md = decode_module(doc.payload, budget)
             out.check(subject, check_mon_functor(md.action))
@@ -238,7 +248,8 @@ def _cmd_centralizer(args, budget, out: Outcome) -> None:
     if args.variant == "z1":
         if len(args.files) != 1:
             raise StructureError("centralizer z1 takes one mon_functor document")
-        if not out.check("input", check_mon_functor(g)):
+        if not _ends_lawful(out, "input", g) \
+                or not out.check("input", check_mon_functor(g)):
             return
         result = monoidal_centralizer(g, budget)
         out.check("centralizer-monoidal", check_monoidal(result.monoidal))
@@ -249,7 +260,8 @@ def _cmd_centralizer(args, budget, out: Outcome) -> None:
                 "centralizer z2 takes mon_functor, source braiding, target braiding")
         b_src = decode_braiding(_load(args.files[1], "braiding").payload)
         b_tgt = decode_braiding(_load(args.files[2], "braiding").payload)
-        if not out.check("input", check_braided_functor(g, b_src, b_tgt)):
+        if not _ends_lawful(out, "input", g) \
+                or not out.check("input", check_braided_functor(g, b_src, b_tgt)):
             return
         result = braided_centralizer(g, b_src, b_tgt)
         out.check("centralizer-braiding", check_braiding(result.braiding))
@@ -265,6 +277,8 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
     if args.variant == "z1":
         if len(args.files) != 2:
             raise StructureError("intertwiner z1 takes two mon_functor documents")
+        if not _ends_lawful(out, "input-g", g) or not _ends_lawful(out, "input-h", h):
+            return
         ok = out.check("input-g", check_mon_functor(g))
         ok = out.check("input-h", check_mon_functor(h)) and ok
         if not ok:
@@ -283,6 +297,8 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
                                  "two braiding documents")
         b_src = decode_braiding(_load(args.files[2], "braiding").payload)
         b_tgt = decode_braiding(_load(args.files[3], "braiding").payload)
+        if not _ends_lawful(out, "input-g", g) or not _ends_lawful(out, "input-h", h):
+            return
         ok = out.check("input-g", check_braided_functor(g, b_src, b_tgt))
         ok = out.check("input-h", check_braided_functor(h, b_src, b_tgt)) and ok
         if not ok:

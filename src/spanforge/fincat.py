@@ -7,7 +7,7 @@ operations take a size budget and fail loudly rather than truncate.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import product as iter_product
 from operator import getitem
@@ -33,7 +33,7 @@ class BudgetError(SpanforgeError):
         self.limit = limit
 
 
-class MediationError(SpanforgeError):
+class MediationError(StructureError):
     """A universal-property compatibility condition failed at the witness."""
 
     def __init__(self, message: str, witness: tuple[int, ...]):
@@ -702,6 +702,30 @@ def category_over_product(factors: tuple[FinCategory, ...],
     cat = FinCategory(len(objects), tuple(source), tuple(target), tuple(identity),
                       tuple(tuple(row) for row in comp))
     return cat, tuple(arrows), index
+
+
+def lift_functor(source: FinCategory, target: FinCategory,
+                 index: dict[tuple[int, ...], int], object_map: Sequence[int],
+                 arrow_of: Iterable[tuple[int, ...]], what: str) -> Functor:
+    """The functor into a category over a product that lies over given
+    functors into the factors; the category's functor to the product is
+    faithful, so those functors and the object map force every morphism.
+
+    index maps (i, j) + arrow to a morphism id, as category_over_product
+    returns it.  The caller supplies object_map; arrow_of yields, for each
+    morphism k of source in order, the tuple of factor morphisms it lies
+    over.  Morphism k: s -> t goes to index[(object_map[s], object_map[t])
+    + arrow].  A miss raises MediationError naming what, with witness (k,).
+    """
+    obj_map = tuple(object_map)
+    mor_map = []
+    for k, (s, t, arrow) in enumerate(zip(source.source, source.target, arrow_of)):
+        h = index.get((obj_map[s], obj_map[t]) + arrow)
+        if h is None:
+            raise MediationError(
+                f"{what}: no morphism lies over the arrows of morphism {k}", (k,))
+        mor_map.append(h)
+    return Functor(source, target, obj_map, tuple(mor_map))
 
 
 def full_subcategory(c: FinCategory, objects: tuple[int, ...]) -> tuple[FinCategory, Functor]:

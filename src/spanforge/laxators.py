@@ -15,10 +15,12 @@ from .fincat import (
     Budget,
     DEFAULT_BUDGET,
     Functor,
+    MediationError,
     NatTrans,
     StructureError,
     compose_functors,
     identity_nat_trans,
+    lift_functor,
     vertical_composite,
     whisker_post,
     whisker_pre,
@@ -249,7 +251,6 @@ def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
     commute with the relevant cospan legs on the nose."""
     src_fp, tgt_fp = source_sq.fp, target_sq.fp
     oi = tgt_fp.object_index()
-    mi = tgt_fp.morphism_index()
     obj_map = []
     for x, y, w in src_fp.objects:
         nx = left_map.object_map[x] if left_map is not None else x
@@ -258,17 +259,11 @@ def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
         if key not in oi:
             raise StructureError("induced map left the fiber product")
         obj_map.append(oi[key])
-    mor_map = []
-    for k in range(src_fp.apex.num_morphisms):
-        p, q = src_fp.morphisms[k]
-        np = left_map.morphism_map[p] if left_map is not None else p
-        nq = right_map.morphism_map[q] if right_map is not None else q
-        key = (obj_map[src_fp.apex.source[k]], obj_map[src_fp.apex.target[k]],
-               np, nq)
-        if key not in mi:
-            raise StructureError("induced map lost a fiber morphism")
-        mor_map.append(mi[key])
-    return Functor(src_fp.apex, tgt_fp.apex, tuple(obj_map), tuple(mor_map))
+    arrows = ((left_map.morphism_map[p] if left_map is not None else p,
+               right_map.morphism_map[q] if right_map is not None else q)
+              for p, q in src_fp.morphisms)
+    return lift_functor(src_fp.apex, tgt_fp.apex, tgt_fp.morphism_index(),
+                        obj_map, arrows, "induced pairing map")
 
 
 def _reassociate(t_right: MonoidalSquare, t_left: MonoidalSquare,
@@ -482,7 +477,6 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
     end = md.end
     apex = cell.apex.base
     oi = cell.fp.object_index()
-    mi = cell.fp.morphism_index()
     hom_ti = cell.hom_fc.transformation_index()
     hom_fi = cell.hom_fc.functor_index()
     end_cat = end.fc.as_category
@@ -491,15 +485,14 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
         ident = identity_nat_trans(fun)
         xi = hom_ti[(hom_fi[fun], hom_fi[fun], ident.components)]
         obj_map.append(oi[(i, i, xi)])
-    mor_map = []
-    for k in range(end_cat.num_morphisms):
-        key = (obj_map[end_cat.source[k]], obj_map[end_cat.target[k]], k, k)
-        if key not in mi:
-            rb.add("diagonal-morphism", (k,), "pair is not an apex morphism")
-            return NormalizationResult(rb.report(), False, apex.num_objects,
-                                       end_cat.num_objects)
-        mor_map.append(mi[key])
-    diag_fun = Functor(end_cat, apex, tuple(obj_map), tuple(mor_map))
+    try:
+        diag_fun = lift_functor(end_cat, apex, cell.fp.morphism_index(), obj_map,
+                                ((k, k) for k in range(end_cat.num_morphisms)),
+                                "diagonal")
+    except MediationError as exc:
+        rb.add("diagonal-morphism", exc.witness, "pair is not an apex morphism")
+        return NormalizationResult(rb.report(), False, apex.num_objects,
+                                   end_cat.num_objects)
     n = end_cat.num_objects
     mult = tuple(apex.identity[cell.apex.tensor_obj(
         obj_map[divmod(k, n)[0]], obj_map[divmod(k, n)[1]])]
@@ -519,7 +512,7 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
     # fully faithful
     for i in range(n):
         for j in range(n):
-            mapped = [mor_map[k] for k in end_cat.hom(i, j)]
+            mapped = [diag_fun.morphism_map[k] for k in end_cat.hom(i, j)]
             if len(set(mapped)) != len(mapped):
                 rb.add("diagonal-faithful", (i, j), "images collide")
             if set(mapped) != set(apex.hom(obj_map[i], obj_map[j])):

@@ -19,6 +19,7 @@ from .fincat import (
     category_over_product,
     check_nat_trans,
     compose_functors,
+    lift_functor,
 )
 
 FORWARD = "forward"
@@ -156,20 +157,13 @@ def mediate(result: CommaResult, p: Functor, q: Functor, xi: NatTrans) -> Mediat
                 raise MediationError(
                     "mediate: component is not invertible", (a,))
     oi = result.object_index()
-    mi = result.morphism_index()
     try:
         obj_map = tuple(oi[(p.object_map[a], q.object_map[a], xi.components[a])]
                         for a in range(p.source.num_objects))
     except KeyError as exc:
         raise StructureError(f"mediate: cone object not in the apex: {exc}")
-    mor_map = []
-    for k in range(p.source.num_morphisms):
-        key = (obj_map[p.source.source[k]], obj_map[p.source.target[k]],
-               p.morphism_map[k], q.morphism_map[k])
-        if key not in mi:
-            raise MediationError("mediate: cone morphism not in the apex", (k,))
-        mor_map.append(mi[key])
-    u = Functor(p.source, result.apex, obj_map, tuple(mor_map))
+    u = lift_functor(p.source, result.apex, result.morphism_index(), obj_map,
+                     zip(p.morphism_map, q.morphism_map), "mediate")
     zeta1 = NatTrans(compose_functors(result.pr1, u), p,
                      tuple(p.target.identity[x] for x in p.object_map))
     zeta2 = NatTrans(compose_functors(result.pr2, u), q,

@@ -8,6 +8,7 @@ functor on base × base, whose composition table would have m⁴ entries.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,6 +16,7 @@ from .fincat import (
     Budget,
     FinCategory,
     Functor,
+    MediationError,
     NatTrans,
     StructureError,
     check_category,
@@ -25,6 +27,7 @@ from .fincat import (
     horizontal_composite,
     identity_functor,
     identity_nat_trans,
+    lift_functor,
     vertical_composite,
 )
 from .groups import GroupTable, validate_group
@@ -593,6 +596,40 @@ def strict_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
                  for x in range(n) for y in range(n))
     return MonFunctor(source, target, underlying, mult,
                       target.base.identity[target.unit])
+
+
+def lift_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
+                     index: dict[tuple[int, ...], int], object_map: Sequence[int],
+                     legs: tuple[MonFunctor, ...], what: str) -> MonFunctor:
+    """The monoidal functor into a monoidal category over a product that
+    lies over the legs, one monoidal functor out of source per factor.
+
+    index and object_map are as for lift_functor.  Each morphism,
+    multiplicativity cell and unit cell is the morphism of index that lies
+    over the legs' own; a miss raises MediationError naming what, with
+    witness (k,) for morphism k, (x, y) for the cell at (x, y) and () for
+    the unit cell.
+    """
+    fun = lift_functor(source.base, target.base, index, object_map,
+                       zip(*(leg.underlying.morphism_map for leg in legs)), what)
+    obj_map = fun.object_map
+    n = source.base.num_objects
+    cells = tuple(zip(*(leg.mult for leg in legs)))
+    mult = []
+    for x in range(n):
+        for y in range(n):
+            h = index.get((target.tensor_obj(obj_map[x], obj_map[y]),
+                           obj_map[source.tensor_obj(x, y)]) + cells[x * n + y])
+            if h is None:
+                raise MediationError(
+                    f"{what}: no morphism lies over the multiplicativity cells "
+                    f"at ({x}, {y})", (x, y))
+            mult.append(h)
+    unit = index.get((target.unit, obj_map[source.unit])
+                     + tuple(leg.unit_iso for leg in legs))
+    if unit is None:
+        raise MediationError(f"{what}: no morphism lies over the unit cells", ())
+    return MonFunctor(source, target, fun, tuple(mult), unit)
 
 
 def identity_mon_functor(ms: MonoidalStructure) -> MonFunctor:

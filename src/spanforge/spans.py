@@ -40,6 +40,7 @@ from .monoidal import (
     MonNatTrans,
     MonoidalStructure,
     compose_mon_functors,
+    lift_mon_functor,
     strict_mon_functor,
     tabulate_monoidal,
 )
@@ -430,33 +431,8 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
         if key not in oi:
             raise StructureError(f"transport at acting object {c} is not an apex object")
         lift_obj.append(oi[key])
-    lift_mor = []
-    for u in range(acting.base.num_morphisms):
-        key = (lift_obj[acting.base.source[u]], lift_obj[acting.base.target[u]],
-               dom.action.on_mor(u), cod.action.on_mor(u))
-        if key not in mi:
-            raise StructureError(
-                f"transports are not natural across acting morphism {u}")
-        lift_mor.append(mi[key])
-    lift_mult = []
-    nb = acting.base.num_objects
-    for x in range(nb):
-        for y in range(nb):
-            key = (apex_ms.tensor_obj(lift_obj[x], lift_obj[y]),
-                   lift_obj[acting.tensor_obj(x, y)],
-                   dom.action.gamma(x, y), cod.action.gamma(x, y))
-            if key not in mi:
-                raise StructureError(
-                    f"transports are not multiplicative at ({x}, {y})")
-            lift_mult.append(mi[key])
-    unit_cell_key = (unit, lift_obj[acting.unit],
-                     dom.action.unit_iso, cod.action.unit_iso)
-    if unit_cell_key not in mi:
-        raise StructureError("transports do not respect the unit cell")
-    action_lift = MonFunctor(acting, apex_ms,
-                             Functor(acting.base, apex_cat,
-                                     tuple(lift_obj), tuple(lift_mor)),
-                             tuple(lift_mult), mi[unit_cell_key])
+    action_lift = lift_mon_functor(acting, apex_ms, mi, lift_obj,
+                                   (dom.action, cod.action), "action lift")
 
     cell = SpanCell(apex_ms, fp.objects, leg_left, leg_right, fp.filler,
                     hom_fc, fp, action_lift)
@@ -769,23 +745,9 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
             raise StructureError(
                 f"transports of the two module functors are incompatible at {c}")
         lift_obj.append(quad_index[key])
-    acting = fd.dom.acting
-    lift_mor = tuple(mor_index[(lift_obj[acting.base.source[u]],
-                                lift_obj[acting.base.target[u]],
-                                fd.dom.action.on_mor(u), fd.cod.action.on_mor(u))]
-                     for u in range(acting.base.num_morphisms))
-    nb = acting.base.num_objects
-    lift_mult = tuple(mor_index[(apex_ms.tensor_obj(lift_obj[x], lift_obj[y]),
-                                 lift_obj[acting.tensor_obj(x, y)],
-                                 fd.dom.action.gamma(x, y), fd.cod.action.gamma(x, y))]
-                      for x in range(nb) for y in range(nb))
-    action_lift = MonFunctor(acting, apex_ms,
-                             Functor(acting.base, apex_cat, tuple(lift_obj),
-                                     lift_mor),
-                             lift_mult,
-                             mor_index[(unit, lift_obj[acting.unit],
-                                        fd.dom.action.unit_iso,
-                                        fd.cod.action.unit_iso)])
+    action_lift = lift_mon_functor(fd.dom.acting, apex_ms, mor_index, lift_obj,
+                                   (fd.dom.action, fd.cod.action),
+                                   "2-span action lift")
 
     return SpanCell(apex_ms, apex_objects, leg_left, leg_right, filler,
                     hom_fc, None, action_lift, top=span_f, bottom=span_g,

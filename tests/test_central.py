@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from spanforge.central import (
     CentralBraidedSetup,
     CentralFunctorSetup,
+    CentralModule,
+    _induced_into_fiber,
     _phi_quadruples_z2,
     central_braided_module,
     central_module,
@@ -17,6 +21,7 @@ from spanforge.fincat import (
     identity_nat_trans,
 )
 from spanforge.groups import cyclic, klein_four
+from spanforge.laxators import monoidal_fiber_product
 from spanforge.monoidal import (
     Braiding,
     MonFunctor,
@@ -31,6 +36,7 @@ from spanforge.monoidal import (
     trivial_cochain,
 )
 from spanforge.reporting import ReportBuilder
+from test_monoidal import twisted_identity
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -68,38 +74,44 @@ def grading_action(base_ms, carrier, center):
 # centers of the first kind (over a braided base)
 # ---------------------------------------------------------------------------
 
-def test_trivial_base_everything_passes():
+def trivial_base_setup():
     base_ms = terminal_monoidal()
-    base = identity_braiding(base_ms)
     carrier = toric_z2()
     center = drinfeld_center(carrier)
-    cat = center.as_category
-    action = MonFunctor(base_ms, center.monoidal,
-                        Functor(base_ms.base, cat,
-                                (center.monoidal.unit,),
-                                (cat.identity[center.monoidal.unit],)),
-                        (cat.identity[center.monoidal.unit],),
-                        cat.identity[center.monoidal.unit])
-    module = central_module(base, carrier, action)
-    setup = CentralFunctorSetup(module, module, identity_mon_functor(carrier),
-                                (carrier.base.identity[0],))
-    result = central_module_check(setup)
+    module = central_module(identity_braiding(base_ms), carrier,
+                            unit_action_into(center, base_ms))
+    return CentralFunctorSetup(module, module, identity_mon_functor(carrier),
+                               (carrier.base.identity[0],))
+
+
+def grading_setup(psi_h=None):
+    """The grading module mapped to itself by the identity; with psi_h, a
+    second identity candidate coupled to the first by the sign character."""
+    base_ms = make_discrete_group_category(Z2)
+    carrier = toric_z2()
+    center = drinfeld_center(carrier)
+    module = central_module(identity_braiding(base_ms), carrier,
+                            grading_action(base_ms, carrier, center))
+    ident = identity_mon_functor(carrier)
+    psi = (carrier.base.identity[0], carrier.base.identity[1])
+    if psi_h is None:
+        return CentralFunctorSetup(module, module, ident, psi)
+    # the sign character as a monoidal transformation id -> id
+    sgn = MonNatTrans(ident, ident,
+                      identity_nat_trans(ident.underlying).__class__(
+                          ident.underlying, ident.underlying, (0, 3)))
+    return CentralFunctorSetup(module, module, ident, psi, ident, psi_h, sgn)
+
+
+def test_trivial_base_everything_passes():
+    result = central_module_check(trivial_base_setup())
     assert result.report.ok
     assert result.induced is not None
     assert check_braiding(result.fiber.braiding).ok
 
 
 def test_grading_action_module_passes():
-    base_ms = make_discrete_group_category(Z2)
-    base = identity_braiding(base_ms)
-    carrier = toric_z2()
-    center = drinfeld_center(carrier)
-    action = grading_action(base_ms, carrier, center)
-    module = central_module(base, carrier, action)
-    psi = (carrier.base.identity[0], carrier.base.identity[1])
-    setup = CentralFunctorSetup(module, module, identity_mon_functor(carrier),
-                                psi)
-    result = central_module_check(setup)
+    result = central_module_check(grading_setup())
     assert result.report.ok
     assert result.induced is not None
 
@@ -131,19 +143,9 @@ def test_non_braided_action_is_rejected():
 
 
 def test_broken_factorization_is_reported():
-    base_ms = make_discrete_group_category(Z2)
-    base = identity_braiding(base_ms)
     carrier = toric_z2()
-    center = drinfeld_center(carrier)
-    action = grading_action(base_ms, carrier, center)
-    module = central_module(base, carrier, action)
-    ident = identity_mon_functor(carrier)
-    # the sign character as a monoidal transformation id -> id
-    sgn = MonNatTrans(ident, ident,
-                      identity_nat_trans(ident.underlying).__class__(
-                          ident.underlying, ident.underlying, (0, 3)))
-    psi = (carrier.base.identity[0], carrier.base.identity[1])
-    setup = CentralFunctorSetup(module, module, ident, psi, ident, psi, sgn)
+    setup = grading_setup(psi_h=(carrier.base.identity[0],
+                                 carrier.base.identity[1]))
     result = central_module_check(setup)
     assert not result.report.ok
     assert any(v.law == "compatibility-factorization"
@@ -151,24 +153,35 @@ def test_broken_factorization_is_reported():
 
 
 def test_coupled_comparisons_pass_with_phi():
-    base_ms = make_discrete_group_category(Z2)
-    base = identity_braiding(base_ms)
-    carrier = toric_z2()
-    center = drinfeld_center(carrier)
-    action = grading_action(base_ms, carrier, center)
-    module = central_module(base, carrier, action)
-    ident = identity_mon_functor(carrier)
-    sgn = MonNatTrans(ident, ident,
-                      identity_nat_trans(ident.underlying).__class__(
-                          ident.underlying, ident.underlying, (0, 3)))
-    psi_g = (carrier.base.identity[0], carrier.base.identity[1])
     # xi_h ∘ phi = xi_g forces xi_h to absorb the sign at the odd carrier
-    psi_h = (carrier.base.identity[0], 3)
-    setup = CentralFunctorSetup(module, module, ident, psi_g, ident, psi_h, sgn)
+    setup = grading_setup(psi_h=(toric_z2().base.identity[0], 3))
     result = central_module_check(setup)
     assert result.report.ok
     assert result.phi_fiber is not None
     assert result.phi_fiber.as_category.num_objects > 0
+
+
+def test_induced_functor_reports_the_missing_cell():
+    # the fiber of the identity with itself, entered by the diagonal: a left
+    # action whose morphism, cell or unit cell leaves the fiber is reported
+    ms = make_skeletal_group_category(Z2, Z2, trivial_cochain(Z2))
+    ident = identity_mon_functor(ms)
+    fiber = monoidal_fiber_product(ident, ident)
+    psi = (ms.base.identity[0], ms.base.identity[1])
+    flat = replace(ident, underlying=Functor(ms.base, ms.base, (0, 1), (0, 0, 2, 3)))
+    cases = [(flat, "induced-morphism", (1,), "pair is not a fiber morphism"),
+             (twisted_identity(ms, ((0, 0), (0, 1))), "induced-mult", (1, 1),
+              "pair cell is not a fiber morphism"),
+             (replace(ident, unit_iso=1), "induced-unit", (),
+              "unit pair is not a fiber morphism")]
+    for action, law, witness, detail in cases:
+        rb = ReportBuilder("central_module_check")
+        induced = _induced_into_fiber(rb, ms, CentralModule(None, ms, None, action),
+                                      CentralModule(None, ms, None, ident),
+                                      fiber, psi)
+        assert induced is None
+        assert [(v.law, v.witness, v.detail) for v in rb.report().violations] \
+            == [(law, witness, detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +193,18 @@ def discrete_z2_braided():
     return ms, identity_braiding(ms)
 
 
+def discrete_z2_setup():
+    ms, b = discrete_z2_braided()
+    module = central_braided_module(b, b, identity_mon_functor(ms))
+    psi = tuple(ms.base.identity[x] for x in range(2))
+    return CentralBraidedSetup(module, module, identity_mon_functor(ms), psi)
+
+
 def test_discrete_z2_fiber_is_discrete_z2():
     ms, b = discrete_z2_braided()
     center = mueger_center(b)
     assert center.monoidal == ms  # the whole category is transparent
-    action = identity_mon_functor(ms)
-    module = central_braided_module(b, b, action)
-    psi = tuple(ms.base.identity[x] for x in range(2))
-    setup = CentralBraidedSetup(module, module, identity_mon_functor(ms), psi)
-    result = central_module_check(setup)
+    result = central_module_check(discrete_z2_setup())
     assert result.report.ok
     assert result.fiber.apex.base.num_objects == 2
     assert is_symmetric(result.fiber.braiding)
@@ -266,10 +282,9 @@ def test_phi_fiber_matches_common_subcategory(name):
     assert set(result.common_carriers) == {o.carrier for o in zg.objects_data}
 
 
-def test_phi_fiber_can_be_smaller_than_common_subcategory():
-    # against a unit inclusion, every object is relatively transparent but
-    # the quadruple category only reaches the transparent ones; the checker
-    # reports the mismatch instead of asserting it away
+def unit_inclusion_setup():
+    """The terminal central braided module mapped into a Z/3 pairing by the
+    unit inclusion, coupled to itself by the identity."""
     carrier_ms = make_skeletal_group_category(Z3, Z3, trivial_cochain(Z3))
     b = make_bicharacter_braiding(
         carrier_ms, Z3,
@@ -292,9 +307,15 @@ def test_phi_fiber_can_be_smaller_than_common_subcategory():
     phi = MonNatTrans(unit_mf, unit_mf,
                       identity_nat_trans(unit_mf.underlying))
     psi = (carrier_ms.base.identity[0],)
-    setup = CentralBraidedSetup(term_module, module, unit_mf, psi,
-                                unit_mf, psi, phi)
-    result = central_module_check(setup)
+    return CentralBraidedSetup(term_module, module, unit_mf, psi,
+                               unit_mf, psi, phi)
+
+
+def test_phi_fiber_can_be_smaller_than_common_subcategory():
+    # against a unit inclusion, every object is relatively transparent but
+    # the quadruple category only reaches the transparent ones; the checker
+    # reports the mismatch instead of asserting it away
+    result = central_module_check(unit_inclusion_setup())
     assert result.report.ok
     assert set(result.common_carriers) == {0, 1, 2}
     assert result.phi_matches_common is False
@@ -308,3 +329,17 @@ def test_transparent_quadruple_category_honours_the_morphism_budget():
     with pytest.raises(BudgetError) as info:
         _phi_quadruples_z2(rb, setup, Budget(max_morphisms=26))
     assert info.value.what == "transparent quadruple category (morphisms)"
+
+
+def central_setups():
+    """Every setup checked in this file, by name."""
+    setups = {"trivial-base": trivial_base_setup(),
+              "grading": grading_setup(),
+              "broken-factorization": grading_setup(
+                  psi_h=(toric_z2().base.identity[0], toric_z2().base.identity[1])),
+              "coupled": grading_setup(psi_h=(toric_z2().base.identity[0], 3)),
+              "discrete-z2": discrete_z2_setup(),
+              "unit-inclusion": unit_inclusion_setup()}
+    for name in ("z2-trivial", "z3-pairing", "klein-pairing"):
+        setups[name], _ = phi_fiber_setup(name)
+    return setups

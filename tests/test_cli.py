@@ -151,6 +151,28 @@ def test_intertwiner_z1(capsys):
     assert parse(out).payload["summary"]["object_count"] == 2
 
 
+@pytest.mark.parametrize("name", ["disc_z2_identity_mon_functor.json",
+                                  "toric_identity_mon_functor.json"])
+def test_mon_functor_on_lawless_source_base_exits_one(capsys, tmp_path, name):
+    # delete one composition entry from the source base: every command that
+    # takes the mon_functor reports the base law it breaks
+    fixture = data(name)
+    entries = len(json.loads(fixture.read_text())
+                  ["payload"]["source"]["base"]["composition"])
+    assert entries > 0
+    for k in range(entries):
+        tree = json.loads(fixture.read_text())
+        del tree["payload"]["source"]["base"]["composition"][k]
+        mutant = tmp_path / f"source-{k}.json"
+        mutant.write_text(json.dumps(tree))
+        for command in (["validate", mutant], ["centralizer", "z1", mutant],
+                        ["intertwiner", "z1", mutant, mutant]):
+            code, out, _ = run(capsys, "--report", "structured", *command)
+            assert code == 1, (k, command[0], code)
+            laws = [v["law"] for v in parse(out).payload["violations"]]
+            assert laws and all(law.startswith("base-") for law in laws), laws
+
+
 def test_build_span_and_wrong_kind(capsys):
     code, out, _ = run(capsys, "--report", "structured", "build-span",
                        data("arrow_identity_module_functor.json"))

@@ -6,6 +6,7 @@ from spanforge.fincat import (
     BudgetError,
     FinCategory,
     Functor,
+    MediationError,
     NatTrans,
     StructureError,
     category_over_product,
@@ -22,6 +23,7 @@ from spanforge.fincat import (
     group_as_category,
     horizontal_composite,
     identity_functor,
+    lift_functor,
     product_category,
     pullback,
     pushforward,
@@ -33,6 +35,7 @@ from spanforge.fincat import (
     whisker_pre,
 )
 from spanforge.groups import cyclic, symmetric_3
+from spanforge.limits import fiber_product
 
 
 def z2_category() -> FinCategory:
@@ -460,3 +463,38 @@ def test_over_product_empty_hom_set_in_one_factor():
                                                   for g in range(2)]
     assert cat.num_morphisms == 2 + 2 + 2
     assert check_category(cat).ok
+
+
+# ---------------------------------------------------------------------------
+# lifts into categories over a product
+# ---------------------------------------------------------------------------
+
+def test_lift_functor_identity_into_fiber_product():
+    arrow = walking_arrow()
+    ident = identity_functor(arrow)
+    fp = fiber_product(ident, ident)
+    obj_map = [fp.object_index()[(x, x, arrow.identity[x])] for x in range(2)]
+    diagonal = lift_functor(arrow, fp.apex, fp.morphism_index(), obj_map,
+                            [(k, k) for k in range(arrow.num_morphisms)], "diagonal")
+    assert check_functor(diagonal).ok
+    assert diagonal.object_map == tuple(obj_map)
+    assert compose_functors(fp.pr1, diagonal) == ident
+    assert compose_functors(fp.pr2, diagonal) == ident
+
+
+def test_lift_functor_missing_morphism_names_the_morphism():
+    arrow = walking_arrow()
+    # only identities lie over the diagonal pairs: the arrow has no lift
+    cat, _, index = category_over_product((arrow, arrow), [(0, 0), (1, 1)],
+                                          lambda i, j, a: i == j)
+    (k,) = arrow.hom(0, 1)
+    with pytest.raises(MediationError, match=f"probe lift: .* morphism {k}") as info:
+        lift_functor(arrow, cat, index, (0, 1),
+                     [(f, f) for f in range(arrow.num_morphisms)], "probe lift")
+    assert info.value.witness == (k,)
+
+
+def test_mediation_error_is_a_structure_error():
+    assert issubclass(MediationError, StructureError)
+    with pytest.raises(StructureError):
+        raise MediationError("probe", (0,))

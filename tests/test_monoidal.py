@@ -1,9 +1,18 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from oracles import coboundary_vanishes, is_bicharacter
-from spanforge.fincat import Functor, StructureError, identity_nat_trans
+from spanforge.laxators import monoidal_fiber_product
+from spanforge.fincat import (
+    Functor,
+    MediationError,
+    StructureError,
+    compose_functors,
+    identity_functor,
+    identity_nat_trans,
+)
 from spanforge.groups import cyclic, klein_four, symmetric_3
 from spanforge.monoidal import (
     Braiding,
@@ -19,6 +28,7 @@ from spanforge.monoidal import (
     identity_mon_functor,
     identity_mon_nattrans,
     is_symmetric,
+    lift_mon_functor,
     make_bicharacter_braiding,
     make_discrete_group_category,
     make_skeletal_group_category,
@@ -350,3 +360,59 @@ def test_restrict_rejects_non_closed_subset():
     ms = make_discrete_group_category(Z4)
     with pytest.raises(StructureError):
         restrict_monoidal(ms, (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# lifts into monoidal categories over a product
+# ---------------------------------------------------------------------------
+
+def diagonal_square():
+    """The monoidal fiber product of the identity of a skeletal Z/2 category
+    with Z/2 scalars with itself, and the diagonal object map into it."""
+    ms = make_skeletal_group_category(Z2, Z2, trivial_cochain(Z2))
+    ident = identity_mon_functor(ms)
+    square = monoidal_fiber_product(ident, ident)
+    oi = square.fp.object_index()
+    obj_map = [oi[(x, x, ms.base.identity[x])] for x in range(2)]
+    return ms, ident, square, obj_map
+
+
+def lift_diagonal(legs):
+    ms, _, square, obj_map = diagonal_square()
+    return lift_mon_functor(ms, square.apex, square.fp.morphism_index(),
+                            obj_map, legs, "probe lift")
+
+
+def test_lift_mon_functor_identity_into_fiber_product():
+    ms, ident, square, obj_map = diagonal_square()
+    diagonal = lift_diagonal((ident, ident))
+    assert check_mon_functor(diagonal).ok
+    assert diagonal.underlying.object_map == tuple(obj_map)
+    for pr in (square.pr1, square.pr2):
+        assert compose_functors(pr.underlying, diagonal.underlying) \
+            == identity_functor(ms.base)
+
+
+def test_lift_mon_functor_missing_morphism():
+    ms, ident, _, _ = diagonal_square()
+    # send the scalar at the unit to the identity: its pair does not commute
+    flat = replace(ident, underlying=Functor(ms.base, ms.base, (0, 1), (0, 0, 2, 3)))
+    with pytest.raises(MediationError, match="probe lift: .* morphism 1") as info:
+        lift_diagonal((ident, flat))
+    assert info.value.witness == (1,)
+
+
+def test_lift_mon_functor_missing_multiplicativity_cell():
+    ms, ident, _, _ = diagonal_square()
+    twisted = twisted_identity(ms, ((0, 0), (0, 1)))
+    with pytest.raises(MediationError, match=r"probe lift: .* \(1, 1\)") as info:
+        lift_diagonal((twisted, ident))
+    assert info.value.witness == (1, 1)
+
+
+def test_lift_mon_functor_missing_unit_cell():
+    ms, ident, _, _ = diagonal_square()
+    scaled_unit = replace(ident, unit_iso=1)
+    with pytest.raises(MediationError, match="probe lift: .* unit") as info:
+        lift_diagonal((ident, scaled_unit))
+    assert info.value.witness == ()

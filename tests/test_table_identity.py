@@ -1,13 +1,24 @@
-"""Table identity of every construction built through category_over_product.
+"""Table identity of every construction built through category_over_product
+and of the functors lifted into them.
 
-Each digest is a sha256 of the repr of a construction's apex tables, objects
-and morphisms.  The pinned values were computed with the per-site loops that
-category_over_product replaced, so ids and tables must match them exactly.
+Each construction digest is a sha256 of the repr of its apex tables, objects
+and morphisms; each functor digest, of its object map, morphism map,
+multiplicativity cells and unit cell.  The pinned values were computed with
+the per-site loops that category_over_product, lift_functor and
+lift_mon_functor replaced, so ids and tables must match them exactly.
 """
 import hashlib
 
 import corpus
+from spanforge.central import (
+    CentralFunctorSetup,
+    _pull_center,
+    _push_center,
+    _subcat_functor,
+    central_module_check,
+)
 from spanforge.centers import (
+    braided_centralizer,
     drinfeld_center,
     monoidal_centralizer,
     monoidal_intertwiner,
@@ -20,6 +31,7 @@ from spanforge.groups import (
     quaternion_8,
     symmetric_3,
 )
+from spanforge.laxators import laxator
 from spanforge.limits import FORWARD, REVERSE, comma
 from spanforge.monoidal import (
     MonFunctor,
@@ -29,6 +41,7 @@ from spanforge.monoidal import (
     terminal_monoidal,
 )
 from spanforge.spans import build_span, build_two_span
+from test_central import central_setups
 from test_centers import idempotent_monoid_monoidal, toric_z2
 
 
@@ -285,3 +298,171 @@ PINNED = {
 
 def test_tables_match_the_pinned_digests():
     assert table_digests() == PINNED
+
+
+def functor_digest(mf) -> str:
+    return digest(mf.underlying.object_map, mf.underlying.morphism_map,
+                  mf.mult, mf.unit_iso)
+
+
+def push_and_pull(setup):
+    if isinstance(setup, CentralFunctorSetup):
+        z1g = monoidal_centralizer(setup.g)
+        return (_push_center(setup.g, setup.left.center, z1g),
+                _pull_center(setup.g, setup.right.center, z1g))
+    z2g = braided_centralizer(setup.g, setup.left.carrier, setup.right.carrier)
+    return (_subcat_functor(setup.g, setup.left.center, z2g, apply_g=True),
+            _subcat_functor(setup.g, setup.right.center, z2g, apply_g=False))
+
+
+def lift_digests() -> dict[str, str]:
+    out = {}
+    for name, fd in corpus.span_corpus():
+        out[f"action-lift/{name}"] = functor_digest(
+            build_span(fd, verify=False).action_lift)
+    for name, ad in corpus.nattrans_corpus():
+        out[f"2-span-action-lift/{name}"] = functor_digest(
+            build_two_span(ad, verify=False).action_lift)
+    for name, fd, gd in corpus.composable_pairs():
+        out[f"laxator/{name}"] = functor_digest(laxator(fd, gd).comparison)
+    for name, setup in central_setups().items():
+        push, pull = push_and_pull(setup)
+        out[f"push/{name}"] = functor_digest(push)
+        out[f"pull/{name}"] = functor_digest(pull)
+        out[f"induced/{name}"] = functor_digest(central_module_check(setup).induced)
+    return out
+
+LIFTS_PINNED = {
+    "action-lift/terminal-id":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "action-lift/arrow-id":
+        "54293abfd726d08ca1dbddeed3f780731b23f426817a2231903aa89bb7ca5cd5",
+    "action-lift/arrow-const0":
+        "e202e887a977aa9a36899d636b62b6cd3ebca4e6e1d96f9be3ad7676ed0f2b9b",
+    "action-lift/arrow-const1":
+        "0205a3d2c16b575d2b34fefe8bbd45b1413710972cb18c4f7ccf64e23fe0b266",
+    "action-lift/disc2-id":
+        "6b5675889cbc67faf8e48871ba2ec75b2f149b973d661591d2a1164885811cb4",
+    "action-lift/disc2-swap":
+        "6b5675889cbc67faf8e48871ba2ec75b2f149b973d661591d2a1164885811cb4",
+    "action-lift/disc2-into-arrow":
+        "6b5675889cbc67faf8e48871ba2ec75b2f149b973d661591d2a1164885811cb4",
+    "action-lift/arrow-to-terminal":
+        "54293abfd726d08ca1dbddeed3f780731b23f426817a2231903aa89bb7ca5cd5",
+    "action-lift/point-into-arrow":
+        "eacc8f403ba9cf533ccb057998ddb59b2fadb8e4c49a0363189117004d546066",
+    "action-lift/point-into-bz2":
+        "02a179cfb2e2393ed3af14f0aeec3e0ae94bee4f17a08787226944312be5c961",
+    "action-lift/bz2-id":
+        "89bce5a267fad21a9f45e44ab965153cae51067ad3c47711d9b4222ed1cb13d5",
+    "action-lift/bz2-collapse":
+        "625aef069a49b490f77f440597f0b35a4c75dd2aae6b1d6c00835a298b2a9053",
+    "action-lift/arrow-into-bz2":
+        "66efab59e53189c137df6c1c73eaaed014a7afffae7e221a3786108c1bf5210f",
+    "action-lift/swap-equivariant-id":
+        "aca282094969531a309b16bb0961dbfba8b2b6b89a0fe1015a068fbec02f9e7f",
+    "action-lift/swap-equivariant-swap":
+        "aca282094969531a309b16bb0961dbfba8b2b6b89a0fe1015a068fbec02f9e7f",
+    "action-lift/z2-trivial-bz2-id":
+        "6f138676e8cb7e12f957a30310848e66034b740f179fb37973a03bddb477e8d9",
+    "action-lift/z2-trivial-bz2-twisted":
+        "ad1e491fcb4c62f4e97156c6a1c5ce6afbac578138bd76722759a963c8a13ee9",
+    "action-lift/disc3-id":
+        "66dd4e48d67f290e8a8afc3f588fd3be47005da2172cbe37289fd4edb53023bb",
+    "action-lift/disc3-three-cycle":
+        "66dd4e48d67f290e8a8afc3f588fd3be47005da2172cbe37289fd4edb53023bb",
+    "action-lift/transposition-equivariant":
+        "27a6577ebdaeddf5e24e14a9909f7af154e7d15a8a1d05b52c39c1301703387f",
+    "action-lift/klein-id":
+        "3442793c3b2824de6db71047c4364d657cf718bc3f6eb694b769f6f67d9bb389",
+    "action-lift/idem-id":
+        "eab813cb0cd74ecbdaf04866639b46f471789d77599b3060aa7aee89766da11c",
+    "action-lift/idem-collapse":
+        "72d9fbfa656eb93cb1ed056a0ac6e90d1539e6eea04b495605e86105cbae4446",
+    "2-span-action-lift/terminal-identity":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "2-span-action-lift/arrow-identity":
+        "54293abfd726d08ca1dbddeed3f780731b23f426817a2231903aa89bb7ca5cd5",
+    "2-span-action-lift/arrow-const0-to-id":
+        "eacc8f403ba9cf533ccb057998ddb59b2fadb8e4c49a0363189117004d546066",
+    "2-span-action-lift/idem-absorbing":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "2-span-action-lift/swap-identity":
+        "aca282094969531a309b16bb0961dbfba8b2b6b89a0fe1015a068fbec02f9e7f",
+    "2-span-action-lift/bz2-central":
+        "89bce5a267fad21a9f45e44ab965153cae51067ad3c47711d9b4222ed1cb13d5",
+    "laxator/arrow-id-id":
+        "3c640fd856a344240f4214161439cd8a8c7a738cee645b47fced063efafb1931",
+    "laxator/disc2-arrow-bz2":
+        "7a7fa34500427f2dc51b38738b8d669c25924a81e130754b3e230a4f17623ab1",
+    "laxator/swap-swap":
+        "3642be11aab672861ec7899c4335dd5d8385e514ab68c4e6445f83c06ec8460c",
+    "laxator/point-arrow-terminal":
+        "457b8468df3ac7f68f4ff4038315cbe3ae75b770a2e650ce424d0158fcf39123",
+    "laxator/idem-id-collapse":
+        "ac9c26931512e67b60aef80e255b0ce5c714c6a025e8e84b919d2226b04e38b9",
+    "laxator/disc2-arrow-terminal":
+        "5ad23b15ee0172794568451fcfa081a3010b8b27f5bb873288efe984be9df0f2",
+    "laxator/disc2-id-swap":
+        "3642be11aab672861ec7899c4335dd5d8385e514ab68c4e6445f83c06ec8460c",
+    "laxator/klein-id-id":
+        "3642be11aab672861ec7899c4335dd5d8385e514ab68c4e6445f83c06ec8460c",
+    "push/trivial-base":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "pull/trivial-base":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "induced/trivial-base":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "push/grading":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "pull/grading":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "induced/grading":
+        "16d478bc689a8239951f7b7c7800eb4341a34436ef86baecb3aecf07395411a5",
+    "push/broken-factorization":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "pull/broken-factorization":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "induced/broken-factorization":
+        "16d478bc689a8239951f7b7c7800eb4341a34436ef86baecb3aecf07395411a5",
+    "push/coupled":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "pull/coupled":
+        "62a6f3d498344d93bfb98886ac9b2a7a22578f3b314c3aa33b978ce0d4dd9724",
+    "induced/coupled":
+        "16d478bc689a8239951f7b7c7800eb4341a34436ef86baecb3aecf07395411a5",
+    "push/discrete-z2":
+        "6a08e2cc77723c275b6101b1edc85edf0b14c2157694f35351430ae68a53b6c4",
+    "pull/discrete-z2":
+        "6a08e2cc77723c275b6101b1edc85edf0b14c2157694f35351430ae68a53b6c4",
+    "induced/discrete-z2":
+        "6a08e2cc77723c275b6101b1edc85edf0b14c2157694f35351430ae68a53b6c4",
+    "push/unit-inclusion":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "pull/unit-inclusion":
+        "e26cd0485086c5abae9f4e9551db9566b8a5031080397f49546cd2b8a0a637f7",
+    "induced/unit-inclusion":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "push/z2-trivial":
+        "fc5cb84e0881b983e32b4258076e3f3046ea8399d8febed98d5428c8eb405f88",
+    "pull/z2-trivial":
+        "fc5cb84e0881b983e32b4258076e3f3046ea8399d8febed98d5428c8eb405f88",
+    "induced/z2-trivial":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "push/z3-pairing":
+        "e26cd0485086c5abae9f4e9551db9566b8a5031080397f49546cd2b8a0a637f7",
+    "pull/z3-pairing":
+        "e26cd0485086c5abae9f4e9551db9566b8a5031080397f49546cd2b8a0a637f7",
+    "induced/z3-pairing":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+    "push/klein-pairing":
+        "20e0d67d707218e36d86a1a077df290914b5f6933263c08ec8118d53b3f2e0d2",
+    "pull/klein-pairing":
+        "20e0d67d707218e36d86a1a077df290914b5f6933263c08ec8118d53b3f2e0d2",
+    "induced/klein-pairing":
+        "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
+}
+
+
+def test_lifted_functors_match_the_pinned_digests():
+    assert lift_digests() == LIFTS_PINNED
