@@ -83,9 +83,10 @@ def _forgetful_then(g: MonFunctor, center: CenterCategory) -> MonFunctor:
                       g.unit_iso)
 
 
-def _push_center(g: MonFunctor, center_src: CenterCategory,
-                 z1g: CenterCategory) -> MonFunctor:
-    """Apply g to half-braidings: (m, b) ↦ (g m, conjugated components)."""
+def _push_center(g: MonFunctor, center_src: CenterCategory, z1g: CenterCategory,
+                 z1g_index: dict[tuple[int, int, int], int]) -> MonFunctor:
+    """Apply g to half-braidings: (m, b) ↦ (g m, conjugated components).
+    z1g_index is z1g.morphism_index(), built once by the caller."""
     base = g.target.base
     oi = z1g.object_index()
     obj_map = []
@@ -101,14 +102,15 @@ def _push_center(g: MonFunctor, center_src: CenterCategory,
             raise StructureError(
                 "image of a half-braiding is not in the centralizer")
         obj_map.append(oi[key])
-    return lift_mon_functor(center_src.monoidal, z1g.monoidal, z1g.morphism_index(),
+    return lift_mon_functor(center_src.monoidal, z1g.monoidal, z1g_index,
                             obj_map, (_forgetful_then(g, center_src),),
                             "push into the centralizer")
 
 
-def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
-                 z1g: CenterCategory) -> MonFunctor:
-    """Restrict half-braidings to the image: (n, b) ↦ (n, b at g(-))."""
+def _pull_center(g: MonFunctor, center_tgt: CenterCategory, z1g: CenterCategory,
+                 z1g_index: dict[tuple[int, int, int], int]) -> MonFunctor:
+    """Restrict half-braidings to the image: (n, b) ↦ (n, b at g(-)).
+    z1g_index is z1g.morphism_index(), built once by the caller."""
     oi = z1g.object_index()
     obj_map = []
     for o in center_tgt.objects_data:
@@ -120,7 +122,7 @@ def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
                 "restricted half-braiding is not in the centralizer")
         obj_map.append(oi[key])
     forget = strict_mon_functor(center_tgt.monoidal, g.target, center_tgt.forgetful)
-    return lift_mon_functor(center_tgt.monoidal, z1g.monoidal, z1g.morphism_index(),
+    return lift_mon_functor(center_tgt.monoidal, z1g.monoidal, z1g_index,
                             obj_map, (forget,), "pull into the centralizer")
 
 
@@ -198,8 +200,9 @@ def central_monoidal_check(setup: CentralFunctorSetup,
     if setup.g.source != left.carrier or setup.g.target != right.carrier:
         raise StructureError("candidate functor does not match the carriers")
     z1g = monoidal_centralizer(setup.g, budget)
-    g_push = _push_center(setup.g, left.center, z1g)
-    g_pull = _pull_center(setup.g, right.center, z1g)
+    mi = z1g.morphism_index()
+    g_push = _push_center(setup.g, left.center, z1g, mi)
+    g_pull = _pull_center(setup.g, right.center, z1g, mi)
     for name, mf in (("push", g_push), ("pull", g_pull)):
         sub = check_mon_functor(mf)
         for v in sub.violations:
@@ -214,7 +217,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
     acting = left.base.on.base
     if len(setup.psi_g) != acting.num_objects:
         raise StructureError("one comparison per base object is required")
-    mi = z1g.morphism_index()
     psi_ids = []
     complete = True
     for x in range(acting.num_objects):
@@ -391,8 +393,10 @@ class CentralBraidedSetup:
 
 
 def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
-                    z2g: CenterCategory, apply_g: bool) -> MonFunctor:
-    """mueger -> braided centralizer, either applying g or including."""
+                    z2g: CenterCategory, z2g_index: dict[tuple[int, int, int], int],
+                    apply_g: bool) -> MonFunctor:
+    """mueger -> braided centralizer, either applying g or including.
+    z2g_index is z2g.morphism_index(), built once by the caller."""
     carriers = {o.carrier: i for i, o in enumerate(z2g.objects_data)}
     obj_map = []
     for o in src_center.objects_data:
@@ -405,7 +409,7 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
         leg = _forgetful_then(g, src_center)
     else:
         leg = strict_mon_functor(src_center.monoidal, g.target, src_center.forgetful)
-    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g.morphism_index(),
+    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g_index,
                             obj_map, (leg,), "braided centralizer functor")
 
 
@@ -420,8 +424,9 @@ def central_braided_check(setup: CentralBraidedSetup,
     for v in sub.violations:
         rb.add("candidate-" + v.law, v.witness, v.detail)
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
-    g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
-    g_pull = _subcat_functor(setup.g, right.center, z2g, apply_g=False)
+    mi = z2g.morphism_index()
+    g_push = _subcat_functor(setup.g, left.center, z2g, mi, apply_g=True)
+    g_pull = _subcat_functor(setup.g, right.center, z2g, mi, apply_g=False)
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
@@ -432,7 +437,6 @@ def central_braided_check(setup: CentralBraidedSetup,
         rb.add("fiber-symmetry", (), "the fiber product is not symmetric")
 
     acting = left.base.on.base
-    mi = z2g.morphism_index()
     psi_ids = []
     complete = True
     for x in range(acting.num_objects):

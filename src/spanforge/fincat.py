@@ -442,11 +442,19 @@ def enumerate_functors(m: FinCategory, n: FinCategory) -> list[Functor]:
 
 def enumerate_nat_transes(fun: Functor, gun: Functor) -> list[NatTrans]:
     """All natural transformations fun -> gun, components in lexicographic order."""
+    results: list[NatTrans] = []
+    _emit_nat_transes(fun, gun, results.append)
+    return results
+
+
+def _emit_nat_transes(fun: Functor, gun: Functor,
+                      emit: Callable[[NatTrans], None]) -> None:
+    """Pass each natural transformation fun -> gun to emit as it is found,
+    in enumerate_nat_transes order, so that emit can stop the search."""
     if fun.source != gun.source or fun.target != gun.target:
         raise StructureError("natural transformations need parallel functors")
     m, n = fun.source, fun.target
     comps = [-1] * m.num_objects
-    results: list[NatTrans] = []
 
     def natural_at(just: int) -> bool:
         for f in range(m.num_morphisms):
@@ -459,7 +467,7 @@ def enumerate_nat_transes(fun: Functor, gun: Functor) -> list[NatTrans]:
 
     def backtrack(x: int) -> None:
         if x == m.num_objects:
-            results.append(NatTrans(fun, gun, tuple(comps)))
+            emit(NatTrans(fun, gun, tuple(comps)))
             return
         for candidate in n.hom(fun.object_map[x], gun.object_map[x]):
             comps[x] = candidate
@@ -468,7 +476,6 @@ def enumerate_nat_transes(fun: Functor, gun: Functor) -> list[NatTrans]:
             comps[x] = -1
 
     backtrack(0)
-    return results
 
 
 @dataclass(frozen=True)
@@ -486,9 +493,10 @@ class FunctorCategory:
         return {f: i for i, f in enumerate(self.functors)}
 
     def transformation_index(self) -> dict[tuple[int, int, tuple[int, ...]], int]:
-        fi = self.functor_index()
-        return {(fi[t.source], fi[t.target], t.components): i
-                for i, t in enumerate(self.transformations)}
+        """(source functor id, target functor id, components) -> id."""
+        cat = self.as_category
+        return {(s, t, nt.components): k for k, (s, t, nt)
+                in enumerate(zip(cat.source, cat.target, self.transformations))}
 
 
 def functor_category(m: FinCategory, n: FinCategory,
@@ -501,14 +509,16 @@ def functor_category(m: FinCategory, n: FinCategory,
     fi = {f: i for i, f in enumerate(functors)}
 
     transformations: list[NatTrans] = []
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, fun in enumerate(functors):
-        for j, gun in enumerate(functors):
-            found = enumerate_nat_transes(fun, gun)
-            budget.check_morphisms(len(transformations) + len(found), "functor category")
-            by_pair[(i, j)] = list(range(len(transformations),
-                                         len(transformations) + len(found)))
-            transformations.extend(found)
+
+    def add(t: NatTrans) -> None:
+        # refuse at the first transformation past the limit, not after the
+        # whole pair of functors has been enumerated
+        transformations.append(t)
+        budget.check_morphisms(len(transformations), "functor category")
+
+    for fun in functors:
+        for gun in functors:
+            _emit_nat_transes(fun, gun, add)
 
     num = len(transformations)
     ti = {(fi[t.source], fi[t.target], t.components): k

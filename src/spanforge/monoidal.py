@@ -91,12 +91,9 @@ def tabulate_monoidal(base: FinCategory, unit: int,
         budget.check_objects(n * n, "tensor table")
         budget.check_morphisms(m * m, "tensor table")
     objects = tuple(on_objects(x, y) for x in range(n) for y in range(n))
-
-    def tensor(x: int, y: int) -> int:
-        return objects[x * n + y]
-
-    morphisms = tuple(on_morphisms(f, g, tensor(base.source[f], base.source[g]),
-                                   tensor(base.target[f], base.target[g]))
+    src, tgt = base.source, base.target
+    morphisms = tuple(on_morphisms(f, g, objects[src[f] * n + src[g]],
+                                   objects[tgt[f] * n + tgt[g]])
                       for f in range(m) for g in range(m))
     identity = base.identity
     associator = associator or (lambda x, y, z, s, t: identity[s])
@@ -104,10 +101,11 @@ def tabulate_monoidal(base: FinCategory, unit: int,
     right_unitor = right_unitor or (lambda x, s: identity[x])
     return MonoidalStructure(
         base, objects, morphisms, unit,
-        tuple(associator(x, y, z, tensor(tensor(x, y), z), tensor(x, tensor(y, z)))
+        tuple(associator(x, y, z, objects[objects[x * n + y] * n + z],
+                         objects[x * n + objects[y * n + z]])
               for x in range(n) for y in range(n) for z in range(n)),
-        tuple(left_unitor(x, tensor(unit, x)) for x in range(n)),
-        tuple(right_unitor(x, tensor(x, unit)) for x in range(n)))
+        tuple(left_unitor(x, objects[unit * n + x]) for x in range(n)),
+        tuple(right_unitor(x, objects[x * n + unit]) for x in range(n)))
 
 
 @dataclass(frozen=True)
@@ -232,29 +230,142 @@ def _scan_tensor_bifunctor(ms: MonoidalStructure, rb: ReportBuilder) -> None:
                     return
 
 
-def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+def _hom_sizes(base: FinCategory) -> list[int]:
+    """|hom(x, y)| at x*n + y, in O(n² + m)."""
+    n = base.num_objects
+    sizes = [0] * (n * n)
+    for s, t in zip(base.source, base.target):
+        sizes[s * n + t] += 1
+    return sizes
+
+
+def _scan_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Associator and unitor naturality, pentagon and triangle, composing
+    only the instances whose two paths lie in a hom-set with two or more
+    morphisms.  Over a lawful base with well-typed components and tensor
+    entries, which _check_monoidal_laws establishes before it gets here,
+    the two paths of every instance are parallel morphisms, and parallel
+    morphisms in a hom-set with at most one element are equal (CWM §I.2,
+    preorders).  A skipped instance cannot fail, so the violations, their
+    order and the cap are those of the full scans.
+    """
+    sizes = _hom_sizes(ms.base)
+    if max(sizes, default=0) <= 1:
+        return
+    for scan in (_scan_associator_naturality, _scan_unitor_naturality,
+                 _scan_pentagon, _scan_triangle):
+        scan(ms, rb, sizes)
+        if rb.full:
+            return
+
+
+def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
+                                sizes: list[int]) -> None:
     """Naturality of the associator one variable at a time (CWM §II.3): for
     a bifunctorial tensor, natural in each variable separately means natural
     jointly, so the 3·m·n² triples with at most one non-identity morphism
-    stand for all m³.
+    stand for all m³.  The square at (p, q, r) lies in
+    hom((s_p⊗s_q)⊗s_r, t_p⊗(t_q⊗t_r)).
     """
     base = ms.base
-    m = base.num_morphisms
+    n, m = base.num_objects, base.num_morphisms
+    src, tgt, comp = base.source, base.target, base.comp
+    t_obj, t_mor, assoc = ms.tensor_objects, ms.tensor_morphisms, ms.associator
     ids = sorted(base.identity)
     for p in range(m):
         for q in (range(m) if base.is_identity(p) else ids):
-            pq = ms.tensor_mor(p, q)
+            pq = t_mor[p * m + q]
+            s_pq = t_obj[src[p] * n + src[q]] * n
             rs = range(m) if base.is_identity(p) and base.is_identity(q) else ids
             for r in rs:
-                lhs = base.comp[ms.alpha(base.target[p], base.target[q], base.target[r])][
-                    ms.tensor_mor(pq, r)]
-                rhs = base.comp[ms.tensor_mor(p, ms.tensor_mor(q, r))][
-                    ms.alpha(base.source[p], base.source[q], base.source[r])]
+                if sizes[t_obj[s_pq + src[r]] * n + t_obj[
+                        tgt[p] * n + t_obj[tgt[q] * n + tgt[r]]]] <= 1:
+                    continue
+                lhs = comp[assoc[(tgt[p] * n + tgt[q]) * n + tgt[r]]][t_mor[pq * m + r]]
+                rhs = comp[t_mor[p * m + t_mor[q * m + r]]][
+                    assoc[(src[p] * n + src[q]) * n + src[r]]]
                 if lhs != rhs or lhs == -1:
                     rb.add("associator-naturality", (p, q, r),
                            f"paths {lhs} vs {rhs}")
                     if rb.full:
                         return
+
+
+def _scan_unitor_naturality(ms: MonoidalStructure, rb: ReportBuilder,
+                            sizes: list[int]) -> None:
+    """Unitor naturality at each p: x -> y, in hom(I⊗x, y) and hom(x⊗I, y)."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    comp, t_obj, t_mor = base.comp, ms.tensor_objects, ms.tensor_morphisms
+    unit, lam, rho = ms.unit, ms.left_unitor, ms.right_unitor
+    id_unit = base.identity[unit]
+    for p in range(m):
+        x, y = base.source[p], base.target[p]
+        if sizes[t_obj[unit * n + x] * n + y] > 1:
+            lhs = comp[lam[y]][t_mor[id_unit * m + p]]
+            if lhs != comp[p][lam[x]] or lhs == -1:
+                rb.add("left-unitor-naturality", (p,), "square does not commute")
+        if sizes[t_obj[x * n + unit] * n + y] > 1:
+            lhs = comp[rho[y]][t_mor[p * m + id_unit]]
+            if lhs != comp[p][rho[x]] or lhs == -1:
+                rb.add("right-unitor-naturality", (p,), "square does not commute")
+        if rb.full:
+            return
+
+
+def _scan_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
+                   sizes: list[int]) -> None:
+    """The pentagon at (w, x, y, z), in hom(((w⊗x)⊗y)⊗z, w⊗(x⊗(y⊗z)))."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    comp, ident = base.comp, base.identity
+    t_obj, t_mor, assoc = ms.tensor_objects, ms.tensor_morphisms, ms.associator
+    for w in range(n):
+        id_w = ident[w] * m
+        for x in range(n):
+            wx = t_obj[w * n + x]
+            for y in range(n):
+                xy = t_obj[x * n + y]
+                wx_y = t_obj[wx * n + y] * n
+                a_wxy = assoc[(w * n + x) * n + y] * m
+                for z in range(n):
+                    yz = t_obj[y * n + z]
+                    if sizes[t_obj[wx_y + z] * n
+                             + t_obj[w * n + t_obj[x * n + yz]]] <= 1:
+                        continue
+                    f3 = t_mor[id_w + assoc[(x * n + y) * n + z]]
+                    f2 = assoc[(w * n + xy) * n + z]
+                    f1 = t_mor[a_wxy + ident[z]]
+                    f32 = comp[f3][f2]
+                    lhs = comp[f32][f1] if f32 >= 0 else -1
+                    if lhs < 0:
+                        lhs = base.compose_path(f3, f2, f1)
+                    rhs = comp[assoc[(w * n + x) * n + yz]][assoc[(wx * n + y) * n + z]]
+                    if lhs != rhs:
+                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
+                        if rb.full:
+                            return
+
+
+def _scan_triangle(ms: MonoidalStructure, rb: ReportBuilder,
+                   sizes: list[int]) -> None:
+    """The triangle at (x, y), in hom((x⊗I)⊗y, x⊗y)."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    comp, ident = base.comp, base.identity
+    t_obj, t_mor, assoc = ms.tensor_objects, ms.tensor_morphisms, ms.associator
+    unit, lam, rho = ms.unit, ms.left_unitor, ms.right_unitor
+    for x in range(n):
+        xi = t_obj[x * n + unit] * n
+        for y in range(n):
+            if sizes[t_obj[xi + y] * n + t_obj[x * n + y]] <= 1:
+                continue
+            lhs = comp[t_mor[ident[x] * m + lam[y]]][assoc[(x * n + unit) * n + y]]
+            rhs = t_mor[rho[x] * m + ident[y]]
+            if lhs != rhs:
+                rb.add("triangle", (x, y), f"paths {lhs} vs {rhs}")
+                if rb.full:
+                    return
 
 
 def _component_ok(base: FinCategory, mor: int, src: int, tgt: int) -> str | None:
@@ -270,19 +381,21 @@ def check_monoidal(ms: MonoidalStructure, cap: int = DEFAULT_VIOLATION_CAP) -> R
     """Category laws of the base, bifunctoriality of the tensor, pentagon,
     triangle, and naturality and invertibility of all components.  The base
     is checked first because the reduced bifunctor and naturality scans are
-    exact only over a lawful base.
+    exact only over a lawful base, and the coherence scans skip instances in
+    hom-sets with at most one morphism only once every component and tensor
+    entry is known to be well typed.
     """
-    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor,
-                                _scan_associator_naturality)
+    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor, _scan_coherence)
 
 
 ScanFn = Callable[[MonoidalStructure, ReportBuilder], None]
 
 
 def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
-                         scan_associator_naturality: ScanFn) -> Report:
-    """check_monoidal with its two reduced scans passed in, so that the
-    exhaustive scans they stand for can be run in their place as a reference."""
+                         scan_coherence: ScanFn) -> Report:
+    """check_monoidal with its tensor and coherence scans passed in, so that
+    the exhaustive scans they stand for can be run in their place as a
+    reference."""
     rb = ReportBuilder("monoidal", cap)
     _check_tables(ms)
     base_laws = check_category(ms.base, cap)
@@ -292,7 +405,7 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
         return rb.report()
     scan_tensor(ms, rb)
     base = ms.base
-    n, m = base.num_objects, base.num_morphisms
+    n = base.num_objects
 
     for x in range(n):
         for y in range(n):
@@ -329,49 +442,7 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
            for v in rb.report().violations):
         return rb.report()
 
-    scan_associator_naturality(ms, rb)
-    if rb.full:
-        return rb.report()
-
-    id_unit = base.identity[ms.unit]
-    for p in range(m):
-        x, y = base.source[p], base.target[p]
-        lhs = base.comp[ms.left_unitor[y]][ms.tensor_mor(id_unit, p)]
-        if lhs != base.comp[p][ms.left_unitor[x]] or lhs == -1:
-            rb.add("left-unitor-naturality", (p,), "square does not commute")
-        lhs = base.comp[ms.right_unitor[y]][ms.tensor_mor(p, id_unit)]
-        if lhs != base.comp[p][ms.right_unitor[x]] or lhs == -1:
-            rb.add("right-unitor-naturality", (p,), "square does not commute")
-        if rb.full:
-            return rb.report()
-
-    for w in range(n):
-        id_w = base.identity[w]
-        for x in range(n):
-            wx = ms.tensor_obj(w, x)
-            for y in range(n):
-                xy = ms.tensor_obj(x, y)
-                for z in range(n):
-                    id_z = base.identity[z]
-                    lhs = base.compose_path(
-                        ms.tensor_mor(id_w, ms.alpha(x, y, z)),
-                        ms.alpha(w, xy, z),
-                        ms.tensor_mor(ms.alpha(w, x, y), id_z))
-                    rhs = base.comp[ms.alpha(w, x, ms.tensor_obj(y, z))][
-                        ms.alpha(wx, y, z)]
-                    if lhs != rhs:
-                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
-                        if rb.full:
-                            return rb.report()
-    for x in range(n):
-        for y in range(n):
-            lhs = base.comp[ms.tensor_mor(base.identity[x], ms.left_unitor[y])][
-                ms.alpha(x, ms.unit, y)]
-            rhs = ms.tensor_mor(ms.right_unitor[x], base.identity[y])
-            if lhs != rhs:
-                rb.add("triangle", (x, y), f"paths {lhs} vs {rhs}")
-                if rb.full:
-                    return rb.report()
+    scan_coherence(ms, rb)
     return rb.report()
 
 
@@ -487,29 +558,46 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     if any(v.law in ("mult-cell", "unit-cell") for v in rb.report().violations):
         return rb.report()
     # naturality of gamma in both arguments
-    for p in range(src.base.num_morphisms):
-        for q in range(src.base.num_morphisms):
-            x0, y0 = src.base.source[p], src.base.source[q]
-            x1, y1 = src.base.target[p], src.base.target[q]
-            lhs = base.comp[mf.gamma(x1, y1)][
-                tgt.tensor_mor(mf.on_mor(p), mf.on_mor(q))]
-            rhs = base.comp[mf.on_mor(src.tensor_mor(p, q))][mf.gamma(x0, y0)]
+    comp, ident = base.comp, base.identity
+    nt, mt = base.num_objects, base.num_morphisms
+    m_src = src.base.num_morphisms
+    s_src, s_tgt = src.base.source, src.base.target
+    obj_map, mor_map = mf.underlying.object_map, mf.underlying.morphism_map
+    mult = mf.mult
+    s_obj, s_mor, s_assoc = src.tensor_objects, src.tensor_morphisms, src.associator
+    t_mor, t_assoc = tgt.tensor_morphisms, tgt.associator
+    for p in range(m_src):
+        x0, x1 = s_src[p] * n, s_tgt[p] * n
+        fp = mor_map[p] * mt
+        for q in range(m_src):
+            lhs = comp[mult[x1 + s_tgt[q]]][t_mor[fp + mor_map[q]]]
+            rhs = comp[mor_map[s_mor[p * m_src + q]]][mult[x0 + s_src[q]]]
             if lhs != rhs or lhs == -1:
                 rb.add("mult-naturality", (p, q), f"paths {lhs} vs {rhs}")
                 if rb.full:
                     return rb.report()
+    # a composite of -1 goes back through compose_path, which raises
     for x in range(n):
+        fx = obj_map[x]
         for y in range(n):
-            xy = src.tensor_obj(x, y)
+            xy = s_obj[x * n + y]
+            fxy = fx * nt + obj_map[y]
+            g_xy = mult[x * n + y] * mt
             for z in range(n):
-                lhs = base.compose_path(
-                    mf.on_mor(src.alpha(x, y, z)),
-                    mf.gamma(xy, z),
-                    tgt.tensor_mor(mf.gamma(x, y), base.identity[mf.on_obj(z)]))
-                rhs = base.compose_path(
-                    mf.gamma(x, src.tensor_obj(y, z)),
-                    tgt.tensor_mor(base.identity[mf.on_obj(x)], mf.gamma(y, z)),
-                    tgt.alpha(mf.on_obj(x), mf.on_obj(y), mf.on_obj(z)))
+                f3 = mor_map[s_assoc[(x * n + y) * n + z]]
+                f2 = mult[xy * n + z]
+                f1 = t_mor[g_xy + ident[obj_map[z]]]
+                f32 = comp[f3][f2]
+                lhs = comp[f32][f1] if f32 >= 0 else -1
+                if lhs < 0:
+                    lhs = base.compose_path(f3, f2, f1)
+                g3 = mult[x * n + s_obj[y * n + z]]
+                g2 = t_mor[ident[fx] * mt + mult[y * n + z]]
+                g1 = t_assoc[fxy * nt + obj_map[z]]
+                g32 = comp[g3][g2]
+                rhs = comp[g32][g1] if g32 >= 0 else -1
+                if rhs < 0:
+                    rhs = base.compose_path(g3, g2, g1)
                 if lhs != rhs:
                     rb.add("mult-associativity", (x, y, z), f"paths {lhs} vs {rhs}")
                     if rb.full:

@@ -64,20 +64,29 @@ def end_monoidal(carrier: FinCategory, budget: Budget = DEFAULT_BUDGET) -> EndCa
                              + laws.violations[0].render())
     fc = functor_category(carrier, carrier, budget)
     cat = fc.as_category
-    fi = fc.functor_index()
+    funs, transes, comp = fc.functors, fc.transformations, carrier.comp
+    # every functor here is an endofunctor of carrier, so its tables alone
+    # identify it
+    fi = {(f.object_map, f.morphism_map): i for i, f in enumerate(funs)}
     ti = fc.transformation_index()
 
-    def tensor_mor(a: int, b: int, s: int, t: int) -> int:
-        mu, nu = fc.transformations[a], fc.transformations[b]
-        composite = vertical_composite(whisker_pre(mu, nu.target),
-                                       whisker_post(mu.source, nu))
-        return ti[(s, t, composite.components)]
+    def tensor_obj(i: int, j: int) -> int:
+        f, g = funs[i], funs[j]
+        return fi[(tuple(f.object_map[x] for x in g.object_map),
+                   tuple(f.morphism_map[h] for h in g.morphism_map))]
 
-    monoidal = tabulate_monoidal(
-        cat, fi[identity_functor(carrier)],
-        lambda i, j: fi[compose_functors(fc.functors[i], fc.functors[j])],
-        tensor_mor)
-    return EndCategory(fc, monoidal)
+    def tensor_mor(a: int, b: int, s: int, t: int) -> int:
+        # (μ★ν)_x = μ_{G'x} ∘ F(ν_x) for μ: F -> F' and ν: G -> G'; over a
+        # lawful carrier every one of these composites is defined
+        mu, nu = transes[a], transes[b]
+        mu_at, f_mor = mu.components, mu.source.morphism_map
+        g_obj = nu.target.object_map
+        return ti[(s, t, tuple(comp[mu_at[g_obj[x]]][f_mor[nu_x]]
+                               for x, nu_x in enumerate(nu.components)))]
+
+    n = carrier.num_objects
+    unit = fi[(tuple(range(n)), tuple(range(carrier.num_morphisms)))]
+    return EndCategory(fc, tabulate_monoidal(cat, unit, tensor_obj, tensor_mor))
 
 
 @dataclass(frozen=True)

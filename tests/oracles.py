@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's incremental/backtracking
 code paths: full cartesian products filtered by the defining laws, and
 direct cochain arithmetic for cocycle and bicharacter conditions.  The
 exhaustive monoidal scans at the end are the ones check_monoidal replaced
-with reduced scans, kept as their reference.
+with reduced scans, kept as their reference: they compose every instance,
+in hom-sets with at most one morphism too.
 """
 from __future__ import annotations
 
@@ -179,9 +180,51 @@ def joint_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder) -> Non
                         return
 
 
+def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Associator naturality over all m³ triples, then unitor naturality, the
+    pentagon and the triangle, composing both paths of every instance, thin
+    hom-sets included."""
+    joint_associator_naturality(ms, rb)
+    if rb.full:
+        return
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    id_unit = base.identity[ms.unit]
+    for p in range(m):
+        x, y = base.source[p], base.target[p]
+        lhs = base.comp[ms.left_unitor[y]][ms.tensor_mor(id_unit, p)]
+        if lhs != base.comp[p][ms.left_unitor[x]] or lhs == -1:
+            rb.add("left-unitor-naturality", (p,), "square does not commute")
+        lhs = base.comp[ms.right_unitor[y]][ms.tensor_mor(p, id_unit)]
+        if lhs != base.comp[p][ms.right_unitor[x]] or lhs == -1:
+            rb.add("right-unitor-naturality", (p,), "square does not commute")
+        if rb.full:
+            return
+    for w, x, y, z in product(range(n), repeat=4):
+        lhs = base.compose_path(
+            ms.tensor_mor(base.identity[w], ms.alpha(x, y, z)),
+            ms.alpha(w, ms.tensor_obj(x, y), z),
+            ms.tensor_mor(ms.alpha(w, x, y), base.identity[z]))
+        rhs = base.comp[ms.alpha(w, x, ms.tensor_obj(y, z))][
+            ms.alpha(ms.tensor_obj(w, x), y, z)]
+        if lhs != rhs:
+            rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
+            if rb.full:
+                return
+    for x, y in product(range(n), repeat=2):
+        lhs = base.comp[ms.tensor_mor(base.identity[x], ms.left_unitor[y])][
+            ms.alpha(x, ms.unit, y)]
+        rhs = ms.tensor_mor(ms.right_unitor[x], base.identity[y])
+        if lhs != rhs:
+            rb.add("triangle", (x, y), f"paths {lhs} vs {rhs}")
+            if rb.full:
+                return
+
+
 def exhaustive_check_monoidal(ms: MonoidalStructure,
                               cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """check_monoidal with the exhaustive bifunctor and associator-naturality
-    scans in place of the reduced ones; every other scan is shared."""
+    """check_monoidal with the exhaustive bifunctor scan and the exhaustive
+    coherence scans in place of the reduced ones; the gates before them are
+    shared."""
     return _check_monoidal_laws(ms, cap, exhaustive_tensor_scan,
-                                joint_associator_naturality)
+                                exhaustive_coherence)

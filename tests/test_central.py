@@ -12,7 +12,7 @@ from spanforge.central import (
     central_module,
     central_module_check,
 )
-from spanforge.centers import drinfeld_center, mueger_center
+from spanforge.centers import CenterCategory, drinfeld_center, mueger_center
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -343,3 +343,18 @@ def central_setups():
     for name in ("z2-trivial", "z3-pairing", "klein-pairing"):
         setups[name], _ = phi_fiber_setup(name)
     return setups
+
+
+def test_centralizer_morphism_index_is_built_once_per_check(monkeypatch):
+    built = []
+    index = CenterCategory.morphism_index
+
+    def counting(center):
+        built.append(center)
+        return index(center)
+
+    monkeypatch.setattr(CenterCategory, "morphism_index", counting)
+    for name, setup in central_setups().items():
+        built.clear()
+        central_module_check(setup)
+        assert len(built) == 1, name

@@ -254,6 +254,37 @@ def test_functor_category_budget():
     assert exc.value.estimate == 5 ** 5
 
 
+def test_functor_category_refuses_transformations_as_they_are_found(monkeypatch):
+    """Fun(1, BZ/8) has one functor and eight transformations, all between
+    the same pair; with room for three, the fourth is refused before the
+    rest of the pair is built."""
+    import spanforge.fincat as fincat
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return NatTrans(*args)
+
+    monkeypatch.setattr(fincat, "NatTrans", counting)
+    bz8 = group_as_category(cyclic(8).mult)
+    with pytest.raises(BudgetError) as exc:
+        functor_category(terminal_category(), bz8, Budget(max_morphisms=3))
+    assert len(built) == 4
+    assert (exc.value.estimate, exc.value.limit) == (4, 3)
+
+
+def test_functor_category_budget_refuses_exactly_the_larger_categories():
+    bz2 = group_as_category(cyclic(2).mult)
+    for m, n in ((walking_arrow(), walking_arrow()), (bz2, bz2),
+                 (terminal_category(), group_as_category(cyclic(8).mult)),
+                 (discrete_category(2), chain_category(3))):
+        total = functor_category(m, n).as_category.num_morphisms
+        assert functor_category(m, n, Budget(max_morphisms=total)) \
+            .as_category.num_morphisms == total
+        with pytest.raises(BudgetError):
+            functor_category(m, n, Budget(max_morphisms=total - 1))
+
+
 def test_enumeration_is_deterministic():
     arrow = walking_arrow()
     a = functor_category(arrow, arrow)

@@ -1,5 +1,5 @@
-"""Table identity of every construction built through category_over_product
-and of the functors lifted into them.
+"""Table identity of every construction built through category_over_product,
+of the functors lifted into them, and of the tensor tables of End categories.
 
 Each construction digest is a sha256 of the repr of its apex tables, objects
 and morphisms; each functor digest, of its object map, morphism map,
@@ -23,7 +23,7 @@ from spanforge.centers import (
     monoidal_centralizer,
     monoidal_intertwiner,
 )
-from spanforge.fincat import Functor
+from spanforge.fincat import Functor, chain_category, group_as_category
 from spanforge.groups import (
     cyclic,
     dihedral_4,
@@ -40,7 +40,7 @@ from spanforge.monoidal import (
     make_skeletal_group_category,
     terminal_monoidal,
 )
-from spanforge.spans import build_span, build_two_span
+from spanforge.spans import build_span, build_two_span, end_monoidal
 from test_central import central_setups
 from test_centers import idempotent_monoid_monoidal, toric_z2
 
@@ -308,11 +308,13 @@ def functor_digest(mf) -> str:
 def push_and_pull(setup):
     if isinstance(setup, CentralFunctorSetup):
         z1g = monoidal_centralizer(setup.g)
-        return (_push_center(setup.g, setup.left.center, z1g),
-                _pull_center(setup.g, setup.right.center, z1g))
+        mi = z1g.morphism_index()
+        return (_push_center(setup.g, setup.left.center, z1g, mi),
+                _pull_center(setup.g, setup.right.center, z1g, mi))
     z2g = braided_centralizer(setup.g, setup.left.carrier, setup.right.carrier)
-    return (_subcat_functor(setup.g, setup.left.center, z2g, apply_g=True),
-            _subcat_functor(setup.g, setup.right.center, z2g, apply_g=False))
+    mi = z2g.morphism_index()
+    return (_subcat_functor(setup.g, setup.left.center, z2g, mi, apply_g=True),
+            _subcat_functor(setup.g, setup.right.center, z2g, mi, apply_g=False))
 
 
 def lift_digests() -> dict[str, str]:
@@ -466,3 +468,47 @@ LIFTS_PINNED = {
 
 def test_lifted_functors_match_the_pinned_digests():
     assert lift_digests() == LIFTS_PINNED
+
+
+def end_carriers():
+    """The distinct module carriers of the span corpus, named by the first
+    entry that uses them, then the chain 0 <= 1 <= 2, BZ/3 and the Klein
+    group as a one-object category."""
+    found = {}
+    for name, fd in corpus.span_corpus():
+        for side, md in (("dom", fd.dom), ("cod", fd.cod)):
+            found.setdefault(md.carrier, f"{name}/{side}")
+    carriers = {label: carrier for carrier, label in found.items()}
+    carriers.update({"chain3": chain_category(3),
+                     "bz3": group_as_category(cyclic(3).mult),
+                     "bklein": group_as_category(klein_four().mult)})
+    return carriers
+
+
+# computed with end_monoidal tensoring transformations by whiskering and
+# vertical composition, before it read the components off the carrier
+END_PINNED = {
+    "end/terminal-id/dom":
+        "38a63f463981eaa651b55a58fafa155cbc7b0e7152e750d9f49d4571cc154944",
+    "end/arrow-id/dom":
+        "26ca040e8d017a22b60bb1cfa1cd0c90e9400fa70f2ba77c16c8f5bc79c083cd",
+    "end/disc2-id/dom":
+        "28b5bb39b2fd4c1a3889c5215e537b90407727fc983c90061c6b1fe795fbf0a3",
+    "end/point-into-bz2/cod":
+        "ba91be2ca8169da585b094544c57f636f726e5a0048a097b293bc23efa04dd04",
+    "end/disc3-id/dom":
+        "93b10441debd744d0d90b2279690e689c9d26bf1adebeadb4c2f79d1109af442",
+    "end/idem-id/dom":
+        "2e3b9478fcceef38544ae05e900d08495b1d468b9f026d533c673dd727bab971",
+    "end/chain3":
+        "25eb04701f66e8555e88fc3877d49273a8c24c99a778c5bf5ae7b2c21df47802",
+    "end/bz3":
+        "ae98592cb87b8766c351bc728a2f600f34f7b6396abd715ba900e519ffe969db",
+    "end/bklein":
+        "cede1934f81d2717d8b6ae45d22c7c4239aa637f7de649784a3e905f39e3e851",
+}
+
+
+def test_end_tensor_tables_match_the_pinned_digests():
+    assert {f"end/{label}": digest(end_monoidal(carrier).monoidal)
+            for label, carrier in end_carriers().items()} == END_PINNED
