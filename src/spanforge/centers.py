@@ -4,10 +4,14 @@ Objects here are pairs (carrier, half-braiding): a component family
 x⊗G(y) -> H(y)⊗x that is natural in y and compatible with tensoring via the
 hexagon.  Enumeration goes object by object, pruning by naturality before
 testing hexagons; transparency-style centers are predicate scans instead.
+Both centers are centralizers of the identity functor: the Drinfeld center
+is Z(C) = Z₁(id_C) and the Müger center is Z₂(C) = Z₂(id_C), so each is
+built by the general construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 from .fincat import (
     Budget,
@@ -67,67 +71,84 @@ class CenterCategory:
 # enumeration machinery
 # ---------------------------------------------------------------------------
 
-def _hexagon_holds(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                   x: int, comps, y: int, z: int) -> bool:
-    """Tensor-compatibility of the family comps at the pair (y, z)."""
-    base = ms.base
-    gy, gz = g.on_obj(y), g.on_obj(z)
-    hy, hz = h.on_obj(y), h.on_obj(z)
-    yz = g.source.tensor_obj(y, z)
-    path_a = base.compose_path(
-        ms.alpha(hy, hz, x),
-        ms.tensor_mor(h.gamma_inv(y, z), base.identity[x]),
-        comps[yz],
-        ms.tensor_mor(base.identity[x], g.gamma(y, z)),
-        ms.alpha(x, gy, gz))
-    path_b = base.compose_path(
-        ms.tensor_mor(base.identity[hy], comps[z]),
-        ms.alpha(hy, x, gz),
-        ms.tensor_mor(comps[y], base.identity[gz]))
-    return path_a == path_b
-
-
-def _natural_at(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                x: int, comps, just: int) -> bool:
-    base = ms.base
-    src = g.source.base
-    for u in range(src.num_morphisms):
-        y0, y1 = src.source[u], src.target[u]
-        if just not in (y0, y1) or comps[y0] == -1 or comps[y1] == -1:
-            continue
-        lhs = base.comp[comps[y1]][ms.tensor_mor(base.identity[x], g.on_mor(u))]
-        rhs = base.comp[ms.tensor_mor(h.on_mor(u), base.identity[x])][comps[y0]]
-        if lhs != rhs or lhs == -1:
-            return False
-    return True
-
-
 def enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
                              h: MonFunctor, x: int, lax: bool) -> list[tuple[int, ...]]:
-    """All component families for the carrier x, in lexicographic order."""
+    """All component families x⊗G(y) -> H(y)⊗x for the carrier x, natural
+    in y and satisfying the hexagon, in lexicographic order.
+
+    What the naturality and hexagon conditions read that does not depend on
+    the family is looked up once per carrier: the two tensored morphisms of
+    each naturality square, and the hexagon's α, γ⁻¹⊗1 and 1⊗γ terms at
+    each pair (y, z), these when the first complete family arrives.  A cell of h
+    without an inverse raises, through h.gamma_inv, only when a complete
+    family reaches its pair, and pairs are still tried in (y, z) order.
+    """
     base = ms.base
-    src_objects = g.source.base.num_objects
-    comps = [-1] * src_objects
+    comp, identity, tensor_mor, alpha = base.comp, base.identity, ms.tensor_mor, ms.alpha
+    src = g.source.base
+    n = src.num_objects
+    ident_x = identity[x]
+    # each square is tested once the later of its two ends is chosen
+    squares: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for u in range(src.num_morphisms):
+        y0, y1 = src.source[u], src.target[u]
+        squares[max(y0, y1)].append((y0, y1, tensor_mor(ident_x, g.on_mor(u)),
+                                     tensor_mor(h.on_mor(u), ident_x)))
+    hexagons = []  # filled when the first complete family arrives
+
+    def hexagons_hold(family: tuple[int, ...]) -> bool:
+        if not hexagons:
+            for y, z in product(range(n), repeat=2):
+                gy, gz, hy = g.on_obj(y), g.on_obj(z), h.on_obj(y)
+                cell_inv = base.inverse(h.gamma(y, z))
+                hexagons.append((
+                    y, z, g.source.tensor_obj(y, z), alpha(hy, h.on_obj(z), x),
+                    None if cell_inv is None else tensor_mor(cell_inv, ident_x),
+                    tensor_mor(ident_x, g.gamma(y, z)), alpha(x, gy, gz),
+                    identity[hy], alpha(hy, x, gz), identity[gz]))
+        for y, z, yz, a_out, cell, gamma_x, a_in, id_hy, a_mid, id_gz in hexagons:
+            if cell is None:
+                h.gamma_inv(y, z)  # raises: the cell is not invertible
+            path_a = base.compose_path(a_out, cell, family[yz], gamma_x, a_in)
+            path_b = base.compose_path(tensor_mor(id_hy, family[z]), a_mid,
+                                       tensor_mor(family[y], id_gz))
+            if path_a != path_b:
+                return False
+        return True
+
+    comps = [-1] * n
     found: list[tuple[int, ...]] = []
 
     def backtrack(y: int) -> None:
-        if y == src_objects:
+        if y == n:
             family = tuple(comps)
-            if all(_hexagon_holds(ms, g, h, x, family, a, b)
-                   for a in range(src_objects) for b in range(src_objects)):
+            if hexagons_hold(family):
                 found.append(family)
             return
         src_obj = ms.tensor_obj(x, g.on_obj(y))
         tgt_obj = ms.tensor_obj(h.on_obj(y), x)
-        candidates = base.hom(src_obj, tgt_obj) if lax else base.isos(src_obj, tgt_obj)
-        for c in candidates:
+        for c in base.hom(src_obj, tgt_obj) if lax else base.isos(src_obj, tgt_obj):
             comps[y] = c
-            if _natural_at(ms, g, h, x, comps, y):
+            if all(comp[comps[y1]][left] == comp[right][comps[y0]] != -1
+                   for y0, y1, left, right in squares[y]):
                 backtrack(y + 1)
             comps[y] = -1
 
     backtrack(0)
     return found
+
+
+def _half_braided_objects(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
+                          lax: bool, budget: Budget,
+                          what: str) -> list[HalfBraidedObject]:
+    """Every half-braided object, carrier by carrier; the budget sees the
+    running count after each carrier."""
+    objects: list[HalfBraidedObject] = []
+    for x in range(ms.base.num_objects):
+        objects.extend(HalfBraidedObject(x, comps, lax)
+                       for comps in enumerate_half_braidings(ms, g, h, x, lax))
+        budget.check_objects(len(objects), what)
+    return objects
 
 
 def _is_center_morphism(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
@@ -160,22 +181,22 @@ def _half_braided_category(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
     return cat, forgetful, index
 
 
-def _pasted_half_braiding(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                          left: HalfBraidedObject,
+def _pasted_half_braiding(ms: MonoidalStructure, g: MonFunctor, k: MonFunctor,
+                          h: MonFunctor, left: HalfBraidedObject,
                           right: HalfBraidedObject) -> tuple[int, ...]:
-    """Half-braiding of left.carrier ⊗ right.carrier: slide G(y) through the
-    right factor first, then through the left."""
+    """Half-braiding left.carrier⊗right.carrier ⊗ G(y) -> H(y) ⊗ that tensor,
+    pasted from left: x⊗K(y) -> H(y)⊗x and right: w⊗G(y) -> K(y)⊗w by
+    sliding G(y) through the right factor first, then through the left."""
     base = ms.base
     x, w = left.carrier, right.carrier
     comps = []
     for y in range(g.source.base.num_objects):
-        gy, hy = g.on_obj(y), h.on_obj(y)
         comps.append(base.compose_path(
-            ms.alpha(hy, x, w),
+            ms.alpha(h.on_obj(y), x, w),
             ms.tensor_mor(left.components[y], base.identity[w]),
-            ms.alpha_inv(x, gy, w),
+            ms.alpha_inv(x, k.on_obj(y), w),
             ms.tensor_mor(base.identity[x], right.components[y]),
-            ms.alpha(x, w, gy)))
+            ms.alpha(x, w, g.on_obj(y))))
     return tuple(comps)
 
 
@@ -200,7 +221,7 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
 
     def tensor_obj(i: int, j: int) -> int:
         key = (ms.tensor_obj(objects[i].carrier, objects[j].carrier),
-               _pasted_half_braiding(ms, g, g, objects[i], objects[j]))
+               _pasted_half_braiding(ms, g, g, g, objects[i], objects[j]))
         if key not in obj_index:
             raise StructureError(
                 f"half-braided objects are not closed under tensor at ({i}, {j})")
@@ -235,111 +256,57 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
 # the centers
 # ---------------------------------------------------------------------------
 
+def _centralizer(g: MonFunctor, budget: Budget, what: str):
+    """The monoidal centralizer of g, with its morphism index."""
+    ms = g.target
+    objects = _half_braided_objects(ms, g, g, False, budget, what)
+    cat, forgetful, mor_index = _half_braided_category(
+        ms, g, g, objects, budget, what)
+    monoidal = _centralizer_monoidal(ms, g, objects, cat, forgetful, mor_index)
+    return (CenterCategory(ms, tuple(objects), cat, forgetful, monoidal, None),
+            mor_index)
+
+
 def drinfeld_center(ms: MonoidalStructure,
                     budget: Budget = DEFAULT_BUDGET) -> CenterCategory:
     """All (object, invertible half-braiding) pairs, with the braiding whose
-    component at ((x, bx), (y, by)) is bx at y."""
-    base = ms.base
-    ident = identity_mon_functor(ms)
-    objects: list[HalfBraidedObject] = []
-    for x in range(base.num_objects):
-        comps_list = _enumerate_plain_half_braidings(ms, x)
-        for comps in comps_list:
-            objects.append(HalfBraidedObject(x, comps, lax=False))
-        budget.check_objects(len(objects), "drinfeld center")
-    cat, forgetful, mor_index = _half_braided_category(
-        ms, ident, ident, objects, budget, "drinfeld center")
-    monoidal = _centralizer_monoidal(ms, ident, objects, cat, forgetful, mor_index)
-    n = cat.num_objects
+    component at ((x, bx), (y, by)) is bx at y.
+
+    Z(C) = Z₁(id_C) (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories,
+    2015), so this is the monoidal centralizer of the identity functor.
+    Over a lawful ms the identity functor's cells are identities and 1⊗1 = 1,
+    so its naturality and hexagon conditions are, term by term, the plain
+    ones x⊗y -> y⊗x; the CLI law-checks ms before it gets here.
+    """
+    center, mor_index = _centralizer(identity_mon_functor(ms), budget,
+                                     "drinfeld center")
+    objects, monoidal = center.objects_data, center.monoidal
+    n = center.as_category.num_objects
     beta = []
     for i in range(n):
         for j in range(n):
-            src = monoidal.tensor_obj(i, j)
-            tgt = monoidal.tensor_obj(j, i)
-            key = (src, tgt, objects[i].components[objects[j].carrier])
+            key = (monoidal.tensor_obj(i, j), monoidal.tensor_obj(j, i),
+                   objects[i].components[objects[j].carrier])
             if key not in mor_index:
                 raise StructureError("half-braiding component is not a center morphism")
             beta.append(mor_index[key])
-    braiding = Braiding(monoidal, tuple(beta))
-    return CenterCategory(ms, tuple(objects), cat, forgetful, monoidal, braiding)
-
-
-def _enumerate_plain_half_braidings(ms: MonoidalStructure, x: int) -> list[tuple[int, ...]]:
-    """Invertible families x⊗y -> y⊗x, written without functor twists."""
-    base = ms.base
-    n = base.num_objects
-    comps = [-1] * n
-    found: list[tuple[int, ...]] = []
-
-    def natural(just: int) -> bool:
-        for u in range(base.num_morphisms):
-            y0, y1 = base.source[u], base.target[u]
-            if just not in (y0, y1) or comps[y0] == -1 or comps[y1] == -1:
-                continue
-            lhs = base.comp[comps[y1]][ms.tensor_mor(base.identity[x], u)]
-            rhs = base.comp[ms.tensor_mor(u, base.identity[x])][comps[y0]]
-            if lhs != rhs or lhs == -1:
-                return False
-        return True
-
-    def hexagon(family, y: int, z: int) -> bool:
-        lhs = base.compose_path(
-            ms.alpha(y, z, x),
-            family[ms.tensor_obj(y, z)],
-            ms.alpha(x, y, z))
-        rhs = base.compose_path(
-            ms.tensor_mor(base.identity[y], family[z]),
-            ms.alpha(y, x, z),
-            ms.tensor_mor(family[y], base.identity[z]))
-        return lhs == rhs
-
-    def backtrack(y: int) -> None:
-        if y == n:
-            family = tuple(comps)
-            if all(hexagon(family, a, b) for a in range(n) for b in range(n)):
-                found.append(family)
-            return
-        for c in base.isos(ms.tensor_obj(x, y), ms.tensor_obj(y, x)):
-            comps[y] = c
-            if natural(y):
-                backtrack(y + 1)
-            comps[y] = -1
-
-    backtrack(0)
-    return found
+    return replace(center, braiding=Braiding(monoidal, tuple(beta)))
 
 
 def monoidal_centralizer(g: MonFunctor,
                          budget: Budget = DEFAULT_BUDGET) -> CenterCategory:
     """Objects of the target with invertible half-braidings against the image of g."""
-    ms = g.target
-    objects: list[HalfBraidedObject] = []
-    for x in range(ms.base.num_objects):
-        for comps in enumerate_half_braidings(ms, g, g, x, lax=False):
-            objects.append(HalfBraidedObject(x, comps, lax=False))
-        budget.check_objects(len(objects), "monoidal centralizer")
-    cat, forgetful, mor_index = _half_braided_category(
-        ms, g, g, objects, budget, "monoidal centralizer")
-    monoidal = _centralizer_monoidal(ms, g, objects, cat, forgetful, mor_index)
-    return CenterCategory(ms, tuple(objects), cat, forgetful, monoidal, None)
+    return _centralizer(g, budget, "monoidal centralizer")[0]
 
 
 def mueger_center(b: Braiding) -> CenterCategory:
-    """Full subcategory of objects with identity double braiding against everything."""
-    ms = b.on
-    base = ms.base
-    n = base.num_objects
-    transparent = tuple(
-        x for x in range(n)
-        if all(base.comp[b.at(y, x)][b.at(x, y)] == base.identity[ms.tensor_obj(x, y)]
-               for y in range(n)))
-    restricted, inclusion = restrict_monoidal(ms, transparent)
-    sub_braiding = restrict_braiding(b, restricted, inclusion)
-    objects = tuple(HalfBraidedObject(x, tuple(b.at(x, y) for y in range(n)),
-                                      lax=False)
-                    for x in transparent)
-    return CenterCategory(ms, objects, restricted.base, inclusion,
-                          restricted, sub_braiding)
+    """Full subcategory of objects with identity double braiding against everything.
+
+    Z₂(C) = Z₂(id_C) (Müger, "On the structure of modular categories",
+    Proc. LMS 2003): the braided centralizer of the identity functor, whose
+    transparency test at (x, y) is c(y, x)∘c(x, y) = 1 on any braiding table.
+    """
+    return braided_centralizer(identity_mon_functor(b.on), b, b)
 
 
 def braided_centralizer(g: MonFunctor, b_source: Braiding,
@@ -389,76 +356,35 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
     if g.source != h.source or g.target != h.target:
         raise StructureError("intertwiner needs functors with shared source and target")
     ms = g.target
-    objects: list[HalfBraidedObject] = []
-    for x in range(ms.base.num_objects):
-        for comps in enumerate_half_braidings(ms, g, h, x, lax=True):
-            objects.append(HalfBraidedObject(x, comps, lax=True))
-        budget.check_objects(len(objects), "monoidal intertwiner")
+    objects = _half_braided_objects(ms, g, h, True, budget, "monoidal intertwiner")
     cat, forgetful, mor_index = _half_braided_category(
         ms, g, h, objects, budget, "monoidal intertwiner")
     obj_index = {(o.carrier, o.components): i for i, o in enumerate(objects)}
     z1g = monoidal_centralizer(g, budget)
     z1h = monoidal_centralizer(h, budget)
+    intertwiner = CenterCategory(ms, tuple(objects), cat, forgetful, None, None)
 
-    def action(center: CenterCategory, on_left: bool) -> Functor:
-        if on_left:
-            square = product_category(center.as_category, cat, budget)
-            first, second = center.forgetful, forgetful
-        else:
-            square = product_category(cat, center.as_category, budget)
-            first, second = forgetful, center.forgetful
+    def action(left: CenterCategory, right: CenterCategory,
+               k: MonFunctor) -> Functor:
+        """Tensor on left × right, k the functor the two factors meet at."""
+        square = product_category(left.as_category, right.as_category, budget)
+        # product object and morphism ids are row-major pairs
         obj_map = []
-        for p in range(square.category.num_objects):
-            i, j = square.object_factors(p)
-            if on_left:
-                v, x = center.objects_data[i], objects[j]
-                pasted = _mixed_pasting(ms, g, h, x, left=v)
-                carrier = ms.tensor_obj(v.carrier, x.carrier)
-            else:
-                x, w = objects[i], center.objects_data[j]
-                pasted = _mixed_pasting(ms, g, h, x, right=w)
-                carrier = ms.tensor_obj(x.carrier, w.carrier)
-            key = (carrier, pasted)
-            if key not in obj_index:
-                raise StructureError("action left the intertwiner")
-            obj_map.append(obj_index[key])
-        # product morphism ids are row-major pairs (a, b)
-        arrows = ((ms.tensor_mor(a, b),) for a in first.morphism_map
-                  for b in second.morphism_map)
+        for v in left.objects_data:
+            for w in right.objects_data:
+                key = (ms.tensor_obj(v.carrier, w.carrier),
+                       _pasted_half_braiding(ms, g, k, h, v, w))
+                if key not in obj_index:
+                    raise StructureError("action left the intertwiner")
+                obj_map.append(obj_index[key])
+        arrows = ((ms.tensor_mor(a, b),) for a in left.forgetful.morphism_map
+                  for b in right.forgetful.morphism_map)
         return lift_functor(square.category, cat, mor_index, obj_map, arrows,
                             "intertwiner action")
 
     return IntertwinerResult(g, h, tuple(objects), cat, forgetful,
-                             z1h, z1g, action(z1h, on_left=True),
-                             action(z1g, on_left=False))
-
-
-def _mixed_pasting(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                   x: HalfBraidedObject, left: HalfBraidedObject | None = None,
-                   right: HalfBraidedObject | None = None) -> tuple[int, ...]:
-    """Pasted lax half-braiding for v⊗x (left action by the h-centralizer) or
-    x⊗w (right action by the g-centralizer)."""
-    base = ms.base
-    comps = []
-    for y in range(g.source.base.num_objects):
-        gy, hy = g.on_obj(y), h.on_obj(y)
-        if left is not None:
-            v = left.carrier
-            comps.append(base.compose_path(
-                ms.alpha(hy, v, x.carrier),
-                ms.tensor_mor(left.components[y], base.identity[x.carrier]),
-                ms.alpha_inv(v, hy, x.carrier),
-                ms.tensor_mor(base.identity[v], x.components[y]),
-                ms.alpha(v, x.carrier, gy)))
-        else:
-            w = right.carrier
-            comps.append(base.compose_path(
-                ms.alpha(hy, x.carrier, w),
-                ms.tensor_mor(x.components[y], base.identity[w]),
-                ms.alpha_inv(x.carrier, gy, w),
-                ms.tensor_mor(base.identity[x.carrier], right.components[y]),
-                ms.alpha(x.carrier, w, gy)))
-    return tuple(comps)
+                             z1h, z1g, action(z1h, intertwiner, h),
+                             action(intertwiner, z1g, g))
 
 
 def check_intertwiner_actions(result: IntertwinerResult,
@@ -466,77 +392,54 @@ def check_intertwiner_actions(result: IntertwinerResult,
     """Associativity and unitality of the two actions, up to the ambient
     associator and unitors realized as intertwiner morphisms."""
     rb = ReportBuilder("intertwiner_actions", cap)
-    ms = result.g.target
-    base = ms.base
-    g, h = result.g, result.h
-    objects = result.objects_data
-    mor_index = {(result.as_category.source[k], result.as_category.target[k],
-                  result.forgetful.morphism_map[k]): k
-                 for k in range(result.as_category.num_morphisms)}
-    obj_index = {(o.carrier, o.components): i for i, o in enumerate(objects)}
-    right = result.right_center
-    left = result.left_center
-
-    def right_act(i: int, j: int) -> int:
-        key = (ms.tensor_obj(objects[i].carrier, right.objects_data[j].carrier),
-               _mixed_pasting(ms, g, h, objects[i], right=right.objects_data[j]))
-        return obj_index[key]
+    ms, cat = result.g.target, result.as_category
+    mor_index = {(cat.source[k], cat.target[k], result.forgetful.morphism_map[k]): k
+                 for k in range(cat.num_morphisms)}
+    left, right = result.left_center, result.right_center
+    vs, xs, ws = ([o.carrier for o in data] for data in (
+        left.objects_data, result.objects_data, right.objects_data))
+    # the action functors' object maps, on row-major pair ids
+    left_map, right_map = result.left_action.object_map, result.right_action.object_map
 
     def left_act(j: int, i: int) -> int:
-        key = (ms.tensor_obj(left.objects_data[j].carrier, objects[i].carrier),
-               _mixed_pasting(ms, g, h, objects[i], left=left.objects_data[j]))
-        return obj_index[key]
+        return left_map[j * len(xs) + i]
 
-    right_monoidal = right.monoidal
-    for i in range(len(objects)):
-        for j in range(len(right.objects_data)):
-            for k in range(len(right.objects_data)):
-                src = right_act(right_act(i, j), k)
-                tgt = right_act(i, right_monoidal.tensor_obj(j, k))
-                alpha = ms.alpha(objects[i].carrier,
-                                 right.objects_data[j].carrier,
-                                 right.objects_data[k].carrier)
-                if (src, tgt, alpha) not in mor_index:
-                    rb.add("right-action-associativity", (i, j, k),
-                           "associator is not an intertwiner morphism")
-                if rb.full:
-                    return rb.report()
-        unit = right_monoidal.unit
-        if (right_act(i, unit), i, ms.right_unitor[objects[i].carrier]) not in mor_index:
+    def right_act(i: int, j: int) -> int:
+        return right_map[i * len(ws) + j]
+
+    for i, x in enumerate(xs):
+        for j, k in product(range(len(ws)), repeat=2):
+            src = right_act(right_act(i, j), k)
+            tgt = right_act(i, right.monoidal.tensor_obj(j, k))
+            if (src, tgt, ms.alpha(x, ws[j], ws[k])) not in mor_index:
+                rb.add("right-action-associativity", (i, j, k),
+                       "associator is not an intertwiner morphism")
+            if rb.full:
+                return rb.report()
+        if (right_act(i, right.monoidal.unit), i, ms.right_unitor[x]) not in mor_index:
             rb.add("right-action-unit", (i,),
                    "right unitor is not an intertwiner morphism")
-    left_monoidal = left.monoidal
-    for i in range(len(objects)):
-        for j in range(len(left.objects_data)):
-            for k in range(len(left.objects_data)):
-                src = left_act(left_monoidal.tensor_obj(j, k), i)
-                tgt = left_act(j, left_act(k, i))
-                alpha = ms.alpha(left.objects_data[j].carrier,
-                                 left.objects_data[k].carrier,
-                                 objects[i].carrier)
-                if (src, tgt, alpha) not in mor_index:
-                    rb.add("left-action-associativity", (j, k, i),
-                           "associator is not an intertwiner morphism")
-                if rb.full:
-                    return rb.report()
-        unit = left_monoidal.unit
-        if (left_act(unit, i), i, ms.left_unitor[objects[i].carrier]) not in mor_index:
+    for i, x in enumerate(xs):
+        for j, k in product(range(len(vs)), repeat=2):
+            src = left_act(left.monoidal.tensor_obj(j, k), i)
+            tgt = left_act(j, left_act(k, i))
+            if (src, tgt, ms.alpha(vs[j], vs[k], x)) not in mor_index:
+                rb.add("left-action-associativity", (j, k, i),
+                       "associator is not an intertwiner morphism")
+            if rb.full:
+                return rb.report()
+        if (left_act(left.monoidal.unit, i), i, ms.left_unitor[x]) not in mor_index:
             rb.add("left-action-unit", (i,),
                    "left unitor is not an intertwiner morphism")
     # the two actions commute up to the ambient associator
-    for j in range(len(left.objects_data)):
-        for i in range(len(objects)):
-            for k in range(len(right.objects_data)):
-                src = right_act(left_act(j, i), k)
-                tgt = left_act(j, right_act(i, k))
-                alpha = ms.alpha(left.objects_data[j].carrier,
-                                 objects[i].carrier,
-                                 right.objects_data[k].carrier)
-                if (src, tgt, alpha) not in mor_index:
-                    rb.add("action-compatibility", (j, i, k),
-                           "associator does not interchange the actions")
-                if rb.full:
-                    return rb.report()
+    for j, i, k in product(range(len(vs)), range(len(xs)), range(len(ws))):
+        src = right_act(left_act(j, i), k)
+        tgt = left_act(j, right_act(i, k))
+        if (src, tgt, ms.alpha(vs[j], xs[i], ws[k])) not in mor_index:
+            rb.add("action-compatibility", (j, i, k),
+                   "associator does not interchange the actions")
+        if rb.full:
+            return rb.report()
     return rb.report()
 
 

@@ -160,6 +160,19 @@ class CentralCheckResult:
     phi_matches_common: bool | None = None
 
 
+def _check_lengths(setup) -> None:
+    """One comparison per base object in psi_g and psi_h, and one phi
+    component per object of the candidates' source."""
+    acting = setup.left.base.on.base.num_objects
+    if len(setup.psi_g) != acting or (
+            setup.psi_h is not None and len(setup.psi_h) != acting):
+        raise StructureError("one comparison per base object is required")
+    if setup.phi is not None and len(setup.phi.underlying.components) \
+            != setup.g.source.base.num_objects:
+        raise StructureError(
+            "phi needs one component per object of the candidates' source")
+
+
 # law and detail by the witness of lift_mon_functor's MediationError
 _INDUCED_MISSES = {1: ("induced-morphism", "pair is not a fiber morphism"),
                    2: ("induced-mult", "pair cell is not a fiber morphism"),
@@ -199,6 +212,7 @@ def central_monoidal_check(setup: CentralFunctorSetup,
         raise StructureError("central modules live over different bases")
     if setup.g.source != left.carrier or setup.g.target != right.carrier:
         raise StructureError("candidate functor does not match the carriers")
+    _check_lengths(setup)
     z1g = monoidal_centralizer(setup.g, budget)
     mi = z1g.morphism_index()
     g_push = _push_center(setup.g, left.center, z1g, mi)
@@ -215,8 +229,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
         rb.add("fiber-braiding-" + v.law, v.witness, v.detail)
 
     acting = left.base.on.base
-    if len(setup.psi_g) != acting.num_objects:
-        raise StructureError("one comparison per base object is required")
     psi_ids = []
     complete = True
     for x in range(acting.num_objects):
@@ -420,6 +432,7 @@ def central_braided_check(setup: CentralBraidedSetup,
     left, right = setup.left, setup.right
     if left.base != right.base:
         raise StructureError("central modules live over different bases")
+    _check_lengths(setup)
     sub = check_braided_functor(setup.g, left.carrier, right.carrier)
     for v in sub.violations:
         rb.add("candidate-" + v.law, v.witness, v.detail)

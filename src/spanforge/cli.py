@@ -174,6 +174,13 @@ def _ends_lawful(out: Outcome, subject: str, mf) -> bool:
     return out.check(f"{subject}-target", check_monoidal(mf.target)) and ok
 
 
+def _braiding_lawful(out: Outcome, subject: str, b) -> bool:
+    """Law-check a braiding input and, first, the monoidal structure under
+    it, as the subjects subject-monoidal and subject."""
+    return out.check(f"{subject}-monoidal", check_monoidal(b.on)) \
+        and out.check(subject, check_braiding(b))
+
+
 def _cmd_validate(args, budget, out: Outcome) -> None:
     checked = []
     for path in args.files:
@@ -464,6 +471,9 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
         g = decode_mon_functor(_load(files[3], "mon_functor").payload)
         psi_g = tuple(decode_nat_trans(_load(files[4], "nat_trans").payload)
                       .components)
+        ok = _braiding_lawful(out, "base", base)
+        if not _ends_lawful(out, "candidate", g) or not ok:
+            return
         left = _central_module_from(base, g.source, action_a, budget, out,
                                     "action-left")
         right = _central_module_from(base, g.target, action_b, budget, out,
@@ -493,6 +503,12 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
         g = decode_mon_functor(_load(files[5], "mon_functor").payload)
         psi_g = tuple(decode_nat_trans(_load(files[6], "nat_trans").payload)
                       .components)
+        ok = True
+        for subject, b in (("base", base), ("carrier-left", carrier_a),
+                           ("carrier-right", carrier_b)):
+            ok = _braiding_lawful(out, subject, b) and ok
+        if not ok:
+            return
         left = _central_braided_from(base, carrier_a, action_a, out,
                                      "action-left")
         right = _central_braided_from(base, carrier_b, action_b, out,

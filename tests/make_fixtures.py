@@ -233,6 +233,25 @@ def main() -> None:
                        (disc_z2.base.identity[0], disc_z2.base.identity[0]))
     write("disc_z2_psi_bad.json", "nat_trans", encode_nat_trans(bad_psi))
 
+    # central-check z1 fixture pieces: the grading setup of test_central,
+    # whose base braiding and identity candidate are discrete_z2_braiding.json
+    # and toric_identity_mon_functor.json; the action's target is the
+    # Drinfeld center of toric Z/2
+    from test_central import grading_setup
+    grading = grading_setup()
+    write("toric_z2_grading_action.json", "mon_functor",
+          encode_mon_functor(grading.left.action))
+    on_carriers = tuple(grading.left.center.objects_data[i].carrier
+                        for i in grading.left.action.underlying.object_map)
+    carriers = Functor(disc_z2.base, toric.base, on_carriers,
+                       tuple(toric.base.identity[c] for c in on_carriers))
+    write("toric_z2_psi.json", "nat_trans",
+          encode_nat_trans(NatTrans(carriers, carriers, grading.psi_g)))
+    # the sign scalar on the unit breaks the induced multiplicativity cells
+    write("toric_z2_psi_bad.json", "nat_trans",
+          encode_nat_trans(NatTrans(carriers, carriers,
+                                    (1, toric.base.identity[1]))))
+
     print(f"wrote {len(list(DATA.glob('*.json')))} fixtures to {DATA}")
 
 

@@ -25,6 +25,7 @@ from spanforge.centers import (
     check_hpt_conditions,
     check_intertwiner_actions,
     drinfeld_center,
+    enumerate_half_braidings,
     monoidal_centralizer,
     monoidal_intertwiner,
     mueger_center,
@@ -57,6 +58,32 @@ def identity_braiding(ms):
     n = ms.base.num_objects
     return Braiding(ms, tuple(ms.base.identity[ms.tensor_obj(x, y)]
                               for x in range(n) for y in range(n)))
+
+
+def idempotent_monoid_monoidal():
+    """One object, endomorphisms {1, e} with e∘e = e, tensor by multiplication."""
+    from spanforge.monoidal import tabulate_monoidal
+    base = FinCategory(1, (0, 0), (0, 0), (0,), ((0, 1), (1, 1)))
+    ms = tabulate_monoidal(base, 0, lambda x, y: 0,
+                           lambda f, g, s, t: base.comp[f][g])
+    assert check_monoidal(ms).ok
+    return ms
+
+
+def monoidal_cases():
+    """The ambient categories of the center, centralizer and intertwiner tests."""
+    twist = tuple(tuple(tuple(1 if (x, y, z) == (1, 1, 1) else 0
+                              for z in range(2)) for y in range(2))
+                  for x in range(2))
+    cases = [(f"discrete-{name}", make_discrete_group_category(group))
+             for name, group in (("z2", cyclic(2)), ("z3", cyclic(3)),
+                                 ("z4", cyclic(4)), ("klein", klein_four()),
+                                 ("s3", symmetric_3()), ("d4", dihedral_4()),
+                                 ("q8", quaternion_8()))]
+    cases += [("terminal", terminal_monoidal()), ("toric-z2", toric_z2()),
+              ("twisted-z2", make_skeletal_group_category(Z2, Z2, twist)),
+              ("idempotent", idempotent_monoid_monoidal())]
+    return dict(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +140,26 @@ def test_center_of_twisted_z2():
     assert check_braiding(center.braiding).ok
 
 
-def test_center_enumeration_matches_oracle_per_object():
-    ms = toric_z2()
-    for x in range(2):
-        from spanforge.centers import _enumerate_plain_half_braidings
-        assert _enumerate_plain_half_braidings(ms, x) == \
+@pytest.mark.parametrize("name", list(monoidal_cases()))
+def test_center_enumeration_matches_oracle_per_object(name):
+    ms = monoidal_cases()[name]
+    ident = identity_mon_functor(ms)
+    for x in range(ms.base.num_objects):
+        assert enumerate_half_braidings(ms, ident, ident, x, lax=False) == \
             brute_force_half_braidings(ms, x)
+
+
+def test_center_budgets_keep_their_labels():
+    # toric Z/2 has two half-braidings on each carrier; the budget sees the
+    # running object count after each carrier
+    ident = identity_mon_functor(toric_z2())
+    for build, label in ((lambda b: drinfeld_center(toric_z2(), b),
+                          "drinfeld center (objects)"),
+                         (lambda b: monoidal_centralizer(ident, b),
+                          "monoidal centralizer (objects)")):
+        with pytest.raises(BudgetError) as info:
+            build(Budget(max_objects=1))
+        assert (info.value.what, info.value.estimate) == (label, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +264,6 @@ def test_intertwiner_of_identities_on_discrete_matches_center():
     assert check_functor(result.left_action).ok
     assert check_functor(result.right_action).ok
     assert check_intertwiner_actions(result).ok
-
-
-def idempotent_monoid_monoidal():
-    """One object, endomorphisms {1, e} with e∘e = e, tensor by multiplication."""
-    from spanforge.monoidal import tabulate_monoidal
-    base = FinCategory(1, (0, 0), (0, 0), (0,), ((0, 1), (1, 1)))
-    ms = tabulate_monoidal(base, 0, lambda x, y: 0,
-                           lambda f, g, s, t: base.comp[f][g])
-    assert check_monoidal(ms).ok
-    return ms
 
 
 def test_lax_intertwiner_strictly_contains_invertible_part():

@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 from spanforge.cli import main
-from spanforge.docs import parse
+from spanforge.docs import Document, encode_nat_trans, parse, serialize
+from spanforge.fincat import identity_functor, identity_nat_trans, terminal_category
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -245,6 +246,95 @@ def test_central_check_z2_cli(capsys):
     summary = parse(out).payload["summary"]
     assert summary["fiber_objects"] == 2
     assert summary["induced_exists"] is True
+
+
+# base braiding, two actions, the candidate and psi over the grading module
+# of test_central, whose action lands in the Drinfeld center of toric Z/2
+CENTRAL_Z1 = ["discrete_z2_braiding.json", "toric_z2_grading_action.json",
+              "toric_z2_grading_action.json", "toric_identity_mon_functor.json",
+              "toric_z2_psi.json"]
+# base braiding, two carrier braidings, two actions, the candidate and psi
+CENTRAL_Z2 = ["discrete_z2_braiding.json", "discrete_z2_braiding.json",
+              "discrete_z2_braiding.json", "disc_z2_mueger_action.json",
+              "disc_z2_mueger_action.json", "disc_z2_identity_mon_functor.json",
+              "disc_z2_psi.json"]
+
+
+@pytest.mark.parametrize("psi, code, laws", [
+    ("toric_z2_psi.json", 0, []),
+    ("toric_z2_psi_bad.json", 1, ["induced-mult"]),
+])
+def test_central_check_z1_cli(capsys, psi, code, laws):
+    got, out, _ = run(capsys, "--report", "structured", "central-check", "z1",
+                      *map(data, CENTRAL_Z1[:4] + [psi]))
+    assert got == code
+    payload = parse(out).payload
+    assert [v["law"] for v in payload["violations"]] == laws
+    assert payload["summary"]["fiber_objects"] == 8
+    assert payload["summary"]["induced_exists"] is (code == 0)
+
+
+def _drop_first_composite(tree, *path):
+    for key in path:
+        tree = tree[key]
+    del tree["base"]["composition"][0]
+
+
+def _misdirect_first_braiding(tree):
+    # the component at (0, 1) becomes the identity of the unit: wrong endpoints
+    tree["components"][0][1] = 0
+
+
+@pytest.mark.parametrize("variant, position, mutate, subject", [
+    ("z1", 0, lambda t: _drop_first_composite(t, "monoidal"), "base-monoidal"),
+    ("z1", 0, _misdirect_first_braiding, "base"),
+    ("z1", 3, lambda t: _drop_first_composite(t, "source"), "candidate-source"),
+    ("z1", 3, lambda t: _drop_first_composite(t, "target"), "candidate-target"),
+    ("z2", 0, lambda t: _drop_first_composite(t, "monoidal"), "base-monoidal"),
+    ("z2", 1, _misdirect_first_braiding, "carrier-left"),
+    ("z2", 2, lambda t: _drop_first_composite(t, "monoidal"),
+     "carrier-right-monoidal"),
+    ("z2", 2, _misdirect_first_braiding, "carrier-right"),
+])
+def test_central_check_law_checks_its_inputs_first(capsys, tmp_path, variant,
+                                                   position, mutate, subject):
+    # a lawless input is reported under its own subject before any center
+    # is built from it
+    files = [data(name) for name in
+             (CENTRAL_Z1 if variant == "z1" else CENTRAL_Z2)]
+    tree = json.loads(files[position].read_text())
+    mutate(tree["payload"])
+    files[position] = tmp_path / "mutant.json"
+    files[position].write_text(json.dumps(tree))
+    code, out, _ = run(capsys, "--report", "structured", "central-check",
+                       variant, *files)
+    assert code == 1
+    subjects = {v["subject"] for v in parse(out).payload["violations"]}
+    assert subjects == {subject}
+
+
+@pytest.mark.parametrize("variant, short", [
+    ("z2", "psi"), ("z1", "psi_h"), ("z2", "psi_h"), ("z1", "phi"),
+    ("z2", "phi"),
+])
+def test_central_check_rejects_short_comparisons(capsys, tmp_path, variant,
+                                                 short):
+    # psi and psi_h need one component per base object, phi one per object
+    # of the candidates' source; a one-component nat_trans has too few
+    files = [data(name) for name in
+             (CENTRAL_Z1 if variant == "z1" else CENTRAL_Z2)]
+    # the second candidate is the first, phi the identity transformation
+    files += files[-2:] + [files[-1]]
+    position = {"psi": len(files) - 4, "psi_h": -2, "phi": -1}[short]
+    files[position] = tmp_path / "short.json"
+    files[position].write_text(serialize(Document("nat_trans", encode_nat_trans(
+        identity_nat_trans(identity_functor(terminal_category()))))))
+    if short == "psi":
+        files = files[:-3]
+    code, out, err = run(capsys, "central-check", variant, *files)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

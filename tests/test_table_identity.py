@@ -22,48 +22,37 @@ from spanforge.centers import (
     drinfeld_center,
     monoidal_centralizer,
     monoidal_intertwiner,
+    mueger_center,
 )
 from spanforge.fincat import Functor, chain_category, group_as_category
-from spanforge.groups import (
-    cyclic,
-    dihedral_4,
-    klein_four,
-    quaternion_8,
-    symmetric_3,
-)
+from spanforge.groups import cyclic, klein_four
 from spanforge.laxators import laxator
 from spanforge.limits import FORWARD, REVERSE, comma
 from spanforge.monoidal import (
     MonFunctor,
     identity_mon_functor,
-    make_discrete_group_category,
-    make_skeletal_group_category,
     terminal_monoidal,
 )
 from spanforge.spans import build_span, build_two_span, end_monoidal
-from test_central import central_setups
-from test_centers import idempotent_monoid_monoidal, toric_z2
+from test_central import central_setups, phi_fiber_setup
+from test_centers import identity_braiding, monoidal_cases
 
 
 def digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def monoidal_cases():
-    """The ambient categories of the center, centralizer and intertwiner tests."""
-    z2 = cyclic(2)
-    twist = tuple(tuple(tuple(1 if (x, y, z) == (1, 1, 1) else 0
-                              for z in range(2)) for y in range(2))
-                  for x in range(2))
-    cases = [(f"discrete-{name}", make_discrete_group_category(group))
-             for name, group in (("z2", cyclic(2)), ("z3", cyclic(3)),
-                                 ("z4", cyclic(4)), ("klein", klein_four()),
-                                 ("s3", symmetric_3()), ("d4", dihedral_4()),
-                                 ("q8", quaternion_8()))]
-    cases += [("terminal", terminal_monoidal()), ("toric-z2", toric_z2()),
-              ("twisted-z2", make_skeletal_group_category(z2, z2, twist)),
-              ("idempotent", idempotent_monoid_monoidal())]
-    return dict(cases)
+def braiding_cases():
+    """The braidings of the Müger center and braided centralizer tests:
+    identity braidings on abelian discrete groups and the terminal category,
+    then the bicharacter braidings of the phi-fiber setups."""
+    cases = monoidal_cases()
+    out = {f"identity-{name}": identity_braiding(cases[name])
+           for name in ("discrete-z2", "discrete-z3", "discrete-z4",
+                        "discrete-klein", "terminal")}
+    for name in ("z2-trivial", "z3-pairing", "klein-pairing"):
+        _, out[name] = phi_fiber_setup(name)
+    return out
 
 
 def center_digest(center) -> str:
@@ -103,6 +92,10 @@ def table_digests() -> dict[str, str]:
         out[f"intertwiner/{name}"] = digest(
             result.as_category, result.objects_data,
             result.forgetful.morphism_map, result.left_action, result.right_action)
+    for name, b in braiding_cases().items():
+        out[f"mueger/{name}"] = center_digest(mueger_center(b))
+        out[f"braided-centralizer/{name}"] = center_digest(
+            braided_centralizer(identity_mon_functor(b.on), b, b))
     return out
 
 
@@ -293,6 +286,40 @@ PINNED = {
         "60233d74246bf536abdcb7b68f0eb7e5e856ab2ac9e0bc7dd7bc693d48b90813",
     "intertwiner/toric-z2":
         "0f2d898a292d0c450e14898975d3f544dd0bb2e1e7678ac46f3705b4b0e6f2a3",
+    # computed with the Müger center's own transparency scan, before it
+    # became the braided centralizer of the identity functor
+    "mueger/identity-discrete-z2":
+        "c1b4efbbc84b90f4f36bbe40dc3f557cd2182e2a90618958418cdac3a5049a28",
+    "braided-centralizer/identity-discrete-z2":
+        "c1b4efbbc84b90f4f36bbe40dc3f557cd2182e2a90618958418cdac3a5049a28",
+    "mueger/identity-discrete-z3":
+        "1842f85e7d562eb91e7c81722e07401ec93d272fbc24547b2bac8da213262d35",
+    "braided-centralizer/identity-discrete-z3":
+        "1842f85e7d562eb91e7c81722e07401ec93d272fbc24547b2bac8da213262d35",
+    "mueger/identity-discrete-z4":
+        "513f027b15922c60f2d18f33facab1a9478e3633191338030c7c6a4d27afcb7e",
+    "braided-centralizer/identity-discrete-z4":
+        "513f027b15922c60f2d18f33facab1a9478e3633191338030c7c6a4d27afcb7e",
+    "mueger/identity-discrete-klein":
+        "dc7f3e3d92506716f98ae25c6548c40e8aef3e91d0749a0870e87cf16afca5d7",
+    "braided-centralizer/identity-discrete-klein":
+        "dc7f3e3d92506716f98ae25c6548c40e8aef3e91d0749a0870e87cf16afca5d7",
+    "mueger/identity-terminal":
+        "73c33a41904cb607c388cee3c7a587ec7466f0920ed24f3ca232e9d88f58211f",
+    "braided-centralizer/identity-terminal":
+        "73c33a41904cb607c388cee3c7a587ec7466f0920ed24f3ca232e9d88f58211f",
+    "mueger/z2-trivial":
+        "c6ce8f575bb034ba86fd9786c37704efe4ff0a5bb7bfef75c710b96b9df1da1a",
+    "braided-centralizer/z2-trivial":
+        "c6ce8f575bb034ba86fd9786c37704efe4ff0a5bb7bfef75c710b96b9df1da1a",
+    "mueger/z3-pairing":
+        "1c5bec359303b7e67f10e393a866c6f91d741feda69c41af9a8e1fd7773e2852",
+    "braided-centralizer/z3-pairing":
+        "1c5bec359303b7e67f10e393a866c6f91d741feda69c41af9a8e1fd7773e2852",
+    "mueger/klein-pairing":
+        "21cc3ccc2c686fc3c27899f2b5d838ebb97f4ecdc65c570f78c604fdcd0f5a83",
+    "braided-centralizer/klein-pairing":
+        "21cc3ccc2c686fc3c27899f2b5d838ebb97f4ecdc65c570f78c604fdcd0f5a83",
 }
 
 
