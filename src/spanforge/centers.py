@@ -10,7 +10,7 @@ built by the general construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .fincat import (
@@ -48,7 +48,11 @@ class HalfBraidedObject:
 
 @dataclass(frozen=True)
 class CenterCategory:
-    """A category of half-braided objects inside an ambient monoidal category."""
+    """A category of half-braided objects inside an ambient monoidal category.
+
+    The builder fills the two id maps once: object_index takes (carrier,
+    components) and morphism_index (source id, target id, ambient morphism)
+    to an id.  They take no part in equality or hashing."""
 
     ambient: MonoidalStructure
     objects_data: tuple[HalfBraidedObject, ...]
@@ -56,15 +60,9 @@ class CenterCategory:
     forgetful: Functor
     monoidal: MonoidalStructure | None
     braiding: Braiding | None
-
-    def object_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        return {(o.carrier, o.components): i
-                for i, o in enumerate(self.objects_data)}
-
-    def morphism_index(self) -> dict[tuple[int, int, int], int]:
-        cat = self.as_category
-        return {(cat.source[k], cat.target[k], self.forgetful.morphism_map[k]): k
-                for k in range(cat.num_morphisms)}
+    object_index: dict[tuple[int, tuple[int, ...]], int] = \
+        field(compare=False, repr=False)
+    morphism_index: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +136,6 @@ def enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
     return found
 
 
-def _half_braided_objects(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                          lax: bool, budget: Budget,
-                          what: str) -> list[HalfBraidedObject]:
-    """Every half-braided object, carrier by carrier; the budget sees the
-    running count after each carrier."""
-    objects: list[HalfBraidedObject] = []
-    for x in range(ms.base.num_objects):
-        objects.extend(HalfBraidedObject(x, comps, lax)
-                       for comps in enumerate_half_braidings(ms, g, h, x, lax))
-        budget.check_objects(len(objects), what)
-    return objects
-
-
 def _is_center_morphism(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
                         a: HalfBraidedObject, b: HalfBraidedObject, f: int) -> bool:
     base = ms.base
@@ -165,20 +150,26 @@ def _is_center_morphism(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
 
 
 def _half_braided_category(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
-                           objects: list[HalfBraidedObject],
-                           budget: Budget, what: str):
-    """The category whose morphisms are ambient morphisms commuting with the
-    half-braidings, built over the ambient base through
-    category_over_product, together with the forgetful functor."""
-    base = ms.base
+                           lax: bool, budget: Budget, what: str) -> CenterCategory:
+    """Every half-braided object, carrier by carrier (the budget sees the
+    running count after each carrier), and the ambient morphisms commuting
+    with the half-braidings, built over the ambient base through
+    category_over_product; no monoidal structure or braiding yet."""
+    objects: list[HalfBraidedObject] = []
+    for x in range(ms.base.num_objects):
+        objects.extend(HalfBraidedObject(x, comps, lax)
+                       for comps in enumerate_half_braidings(ms, g, h, x, lax))
+        budget.check_objects(len(objects), what)
     cat, arrows, index = category_over_product(
-        (base,), [(o.carrier,) for o in objects],
+        (ms.base,), [(o.carrier,) for o in objects],
         lambda i, j, arrow: _is_center_morphism(ms, g, h, objects[i], objects[j],
                                                 arrow[0]),
         budget, what)
-    forgetful = Functor(cat, base, tuple(o.carrier for o in objects),
+    forgetful = Functor(cat, ms.base, tuple(o.carrier for o in objects),
                         tuple(f for (f,) in arrows))
-    return cat, forgetful, index
+    return CenterCategory(ms, tuple(objects), cat, forgetful, None, None,
+                          {(o.carrier, o.components): i
+                           for i, o in enumerate(objects)}, index)
 
 
 def _pasted_half_braiding(ms: MonoidalStructure, g: MonFunctor, k: MonFunctor,
@@ -212,12 +203,11 @@ def _unit_half_braiding(ms: MonoidalStructure, g: MonFunctor) -> tuple[int, ...]
     return tuple(comps)
 
 
-def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
-                          objects: list[HalfBraidedObject],
-                          cat: FinCategory, forgetful: Functor,
-                          mor_index) -> MonoidalStructure:
+def _centralizer_monoidal(g: MonFunctor, center: CenterCategory) -> MonoidalStructure:
     """Monoidal structure on half-braided objects over a single functor."""
-    obj_index = {(o.carrier, o.components): i for i, o in enumerate(objects)}
+    ms, objects = g.target, center.objects_data
+    obj_index, mor_index = center.object_index, center.morphism_index
+    ambient_mor = center.forgetful.morphism_map
 
     def tensor_obj(i: int, j: int) -> int:
         key = (ms.tensor_obj(objects[i].carrier, objects[j].carrier),
@@ -228,8 +218,7 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
         return obj_index[key]
 
     def tensor_mor(a: int, b: int, s: int, t: int) -> int:
-        key = (s, t, ms.tensor_mor(forgetful.morphism_map[a],
-                                   forgetful.morphism_map[b]))
+        key = (s, t, ms.tensor_mor(ambient_mor[a], ambient_mor[b]))
         if key not in mor_index:
             raise StructureError("tensor of center morphisms left the center")
         return mor_index[key]
@@ -238,14 +227,14 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
     if unit_key not in obj_index:
         raise StructureError("the unit carries no half-braiding")
 
-    def lift(src_idx: int, tgt_idx: int, ambient_mor: int) -> int:
-        key = (src_idx, tgt_idx, ambient_mor)
+    def lift(src_idx: int, tgt_idx: int, ambient: int) -> int:
+        key = (src_idx, tgt_idx, ambient)
         if key not in mor_index:
             raise StructureError("coherence component is not a center morphism")
         return mor_index[key]
 
     return tabulate_monoidal(
-        cat, obj_index[unit_key], tensor_obj, tensor_mor,
+        center.as_category, obj_index[unit_key], tensor_obj, tensor_mor,
         associator=lambda i, j, k, s, t: lift(s, t, ms.alpha(
             objects[i].carrier, objects[j].carrier, objects[k].carrier)),
         left_unitor=lambda i, s: lift(s, i, ms.left_unitor[objects[i].carrier]),
@@ -256,15 +245,10 @@ def _centralizer_monoidal(ms: MonoidalStructure, g: MonFunctor,
 # the centers
 # ---------------------------------------------------------------------------
 
-def _centralizer(g: MonFunctor, budget: Budget, what: str):
-    """The monoidal centralizer of g, with its morphism index."""
-    ms = g.target
-    objects = _half_braided_objects(ms, g, g, False, budget, what)
-    cat, forgetful, mor_index = _half_braided_category(
-        ms, g, g, objects, budget, what)
-    monoidal = _centralizer_monoidal(ms, g, objects, cat, forgetful, mor_index)
-    return (CenterCategory(ms, tuple(objects), cat, forgetful, monoidal, None),
-            mor_index)
+def _centralizer(g: MonFunctor, budget: Budget, what: str) -> CenterCategory:
+    """The monoidal centralizer of g, without its braiding."""
+    center = _half_braided_category(g.target, g, g, False, budget, what)
+    return replace(center, monoidal=_centralizer_monoidal(g, center))
 
 
 def drinfeld_center(ms: MonoidalStructure,
@@ -278,9 +262,9 @@ def drinfeld_center(ms: MonoidalStructure,
     so its naturality and hexagon conditions are, term by term, the plain
     ones x⊗y -> y⊗x; the CLI law-checks ms before it gets here.
     """
-    center, mor_index = _centralizer(identity_mon_functor(ms), budget,
-                                     "drinfeld center")
-    objects, monoidal = center.objects_data, center.monoidal
+    center = _centralizer(identity_mon_functor(ms), budget, "drinfeld center")
+    objects, monoidal, mor_index = (center.objects_data, center.monoidal,
+                                    center.morphism_index)
     n = center.as_category.num_objects
     beta = []
     for i in range(n):
@@ -296,7 +280,7 @@ def drinfeld_center(ms: MonoidalStructure,
 def monoidal_centralizer(g: MonFunctor,
                          budget: Budget = DEFAULT_BUDGET) -> CenterCategory:
     """Objects of the target with invertible half-braidings against the image of g."""
-    return _centralizer(g, budget, "monoidal centralizer")[0]
+    return _centralizer(g, budget, "monoidal centralizer")
 
 
 def mueger_center(b: Braiding) -> CenterCategory:
@@ -327,8 +311,12 @@ def braided_centralizer(g: MonFunctor, b_source: Braiding,
     objects = tuple(HalfBraidedObject(
         x, tuple(b_target.at(x, g.on_obj(y)) for y in range(n_src)), lax=False)
         for x in transparent)
-    return CenterCategory(ms, objects, restricted.base, inclusion,
-                          restricted, sub_braiding)
+    sub = restricted.base
+    return CenterCategory(
+        ms, objects, sub, inclusion, restricted, sub_braiding,
+        {(o.carrier, o.components): i for i, o in enumerate(objects)},
+        {(s, t, f): k for k, (s, t, f) in enumerate(
+            zip(sub.source, sub.target, inclusion.morphism_map))})
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +330,7 @@ class IntertwinerResult:
 
     g: MonFunctor
     h: MonFunctor
-    objects_data: tuple[HalfBraidedObject, ...]
-    as_category: FinCategory
-    forgetful: Functor
+    intertwiner: CenterCategory
     left_center: CenterCategory
     right_center: CenterCategory
     left_action: Functor
@@ -356,13 +342,10 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
     if g.source != h.source or g.target != h.target:
         raise StructureError("intertwiner needs functors with shared source and target")
     ms = g.target
-    objects = _half_braided_objects(ms, g, h, True, budget, "monoidal intertwiner")
-    cat, forgetful, mor_index = _half_braided_category(
-        ms, g, h, objects, budget, "monoidal intertwiner")
-    obj_index = {(o.carrier, o.components): i for i, o in enumerate(objects)}
+    intertwiner = _half_braided_category(ms, g, h, True, budget,
+                                         "monoidal intertwiner")
     z1g = monoidal_centralizer(g, budget)
     z1h = monoidal_centralizer(h, budget)
-    intertwiner = CenterCategory(ms, tuple(objects), cat, forgetful, None, None)
 
     def action(left: CenterCategory, right: CenterCategory,
                k: MonFunctor) -> Functor:
@@ -374,16 +357,17 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
             for w in right.objects_data:
                 key = (ms.tensor_obj(v.carrier, w.carrier),
                        _pasted_half_braiding(ms, g, k, h, v, w))
-                if key not in obj_index:
+                if key not in intertwiner.object_index:
                     raise StructureError("action left the intertwiner")
-                obj_map.append(obj_index[key])
+                obj_map.append(intertwiner.object_index[key])
         arrows = ((ms.tensor_mor(a, b),) for a in left.forgetful.morphism_map
                   for b in right.forgetful.morphism_map)
-        return lift_functor(square.category, cat, mor_index, obj_map, arrows,
+        return lift_functor(square.category, intertwiner.as_category,
+                            intertwiner.morphism_index, obj_map, arrows,
                             "intertwiner action")
 
-    return IntertwinerResult(g, h, tuple(objects), cat, forgetful,
-                             z1h, z1g, action(z1h, intertwiner, h),
+    return IntertwinerResult(g, h, intertwiner, z1h, z1g,
+                             action(z1h, intertwiner, h),
                              action(intertwiner, z1g, g))
 
 
@@ -392,12 +376,10 @@ def check_intertwiner_actions(result: IntertwinerResult,
     """Associativity and unitality of the two actions, up to the ambient
     associator and unitors realized as intertwiner morphisms."""
     rb = ReportBuilder("intertwiner_actions", cap)
-    ms, cat = result.g.target, result.as_category
-    mor_index = {(cat.source[k], cat.target[k], result.forgetful.morphism_map[k]): k
-                 for k in range(cat.num_morphisms)}
+    ms, mor_index = result.g.target, result.intertwiner.morphism_index
     left, right = result.left_center, result.right_center
     vs, xs, ws = ([o.carrier for o in data] for data in (
-        left.objects_data, result.objects_data, right.objects_data))
+        left.objects_data, result.intertwiner.objects_data, right.objects_data))
     # the action functors' object maps, on row-major pair ids
     left_map, right_map = result.left_action.object_map, result.right_action.object_map
 

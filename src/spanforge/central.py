@@ -83,12 +83,11 @@ def _forgetful_then(g: MonFunctor, center: CenterCategory) -> MonFunctor:
                       g.unit_iso)
 
 
-def _push_center(g: MonFunctor, center_src: CenterCategory, z1g: CenterCategory,
-                 z1g_index: dict[tuple[int, int, int], int]) -> MonFunctor:
-    """Apply g to half-braidings: (m, b) ↦ (g m, conjugated components).
-    z1g_index is z1g.morphism_index(), built once by the caller."""
+def _push_center(g: MonFunctor, center_src: CenterCategory,
+                 z1g: CenterCategory) -> MonFunctor:
+    """Apply g to half-braidings: (m, b) ↦ (g m, conjugated components)."""
     base = g.target.base
-    oi = z1g.object_index()
+    oi = z1g.object_index
     obj_map = []
     for o in center_src.objects_data:
         comps = []
@@ -102,16 +101,15 @@ def _push_center(g: MonFunctor, center_src: CenterCategory, z1g: CenterCategory,
             raise StructureError(
                 "image of a half-braiding is not in the centralizer")
         obj_map.append(oi[key])
-    return lift_mon_functor(center_src.monoidal, z1g.monoidal, z1g_index,
+    return lift_mon_functor(center_src.monoidal, z1g.monoidal, z1g.morphism_index,
                             obj_map, (_forgetful_then(g, center_src),),
                             "push into the centralizer")
 
 
-def _pull_center(g: MonFunctor, center_tgt: CenterCategory, z1g: CenterCategory,
-                 z1g_index: dict[tuple[int, int, int], int]) -> MonFunctor:
-    """Restrict half-braidings to the image: (n, b) ↦ (n, b at g(-)).
-    z1g_index is z1g.morphism_index(), built once by the caller."""
-    oi = z1g.object_index()
+def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
+                 z1g: CenterCategory) -> MonFunctor:
+    """Restrict half-braidings to the image: (n, b) ↦ (n, b at g(-))."""
+    oi = z1g.object_index
     obj_map = []
     for o in center_tgt.objects_data:
         comps = tuple(o.components[g.on_obj(y)]
@@ -122,7 +120,7 @@ def _pull_center(g: MonFunctor, center_tgt: CenterCategory, z1g: CenterCategory,
                 "restricted half-braiding is not in the centralizer")
         obj_map.append(oi[key])
     forget = strict_mon_functor(center_tgt.monoidal, g.target, center_tgt.forgetful)
-    return lift_mon_functor(center_tgt.monoidal, z1g.monoidal, z1g_index,
+    return lift_mon_functor(center_tgt.monoidal, z1g.monoidal, z1g.morphism_index,
                             obj_map, (forget,), "pull into the centralizer")
 
 
@@ -146,8 +144,6 @@ class PhiFiberResult:
 
     as_category: FinCategory
     objects: tuple[tuple[int, int, int, int], ...]
-    braiding: Braiding | None
-    induced: MonFunctor | None
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
                         fiber: MonoidalSquare, psi_ids: tuple[int, ...],
                         ) -> MonFunctor | None:
     """x ↦ (F_left(x), F_right(x), psi_x) with all cells forced as pairs."""
-    oi = fiber.fp.object_index()
+    oi = fiber.fp.object_index
     obj_map = []
     for x in range(base_struct.base.num_objects):
         key = (left.action.on_obj(x), right.action.on_obj(x), psi_ids[x])
@@ -194,7 +190,7 @@ def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
             return None
         obj_map.append(oi[key])
     try:
-        return lift_mon_functor(base_struct, fiber.apex, fiber.fp.morphism_index(),
+        return lift_mon_functor(base_struct, fiber.apex, fiber.fp.morphism_index,
                                 obj_map, (left.action, right.action),
                                 "induced functor")
     except MediationError as exc:
@@ -214,9 +210,9 @@ def central_monoidal_check(setup: CentralFunctorSetup,
         raise StructureError("candidate functor does not match the carriers")
     _check_lengths(setup)
     z1g = monoidal_centralizer(setup.g, budget)
-    mi = z1g.morphism_index()
-    g_push = _push_center(setup.g, left.center, z1g, mi)
-    g_pull = _pull_center(setup.g, right.center, z1g, mi)
+    mi = z1g.morphism_index
+    g_push = _push_center(setup.g, left.center, z1g)
+    g_pull = _pull_center(setup.g, right.center, z1g)
     for name, mf in (("push", g_push), ("pull", g_pull)):
         sub = check_mon_functor(mf)
         for v in sub.violations:
@@ -306,7 +302,7 @@ def _phi_quadruples_z1(rb: ReportBuilder, setup: CentralFunctorSetup,
                        "pair is not a quadruple morphism")
                 break
     _phi_braiding_scan(rb, setup, right.carrier, objects, obj_index, mor_index)
-    return PhiFiberResult(cat, tuple(objects), None, None)
+    return PhiFiberResult(cat, tuple(objects))
 
 
 def _phi_quadruple_category(setup, base: FinCategory, objects, budget: Budget,
@@ -405,10 +401,8 @@ class CentralBraidedSetup:
 
 
 def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
-                    z2g: CenterCategory, z2g_index: dict[tuple[int, int, int], int],
-                    apply_g: bool) -> MonFunctor:
-    """mueger -> braided centralizer, either applying g or including.
-    z2g_index is z2g.morphism_index(), built once by the caller."""
+                    z2g: CenterCategory, apply_g: bool) -> MonFunctor:
+    """mueger -> braided centralizer, either applying g or including."""
     carriers = {o.carrier: i for i, o in enumerate(z2g.objects_data)}
     obj_map = []
     for o in src_center.objects_data:
@@ -421,7 +415,7 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
         leg = _forgetful_then(g, src_center)
     else:
         leg = strict_mon_functor(src_center.monoidal, g.target, src_center.forgetful)
-    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g_index,
+    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g.morphism_index,
                             obj_map, (leg,), "braided centralizer functor")
 
 
@@ -437,9 +431,9 @@ def central_braided_check(setup: CentralBraidedSetup,
     for v in sub.violations:
         rb.add("candidate-" + v.law, v.witness, v.detail)
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
-    mi = z2g.morphism_index()
-    g_push = _subcat_functor(setup.g, left.center, z2g, mi, apply_g=True)
-    g_pull = _subcat_functor(setup.g, right.center, z2g, mi, apply_g=False)
+    mi = z2g.morphism_index
+    g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
+    g_pull = _subcat_functor(setup.g, right.center, z2g, apply_g=False)
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
@@ -529,7 +523,7 @@ def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralBraidedSetup,
                    "comparisons do not satisfy the transparent quadruple conditions")
             break
     _phi_braiding_scan(rb, setup, right.carrier.on, objects, obj_index, mor_index)
-    return PhiFiberResult(cat, tuple(objects), None, None)
+    return PhiFiberResult(cat, tuple(objects))
 
 
 def central_module_check(setup, budget: Budget = DEFAULT_BUDGET,

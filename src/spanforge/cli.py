@@ -181,6 +181,16 @@ def _braiding_lawful(out: Outcome, subject: str, b) -> bool:
         and out.check(subject, check_braiding(b))
 
 
+def _braidings_lawful(out: Outcome, mf, b_src, b_tgt) -> bool:
+    """Law-check the braidings on the two ends of a mon_functor input, as
+    the subjects braiding-source and braiding-target; _ends_lawful has
+    already checked the monoidal structures under them."""
+    if b_src.on != mf.source or b_tgt.on != mf.target:
+        raise StructureError("braidings do not match the functor's structures")
+    ok = out.check("braiding-source", check_braiding(b_src))
+    return out.check("braiding-target", check_braiding(b_tgt)) and ok
+
+
 def _cmd_validate(args, budget, out: Outcome) -> None:
     checked = []
     for path in args.files:
@@ -195,7 +205,7 @@ def _cmd_validate(args, budget, out: Outcome) -> None:
         elif doc.kind == "monoidal":
             out.check(subject, check_monoidal(decode_monoidal(doc.payload)))
         elif doc.kind == "braiding":
-            out.check(subject, check_braiding(decode_braiding(doc.payload)))
+            _braiding_lawful(out, subject, decode_braiding(doc.payload))
         elif doc.kind == "mon_functor":
             mf = decode_mon_functor(doc.payload)
             if _ends_lawful(out, subject, mf):
@@ -236,7 +246,7 @@ def _cmd_center(args, budget, out: Outcome) -> None:
 def _cmd_mueger(args, budget, out: Outcome) -> None:
     doc = _load(args.file, "braiding")
     b = decode_braiding(doc.payload)
-    if not out.check("input", check_braiding(b)):
+    if not _braiding_lawful(out, "input", b):
         return
     center = mueger_center(b)
     out.summary["object_count"] = center.as_category.num_objects
@@ -268,6 +278,7 @@ def _cmd_centralizer(args, budget, out: Outcome) -> None:
         b_src = decode_braiding(_load(args.files[1], "braiding").payload)
         b_tgt = decode_braiding(_load(args.files[2], "braiding").payload)
         if not _ends_lawful(out, "input", g) \
+                or not _braidings_lawful(out, g, b_src, b_tgt) \
                 or not out.check("input", check_braided_functor(g, b_src, b_tgt)):
             return
         result = braided_centralizer(g, b_src, b_tgt)
@@ -292,19 +303,21 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
             return
         result = monoidal_intertwiner(g, h, budget)
         out.check("actions", check_intertwiner_actions(result))
-        out.summary["object_count"] = result.as_category.num_objects
-        out.summary["morphism_count"] = result.as_category.num_morphisms
+        intertwiner = result.intertwiner
+        out.summary["object_count"] = intertwiner.as_category.num_objects
+        out.summary["morphism_count"] = intertwiner.as_category.num_morphisms
         out.summary["lax_objects"] = sum(
-            1 for o in result.objects_data
+            1 for o in intertwiner.objects_data
             if not all(g.target.base.is_iso(c) for c in o.components))
-        out.artifacts["intertwiner"] = encode_category(result.as_category)
+        out.artifacts["intertwiner"] = encode_category(intertwiner.as_category)
     else:
         if len(args.files) != 4:
             raise StructureError("intertwiner z2 takes two mon_functor and "
                                  "two braiding documents")
         b_src = decode_braiding(_load(args.files[2], "braiding").payload)
         b_tgt = decode_braiding(_load(args.files[3], "braiding").payload)
-        if not _ends_lawful(out, "input-g", g) or not _ends_lawful(out, "input-h", h):
+        if not _ends_lawful(out, "input-g", g) or not _ends_lawful(out, "input-h", h) \
+                or not _braidings_lawful(out, g, b_src, b_tgt):
             return
         ok = out.check("input-g", check_braided_functor(g, b_src, b_tgt))
         ok = out.check("input-h", check_braided_functor(h, b_src, b_tgt)) and ok

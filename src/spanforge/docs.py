@@ -15,6 +15,7 @@ from .fincat import (
     Functor,
     NatTrans,
     StructureError,
+    compose_functors,
 )
 from .monoidal import Braiding, MonFunctor, MonoidalStructure, tabulate_monoidal
 from .spans import (
@@ -22,6 +23,7 @@ from .spans import (
     ModuleFunctorData,
     ModuleNatTransData,
     SpanCell,
+    end_monoidal,
 )
 
 FORMAT = "spanforge/1"
@@ -452,19 +454,16 @@ def decode_mon_functor(tree) -> MonFunctor:
 
 
 def decode_module(tree, budget) -> ModuleData:
-    from .spans import end_monoidal
     acting = decode_monoidal(tree["acting"])
     carrier = decode_category(tree["carrier"])
     end = end_monoidal(carrier, budget)
-    fi = end.fc.functor_index()
-    ti = end.fc.transformation_index()
+    fi, ti = end.fc.functor_index, end.fc.transformation_index
 
     def functor_id(entry, path) -> int:
-        fun = Functor(carrier, carrier, tuple(entry["objects"]),
-                      tuple(entry["morphisms"]))
-        if fun not in fi:
+        key = (tuple(entry["objects"]), tuple(entry["morphisms"]))
+        if key not in fi:
             raise SchemaError(path, "tables do not define an endofunctor")
-        return fi[fun]
+        return fi[key]
 
     obj_map = tuple(functor_id(entry, f"$.payload.action_objects[{c}]")
                     for c, entry in enumerate(tree["action_objects"]))
@@ -487,10 +486,9 @@ def decode_module(tree, budget) -> ModuleData:
         for x in range(an) for y in range(an))
     unit_iso = trans_id(end.monoidal.unit, obj_map[acting.unit], tree["unit"],
                         "$.payload.unit")
-    from .monoidal import MonFunctor as MF
-    action = MF(acting, end.monoidal,
-                Functor(acting.base, end.fc.as_category, obj_map, mor_map),
-                mult, unit_iso)
+    action = MonFunctor(acting, end.monoidal,
+                        Functor(acting.base, end.fc.as_category, obj_map, mor_map),
+                        mult, unit_iso)
     return ModuleData(acting, carrier, end, action)
 
 
@@ -502,7 +500,6 @@ def decode_module_functor(tree, budget) -> ModuleFunctorData:
                   tuple(tree["functor"]["morphisms"]))
     xi = []
     for c, row in enumerate(tree["transports"]):
-        from .fincat import compose_functors
         left = compose_functors(fun, dom.functor_at(c))
         right = compose_functors(cod.functor_at(c), fun)
         xi.append(NatTrans(left, right, tuple(row)))

@@ -8,7 +8,7 @@ operations take a size budget and fail loudly rather than truncate.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import getitem
 
@@ -481,22 +481,35 @@ def _emit_nat_transes(fun: Functor, gun: Functor,
 @dataclass(frozen=True)
 class FunctorCategory:
     """Fun(dom, cod) materialized: object ids index functors, morphism ids
-    index natural transformations, composition is vertical composition."""
+    index natural transformations, composition is vertical composition.
+
+    functor_category fills the two id maps once.  Every functor here runs
+    dom -> cod, so functor_index is keyed by (object_map, morphism_map);
+    transformation_index by (source functor id, target functor id,
+    components).  They take no part in equality or hashing."""
 
     dom: FinCategory
     cod: FinCategory
     as_category: FinCategory
     functors: tuple[Functor, ...]
     transformations: tuple[NatTrans, ...]
+    functor_index: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = \
+        field(compare=False, repr=False)
+    transformation_index: dict[tuple[int, int, tuple[int, ...]], int] = \
+        field(compare=False, repr=False)
 
-    def functor_index(self) -> dict[Functor, int]:
-        return {f: i for i, f in enumerate(self.functors)}
+    def functor_id(self, fun: Functor) -> int:
+        """The id of fun; KeyError when its tables are not a functor."""
+        if fun.source != self.dom or fun.target != self.cod:
+            raise StructureError("functor does not run between the categories "
+                                 "of the functor category")
+        return self.functor_index[(fun.object_map, fun.morphism_map)]
 
-    def transformation_index(self) -> dict[tuple[int, int, tuple[int, ...]], int]:
-        """(source functor id, target functor id, components) -> id."""
-        cat = self.as_category
-        return {(s, t, nt.components): k for k, (s, t, nt)
-                in enumerate(zip(cat.source, cat.target, self.transformations))}
+    def transformation_id(self, nt: NatTrans) -> int:
+        """The id of nt; KeyError when its components are not natural."""
+        return self.transformation_index[(self.functor_id(nt.source),
+                                          self.functor_id(nt.target),
+                                          nt.components)]
 
 
 def functor_category(m: FinCategory, n: FinCategory,
@@ -506,7 +519,7 @@ def functor_category(m: FinCategory, n: FinCategory,
     budget.check_objects(estimate, f"functor category on {m.num_objects}->{n.num_objects} objects")
     functors = enumerate_functors(m, n)
     budget.check_objects(len(functors), "functor category")
-    fi = {f: i for i, f in enumerate(functors)}
+    fi = {(f.object_map, f.morphism_map): i for i, f in enumerate(functors)}
 
     transformations: list[NatTrans] = []
 
@@ -521,10 +534,12 @@ def functor_category(m: FinCategory, n: FinCategory,
             _emit_nat_transes(fun, gun, add)
 
     num = len(transformations)
-    ti = {(fi[t.source], fi[t.target], t.components): k
-          for k, t in enumerate(transformations)}
-    source = tuple(fi[t.source] for t in transformations)
-    target = tuple(fi[t.target] for t in transformations)
+    source = tuple(fi[(t.source.object_map, t.source.morphism_map)]
+                   for t in transformations)
+    target = tuple(fi[(t.target.object_map, t.target.morphism_map)]
+                   for t in transformations)
+    ti = {(s, t, nt.components): k
+          for k, (s, t, nt) in enumerate(zip(source, target, transformations))}
     identity = tuple(ti[(i, i, identity_nat_trans(f).components)]
                      for i, f in enumerate(functors))
     comp = [[-1] * num for _ in range(num)]
@@ -536,7 +551,21 @@ def functor_category(m: FinCategory, n: FinCategory,
             comp[b][a] = ti[(source[a], target[b], composed.components)]
     cat = FinCategory(len(functors), source, target, identity,
                       tuple(tuple(row) for row in comp))
-    return FunctorCategory(m, n, cat, tuple(functors), tuple(transformations))
+    return FunctorCategory(m, n, cat, tuple(functors), tuple(transformations),
+                           fi, ti)
+
+
+def _whiskering(fc_in: FunctorCategory, fc_out: FunctorCategory,
+                obj_map: tuple[int, ...],
+                whiskered: Callable[[NatTrans], NatTrans]) -> Functor:
+    """Post- or pre-composition fc_in -> fc_out: functors by obj_map, each
+    transformation to its whiskered image."""
+    cat = fc_in.as_category
+    ti = fc_out.transformation_index
+    mor_map = tuple(ti[(obj_map[s], obj_map[t], whiskered(nt).components)]
+                    for s, t, nt in zip(cat.source, cat.target,
+                                        fc_in.transformations))
+    return Functor(cat, fc_out.as_category, obj_map, mor_map)
 
 
 def pushforward(f: Functor, fc_in: FunctorCategory, fc_out: FunctorCategory) -> Functor:
@@ -545,14 +574,8 @@ def pushforward(f: Functor, fc_in: FunctorCategory, fc_out: FunctorCategory) -> 
         raise StructureError("pushforward: functor categories have different domains")
     if fc_in.cod != f.source or fc_out.cod != f.target:
         raise StructureError("pushforward: context does not match the functor")
-    fi = fc_out.functor_index()
-    ti = fc_out.transformation_index()
-    obj_map = tuple(fi[compose_functors(f, w)] for w in fc_in.functors)
-    in_fi = fc_in.functor_index()
-    mor_map = tuple(ti[(obj_map[in_fi[t.source]], obj_map[in_fi[t.target]],
-                        whisker_post(f, t).components)]
-                    for t in fc_in.transformations)
-    return Functor(fc_in.as_category, fc_out.as_category, obj_map, mor_map)
+    obj_map = tuple(fc_out.functor_id(compose_functors(f, w)) for w in fc_in.functors)
+    return _whiskering(fc_in, fc_out, obj_map, lambda t: whisker_post(f, t))
 
 
 def pullback(f: Functor, fc_in: FunctorCategory, fc_out: FunctorCategory) -> Functor:
@@ -561,14 +584,8 @@ def pullback(f: Functor, fc_in: FunctorCategory, fc_out: FunctorCategory) -> Fun
         raise StructureError("pullback: functor categories have different codomains")
     if fc_in.dom != f.target or fc_out.dom != f.source:
         raise StructureError("pullback: context does not match the functor")
-    fi = fc_out.functor_index()
-    ti = fc_out.transformation_index()
-    obj_map = tuple(fi[compose_functors(w, f)] for w in fc_in.functors)
-    in_fi = fc_in.functor_index()
-    mor_map = tuple(ti[(obj_map[in_fi[t.source]], obj_map[in_fi[t.target]],
-                        whisker_pre(t, f).components)]
-                    for t in fc_in.transformations)
-    return Functor(fc_in.as_category, fc_out.as_category, obj_map, mor_map)
+    obj_map = tuple(fc_out.functor_id(compose_functors(w, f)) for w in fc_in.functors)
+    return _whiskering(fc_in, fc_out, obj_map, lambda t: whisker_pre(t, f))
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
     fp = fiber_product(f.underlying, g.underlying, budget)
     z = f.target
     zb = z.base
-    oi = fp.object_index()
-    mi = fp.morphism_index()
+    oi = fp.object_index
+    mi = fp.morphism_index
     xs, ys = f.source, g.source
     apex_cat = fp.apex
     n = apex_cat.num_objects
@@ -183,13 +183,10 @@ def laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
     w_fp = pairing.fp
     p = compose_functors(span_f.leg_left.underlying, w_fp.pr1)
     q = compose_functors(span_g.leg_right.underlying, w_fp.pr2)
-    hom_ti = span_gf.hom_fc.transformation_index()
-    hom_fi = span_gf.hom_fc.functor_index()
     comps = []
     for af, ag, w in w_fp.objects:
         total = _composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w)
-        comps.append(hom_ti[(hom_fi[total.source], hom_fi[total.target],
-                             total.components)])
+        comps.append(span_gf.hom_fc.transformation_id(total))
     xi = NatTrans(compose_functors(span_gf.fp.left, p),
                   compose_functors(span_gf.fp.right, q), tuple(comps))
     med = mediate(span_gf.fp, p, q, xi)
@@ -250,7 +247,7 @@ def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
     coordinates and leaving the comparison morphism untouched; the maps must
     commute with the relevant cospan legs on the nose."""
     src_fp, tgt_fp = source_sq.fp, target_sq.fp
-    oi = tgt_fp.object_index()
+    oi = tgt_fp.object_index
     obj_map = []
     for x, y, w in src_fp.objects:
         nx = left_map.object_map[x] if left_map is not None else x
@@ -262,7 +259,7 @@ def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
     arrows = ((left_map.morphism_map[p] if left_map is not None else p,
                right_map.morphism_map[q] if right_map is not None else q)
               for p, q in src_fp.morphisms)
-    return lift_functor(src_fp.apex, tgt_fp.apex, tgt_fp.morphism_index(),
+    return lift_functor(src_fp.apex, tgt_fp.apex, tgt_fp.morphism_index,
                         obj_map, arrows, "induced pairing map")
 
 
@@ -270,10 +267,10 @@ def _reassociate(t_right: MonoidalSquare, t_left: MonoidalSquare,
                  inner_right: MonoidalSquare,
                  inner_left: MonoidalSquare) -> Functor:
     """x ×_N (y ×_P z)  →  (x ×_N y) ×_P z on literal triples."""
-    in_left_oi = inner_left.fp.object_index()
-    in_left_mi = inner_left.fp.morphism_index()
-    out_oi = t_left.fp.object_index()
-    out_mi = t_left.fp.morphism_index()
+    in_left_oi = inner_left.fp.object_index
+    in_left_mi = inner_left.fp.morphism_index
+    out_oi = t_left.fp.object_index
+    out_mi = t_left.fp.morphism_index
     obj_map = []
     for x, j, w1 in t_right.fp.objects:
         y, z, w2 = inner_right.fp.objects[j]
@@ -406,12 +403,9 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
 
     def collapse(fa, ga, sf, sg, sgf, af, ag, w):
         total_nat = _composite_transport(fa, ga, sf, sg, sgf, af, ag, w)
-        ti = sgf.hom_fc.transformation_index()
-        fi = sgf.hom_fc.functor_index()
-        xi_id = ti[(fi[total_nat.source], fi[total_nat.target],
-                    total_nat.components)]
-        key = (sf.fp.objects[af][0], sg.fp.objects[ag][1], xi_id)
-        return sgf.fp.object_index()[key]
+        key = (sf.fp.objects[af][0], sg.fp.objects[ag][1],
+               sgf.hom_fc.transformation_id(total_nat))
+        return sgf.fp.object_index[key]
 
     endN = fd.cod.end.fc.as_category
     endP = gd.cod.end.fc.as_category
@@ -476,17 +470,12 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
     cell = build_span(idf, budget)
     end = md.end
     apex = cell.apex.base
-    oi = cell.fp.object_index()
-    hom_ti = cell.hom_fc.transformation_index()
-    hom_fi = cell.hom_fc.functor_index()
+    oi = cell.fp.object_index
     end_cat = end.fc.as_category
-    obj_map = []
-    for i, fun in enumerate(end.fc.functors):
-        ident = identity_nat_trans(fun)
-        xi = hom_ti[(hom_fi[fun], hom_fi[fun], ident.components)]
-        obj_map.append(oi[(i, i, xi)])
+    obj_map = [oi[(i, i, cell.hom_fc.transformation_id(identity_nat_trans(fun)))]
+               for i, fun in enumerate(end.fc.functors)]
     try:
-        diag_fun = lift_functor(end_cat, apex, cell.fp.morphism_index(), obj_map,
+        diag_fun = lift_functor(end_cat, apex, cell.fp.morphism_index, obj_map,
                                 ((k, k) for k in range(end_cat.num_morphisms)),
                                 "diagonal")
     except MediationError as exc:

@@ -6,7 +6,7 @@ witnesses and every universal-property equation is a table check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fincat import (
     Budget,
@@ -33,7 +33,9 @@ class CommaResult:
     Objects are triples (x, y, xi); in the forward orientation xi runs
     left(x) -> right(y), reversed otherwise.  Morphisms are the pairs (p, q)
     making the evident square commute.  The filler's component at an apex
-    object is its own xi.
+    object is its own xi.  The builder fills the two id maps once:
+    object_index takes (x, y, xi) and morphism_index (i, j, p, q) to an id.
+    They take no part in equality or hashing.
     """
 
     left: Functor
@@ -44,14 +46,10 @@ class CommaResult:
     filler: NatTrans
     objects: tuple[tuple[int, int, int], ...]
     morphisms: tuple[tuple[int, int], ...]
+    object_index: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
+    morphism_index: dict[tuple[int, int, int, int], int] = \
+        field(compare=False, repr=False)
     orientation: str = FORWARD
-
-    def object_index(self) -> dict[tuple[int, int, int], int]:
-        return {t: i for i, t in enumerate(self.objects)}
-
-    def morphism_index(self) -> dict[tuple[int, int, int, int], int]:
-        return {(self.apex.source[k], self.apex.target[k]) + self.morphisms[k]: k
-                for k in range(len(self.morphisms))}
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def _build(f: Functor, g: Functor, budget: Budget, invertible: bool,
         return _square_commutes(z, f.morphism_map[arrow[0]], g.morphism_map[arrow[1]],
                                 objects[i][2], objects[j][2], orientation)
 
-    apex, morphisms, _ = category_over_product(
+    apex, morphisms, index = category_over_product(
         (f.source, g.source), [(x, y) for x, y, _ in objects], admits, budget, what)
     pr1 = Functor(apex, f.source,
                   tuple(x for x, _, _ in objects),
@@ -106,7 +104,7 @@ def _build(f: Functor, g: Functor, budget: Budget, invertible: bool,
                           tuple(xi for _, _, xi in objects))
     cls = FiberProductResult if invertible else CommaResult
     return cls(f, g, apex, pr1, pr2, filler, tuple(objects), morphisms,
-               orientation)
+               {t: i for i, t in enumerate(objects)}, index, orientation)
 
 
 def fiber_product(f: Functor, g: Functor,
@@ -156,13 +154,13 @@ def mediate(result: CommaResult, p: Functor, q: Functor, xi: NatTrans) -> Mediat
             if z.inverse(xi.components[a]) is None:
                 raise MediationError(
                     "mediate: component is not invertible", (a,))
-    oi = result.object_index()
+    oi = result.object_index
     try:
         obj_map = tuple(oi[(p.object_map[a], q.object_map[a], xi.components[a])]
                         for a in range(p.source.num_objects))
     except KeyError as exc:
         raise StructureError(f"mediate: cone object not in the apex: {exc}")
-    u = lift_functor(p.source, result.apex, result.morphism_index(), obj_map,
+    u = lift_functor(p.source, result.apex, result.morphism_index, obj_map,
                      zip(p.morphism_map, q.morphism_map), "mediate")
     zeta1 = NatTrans(compose_functors(result.pr1, u), p,
                      tuple(p.target.identity[x] for x in p.object_map))
@@ -197,7 +195,7 @@ def mediate_2cell(result: CommaResult, u: Functor, v: Functor,
                                  + bad.violations[0].render())
     z = result.left.target
     f, g = result.left, result.right
-    mi = result.morphism_index()
+    mi = result.morphism_index
     comps = []
     for a in range(u.source.num_objects):
         xi_u = result.objects[u.object_map[a]][2]

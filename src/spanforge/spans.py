@@ -65,10 +65,7 @@ def end_monoidal(carrier: FinCategory, budget: Budget = DEFAULT_BUDGET) -> EndCa
     fc = functor_category(carrier, carrier, budget)
     cat = fc.as_category
     funs, transes, comp = fc.functors, fc.transformations, carrier.comp
-    # every functor here is an endofunctor of carrier, so its tables alone
-    # identify it
-    fi = {(f.object_map, f.morphism_map): i for i, f in enumerate(funs)}
-    ti = fc.transformation_index()
+    fi, ti = fc.functor_index, fc.transformation_index
 
     def tensor_obj(i: int, j: int) -> int:
         f, g = funs[i], funs[j]
@@ -115,15 +112,11 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
     the unit must act as the identity functor.
     """
     end = end_monoidal(carrier, budget)
-    fi = end.fc.functor_index()
-    ti = end.fc.transformation_index()
     n = acting.base.num_objects
     if len(object_functors) != n:
         raise StructureError("one endofunctor per acting object is required")
-    obj_map = tuple(fi[f] for f in object_functors)
-
-    def trans_id(t: NatTrans) -> int:
-        return ti[(fi[t.source], fi[t.target], t.components)]
+    obj_map = tuple(end.fc.functor_id(f) for f in object_functors)
+    trans_id = end.fc.transformation_id
 
     if morphism_transes is None:
         morphism_transes = []
@@ -144,7 +137,7 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
                 if composite != object_functors[acting.tensor_obj(x, y)]:
                     raise StructureError(
                         f"action is not strict at ({x}, {y}); pass mult_cells")
-                mult.append(end.fc.as_category.identity[fi[composite]])
+                mult.append(end.fc.as_category.identity[end.fc.functor_id(composite)])
         mult = tuple(mult)
     else:
         mult = tuple(trans_id(t) for t in mult_cells)
@@ -386,20 +379,14 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     pre = pullback(fd.f, endN.fc, hom_fc)
     fp = fiber_product(post, pre, budget)
     apex_cat = fp.apex
-    oi = fp.object_index()
-    mi = fp.morphism_index()
-    hom_fi = hom_fc.functor_index()
-    hom_ti = hom_fc.transformation_index()
+    oi, mi = fp.object_index, fp.morphism_index
 
     def pasted_id(a0: int, a1: int) -> int:
         p0, q0, x0 = fp.objects[a0]
         p1, q1, x1 = fp.objects[a1]
-        pasted = _pasted_transport(hom_fc.transformations[x0],
-                                   hom_fc.transformations[x1],
-                                   endM.fc.functors[p1],
-                                   endN.fc.functors[q0])
-        return hom_ti[(hom_fi[pasted.source], hom_fi[pasted.target],
-                       pasted.components)]
+        return hom_fc.transformation_id(_pasted_transport(
+            hom_fc.transformations[x0], hom_fc.transformations[x1],
+            endM.fc.functors[p1], endN.fc.functors[q0]))
 
     def tensor_obj(a0: int, a1: int) -> int:
         key = (endM.monoidal.tensor_obj(fp.objects[a0][0], fp.objects[a1][0]),
@@ -419,8 +406,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
 
     unit_hom = fp.left.object_map[endM.monoidal.unit]
     unit_key = (endM.monoidal.unit, endN.monoidal.unit,
-                hom_ti[(unit_hom, unit_hom,
-                        identity_nat_trans(hom_fc.functors[unit_hom]).components)])
+                hom_fc.as_category.identity[unit_hom])
     if unit_key not in oi:
         raise StructureError("span unit is missing from the apex")
     unit = oi[unit_key]
@@ -436,7 +422,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     for c in range(acting.base.num_objects):
         t = fd.xi[c]
         key = (dom.action.on_obj(c), cod.action.on_obj(c),
-               hom_ti[(hom_fi[t.source], hom_fi[t.target], t.components)])
+               hom_fc.transformation_id(t))
         if key not in oi:
             raise StructureError(f"transport at acting object {c} is not an apex object")
         lift_obj.append(oi[key])
@@ -662,8 +648,8 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
                 quads.append((i, j))
     quad_index = {q: i for i, q in enumerate(quads)}
 
-    f_mi = span_f.fp.morphism_index()
-    g_mi = span_g.fp.morphism_index()
+    f_mi = span_f.fp.morphism_index
+    g_mi = span_g.fp.morphism_index
     endM, endN = fd.dom.end, fd.cod.end
 
     def admits(i: int, j: int, arrow: tuple[int, int]) -> bool:
@@ -717,8 +703,6 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
 
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, p_proj)
     leg_right = strict_mon_functor(apex_ms, endN.monoidal, q_proj)
-    hom_ti = hom_fc.transformation_index()
-    hom_fi = hom_fc.functor_index()
     # the comma-shaped filler: slide the transformation through Q after xi_f
     filler_comps = []
     for fi, gi in quads:
@@ -726,8 +710,7 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
         t_f = hom_fc.transformations[x0]
         q_functor = endN.fc.functors[q0]
         pasted = vertical_composite(whisker_post(q_functor, phi), t_f)
-        filler_comps.append(hom_ti[(hom_fi[pasted.source], hom_fi[pasted.target],
-                                    pasted.components)])
+        filler_comps.append(hom_fc.transformation_id(pasted))
     g_star = pushforward(fd.f, endM.fc, hom_fc)
     g_pre = pullback(gd.f, endN.fc, hom_fc)
     filler = NatTrans(compose_functors(g_star, p_proj),

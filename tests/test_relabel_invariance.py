@@ -1,0 +1,96 @@
+"""Renaming ids never changes a verdict: the span corpus under relabelled
+module carriers.
+
+Every module carrier is renamed by a seeded relabel_category permutation,
+one per module, so composable entries stay composable.  Corpus modules act
+strictly, so each renamed module is rebuilt from its conjugated per-object
+endofunctors, and each transport is conjugated along.  The span of every
+renamed entry must have the apex size of the original, and check_monoidal
+and check_mon_functor must give the same verdicts on its apex, legs and
+action lift.
+
+The three 27-object apexes (disc3-id, disc3-three-cycle and
+transposition-equivariant) are left out to keep the suite fast:
+test_reduced_scans already scans their apexes, and the span-corpus
+benchmark workload relabels them on every seed.
+"""
+import random
+
+import pytest
+
+from corpus import span_corpus
+
+from spanforge.fincat import Functor, NatTrans, compose_functors, relabel_category
+from spanforge.monoidal import check_mon_functor, check_monoidal
+from spanforge.spans import build_span, make_module, module_functor
+
+LARGE = ("disc3-id", "disc3-three-cycle", "transposition-equivariant")
+
+
+class Relabeler:
+    """Renames every module carrier once, by permutations drawn from rng."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.modules = {}
+
+    def _perms(self, c):
+        obj, mor = list(range(c.num_objects)), list(range(c.num_morphisms))
+        self.rng.shuffle(obj)
+        self.rng.shuffle(mor)
+        return tuple(obj), tuple(mor)
+
+    @staticmethod
+    def _functor(f, source, target, sperm, tperm):
+        obj_map = [0] * len(f.object_map)
+        mor_map = [0] * len(f.morphism_map)
+        for x, y in enumerate(f.object_map):
+            obj_map[sperm[0][x]] = tperm[0][y]
+        for g, h in enumerate(f.morphism_map):
+            mor_map[sperm[1][g]] = tperm[1][h]
+        return Functor(source, target, tuple(obj_map), tuple(mor_map))
+
+    def module(self, md):
+        if id(md) not in self.modules:
+            perm = self._perms(md.carrier)
+            carrier = relabel_category(md.carrier, *perm)
+            functors = [self._functor(md.functor_at(c), carrier, carrier, perm, perm)
+                        for c in range(md.acting.base.num_objects)]
+            self.modules[id(md)] = (md, make_module(md.acting, carrier, functors),
+                                    perm)
+        return self.modules[id(md)][1:]
+
+    def module_functor(self, fd):
+        dom, dperm = self.module(fd.dom)
+        cod, cperm = self.module(fd.cod)
+        f = self._functor(fd.f, dom.carrier, cod.carrier, dperm, cperm)
+        xi = []
+        for c, t in enumerate(fd.xi):
+            comps = [0] * len(t.components)
+            for x, m in enumerate(t.components):
+                comps[dperm[0][x]] = cperm[1][m]
+            xi.append(NatTrans(compose_functors(f, dom.functor_at(c)),
+                               compose_functors(cod.functor_at(c), f), tuple(comps)))
+        return module_functor(dom, cod, f, xi)
+
+
+def profile(fd):
+    """The apex size and the verdicts on the apex, legs and action lift."""
+    cell = build_span(fd)
+    base = cell.apex.base
+    return ((base.num_objects, base.num_morphisms),
+            check_monoidal(cell.apex).ok,
+            tuple(check_mon_functor(mf).ok
+                  for mf in (cell.leg_left, cell.leg_right, cell.action_lift)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_carriers_keep_span_sizes_and_verdicts(seed):
+    relabel = Relabeler(random.Random(seed))
+    checked = 0
+    for name, fd in span_corpus():
+        if name in LARGE:
+            continue
+        assert profile(relabel.module_functor(fd)) == profile(fd), name
+        checked += 1
+    assert checked == 20

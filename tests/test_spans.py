@@ -53,11 +53,11 @@ def test_end_of_walking_arrow_is_three_chain_under_composition():
     assert end.monoidal.base.num_objects == 3
     assert check_monoidal(end.monoidal).ok
     # composition table against the pointwise oracle
-    fi = end.fc.functor_index()
+    fid = end.fc.functor_id
     for f in end.fc.functors:
         for g in end.fc.functors:
-            expected = fi[compose_functors(f, g)]
-            assert end.monoidal.tensor_obj(fi[f], fi[g]) == expected
+            expected = fid(compose_functors(f, g))
+            assert end.monoidal.tensor_obj(fid(f), fid(g)) == expected
 
 
 def test_end_of_two_points_has_four_endomaps():
@@ -227,8 +227,6 @@ def count_monoidal_lifts(f, dom, cod):
         return 0
     cell = build_span(probe[0])
     oi = {t: i for i, t in enumerate(cell.apex_objects)}
-    hom_fi = cell.hom_fc.functor_index()
-    hom_ti = cell.hom_fc.transformation_index()
     n = acting.base.num_objects
     per_object = []
     for c in range(n):
@@ -241,7 +239,7 @@ def count_monoidal_lifts(f, dom, cod):
         per_object.append(options)
     count = 0
     from spanforge.monoidal import MonFunctor, check_mon_functor
-    mi = cell.fp.morphism_index()
+    mi = cell.fp.morphism_index
     for assignment in product(*per_object):
         # morphisms, multiplicativity cells, and the unit cell are forced
         try:

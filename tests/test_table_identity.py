@@ -90,8 +90,9 @@ def table_digests() -> dict[str, str]:
         ident = identity_mon_functor(cases[name])
         result = monoidal_intertwiner(ident, ident)
         out[f"intertwiner/{name}"] = digest(
-            result.as_category, result.objects_data,
-            result.forgetful.morphism_map, result.left_action, result.right_action)
+            result.intertwiner.as_category, result.intertwiner.objects_data,
+            result.intertwiner.forgetful.morphism_map, result.left_action,
+            result.right_action)
     for name, b in braiding_cases().items():
         out[f"mueger/{name}"] = center_digest(mueger_center(b))
         out[f"braided-centralizer/{name}"] = center_digest(
@@ -335,13 +336,11 @@ def functor_digest(mf) -> str:
 def push_and_pull(setup):
     if isinstance(setup, CentralFunctorSetup):
         z1g = monoidal_centralizer(setup.g)
-        mi = z1g.morphism_index()
-        return (_push_center(setup.g, setup.left.center, z1g, mi),
-                _pull_center(setup.g, setup.right.center, z1g, mi))
+        return (_push_center(setup.g, setup.left.center, z1g),
+                _pull_center(setup.g, setup.right.center, z1g))
     z2g = braided_centralizer(setup.g, setup.left.carrier, setup.right.carrier)
-    mi = z2g.morphism_index()
-    return (_subcat_functor(setup.g, setup.left.center, z2g, mi, apply_g=True),
-            _subcat_functor(setup.g, setup.right.center, z2g, mi, apply_g=False))
+    return (_subcat_functor(setup.g, setup.left.center, z2g, apply_g=True),
+            _subcat_functor(setup.g, setup.right.center, z2g, apply_g=False))
 
 
 def lift_digests() -> dict[str, str]:
