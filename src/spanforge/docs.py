@@ -494,7 +494,8 @@ def decode_module(tree, budget) -> ModuleData:
 
 def decode_module_functor(tree, budget) -> ModuleFunctorData:
     dom = decode_module(tree["dom"], budget)
-    cod = decode_module(tree["cod"], budget)
+    # an endofunctor's two ends share one End category, enumerated once
+    cod = dom if tree["cod"] == tree["dom"] else decode_module(tree["cod"], budget)
     fun = Functor(dom.carrier, cod.carrier,
                   tuple(tree["functor"]["objects"]),
                   tuple(tree["functor"]["morphisms"]))

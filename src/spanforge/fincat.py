@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 from operator import getitem
 
@@ -93,19 +94,48 @@ class FinCategory:
             result = self.compose(result, f)
         return result
 
+    @cached_property
+    def hom_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The hom-sets keyed by (source, target), each in ascending id order;
+        built on first use and kept in the instance dict, not as a field."""
+        table: dict[tuple[int, int], list[int]] = {}
+        for f, ends in enumerate(zip(self.source, self.target)):
+            table.setdefault(ends, []).append(f)
+        return {ends: tuple(fs) for ends, fs in table.items()}
+
+    @cached_property
+    def inverse_table(self) -> tuple[int | None, ...]:
+        """inverse(f) for every f, built on first use.  An entry whose scan
+        raises on a malformed table holds -1, and inverse repeats the scan
+        there, so one bad morphism neither breaks the build nor the others."""
+        table: list[int | None] = []
+        for f in range(self.num_morphisms):
+            try:
+                table.append(self._first_inverse(f))
+            except (LookupError, TypeError):  # inverse(f) raises it again
+                table.append(-1)
+        return tuple(table)
+
+    def _first_inverse(self, f: int) -> int | None:
+        """The first g in ascending hom(y, x) with g∘f = id_x and f∘g = id_y."""
+        x, y = self.source[f], self.target[f]
+        comp, ident = self.comp, self.identity
+        for g in self.hom(y, x):
+            if comp[g][f] == ident[x] and comp[f][g] == ident[y]:
+                return g
+        return None
+
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(m for m in range(self.num_morphisms)
-                     if self.source[m] == x and self.target[m] == y)
+        return self.hom_table.get((x, y), ())
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.source[f]] == f
 
     def inverse(self, f: int) -> int | None:
-        x, y = self.source[f], self.target[f]
-        for g in self.hom(y, x):
-            if self.comp[g][f] == self.identity[x] and self.comp[f][g] == self.identity[y]:
-                return g
-        return None
+        g = self.inverse_table[f]
+        if g == -1:
+            return self._first_inverse(f)
+        return g
 
     def is_iso(self, f: int) -> bool:
         return self.inverse(f) is not None

@@ -59,6 +59,11 @@ class MonoidalStructure:
     def tensor_mor(self, f: int, g: int) -> int:
         return self.tensor_morphisms[f * self.base.num_morphisms + g]
 
+    def tensor_rows(self) -> list[tuple[int, ...]]:
+        """x⊗y at [x][y], for loops outside this module that read many."""
+        n = self.base.num_objects
+        return [self.tensor_objects[x * n:(x + 1) * n] for x in range(n)]
+
     def alpha(self, x: int, y: int, z: int) -> int:
         n = self.base.num_objects
         return self.associator[(x * n + y) * n + z]
@@ -405,34 +410,37 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
         return rb.report()
     scan_tensor(ms, rb)
     base = ms.base
-    n = base.num_objects
+    n, m = base.num_objects, base.num_morphisms
+    # the base passed validate_structure, so no inverse entry is the -1 of
+    # a scan that raises
+    src, tgt, inv = base.source, base.target, base.inverse_table
+    t_obj, assoc = ms.tensor_objects, ms.associator
 
+    stop = rb.full  # a builder full on entry stops after the first instance
+    k = 0
     for x in range(n):
         for y in range(n):
+            xy = t_obj[x * n + y] * n
             for z in range(n):
-                a = ms.alpha(x, y, z)
-                bad = _component_ok(base, a,
-                                    ms.tensor_obj(ms.tensor_obj(x, y), z),
-                                    ms.tensor_obj(x, ms.tensor_obj(y, z)))
-                if bad:
-                    rb.add("associator-component", (x, y, z), bad)
-                elif not base.is_iso(a):
+                a = assoc[k]
+                k += 1
+                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
+                if not (0 <= a < m and src[a] == s and tgt[a] == t):
+                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
+                elif inv[a] is None:
                     rb.add("associator-iso", (x, y, z), "component is not invertible")
+                elif not stop:
+                    continue
                 if rb.full:
                     return rb.report()
+    unit = ms.unit
     for x in range(n):
-        lam = ms.left_unitor[x]
-        bad = _component_ok(base, lam, ms.tensor_obj(ms.unit, x), x)
-        if bad:
-            rb.add("left-unitor-component", (x,), bad)
-        elif not base.is_iso(lam):
-            rb.add("left-unitor-iso", (x,), "component is not invertible")
-        rho = ms.right_unitor[x]
-        bad = _component_ok(base, rho, ms.tensor_obj(x, ms.unit), x)
-        if bad:
-            rb.add("right-unitor-component", (x,), bad)
-        elif not base.is_iso(rho):
-            rb.add("right-unitor-iso", (x,), "component is not invertible")
+        for law, cell, s in (("left-unitor", ms.left_unitor[x], t_obj[unit * n + x]),
+                             ("right-unitor", ms.right_unitor[x], t_obj[x * n + unit])):
+            if not (0 <= cell < m and src[cell] == s and tgt[cell] == x):
+                rb.add(law + "-component", (x,), _component_ok(base, cell, s, x))
+            elif inv[cell] is None:
+                rb.add(law + "-iso", (x,), "component is not invertible")
         if rb.full:
             return rb.report()
 
@@ -455,22 +463,29 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     if len(b.beta) != n * n:
         raise StructureError("braiding table has the wrong length")
 
+    src, tgt, inv = base.source, base.target, base.inverse_table
+    t_obj, beta = ms.tensor_objects, b.beta
+    stop = rb.full  # a builder full on entry stops after the first instance
     for x in range(n):
         for y in range(n):
-            c = b.at(x, y)
-            bad = _component_ok(base, c, ms.tensor_obj(x, y), ms.tensor_obj(y, x))
-            if bad:
-                rb.add("braiding-component", (x, y), bad)
-            elif not base.is_iso(c):
+            c = beta[x * n + y]
+            s, t = t_obj[x * n + y], t_obj[y * n + x]
+            if not (0 <= c < m and src[c] == s and tgt[c] == t):
+                rb.add("braiding-component", (x, y), _component_ok(base, c, s, t))
+            elif inv[c] is None:
                 rb.add("braiding-iso", (x, y), "component is not invertible")
+            elif inv[c] == -1:
+                base.inverse(c)  # the base is malformed and the scan raises
+            elif not stop:
+                continue
             if rb.full:
                 return rb.report()
+    comp, t_mor = base.comp, ms.tensor_morphisms
     for p in range(m):
+        x0, x1 = src[p] * n, tgt[p] * n
         for q in range(m):
-            x0, y0 = base.source[p], base.source[q]
-            x1, y1 = base.target[p], base.target[q]
-            lhs = base.comp[b.at(x1, y1)][ms.tensor_mor(p, q)]
-            rhs = base.comp[ms.tensor_mor(q, p)][b.at(x0, y0)]
+            lhs = comp[beta[x1 + tgt[q]]][t_mor[p * m + q]]
+            rhs = comp[t_mor[q * m + p]][beta[x0 + src[q]]]
             if lhs != rhs or lhs == -1:
                 rb.add("braiding-naturality", (p, q), f"paths {lhs} vs {rhs}")
                 if rb.full:
@@ -543,21 +558,6 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     elif not base.is_iso(mf.unit_iso):
         rb.add("unit-cell-iso", (), "unit cell is not invertible")
 
-    for x in range(n):
-        for y in range(n):
-            g = mf.gamma(x, y)
-            bad = _component_ok(base, g,
-                                tgt.tensor_obj(mf.on_obj(x), mf.on_obj(y)),
-                                mf.on_obj(src.tensor_obj(x, y)))
-            if bad:
-                rb.add("mult-cell", (x, y), bad)
-            elif not base.is_iso(g):
-                rb.add("mult-cell-iso", (x, y), "component is not invertible")
-            if rb.full:
-                return rb.report()
-    if any(v.law in ("mult-cell", "unit-cell") for v in rb.report().violations):
-        return rb.report()
-    # naturality of gamma in both arguments
     comp, ident = base.comp, base.identity
     nt, mt = base.num_objects, base.num_morphisms
     m_src = src.base.num_morphisms
@@ -565,7 +565,27 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     obj_map, mor_map = mf.underlying.object_map, mf.underlying.morphism_map
     mult = mf.mult
     s_obj, s_mor, s_assoc = src.tensor_objects, src.tensor_morphisms, src.associator
-    t_mor, t_assoc = tgt.tensor_morphisms, tgt.associator
+    t_obj, t_mor, t_assoc = tgt.tensor_objects, tgt.tensor_morphisms, tgt.associator
+    t_src, t_tgt, inv = base.source, base.target, base.inverse_table
+    stop = rb.full  # a builder full on entry stops after the first instance
+    for x in range(n):
+        fx = obj_map[x] * nt
+        for y in range(n):
+            g = mult[x * n + y]
+            s, t = t_obj[fx + obj_map[y]], obj_map[s_obj[x * n + y]]
+            if not (0 <= g < mt and t_src[g] == s and t_tgt[g] == t):
+                rb.add("mult-cell", (x, y), _component_ok(base, g, s, t))
+            elif inv[g] is None:
+                rb.add("mult-cell-iso", (x, y), "component is not invertible")
+            elif inv[g] == -1:
+                base.inverse(g)  # the base is malformed and the scan raises
+            elif not stop:
+                continue
+            if rb.full:
+                return rb.report()
+    if any(v.law in ("mult-cell", "unit-cell") for v in rb.report().violations):
+        return rb.report()
+    # naturality of gamma in both arguments
     for p in range(m_src):
         x0, x1 = s_src[p] * n, s_tgt[p] * n
         fp = mor_map[p] * mt

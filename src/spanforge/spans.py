@@ -489,16 +489,18 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                 raise StructureError(
                     f"explicit tensor breaks interchange at ({f}, {g})")
     # associator compatibility: pasting is associative on the nose
+    rows, filler = apex_ms.tensor_rows(), fp.filler.components
     for i in range(n):
+        i_row = rows[i]
         for j in range(n):
-            ij = apex_ms.tensor_obj(i, j)
+            ij_row, j_row = rows[i_row[j]], rows[j]
             for k in range(n):
-                left = apex_ms.tensor_obj(ij, k)
-                right = apex_ms.tensor_obj(i, apex_ms.tensor_obj(j, k))
+                left = ij_row[k]
+                right = i_row[j_row[k]]
                 if left != right:
                     raise StructureError(
                         f"span tensor is not strictly associative at ({i}, {j}, {k})")
-                if fp.filler.components[left] != fp.filler.components[right]:
+                if filler[left] != filler[right]:
                     raise StructureError("pasted transports do not associate")
     # unitor compatibility via the unique-2-cell machinery
     for on_left, expected in ((True, apex_ms.left_unitor),

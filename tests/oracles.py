@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's incremental/backtracking
 code paths: full cartesian products filtered by the defining laws, and
 direct cochain arithmetic for cocycle and bicharacter conditions.  The
-exhaustive monoidal scans at the end are the ones check_monoidal replaced
-with reduced scans, kept as their reference: they compose every instance,
-in hom-sets with at most one morphism too.
+per-call hom and inverse scans are the ones FinCategory's tables replaced,
+kept as their reference.  The exhaustive monoidal scans at the end are the
+ones check_monoidal replaced with reduced scans, kept as their reference:
+they compose every instance, in hom-sets with at most one morphism too.
 """
 from __future__ import annotations
 
@@ -22,6 +23,21 @@ from spanforge.fincat import (
 from spanforge.groups import GroupTable
 from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
+
+
+def scan_hom(c: FinCategory, x: int, y: int) -> tuple[int, ...]:
+    """hom(x, y) by a scan over all morphisms, ascending."""
+    return tuple(m for m in range(c.num_morphisms)
+                 if c.source[m] == x and c.target[m] == y)
+
+
+def scan_inverse(c: FinCategory, f: int) -> int | None:
+    """The first g in ascending hom(y, x) that is a two-sided inverse of f."""
+    x, y = c.source[f], c.target[f]
+    for g in scan_hom(c, y, x):
+        if c.comp[g][f] == c.identity[x] and c.comp[f][g] == c.identity[y]:
+            return g
+    return None
 
 
 def brute_force_functors(m: FinCategory, n: FinCategory) -> list[Functor]:
