@@ -176,14 +176,15 @@ _INDUCED_MISSES = {1: ("induced-morphism", "pair is not a fiber morphism"),
 
 
 def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
-                        left: CentralModule, right: CentralModule,
+                        left: MonFunctor, right: MonFunctor,
                         fiber: MonoidalSquare, psi_ids: tuple[int, ...],
                         ) -> MonFunctor | None:
-    """x ↦ (F_left(x), F_right(x), psi_x) with all cells forced as pairs."""
+    """x ↦ (left(x), right(x), psi_x) for the two actions, with all cells
+    forced as pairs."""
     oi = fiber.fp.object_index
     obj_map = []
     for x in range(base_struct.base.num_objects):
-        key = (left.action.on_obj(x), right.action.on_obj(x), psi_ids[x])
+        key = (left.on_obj(x), right.on_obj(x), psi_ids[x])
         if key not in oi:
             rb.add("induced-object", (x,),
                    "comparison is not a fiber object at the witness")
@@ -191,12 +192,29 @@ def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
         obj_map.append(oi[key])
     try:
         return lift_mon_functor(base_struct, fiber.apex, fiber.fp.morphism_index,
-                                obj_map, (left.action, right.action),
-                                "induced functor")
+                                obj_map, (left, right), "induced functor")
     except MediationError as exc:
         law, detail = _INDUCED_MISSES[len(exc.witness)]
         rb.add(law, exc.witness, detail)
         return None
+
+
+def _checked_induced(rb: ReportBuilder, base: Braiding, left: MonFunctor,
+                     right: MonFunctor, fiber: MonoidalSquare,
+                     psi_ids: list[int | None]) -> MonFunctor | None:
+    """Once every psi is a centralizer morphism (no id is None), the induced
+    functor into the fiber, checked monoidal and braided."""
+    if None in psi_ids:
+        return None
+    induced = _induced_into_fiber(rb, base.on, left, right, fiber, tuple(psi_ids))
+    if induced is not None:
+        sub = check_mon_functor(induced)
+        for v in sub.violations:
+            rb.add("induced-" + v.law, v.witness, v.detail)
+        sub = check_braided_functor(induced, base, fiber.braiding)
+        for v in sub.violations:
+            rb.add("induced-braided-" + v.law, v.witness, v.detail)
+    return induced
 
 
 def central_monoidal_check(setup: CentralFunctorSetup,
@@ -226,7 +244,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
 
     acting = left.base.on.base
     psi_ids = []
-    complete = True
     for x in range(acting.num_objects):
         m_half = left.center.objects_data[left.action.on_obj(x)]
         n_half = right.center.objects_data[right.action.on_obj(x)]
@@ -236,24 +253,11 @@ def central_monoidal_check(setup: CentralFunctorSetup,
             setup.phi))
         for v in hpt.violations:
             rb.add("compatibility-" + v.law, (x,) + v.witness, v.detail)
-        key = (g_push.on_obj(left.action.on_obj(x)),
-               g_pull.on_obj(right.action.on_obj(x)),
-               setup.psi_g[x])
-        if key not in mi:
-            complete = False
-            continue
-        psi_ids.append(mi[key])
-    induced = None
-    if complete:
-        induced = _induced_into_fiber(rb, left.base.on, left, right, fiber,
-                                      tuple(psi_ids))
-    if induced is not None:
-        sub = check_mon_functor(induced)
-        for v in sub.violations:
-            rb.add("induced-" + v.law, v.witness, v.detail)
-        sub = check_braided_functor(induced, left.base, fiber.braiding)
-        for v in sub.violations:
-            rb.add("induced-braided-" + v.law, v.witness, v.detail)
+        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
+                               g_pull.on_obj(right.action.on_obj(x)),
+                               setup.psi_g[x])))
+    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
+                               psi_ids)
 
     phi_fiber = None
     if setup.phi is not None:
@@ -443,34 +447,16 @@ def central_braided_check(setup: CentralBraidedSetup,
     if not is_symmetric(fiber.braiding):
         rb.add("fiber-symmetry", (), "the fiber product is not symmetric")
 
-    acting = left.base.on.base
     psi_ids = []
-    complete = True
-    for x in range(acting.num_objects):
-        key = (g_push.on_obj(left.action.on_obj(x)),
-               g_pull.on_obj(right.action.on_obj(x)),
-               setup.psi_g[x])
-        if key not in mi:
+    for x in range(left.base.on.base.num_objects):
+        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
+                               g_pull.on_obj(right.action.on_obj(x)),
+                               setup.psi_g[x])))
+        if psi_ids[-1] is None:
             rb.add("comparison", (x,),
                    "psi component is not a centralizer morphism")
-            complete = False
-            continue
-        psi_ids.append(mi[key])
-    induced = None
-    if complete:
-        induced = _induced_into_fiber(
-            rb, left.base.on,
-            CentralModule(left.base, left.carrier.on, left.center, left.action),
-            CentralModule(right.base, right.carrier.on, right.center,
-                          right.action),
-            fiber, tuple(psi_ids))
-    if induced is not None:
-        sub = check_mon_functor(induced)
-        for v in sub.violations:
-            rb.add("induced-" + v.law, v.witness, v.detail)
-        sub = check_braided_functor(induced, left.base, fiber.braiding)
-        for v in sub.violations:
-            rb.add("induced-braided-" + v.law, v.witness, v.detail)
+    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
+                               psi_ids)
 
     phi_fiber = None
     common = None

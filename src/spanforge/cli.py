@@ -49,11 +49,13 @@ from .docs import (
 )
 from .fincat import (
     Budget,
+    NatTrans,
     SpanforgeError,
     StructureError,
     check_category,
     check_functor,
     check_nat_trans,
+    compose_functors,
 )
 from .laxators import laxator, laxator_coherence, normalization_check
 from .limits import comma, fiber_product
@@ -79,12 +81,6 @@ from .spans import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-
-SUBCOMMANDS = ("validate", "center", "mueger", "centralizer", "intertwiner",
-               "fiber-product", "comma", "end", "build-span", "build-2span",
-               "laxator", "laxator-coherence", "module-structures",
-               "central-check", "normalize-check")
-
 
 def _read(path: str) -> str:
     if path == "-":
@@ -482,8 +478,7 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
         action_a = decode_mon_functor(_load(files[1], "mon_functor").payload)
         action_b = decode_mon_functor(_load(files[2], "mon_functor").payload)
         g = decode_mon_functor(_load(files[3], "mon_functor").payload)
-        psi_g = tuple(decode_nat_trans(_load(files[4], "nat_trans").payload)
-                      .components)
+        psi_g = decode_nat_trans(_load(files[4], "nat_trans").payload)
         ok = _braiding_lawful(out, "base", base)
         if not _ends_lawful(out, "candidate", g) or not ok:
             return
@@ -493,15 +488,8 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
                                      "action-right")
         if left is None or right is None:
             return
-        h = psi_h = phi = None
-        if len(files) == 8:
-            h = decode_mon_functor(_load(files[5], "mon_functor").payload)
-            psi_h = tuple(decode_nat_trans(_load(files[6], "nat_trans").payload)
-                          .components)
-            phi_nat = decode_nat_trans(_load(files[7], "nat_trans").payload)
-            phi = MonNatTrans(g, h, phi_nat.__class__(
-                g.underlying, h.underlying, phi_nat.components))
-        setup = CentralFunctorSetup(left, right, g, psi_g, h, psi_h, phi)
+        setup = _central_setup(CentralFunctorSetup, left, right, g, psi_g,
+                               files[5:])
     else:
         if len(files) not in (7, 10):
             raise StructureError(
@@ -514,8 +502,7 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
         action_a = decode_mon_functor(_load(files[3], "mon_functor").payload)
         action_b = decode_mon_functor(_load(files[4], "mon_functor").payload)
         g = decode_mon_functor(_load(files[5], "mon_functor").payload)
-        psi_g = tuple(decode_nat_trans(_load(files[6], "nat_trans").payload)
-                      .components)
+        psi_g = decode_nat_trans(_load(files[6], "nat_trans").payload)
         ok = True
         for subject, b in (("base", base), ("carrier-left", carrier_a),
                            ("carrier-right", carrier_b)):
@@ -528,15 +515,8 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
                                       "action-right")
         if left is None or right is None:
             return
-        h = psi_h = phi = None
-        if len(files) == 10:
-            h = decode_mon_functor(_load(files[7], "mon_functor").payload)
-            psi_h = tuple(decode_nat_trans(_load(files[8], "nat_trans").payload)
-                          .components)
-            phi_nat = decode_nat_trans(_load(files[9], "nat_trans").payload)
-            phi = MonNatTrans(g, h, phi_nat.__class__(
-                g.underlying, h.underlying, phi_nat.components))
-        setup = CentralBraidedSetup(left, right, g, psi_g, h, psi_h, phi)
+        setup = _central_setup(CentralBraidedSetup, left, right, g, psi_g,
+                               files[7:])
     result = central_module_check(setup, budget)
     out.check("central", result.report)
     if result.fiber is not None:
@@ -545,6 +525,35 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
     if result.common_carriers is not None:
         out.summary["common_carriers"] = list(result.common_carriers)
         out.summary["phi_matches_common"] = result.phi_matches_common
+
+
+def _central_setup(setup_type, left, right, g, psi_g: NatTrans,
+                   second: list[str]):
+    """The setup for candidate g with comparison psi_g, and the second
+    candidate h with psi_h and phi when second names their three documents.
+    A comparison psi for a candidate c must run from c∘U_left∘F_left to
+    U_right∘F_right, where U is the center's forgetful functor and F the
+    action; phi must run from g to h."""
+    h = psi_h = phi = None
+    if second:
+        h = decode_mon_functor(_load(second[0], "mon_functor").payload)
+        psi_h = decode_nat_trans(_load(second[1], "nat_trans").payload)
+        phi = decode_nat_trans(_load(second[2], "nat_trans").payload)
+    after_left = compose_functors(left.center.forgetful, left.action.underlying)
+    after_right = compose_functors(right.center.forgetful, right.action.underlying)
+    for name, psi, cand in (("psi", psi_g, g), ("psi_h", psi_h, h)):
+        if psi is not None and (
+                psi.source != compose_functors(cand.underlying, after_left)
+                or psi.target != after_right):
+            raise StructureError(f"{name} does not run from the candidate "
+                                 "after the left action to the right action")
+    if phi is not None:
+        if phi.source != g.underlying or phi.target != h.underlying:
+            raise StructureError("phi does not run from the first candidate "
+                                 "to the second")
+        phi = MonNatTrans(g, h, phi)
+    return setup_type(left, right, g, tuple(psi_g.components), h,
+                      None if psi_h is None else tuple(psi_h.components), phi)
 
 
 def _central_module_from(base, carrier, action, budget, out: Outcome,

@@ -492,10 +492,21 @@ def decode_module(tree, budget) -> ModuleData:
     return ModuleData(acting, carrier, end, action)
 
 
-def decode_module_functor(tree, budget) -> ModuleFunctorData:
-    dom = decode_module(tree["dom"], budget)
-    # an endofunctor's two ends share one End category, enumerated once
-    cod = dom if tree["cod"] == tree["dom"] else decode_module(tree["cod"], budget)
+def _decode_module_once(tree, budget, decoded: list) -> ModuleData:
+    """decode_module, but a tree equal to one in decoded, a list of (tree,
+    module) pairs, reuses its module: the modules one document repeats
+    share one End category, enumerated once."""
+    for known, md in decoded:
+        if known == tree:
+            return md
+    md = decode_module(tree, budget)
+    decoded.append((tree, md))
+    return md
+
+
+def _decode_module_functor(tree, budget, decoded: list) -> ModuleFunctorData:
+    dom = _decode_module_once(tree["dom"], budget, decoded)
+    cod = _decode_module_once(tree["cod"], budget, decoded)
     fun = Functor(dom.carrier, cod.carrier,
                   tuple(tree["functor"]["objects"]),
                   tuple(tree["functor"]["morphisms"]))
@@ -507,8 +518,13 @@ def decode_module_functor(tree, budget) -> ModuleFunctorData:
     return ModuleFunctorData(dom, cod, fun, tuple(xi))
 
 
+def decode_module_functor(tree, budget) -> ModuleFunctorData:
+    return _decode_module_functor(tree, budget, [])
+
+
 def decode_module_nattrans(tree, budget) -> ModuleNatTransData:
-    dom = decode_module_functor(tree["dom"], budget)
-    cod = decode_module_functor(tree["cod"], budget)
+    decoded: list = []
+    dom = _decode_module_functor(tree["dom"], budget, decoded)
+    cod = _decode_module_functor(tree["cod"], budget, decoded)
     return ModuleNatTransData(dom, cod,
                               NatTrans(dom.f, cod.f, tuple(tree["components"])))

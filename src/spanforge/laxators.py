@@ -137,8 +137,7 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
 # ---------------------------------------------------------------------------
 
 def _composite_transport(fd: ModuleFunctorData, gd: ModuleFunctorData,
-                         span_f: SpanCell, span_g: SpanCell,
-                         span_gf: SpanCell, af: int, ag: int,
+                         span_f: SpanCell, span_g: SpanCell, af: int, ag: int,
                          w: int) -> NatTrans:
     """Slide the comparison w between the middle endofunctors into the pasted
     transport of the composite: (xi2 before f) ∘ (g after w before f) ∘ (g after xi1)."""
@@ -151,6 +150,29 @@ def _composite_transport(fd: ModuleFunctorData, gd: ModuleFunctorData,
     step2 = whisker_post(gd.f, whisker_pre(w_nat, fd.f))
     step3 = whisker_pre(t2, fd.f)
     return vertical_composite(step3, vertical_composite(step2, step1))
+
+
+def _hom_profile(fun: Functor) -> tuple[list[tuple[tuple[int, int], bool, bool]],
+                                       int | None]:
+    """Where fun fails to be fully faithful or essentially surjective.
+
+    For each pair (x, y) of source objects, ascending: whether two morphisms
+    x -> y share an image, and whether the image set differs from
+    hom(fun x, fun y).  Then the first target object isomorphic to no
+    object in the image, or None."""
+    src, tgt = fun.source, fun.target
+    pairs = []
+    for x in range(src.num_objects):
+        for y in range(src.num_objects):
+            images = [fun.morphism_map[k] for k in src.hom(x, y)]
+            distinct = set(images)
+            target_hom = set(tgt.hom(fun.object_map[x], fun.object_map[y]))
+            pairs.append(((x, y), len(distinct) != len(images),
+                          distinct != target_hom))
+    image = set(fun.object_map)
+    missed = next((o for o in range(tgt.num_objects)
+                   if not any(tgt.isos(d, o) for d in image)), None)
+    return pairs, missed
 
 
 @dataclass(frozen=True)
@@ -185,7 +207,7 @@ def laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
     q = compose_functors(span_g.leg_right.underlying, w_fp.pr2)
     comps = []
     for af, ag, w in w_fp.objects:
-        total = _composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w)
+        total = _composite_transport(fd, gd, span_f, span_g, af, ag, w)
         comps.append(span_gf.hom_fc.transformation_id(total))
     xi = NatTrans(compose_functors(span_gf.fp.left, p),
                   compose_functors(span_gf.fp.right, q), tuple(comps))
@@ -199,38 +221,14 @@ def laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
                     span_gf.apex.tensor_obj(phi_fun.object_map[i],
                                             phi_fun.object_map[j]):
                 raise StructureError("comparison does not preserve tensors")
-    ngf = span_gf.apex.base.num_objects
-    mult = tuple(span_gf.apex.base.identity[span_gf.apex.tensor_obj(
-        phi_fun.object_map[divmod(k, napex)[0]],
-        phi_fun.object_map[divmod(k, napex)[1]])]
-        for k in range(napex * napex))
-    comparison = MonFunctor(pairing.apex, span_gf.apex, phi_fun, mult,
-                            span_gf.apex.base.identity[span_gf.apex.unit])
-
+    comparison = strict_mon_functor(pairing.apex, span_gf.apex, phi_fun)
+    pairs, missed = _hom_profile(phi_fun)
+    full = not any(uncovered for _, _, uncovered in pairs)
+    faithful = not any(collide for _, collide, _ in pairs)
     target = span_gf.apex.base
-    image = set(phi_fun.object_map)
-    missed = None
-    for o in range(ngf):
-        if not any(target.isos(o2, o) for o2 in image):
-            missed = o
-            break
-    full = True
-    faithful = True
-    w_cat = pairing.apex.base
-    for w0 in range(napex):
-        for w1 in range(napex):
-            hom_w = [k for k in range(w_cat.num_morphisms)
-                     if w_cat.source[k] == w0 and w_cat.target[k] == w1]
-            images = [phi_fun.morphism_map[k] for k in hom_w]
-            if len(set(images)) != len(images):
-                faithful = False
-            hom_target = set(target.hom(phi_fun.object_map[w0],
-                                        phi_fun.object_map[w1]))
-            if set(images) != hom_target:
-                full = False
-    bij = len(image) == napex == ngf
-    table_iso = bij and faithful and full and \
-        len(set(phi_fun.morphism_map)) == w_cat.num_morphisms == target.num_morphisms
+    bij = len(set(phi_fun.object_map)) == napex == target.num_objects
+    table_iso = bij and faithful and full and len(set(phi_fun.morphism_map)) \
+        == pairing.apex.base.num_morphisms == target.num_morphisms
     return LaxatorResult(composite, span_f, span_g, span_gf, pairing,
                          comparison, missed is None, missed, full, faithful,
                          bij, table_iso)
@@ -358,14 +356,8 @@ def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
         if apex.inverse(theta.components[a]) is None:
             rb.add("coherence-cell-iso", (a,), "component is not invertible")
     # as a monoidal transformation between monoidal comparisons
-    mult_u = tuple(apex.identity[span_hgf.apex.tensor_obj(
-        u.object_map[divmod(k, u.source.num_objects)[0]],
-        u.object_map[divmod(k, u.source.num_objects)[1]])]
-        for k in range(u.source.num_objects ** 2))
-    mon_u = MonFunctor(t_right.apex, span_hgf.apex, u, mult_u,
-                       apex.identity[span_hgf.apex.unit])
-    mon_v = MonFunctor(t_right.apex, span_hgf.apex, v, mult_u,
-                       apex.identity[span_hgf.apex.unit])
+    mon_u = strict_mon_functor(t_right.apex, span_hgf.apex, u)
+    mon_v = strict_mon_functor(t_right.apex, span_hgf.apex, v)
     cell = MonNatTrans(mon_u, mon_v, theta)
     sub = check_mon_nattrans(cell)
     for viol in sub.violations:
@@ -402,7 +394,7 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
         return rb.report()
 
     def collapse(fa, ga, sf, sg, sgf, af, ag, w):
-        total_nat = _composite_transport(fa, ga, sf, sg, sgf, af, ag, w)
+        total_nat = _composite_transport(fa, ga, sf, sg, af, ag, w)
         key = (sf.fp.objects[af][0], sg.fp.objects[ag][1],
                sgf.hom_fc.transformation_id(total_nat))
         return sgf.fp.object_index[key]
@@ -483,11 +475,7 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
         return NormalizationResult(rb.report(), False, apex.num_objects,
                                    end_cat.num_objects)
     n = end_cat.num_objects
-    mult = tuple(apex.identity[cell.apex.tensor_obj(
-        obj_map[divmod(k, n)[0]], obj_map[divmod(k, n)[1]])]
-        for k in range(n * n))
-    diag = MonFunctor(end.monoidal, cell.apex, diag_fun, mult,
-                      apex.identity[cell.apex.unit])
+    diag = strict_mon_functor(end.monoidal, cell.apex, diag_fun)
     sub = check_mon_functor(diag)
     for v in sub.violations:
         rb.add("diagonal-" + v.law, v.witness, v.detail)
@@ -498,20 +486,14 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
         rb.add("left-leg-identity", (), "left leg does not retract the diagonal")
     if right != ident_mon:
         rb.add("right-leg-identity", (), "right leg does not retract the diagonal")
-    # fully faithful
-    for i in range(n):
-        for j in range(n):
-            mapped = [diag_fun.morphism_map[k] for k in end_cat.hom(i, j)]
-            if len(set(mapped)) != len(mapped):
-                rb.add("diagonal-faithful", (i, j), "images collide")
-            if set(mapped) != set(apex.hom(obj_map[i], obj_map[j])):
-                rb.add("diagonal-full", (i, j), "hom-set is not covered")
-    # essentially surjective
-    image = set(obj_map)
-    for o in range(apex.num_objects):
-        if not any(apex.isos(d, o) for d in image):
-            rb.add("diagonal-essentially-surjective", (o,),
-                   "apex object misses the diagonal")
-            break
+    pairs, missed = _hom_profile(diag_fun)
+    for witness, collide, uncovered in pairs:
+        if collide:
+            rb.add("diagonal-faithful", witness, "images collide")
+        if uncovered:
+            rb.add("diagonal-full", witness, "hom-set is not covered")
+    if missed is not None:
+        rb.add("diagonal-essentially-surjective", (missed,),
+               "apex object misses the diagonal")
     return NormalizationResult(rb.report(), apex.num_objects == n,
                                apex.num_objects, n)

@@ -207,6 +207,72 @@ def identity_module_functor(md: ModuleData) -> ModuleFunctorData:
     return module_functor(md, md, identity_functor(md.carrier))
 
 
+# The module-functor laws on transports xi: f∘P(c) -> Q(c)∘f, each stated
+# once.  A scan yields every failing instance with the ids of its two paths
+# (-1 for an undefined composite) in ascending order; checking reports them,
+# the structure search and the 2-span apex stop at the first.
+
+def _equivariance_failures(dom: ModuleData, cod: ModuleData, f: Functor,
+                           xi, u: int):
+    """xi_{c1} ∘ f(P(u)) = Q(u)_f ∘ xi_{c0} for the acting morphism u: c0 -> c1,
+    at each carrier object m."""
+    c0, c1 = dom.acting.base.source[u], dom.acting.base.target[u]
+    p_at = dom.end.fc.transformations[dom.action.on_mor(u)].components
+    q_at = cod.end.fc.transformations[cod.action.on_mor(u)].components
+    t0, t1 = xi[c0].components, xi[c1].components
+    comp, f_obj, f_mor = cod.carrier.comp, f.object_map, f.morphism_map
+    for m in range(dom.carrier.num_objects):
+        lhs = comp[t1[m]][f_mor[p_at[m]]]
+        rhs = comp[q_at[f_obj[m]]][t0[m]]
+        if lhs != rhs or lhs == -1:
+            yield m, lhs, rhs
+
+
+def _multiplicativity_failures(dom: ModuleData, cod: ModuleData, f: Functor, xi):
+    """xi_{x⊗y} ∘ f(γ^P_{x,y}) = γ^Q_{x,y} f ∘ Q(x) xi_y ∘ xi_x P(y), at each
+    (x, y, m)."""
+    acting, n_cat = dom.acting, cod.carrier
+    comp, f_obj, f_mor = n_cat.comp, f.object_map, f.morphism_map
+    n = acting.base.num_objects
+    for x in range(n):
+        for y in range(n):
+            gamma_p = dom.end.fc.transformations[dom.action.gamma(x, y)].components
+            gamma_q = cod.end.fc.transformations[cod.action.gamma(x, y)].components
+            p1, q0 = dom.functor_at(y).object_map, cod.functor_at(x).morphism_map
+            t_xy = xi[acting.tensor_obj(x, y)].components
+            t_x, t_y = xi[x].components, xi[y].components
+            for m in range(dom.carrier.num_objects):
+                lhs = comp[t_xy[m]][f_mor[gamma_p[m]]]
+                rhs = n_cat.compose_path(gamma_q[f_obj[m]], q0[t_y[m]], t_x[p1[m]])
+                if lhs != rhs or lhs == -1:
+                    yield (x, y, m), lhs, rhs
+
+
+def _unit_failures(dom: ModuleData, cod: ModuleData, f: Functor, xi):
+    """xi_I ∘ f(η^P) = η^Q f, at each carrier object m."""
+    eta_p = dom.end.fc.transformations[dom.action.unit_iso].components
+    eta_q = cod.end.fc.transformations[cod.action.unit_iso].components
+    t_unit = xi[dom.acting.unit].components
+    comp = cod.carrier.comp
+    for m in range(dom.carrier.num_objects):
+        lhs = comp[t_unit[m]][f.morphism_map[eta_p[m]]]
+        rhs = eta_q[f.object_map[m]]
+        if lhs != rhs or lhs == -1:
+            yield m, lhs, rhs
+
+
+def _exchange_failures(dom: ModuleData, cod: ModuleData, a: NatTrans,
+                       p: Functor, q: Functor, t_f: NatTrans, t_g: NatTrans):
+    """Q(a) ∘ t_f = t_g ∘ a_P for a: f -> g and transports t_f: f∘P -> Q∘f,
+    t_g: g∘P -> Q∘g, at each carrier object m."""
+    comp, a_at = cod.carrier.comp, a.components
+    for m in range(dom.carrier.num_objects):
+        lhs = comp[q.morphism_map[a_at[m]]][t_f.components[m]]
+        rhs = comp[t_g.components[m]][a_at[p.object_map[m]]]
+        if lhs != rhs or lhs == -1:
+            yield m, lhs, rhs
+
+
 def check_module_functor(fd: ModuleFunctorData,
                          cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     """Shape, naturality, invertibility, and equivariance of the transports,
@@ -235,46 +301,15 @@ def check_module_functor(fd: ModuleFunctorData,
         if rb.full:
             return rb.report()
     if rb.report().ok:
-        # equivariance across acting morphisms and multiplicativity
         for u in range(dom.acting.base.num_morphisms):
-            c0, c1 = dom.acting.base.source[u], dom.acting.base.target[u]
-            p_trans = dom.end.fc.transformations[dom.action.on_mor(u)]
-            q_trans = cod.end.fc.transformations[cod.action.on_mor(u)]
-            for m in range(dom.carrier.num_objects):
-                lhs = n_cat.comp[fd.xi[c1].components[m]][
-                    fd.f.morphism_map[p_trans.components[m]]]
-                rhs = n_cat.comp[q_trans.components[fd.f.object_map[m]]][
-                    fd.xi[c0].components[m]]
-                if lhs != rhs or lhs == -1:
-                    rb.add("transport-equivariance", (u, m),
-                           f"paths {lhs} vs {rhs}")
-        acting = dom.acting
-        for x in range(n):
-            for y in range(n):
-                xy = acting.tensor_obj(x, y)
-                gamma_p = dom.end.fc.transformations[dom.action.gamma(x, y)]
-                gamma_q = cod.end.fc.transformations[cod.action.gamma(x, y)]
-                p1 = dom.functor_at(y)
-                q0 = cod.functor_at(x)
-                for m in range(dom.carrier.num_objects):
-                    lhs = n_cat.comp[fd.xi[xy].components[m]][
-                        fd.f.morphism_map[gamma_p.components[m]]]
-                    rhs = n_cat.compose_path(
-                        gamma_q.components[fd.f.object_map[m]],
-                        q0.morphism_map[fd.xi[y].components[m]],
-                        fd.xi[x].components[p1.object_map[m]])
-                    if lhs != rhs or lhs == -1:
-                        rb.add("transport-multiplicativity", (x, y, m),
-                               f"paths {lhs} vs {rhs}")
-                        if rb.full:
-                            return rb.report()
-        eta_p = dom.end.fc.transformations[dom.action.unit_iso]
-        eta_q = cod.end.fc.transformations[cod.action.unit_iso]
-        for m in range(dom.carrier.num_objects):
-            lhs = n_cat.comp[fd.xi[acting.unit].components[m]][
-                fd.f.morphism_map[eta_p.components[m]]]
-            if lhs != eta_q.components[fd.f.object_map[m]] or lhs == -1:
-                rb.add("transport-unit", (m,), "unit square does not commute")
+            for m, lhs, rhs in _equivariance_failures(dom, cod, fd.f, fd.xi, u):
+                rb.add("transport-equivariance", (u, m), f"paths {lhs} vs {rhs}")
+        for witness, lhs, rhs in _multiplicativity_failures(dom, cod, fd.f, fd.xi):
+            rb.add("transport-multiplicativity", witness, f"paths {lhs} vs {rhs}")
+            if rb.full:
+                return rb.report()
+        for m, _, _ in _unit_failures(dom, cod, fd.f, fd.xi):
+            rb.add("transport-unit", (m,), "unit square does not commute")
     return rb.report()
 
 
@@ -313,19 +348,13 @@ def check_module_nattrans(ad: ModuleNatTransData,
     sub = check_nat_trans(ad.a)
     for v in sub.violations:
         rb.add("underlying-" + v.law, v.witness, v.detail)
-    n_cat = fd.cod.carrier
     for c in range(fd.dom.acting.base.num_objects):
-        q_functor = gd.cod.functor_at(c)
-        p_functor = fd.dom.functor_at(c)
-        for m in range(fd.dom.carrier.num_objects):
-            lhs = n_cat.comp[q_functor.morphism_map[ad.a.components[m]]][
-                fd.xi[c].components[m]]
-            rhs = n_cat.comp[gd.xi[c].components[m]][
-                ad.a.components[p_functor.object_map[m]]]
-            if lhs != rhs or lhs == -1:
-                rb.add("transport-exchange", (c, m), f"paths {lhs} vs {rhs}")
-                if rb.full:
-                    return rb.report()
+        for m, lhs, rhs in _exchange_failures(
+                fd.dom, fd.cod, ad.a, fd.dom.functor_at(c), gd.cod.functor_at(c),
+                fd.xi[c], gd.xi[c]):
+            rb.add("transport-exchange", (c, m), f"paths {lhs} vs {rhs}")
+            if rb.full:
+                return rb.report()
     return rb.report()
 
 
@@ -432,7 +461,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     cell = SpanCell(apex_ms, fp.objects, leg_left, leg_right, fp.filler,
                     hom_fc, fp, action_lift)
     if verify:
-        _verify_span_construction(cell, endM, endN, budget)
+        _verify_span_construction(cell, endM, endN)
     return cell
 
 
@@ -450,7 +479,7 @@ def _partial_tensor(ms: MonoidalStructure, a: int, on_left: bool,
 
 
 def _verify_span_construction(cell: SpanCell, endM: EndCategory,
-                              endN: EndCategory, budget: Budget) -> None:
+                              endN: EndCategory) -> None:
     """Cross-check the explicit tensor against the mediator of the fiber
     product, and the coherence components against the unique-2-cell route.
 
@@ -531,67 +560,36 @@ def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,
     n = acting.base.num_objects
     n_cat = cod.carrier
     candidates: list[list[NatTrans]] = []
+    considered = 0
     for c in range(n):
         left = compose_functors(f, dom.functor_at(c))
         right = compose_functors(cod.functor_at(c), f)
         found = [t for t in enumerate_nat_transes(left, right)
                  if all(n_cat.is_iso(x) for x in t.components)]
+        considered += len(found)
+        budget.check_morphisms(considered, "module structure candidates")
         candidates.append(found)
+    # equivariance at u is tested once both of its ends are chosen, i.e.
+    # when the later end is
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for u in range(acting.base.num_morphisms):
+        closing[max(acting.base.source[u], acting.base.target[u])].append(u)
 
     chosen: list[NatTrans | None] = [None] * n
     results: list[ModuleFunctorData] = []
 
-    def natural_in_acting(just: int) -> bool:
-        for u in range(acting.base.num_morphisms):
-            c0, c1 = acting.base.source[u], acting.base.target[u]
-            if just not in (c0, c1) or chosen[c0] is None or chosen[c1] is None:
-                continue
-            p_trans = dom.end.fc.transformations[dom.action.on_mor(u)]
-            q_trans = cod.end.fc.transformations[cod.action.on_mor(u)]
-            for m in range(dom.carrier.num_objects):
-                lhs = n_cat.comp[chosen[c1].components[m]][
-                    f.morphism_map[p_trans.components[m]]]
-                rhs = n_cat.comp[q_trans.components[f.object_map[m]]][
-                    chosen[c0].components[m]]
-                if lhs != rhs or lhs == -1:
-                    return False
-        return True
-
-    def multiplicative() -> bool:
-        for x in range(n):
-            for y in range(n):
-                xy = acting.tensor_obj(x, y)
-                gamma_p = dom.end.fc.transformations[dom.action.gamma(x, y)]
-                gamma_q = cod.end.fc.transformations[cod.action.gamma(x, y)]
-                p1 = dom.functor_at(y)
-                q0 = cod.functor_at(x)
-                for m in range(dom.carrier.num_objects):
-                    lhs = n_cat.comp[chosen[xy].components[m]][
-                        f.morphism_map[gamma_p.components[m]]]
-                    rhs = n_cat.compose_path(
-                        gamma_q.components[f.object_map[m]],
-                        q0.morphism_map[chosen[y].components[m]],
-                        chosen[x].components[p1.object_map[m]])
-                    if lhs != rhs or lhs == -1:
-                        return False
-        eta_p = dom.end.fc.transformations[dom.action.unit_iso]
-        eta_q = cod.end.fc.transformations[cod.action.unit_iso]
-        for m in range(dom.carrier.num_objects):
-            lhs = n_cat.comp[chosen[acting.unit].components[m]][
-                f.morphism_map[eta_p.components[m]]]
-            if lhs != eta_q.components[f.object_map[m]] or lhs == -1:
-                return False
-        return True
-
     def backtrack(c: int) -> None:
         if c == n:
-            if multiplicative():
+            if next(_multiplicativity_failures(dom, cod, f, chosen), None) is None \
+                    and next(_unit_failures(dom, cod, f, chosen), None) is None:
+                budget.check_objects(len(results) + 1, "module structures")
                 results.append(ModuleFunctorData(
                     dom, cod, f, tuple(chosen)))  # type: ignore[arg-type]
             return
         for t in candidates[c]:
             chosen[c] = t
-            if natural_in_acting(c):
+            if all(next(_equivariance_failures(dom, cod, f, chosen, u), None) is None
+                   for u in closing[c]):
                 backtrack(c + 1)
             chosen[c] = None
 
@@ -620,39 +618,23 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     span_f = build_span(fd, budget, verify)
     span_g = build_span(gd, budget, verify)
     hom_fc = span_f.hom_fc
-    n_cat = fd.cod.carrier
     phi = ad.a
-
     f_objs = span_f.fp.objects
     g_objs = span_g.fp.objects
-
-    def exchange(fi_obj: int, gi_obj: int) -> bool:
-        p0, q0, x0 = f_objs[fi_obj]
-        p1, q1, x1 = g_objs[gi_obj]
-        if (p0, q0) != (p1, q1):
-            return False
-        t_f = hom_fc.transformations[x0]
-        t_g = hom_fc.transformations[x1]
-        q_functor = fd.cod.end.fc.functors[q0]
-        p_functor = fd.dom.end.fc.functors[p0]
-        for m in range(fd.dom.carrier.num_objects):
-            lhs = n_cat.comp[t_g.components[m]][phi.components[p_functor.object_map[m]]]
-            rhs = n_cat.comp[q_functor.morphism_map[phi.components[m]]][
-                t_f.components[m]]
-            if lhs != rhs or lhs == -1:
-                return False
-        return True
+    endM, endN = fd.dom.end, fd.cod.end
 
     quads: list[tuple[int, int]] = []
-    for i in range(len(f_objs)):
-        for j in range(len(g_objs)):
-            if exchange(i, j):
+    for i, (p0, q0, x0) in enumerate(f_objs):
+        for j, (p1, q1, x1) in enumerate(g_objs):
+            if (p0, q0) == (p1, q1) and next(_exchange_failures(
+                    fd.dom, fd.cod, phi, endM.fc.functors[p0], endN.fc.functors[q0],
+                    hom_fc.transformations[x0], hom_fc.transformations[x1]),
+                    None) is None:
                 quads.append((i, j))
     quad_index = {q: i for i, q in enumerate(quads)}
 
     f_mi = span_f.fp.morphism_index
     g_mi = span_g.fp.morphism_index
-    endM, endN = fd.dom.end, fd.cod.end
 
     def admits(i: int, j: int, arrow: tuple[int, int]) -> bool:
         (fi0, gi0), (fi1, gi1) = quads[i], quads[j]

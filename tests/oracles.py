@@ -7,6 +7,9 @@ per-call hom and inverse scans are the ones FinCategory's tables replaced,
 kept as their reference.  The exhaustive monoidal scans at the end are the
 ones check_monoidal replaced with reduced scans, kept as their reference:
 they compose every instance, in hom-sets with at most one morphism too.
+The module-functor and module-transformation checkers at the end are the
+bodies each law had before it was stated once in spans, and the module
+structure search there takes the full product of transport candidates.
 """
 from __future__ import annotations
 
@@ -17,12 +20,16 @@ from spanforge.fincat import (
     FinCategory,
     Functor,
     NatTrans,
+    StructureError,
     check_functor,
+    check_nat_trans,
+    compose_functors,
     product_category,
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
+from spanforge.spans import ModuleData, ModuleFunctorData, ModuleNatTransData
 
 
 def scan_hom(c: FinCategory, x: int, y: int) -> tuple[int, ...]:
@@ -244,3 +251,154 @@ def exhaustive_check_monoidal(ms: MonoidalStructure,
     shared."""
     return _check_monoidal_laws(ms, cap, exhaustive_tensor_scan,
                                 exhaustive_coherence)
+
+
+# ---------------------------------------------------------------------------
+# module functors and transformations
+# ---------------------------------------------------------------------------
+
+def reference_check_module_functor(fd: ModuleFunctorData,
+                                   cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_module_functor with each transport law written in place."""
+    rb = ReportBuilder("module_functor", cap)
+    dom, cod = fd.dom, fd.cod
+    if dom.acting != cod.acting:
+        raise StructureError("module bases differ")
+    if fd.f.source != dom.carrier or fd.f.target != cod.carrier:
+        raise StructureError("functor does not match the module carriers")
+    n = dom.acting.base.num_objects
+    if len(fd.xi) != n:
+        raise StructureError("one transport per acting object is required")
+    n_cat = cod.carrier
+    for c, t in enumerate(fd.xi):
+        if t.source != compose_functors(fd.f, dom.functor_at(c)) \
+                or t.target != compose_functors(cod.functor_at(c), fd.f):
+            rb.add("transport-shape", (c,), "transport has the wrong endpoints")
+            continue
+        sub = check_nat_trans(t)
+        for v in sub.violations:
+            rb.add("transport-" + v.law, (c,) + v.witness, v.detail)
+        for m in range(dom.carrier.num_objects):
+            if n_cat.inverse(t.components[m]) is None:
+                rb.add("transport-iso", (c, m), "component is not invertible")
+        if rb.full:
+            return rb.report()
+    if rb.report().ok:
+        # equivariance across acting morphisms and multiplicativity
+        for u in range(dom.acting.base.num_morphisms):
+            c0, c1 = dom.acting.base.source[u], dom.acting.base.target[u]
+            p_trans = dom.end.fc.transformations[dom.action.on_mor(u)]
+            q_trans = cod.end.fc.transformations[cod.action.on_mor(u)]
+            for m in range(dom.carrier.num_objects):
+                lhs = n_cat.comp[fd.xi[c1].components[m]][
+                    fd.f.morphism_map[p_trans.components[m]]]
+                rhs = n_cat.comp[q_trans.components[fd.f.object_map[m]]][
+                    fd.xi[c0].components[m]]
+                if lhs != rhs or lhs == -1:
+                    rb.add("transport-equivariance", (u, m),
+                           f"paths {lhs} vs {rhs}")
+        acting = dom.acting
+        for x in range(n):
+            for y in range(n):
+                xy = acting.tensor_obj(x, y)
+                gamma_p = dom.end.fc.transformations[dom.action.gamma(x, y)]
+                gamma_q = cod.end.fc.transformations[cod.action.gamma(x, y)]
+                p1 = dom.functor_at(y)
+                q0 = cod.functor_at(x)
+                for m in range(dom.carrier.num_objects):
+                    lhs = n_cat.comp[fd.xi[xy].components[m]][
+                        fd.f.morphism_map[gamma_p.components[m]]]
+                    rhs = n_cat.compose_path(
+                        gamma_q.components[fd.f.object_map[m]],
+                        q0.morphism_map[fd.xi[y].components[m]],
+                        fd.xi[x].components[p1.object_map[m]])
+                    if lhs != rhs or lhs == -1:
+                        rb.add("transport-multiplicativity", (x, y, m),
+                               f"paths {lhs} vs {rhs}")
+                        if rb.full:
+                            return rb.report()
+        eta_p = dom.end.fc.transformations[dom.action.unit_iso]
+        eta_q = cod.end.fc.transformations[cod.action.unit_iso]
+        for m in range(dom.carrier.num_objects):
+            lhs = n_cat.comp[fd.xi[acting.unit].components[m]][
+                fd.f.morphism_map[eta_p.components[m]]]
+            if lhs != eta_q.components[fd.f.object_map[m]] or lhs == -1:
+                rb.add("transport-unit", (m,), "unit square does not commute")
+    return rb.report()
+
+
+def reference_check_module_nattrans(ad: ModuleNatTransData,
+                                    cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_module_nattrans with the exchange condition written in place."""
+    rb = ReportBuilder("module_nattrans", cap)
+    fd, gd = ad.dom, ad.cod
+    if fd.dom != gd.dom or fd.cod != gd.cod:
+        raise StructureError("module transformation between mismatched functors")
+    if ad.a.source != fd.f or ad.a.target != gd.f:
+        raise StructureError("underlying transformation has the wrong shape")
+    sub = check_nat_trans(ad.a)
+    for v in sub.violations:
+        rb.add("underlying-" + v.law, v.witness, v.detail)
+    n_cat = fd.cod.carrier
+    for c in range(fd.dom.acting.base.num_objects):
+        q_functor = gd.cod.functor_at(c)
+        p_functor = fd.dom.functor_at(c)
+        for m in range(fd.dom.carrier.num_objects):
+            lhs = n_cat.comp[q_functor.morphism_map[ad.a.components[m]]][
+                fd.xi[c].components[m]]
+            rhs = n_cat.comp[gd.xi[c].components[m]][
+                ad.a.components[p_functor.object_map[m]]]
+            if lhs != rhs or lhs == -1:
+                rb.add("transport-exchange", (c, m), f"paths {lhs} vs {rhs}")
+                if rb.full:
+                    return rb.report()
+    return rb.report()
+
+
+def transport_candidates(f: Functor, dom: ModuleData,
+                         cod: ModuleData) -> list[list[NatTrans]]:
+    """Per acting object c, every natural transformation f∘P(c) -> Q(c)∘f
+    with invertible components, by brute force."""
+    n_cat = cod.carrier
+    return [[t for t in brute_force_nat_transes(compose_functors(f, dom.functor_at(c)),
+                                                compose_functors(cod.functor_at(c), f))
+             if all(scan_inverse(n_cat, x) is not None for x in t.components)]
+            for c in range(dom.acting.base.num_objects)]
+
+
+def brute_force_module_structures(f: Functor, dom: ModuleData,
+                                  cod: ModuleData) -> list[tuple[NatTrans, ...]]:
+    """Every transport family making f a module functor: the full product of
+    transport_candidates, filtered by equivariance, multiplicativity and the
+    unit law, each composite taken from the table."""
+    acting, comp = dom.acting, cod.carrier.comp
+    carrier_objects = range(dom.carrier.num_objects)
+    fc_p, fc_q = dom.end.fc, cod.end.fc
+
+    def lawful(xi: tuple[NatTrans, ...]) -> bool:
+        at = [t.components for t in xi]
+        for u in range(acting.base.num_morphisms):
+            c0, c1 = acting.base.source[u], acting.base.target[u]
+            p_u = fc_p.transformations[dom.action.on_mor(u)].components
+            q_u = fc_q.transformations[cod.action.on_mor(u)].components
+            for m in carrier_objects:
+                if comp[at[c1][m]][f.morphism_map[p_u[m]]] \
+                        != comp[q_u[f.object_map[m]]][at[c0][m]]:
+                    return False
+        for x in range(acting.base.num_objects):
+            for y in range(acting.base.num_objects):
+                xy = acting.tensor_obj(x, y)
+                g_p = fc_p.transformations[dom.action.gamma(x, y)].components
+                g_q = fc_q.transformations[cod.action.gamma(x, y)].components
+                q_x, p_y = cod.functor_at(x), dom.functor_at(y)
+                for m in carrier_objects:
+                    inner = comp[q_x.morphism_map[at[y][m]]][at[x][p_y.object_map[m]]]
+                    if comp[at[xy][m]][f.morphism_map[g_p[m]]] \
+                            != comp[g_q[f.object_map[m]]][inner]:
+                        return False
+        e_p = fc_p.transformations[dom.action.unit_iso].components
+        e_q = fc_q.transformations[cod.action.unit_iso].components
+        return all(comp[at[acting.unit][m]][f.morphism_map[e_p[m]]]
+                   == e_q[f.object_map[m]] for m in carrier_objects)
+
+    return [xi for xi in product(*transport_candidates(f, dom, cod)) if lawful(xi)]

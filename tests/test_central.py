@@ -5,7 +5,6 @@ import pytest
 from spanforge.central import (
     CentralBraidedSetup,
     CentralFunctorSetup,
-    CentralModule,
     _induced_into_fiber,
     _phi_quadruples_z2,
     central_braided_module,
@@ -176,9 +175,7 @@ def test_induced_functor_reports_the_missing_cell():
               "unit pair is not a fiber morphism")]
     for action, law, witness, detail in cases:
         rb = ReportBuilder("central_module_check")
-        induced = _induced_into_fiber(rb, ms, CentralModule(None, ms, None, action),
-                                      CentralModule(None, ms, None, ident),
-                                      fiber, psi)
+        induced = _induced_into_fiber(rb, ms, action, ident, fiber, psi)
         assert induced is None
         assert [(v.law, v.witness, v.detail) for v in rb.report().violations] \
             == [(law, witness, detail)]
@@ -343,3 +340,23 @@ def central_setups():
     for name in ("z2-trivial", "z3-pairing", "klein-pairing"):
         setups[name], _ = phi_fiber_setup(name)
     return setups
+
+
+@pytest.mark.parametrize("short, message", [
+    ("psi_g", "one comparison per base object"),
+    ("psi_h", "one comparison per base object"),
+    ("phi", "phi needs one component per object"),
+])
+@pytest.mark.parametrize("name", ["coupled", "z2-trivial"])
+def test_short_comparisons_are_refused(name, short, message):
+    # one component fewer than required, in each comparison of a setup with
+    # a second candidate, over a braided and over a symmetric base
+    setup = central_setups()[name]
+    if short == "phi":
+        nat = setup.phi.underlying
+        cut = replace(setup.phi, underlying=replace(
+            nat, components=nat.components[:-1]))
+    else:
+        cut = getattr(setup, short)[:-1]
+    with pytest.raises(StructureError, match=message):
+        central_module_check(replace(setup, **{short: cut}))

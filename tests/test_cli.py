@@ -1,5 +1,6 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,8 @@ from spanforge.cli import main
 from spanforge.docs import (
     Document,
     decode_braiding,
+    decode_mon_functor,
+    decode_nat_trans,
     encode_mon_functor,
     encode_nat_trans,
     parse,
@@ -376,12 +379,16 @@ def test_central_check_law_checks_its_inputs_first(capsys, tmp_path, variant,
 ])
 def test_central_check_rejects_short_comparisons(capsys, tmp_path, variant,
                                                  short):
-    # psi and psi_h need one component per base object, phi one per object
-    # of the candidates' source; a one-component nat_trans has too few
+    # a one-component nat_trans is too short for psi, psi_h and phi; the
+    # document schema ties its component count to its declared source, so
+    # its declared functors cannot be the ones its position requires
     files = [data(name) for name in
              (CENTRAL_Z1 if variant == "z1" else CENTRAL_Z2)]
+    g = decode_mon_functor(parse(files[-2].read_text()).payload)
     # the second candidate is the first, phi the identity transformation
-    files += files[-2:] + [files[-1]]
+    files += files[-2:] + [tmp_path / "phi.json"]
+    files[-1].write_text(serialize(Document("nat_trans", encode_nat_trans(
+        identity_nat_trans(g.underlying)))))
     position = {"psi": len(files) - 4, "psi_h": -2, "phi": -1}[short]
     files[position] = tmp_path / "short.json"
     files[position].write_text(serialize(Document("nat_trans", encode_nat_trans(
@@ -390,8 +397,40 @@ def test_central_check_rejects_short_comparisons(capsys, tmp_path, variant,
         files = files[:-3]
     code, out, err = run(capsys, "central-check", variant, *files)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {short} does not run from the ")
     assert out == ""
+
+
+def test_central_check_reads_the_declared_functors(capsys, tmp_path):
+    # each comparison document names its source and target functors; one
+    # with an object misplaced is refused though its components are those
+    # of a passing setup
+    def misplaced(fun):
+        objects = fun.object_map
+        return replace(fun, object_map=(objects[1], objects[0]) + objects[2:])
+
+    files = [data(name) for name in CENTRAL_Z1]
+    g = decode_mon_functor(parse(files[-2].read_text()).payload)
+    psi = decode_nat_trans(parse(files[-1].read_text()).payload)
+    phi = identity_nat_trans(g.underlying)
+    files += files[-2:] + [tmp_path / "phi.json"]
+    files[-1].write_text(serialize(Document("nat_trans", encode_nat_trans(phi))))
+    code, _, err = run(capsys, "central-check", "z1", *files)
+    assert code == 0, err
+    cases = [(-1, replace(phi, source=misplaced(phi.source)),
+              "error: phi does not run from the first candidate"),
+             (4, replace(psi, target=misplaced(psi.target)),
+              "error: psi does not run from the candidate"),
+             (-2, replace(psi, source=misplaced(psi.source)),
+              "error: psi_h does not run from the candidate")]
+    for position, nat, message in cases:
+        argv = list(files)
+        argv[position] = tmp_path / "mutant.json"
+        argv[position].write_text(
+            serialize(Document("nat_trans", encode_nat_trans(nat))))
+        code, out, err = run(capsys, "central-check", "z1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +523,21 @@ def test_module_on_lawless_carrier_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "validate", mutant)
     assert code == 2
     assert err.startswith("error:") and "carrier is not a category" in err
+
+
+def test_readme_lists_every_subcommand():
+    # the subcommands of the parser are exactly the `spanforge <subcommand>`
+    # lines of the README's CLI block
+    import argparse
+    from spanforge.cli import _build_parser
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    cli_block = next(b for b in blocks if b.startswith("spanforge "))
+    documented = {line.split()[1] for line in cli_block.splitlines()
+                  if line.startswith("spanforge ")}
+    parsers = [a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    assert len(parsers) == 1
+    assert set(parsers[0].choices) == documented
+    assert len(documented) == 15

@@ -205,6 +205,23 @@ def test_a_checker_raises_where_the_inverse_scan_raises():
         check_braiding(Braiding(ms, (2, 1, 0, 0)), cap=1)
 
 
+def count_calls(monkeypatch, names):
+    """Count calls of each named function wherever spans, docs or cli
+    binds it; the returned dict is live."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(spans if hasattr(spans, name) else docs, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (spans, docs, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # sha256 of stdout of `spanforge --report MODE build-span` on the arrow
 # identity module functor, before its module was decoded once
 BUILD_SPAN_STDOUT = {
@@ -214,17 +231,7 @@ BUILD_SPAN_STDOUT = {
 
 
 def test_endofunctor_document_decodes_its_module_once(monkeypatch, capsys):
-    calls = {"end_monoidal": 0, "functor_category": 0}
-    for name in calls:
-        original = getattr(spans, name)
-
-        def counted(*args, name=name, original=original, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        for module in (spans, docs, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, ("end_monoidal", "functor_category"))
     for mode, digest in BUILD_SPAN_STDOUT.items():
         calls.update(end_monoidal=0, functor_category=0)
         code = main(["--report", mode, "build-span",
@@ -232,4 +239,29 @@ def test_endofunctor_document_decodes_its_module_once(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert calls == {"end_monoidal": 1, "functor_category": 2}
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout of `spanforge --report MODE build-2span` on the const-0 to
+# identity module transformation, before each module tree of a document was
+# decoded once
+BUILD_2SPAN_STDOUT = {
+    "human": "2a90c6e7c331b8bca974278c764fbd4c6f12f594d2bde1b990f62edd53d92077",
+    "structured": "d66011aa17fe8a063bb736e3c2e5d19d31dc579a5738105e1ee97c9f5e7eeaa9",
+}
+
+
+def test_nattrans_document_decodes_each_module_once(monkeypatch, capsys):
+    # all four module trees of the document are one module: one decode, one
+    # End category, and Fun(M, M) again only in each of the two spans
+    names = ("decode_module", "end_monoidal", "functor_category")
+    calls = count_calls(monkeypatch, names)
+    for mode, digest in BUILD_2SPAN_STDOUT.items():
+        calls.update(dict.fromkeys(names, 0))
+        code = main(["--report", mode, "build-2span",
+                     str(DATA / "arrow_const0_to_id_module_nattrans.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert calls == {"decode_module": 1, "end_monoidal": 1,
+                         "functor_category": 3}
         assert hashlib.sha256(out.encode()).hexdigest() == digest

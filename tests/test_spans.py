@@ -175,7 +175,7 @@ def test_span_verification_catches_a_wrong_tensor_entry():
         wrong = replace(cell, apex=replace(cell.apex,
                                            tensor_morphisms=tuple(entries)))
         with pytest.raises(StructureError):
-            _verify_span_construction(wrong, fd.dom.end, fd.cod.end, Budget())
+            _verify_span_construction(wrong, fd.dom.end, fd.cod.end)
         caught.add(kind)
     assert caught == {(True, False), (False, True), (False, False)}
 
@@ -294,6 +294,25 @@ def test_twisted_bz2_has_two_structures():
     # the two transports differ by the central scalar at the acting generator
     comps = sorted(t.xi[1].components for t in found)
     assert comps == [(0,), (1,)]
+
+
+def test_module_structure_search_honours_its_budget():
+    # two families: the object ceiling refuses the second before it is
+    # kept, the morphism ceiling the candidates of the second acting object
+    md = corpus.m_trivial_z2_on_bz2()
+    f = identity_functor(corpus.bz2())
+    found = module_structures_on(f, md, md)
+    assert module_structures_on(f, md, md, Budget()) == found
+    assert len(found) == 2
+    with pytest.raises(BudgetError) as exc:
+        module_structures_on(f, md, md, Budget(max_objects=1))
+    assert (exc.value.what, exc.value.estimate) == ("module structures (objects)", 2)
+    assert module_structures_on(f, md, md, Budget(max_objects=2)) == found
+    with pytest.raises(BudgetError) as exc:
+        module_structures_on(f, md, md, Budget(max_morphisms=3))
+    assert (exc.value.what, exc.value.estimate) \
+        == ("module structure candidates (morphisms)", 4)
+    assert module_structures_on(f, md, md, Budget(max_morphisms=4)) == found
 
 
 def test_bijection_on_full_corpus():
