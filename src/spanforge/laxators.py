@@ -21,9 +21,6 @@ from .fincat import (
     compose_functors,
     identity_nat_trans,
     lift_functor,
-    vertical_composite,
-    whisker_post,
-    whisker_pre,
 )
 from .limits import FiberProductResult, fiber_product, mediate, mediate_2cell
 from .monoidal import (
@@ -42,6 +39,7 @@ from .reporting import Report, ReportBuilder
 from .spans import (
     ModuleFunctorData,
     SpanCell,
+    _transport_id,
     build_span,
     compose_module_functors,
     identity_module_functor,
@@ -137,19 +135,21 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
 # ---------------------------------------------------------------------------
 
 def _composite_transport(fd: ModuleFunctorData, gd: ModuleFunctorData,
-                         span_f: SpanCell, span_g: SpanCell, af: int, ag: int,
-                         w: int) -> NatTrans:
+                         span_f: SpanCell, span_g: SpanCell, span_gf: SpanCell,
+                         af: int, ag: int, w: int) -> int:
     """Slide the comparison w between the middle endofunctors into the pasted
-    transport of the composite: (xi2 before f) ∘ (g after w before f) ∘ (g after xi1)."""
-    p0, q0, x0 = span_f.fp.objects[af]
-    q1, r1, x1 = span_g.fp.objects[ag]
-    t1 = span_f.hom_fc.transformations[x0]
-    t2 = span_g.hom_fc.transformations[x1]
-    w_nat = fd.cod.end.fc.transformations[w]
-    step1 = whisker_post(gd.f, t1)
-    step2 = whisker_post(gd.f, whisker_pre(w_nat, fd.f))
-    step3 = whisker_pre(t2, fd.f)
-    return vertical_composite(step3, vertical_composite(step2, step1))
+    transport of the composite, t2_{f m} ∘ g(w_{f m}) ∘ g(t1_m), and return
+    its id in the hom category of span_gf."""
+    p0, _, x0 = span_f.fp.objects[af]
+    _, r1, x1 = span_g.fp.objects[ag]
+    t1 = span_f.hom_fc.transformations[x0].components
+    t2 = span_g.hom_fc.transformations[x1].components
+    w_at = fd.cod.end.fc.transformations[w].components
+    cat, g_mor = gd.f.target, gd.f.morphism_map
+    return _transport_id(span_gf.hom_fc, span_gf.fp.left.object_map[p0],
+                         span_gf.fp.right.object_map[r1],
+                         tuple(cat.comp[t2[fm]][cat.compose(g_mor[w_at[fm]], g_mor[t])]
+                               for fm, t in zip(fd.f.object_map, t1)))
 
 
 def _hom_profile(fun: Functor) -> tuple[list[tuple[tuple[int, int], bool, bool]],
@@ -197,22 +197,25 @@ def laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
     span of the composite module functor, with its invertibility profile."""
     if fd.cod != gd.dom:
         raise StructureError("module functors are not composable")
-    span_f = build_span(fd, budget)
-    span_g = build_span(gd, budget)
+    span_f, span_g = build_span(fd, budget), build_span(gd, budget)
     composite = compose_module_functors(gd, fd)
-    span_gf = build_span(composite, budget)
+    return _laxator(fd, gd, composite, span_f, span_g, build_span(composite, budget),
+                    budget)
+
+
+def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
+             composite: ModuleFunctorData, span_f: SpanCell, span_g: SpanCell,
+             span_gf: SpanCell, budget: Budget) -> LaxatorResult:
+    """laxator on the spans of fd, gd and their composite, already built."""
     pairing = monoidal_fiber_product(span_f.leg_right, span_g.leg_left, budget)
     w_fp = pairing.fp
     p = compose_functors(span_f.leg_left.underlying, w_fp.pr1)
     q = compose_functors(span_g.leg_right.underlying, w_fp.pr2)
-    comps = []
-    for af, ag, w in w_fp.objects:
-        total = _composite_transport(fd, gd, span_f, span_g, af, ag, w)
-        comps.append(span_gf.hom_fc.transformation_id(total))
     xi = NatTrans(compose_functors(span_gf.fp.left, p),
-                  compose_functors(span_gf.fp.right, q), tuple(comps))
-    med = mediate(span_gf.fp, p, q, xi)
-    phi_fun = med.functor
+                  compose_functors(span_gf.fp.right, q),
+                  tuple(_composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w)
+                        for af, ag, w in w_fp.objects))
+    phi_fun = mediate(span_gf.fp, p, q, xi)
     # tensors are preserved on the nose in the strict model
     napex = pairing.apex.base.num_objects
     for i in range(napex):
@@ -307,13 +310,23 @@ def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
                       budget: Budget = DEFAULT_BUDGET) -> LaxatorCoherenceResult:
     """The 2-cell comparing the two ways of collapsing a composable triple,
     produced by the unique-2-cell machinery of the target fiber product."""
+    # each span is built once: f, g, h, gf, hg and hgf (build_span is pure)
     lax_fg = laxator(fd, gd, budget)
-    lax_gh = laxator(gd, hd, budget)
-    lax_gf_h = laxator(lax_fg.composite, hd, budget)
-    lax_f_hg = laxator(fd, lax_gh.composite, budget)
-    if lax_gf_h.span_composite.apex != lax_f_hg.span_composite.apex:
+    if gd.cod != hd.dom:
+        raise StructureError("module functors are not composable")
+    span_h = build_span(hd, budget)
+    hg = compose_module_functors(hd, gd)
+    lax_gh = _laxator(gd, hd, hg, lax_fg.span_right, span_h, build_span(hg, budget),
+                      budget)
+    gf_h = compose_module_functors(hd, lax_fg.composite)
+    span_hgf = build_span(gf_h, budget)
+    lax_gf_h = _laxator(lax_fg.composite, hd, gf_h, lax_fg.span_composite, span_h,
+                        span_hgf, budget)
+    f_hg = compose_module_functors(hg, fd)
+    lax_f_hg = _laxator(fd, hg, f_hg, lax_fg.span_left, lax_gh.span_composite,
+                        span_hgf if f_hg == gf_h else build_span(f_hg, budget), budget)
+    if span_hgf.apex != lax_f_hg.span_composite.apex:
         raise StructureError("the two triple composites have different spans")
-    span_hgf = lax_gf_h.span_composite
 
     # (A_f x A_g) x A_h and A_f x (A_g x A_h)
     left_edge = compose_mon_functors(lax_fg.span_right.leg_right,
@@ -372,31 +385,23 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
     """Collapse every composable chain of four span objects in the two extreme
     orders and compare the resulting objects of the total span, table-exactly."""
     rb = ReportBuilder("quadruple_pasting")
-    span_f = build_span(fd, budget)
-    span_g = build_span(gd, budget)
-    span_h = build_span(hd, budget)
-    span_k = build_span(kd, budget)
-    gf = compose_module_functors(gd, fd)
-    hg = compose_module_functors(hd, gd)
-    kh = compose_module_functors(kd, hd)
-    span_gf = build_span(gf, budget)
-    span_hg = build_span(hg, budget)
-    span_kh = build_span(kh, budget)
-    hgf = compose_module_functors(hd, gf)
-    khg = compose_module_functors(kd, hg)
-    span_hgf = build_span(hgf, budget)
-    span_khg = build_span(khg, budget)
+    span_f, span_g, span_h, span_k = (build_span(d, budget) for d in (fd, gd, hd, kd))
+    gf, hg, kh = (compose_module_functors(b, a)
+                  for a, b in ((fd, gd), (gd, hd), (hd, kd)))
+    span_gf, span_hg, span_kh = (build_span(d, budget) for d in (gf, hg, kh))
+    hgf, khg = compose_module_functors(hd, gf), compose_module_functors(kd, hg)
+    span_hgf, span_khg = build_span(hgf, budget), build_span(khg, budget)
     total = compose_module_functors(kd, hgf)
     span_total = build_span(total, budget)
-    if span_total.apex != build_span(compose_module_functors(khg, fd),
-                                     budget).apex:
+    # build_span is pure: equal module functors give equal spans
+    other = compose_module_functors(khg, fd)
+    if other != total and span_total.apex != build_span(other, budget).apex:
         rb.add("composite-associativity", (), "the two total spans differ")
         return rb.report()
 
     def collapse(fa, ga, sf, sg, sgf, af, ag, w):
-        total_nat = _composite_transport(fa, ga, sf, sg, af, ag, w)
         key = (sf.fp.objects[af][0], sg.fp.objects[ag][1],
-               sgf.hom_fc.transformation_id(total_nat))
+               _composite_transport(fa, ga, sf, sg, sgf, af, ag, w))
         return sgf.fp.object_index[key]
 
     endN = fd.cod.end.fc.as_category

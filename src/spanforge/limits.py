@@ -121,19 +121,13 @@ def comma(f: Functor, g: Functor, budget: Budget = DEFAULT_BUDGET,
                   what="comma category")
 
 
-@dataclass(frozen=True)
-class Mediator:
-    functor: Functor
-    zeta1: NatTrans
-    zeta2: NatTrans
-
-
-def mediate(result: CommaResult, p: Functor, q: Functor, xi: NatTrans) -> Mediator:
-    """The strict mediating functor a ↦ (p(a), q(a), xi_a) with identity witnesses.
+def mediate(result: CommaResult, p: Functor, q: Functor, xi: NatTrans) -> Functor:
+    """The strict mediating functor u: a ↦ (p(a), q(a), xi_a).
 
     xi must be a natural transformation left∘p -> right∘q (reversed for the
     reverse orientation), with invertible components when the result is a
-    fiber product.
+    fiber product.  Its witnesses pr1∘u = p and pr2∘u = q are identities by
+    construction, so only u is returned.
     """
     if p.source != q.source:
         raise StructureError("mediate: the two legs have different sources")
@@ -162,16 +156,12 @@ def mediate(result: CommaResult, p: Functor, q: Functor, xi: NatTrans) -> Mediat
         raise StructureError(f"mediate: cone object not in the apex: {exc}")
     u = lift_functor(p.source, result.apex, result.morphism_index, obj_map,
                      zip(p.morphism_map, q.morphism_map), "mediate")
-    zeta1 = NatTrans(compose_functors(result.pr1, u), p,
-                     tuple(p.target.identity[x] for x in p.object_map))
-    zeta2 = NatTrans(compose_functors(result.pr2, u), q,
-                     tuple(q.target.identity[y] for y in q.object_map))
     # with identity witnesses the compatibility equation reduces to
     # filler∘u = xi, which holds by construction; keep the table check
     for a in range(p.source.num_objects):
         if result.filler.components[obj_map[a]] != xi.components[a]:
             raise MediationError("mediate: filler does not restrict to xi", (a,))
-    return Mediator(u, zeta1, zeta2)
+    return u
 
 
 def mediate_2cell(result: CommaResult, u: Functor, v: Functor,

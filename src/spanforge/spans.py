@@ -30,9 +30,6 @@ from .fincat import (
     identity_nat_trans,
     pullback,
     pushforward,
-    vertical_composite,
-    whisker_post,
-    whisker_pre,
 )
 from .limits import FiberProductResult, fiber_product, mediate, mediate_2cell
 from .monoidal import (
@@ -316,14 +313,20 @@ def check_module_functor(fd: ModuleFunctorData,
 def compose_module_functors(g: ModuleFunctorData,
                             f: ModuleFunctorData) -> ModuleFunctorData:
     """g∘f with transports pasted: slide f's transport through g's functor,
-    then apply g's transport."""
+    then apply g's transport, ξ_{c,m} = ξ^g_{c, f m} ∘ g(ξ^f_{c,m})
+    (whiskering, CWM §II.5)."""
     if f.cod != g.dom:
         raise StructureError("module functors are not composable")
+    compose, g_mor = g.f.target.compose, g.f.morphism_map
     xi = []
     for c in range(f.dom.acting.base.num_objects):
-        step1 = whisker_post(g.f, f.xi[c])
-        step2 = whisker_pre(g.xi[c], f.f)
-        xi.append(vertical_composite(step2, step1))
+        t_f, t_g = f.xi[c], g.xi[c]
+        if compose_functors(g.f, t_f.target) != compose_functors(t_g.source, f.f):
+            raise StructureError("transports do not paste: middle functors differ")
+        xi.append(NatTrans(compose_functors(g.f, t_f.source),
+                           compose_functors(t_g.target, f.f),
+                           tuple(compose(t_g.components[fm], g_mor[t])
+                                 for fm, t in zip(f.f.object_map, t_f.components))))
     return ModuleFunctorData(f.dom, g.cod, compose_functors(g.f, f.f), tuple(xi))
 
 
@@ -380,10 +383,16 @@ class SpanCell:
     vertical_fillers: tuple[MonNatTrans, MonNatTrans] | None = None
 
 
-def _pasted_transport(t0: NatTrans, t1: NatTrans,
-                      p1: Functor, q0: Functor) -> NatTrans:
-    """(Q0 after t1) ∘ (t0 before P1): the transport of a composite pair."""
-    return vertical_composite(whisker_post(q0, t1), whisker_pre(t0, p1))
+def _transport_id(fc: FunctorCategory, source: int, target: int,
+                  components: tuple[int, ...]) -> int:
+    """The id in fc of the transformation source -> target with these
+    components.  A pasting of transports is one or two lookups in the
+    carrier's comp table per component (whiskering and interchange, CWM
+    §II.5); an undefined composite (-1) or an unnatural family is refused."""
+    t = fc.transformation_index.get((source, target, components))
+    if t is None:
+        raise StructureError("pasted transport is not a transformation")
+    return t
 
 
 def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
@@ -404,23 +413,21 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
             f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
     endM, endN = dom.end, cod.end
     hom_fc = functor_category(dom.carrier, cod.carrier, budget)
-    post = pushforward(fd.f, endM.fc, hom_fc)
-    pre = pullback(fd.f, endN.fc, hom_fc)
-    fp = fiber_product(post, pre, budget)
-    apex_cat = fp.apex
+    fp = fiber_product(pushforward(fd.f, endM.fc, hom_fc),
+                       pullback(fd.f, endN.fc, hom_fc), budget)
     oi, mi = fp.object_index, fp.morphism_index
-
-    def pasted_id(a0: int, a1: int) -> int:
-        p0, q0, x0 = fp.objects[a0]
-        p1, q1, x1 = fp.objects[a1]
-        return hom_fc.transformation_id(_pasted_transport(
-            hom_fc.transformations[x0], hom_fc.transformations[x1],
-            endM.fc.functors[p1], endN.fc.functors[q0]))
+    comp, transes = cod.carrier.comp, hom_fc.transformations
 
     def tensor_obj(a0: int, a1: int) -> int:
-        key = (endM.monoidal.tensor_obj(fp.objects[a0][0], fp.objects[a1][0]),
-               endN.monoidal.tensor_obj(fp.objects[a0][1], fp.objects[a1][1]),
-               pasted_id(a0, a1))
+        # the pasted transport (Q0 t1) ∘ (t0 P1): f∘P0∘P1 -> Q0∘Q1∘f
+        p0, q0, x0 = fp.objects[a0]
+        p1, q1, x1 = fp.objects[a1]
+        p, q = endM.monoidal.tensor_obj(p0, p1), endN.monoidal.tensor_obj(q0, q1)
+        t0, q0_mor = transes[x0].components, endN.fc.functors[q0].morphism_map
+        pasted = tuple(comp[q0_mor[t1_m]][t0[p1_m]] for t1_m, p1_m in
+                       zip(transes[x1].components, endM.fc.functors[p1].object_map))
+        key = (p, q, _transport_id(hom_fc, fp.left.object_map[p],
+                                   fp.right.object_map[q], pasted))
         if key not in oi:
             raise StructureError("span tensor left the apex; transports do not paste")
         return oi[key]
@@ -438,8 +445,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
                 hom_fc.as_category.identity[unit_hom])
     if unit_key not in oi:
         raise StructureError("span unit is missing from the apex")
-    unit = oi[unit_key]
-    apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
+    apex_ms = tabulate_monoidal(fp.apex, oi[unit_key], tensor_obj, tensor_mor,
                                 budget=budget)
 
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, fp.pr1)
@@ -506,7 +512,7 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
             comparison = NatTrans(
                 compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
                 tuple(fp.filler.components[x] for x in explicit.object_map))
-            if mediate(fp, p_cone, q_cone, comparison).functor != explicit:
+            if mediate(fp, p_cone, q_cone, comparison) != explicit:
                 raise StructureError("mediator tensor disagrees with the explicit tensor")
             partials[on_left].append(explicit)
     a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
@@ -616,7 +622,7 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
         raise StructureError(
             f"module transformation condition fails at witness {first.witness}")
     span_f = build_span(fd, budget, verify)
-    span_g = build_span(gd, budget, verify)
+    span_g = span_f if gd == fd else build_span(gd, budget, verify)
     hom_fc = span_f.hom_fc
     phi = ad.a
     f_objs = span_f.fp.objects
@@ -682,35 +688,30 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
                     tuple(g_objs[gi][2] for _, gi in quads))
     med_f = mediate(span_f.fp, p_proj, q_proj, xi_f)
     med_g = mediate(span_g.fp, p_proj, q_proj, xi_g)
-    vert_f = strict_mon_functor(apex_ms, span_f.apex, med_f.functor)
-    vert_g = strict_mon_functor(apex_ms, span_g.apex, med_g.functor)
+    vert_f = strict_mon_functor(apex_ms, span_f.apex, med_f)
+    vert_g = strict_mon_functor(apex_ms, span_g.apex, med_g)
 
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, p_proj)
     leg_right = strict_mon_functor(apex_ms, endN.monoidal, q_proj)
-    # the comma-shaped filler: slide the transformation through Q after xi_f
+    # the comma-shaped filler (Q φ) ∘ xi_f: f∘P -> Q∘g
+    comp = fd.cod.carrier.comp
     filler_comps = []
-    for fi, gi in quads:
+    for fi, _ in quads:
         p0, q0, x0 = f_objs[fi]
-        t_f = hom_fc.transformations[x0]
-        q_functor = endN.fc.functors[q0]
-        pasted = vertical_composite(whisker_post(q_functor, phi), t_f)
-        filler_comps.append(hom_fc.transformation_id(pasted))
-    g_star = pushforward(fd.f, endM.fc, hom_fc)
-    g_pre = pullback(gd.f, endN.fc, hom_fc)
-    filler = NatTrans(compose_functors(g_star, p_proj),
-                      compose_functors(g_pre, q_proj),
-                      tuple(filler_comps))
+        q_mor = endN.fc.functors[q0].morphism_map
+        filler_comps.append(_transport_id(
+            hom_fc, span_f.fp.left.object_map[p0], span_g.fp.right.object_map[q0],
+            tuple(comp[q_mor[a]][t] for a, t in
+                  zip(phi.components, hom_fc.transformations[x0].components))))
+    filler = NatTrans(xi_f.source, xi_g.target, tuple(filler_comps))
 
-    ident_f = MonNatTrans(
-        compose_mon_functors(span_f.leg_left, vert_f),
-        compose_mon_functors(span_g.leg_left, vert_g),
-        identity_nat_trans(compose_functors(span_f.leg_left.underlying,
-                                            med_f.functor)))
-    ident_g = MonNatTrans(
-        compose_mon_functors(span_f.leg_right, vert_f),
-        compose_mon_functors(span_g.leg_right, vert_g),
-        identity_nat_trans(compose_functors(span_f.leg_right.underlying,
-                                            med_f.functor)))
+    # a mediator's witnesses are identities: pr1∘med = p_proj, pr2∘med = q_proj
+    ident_f = MonNatTrans(compose_mon_functors(span_f.leg_left, vert_f),
+                          compose_mon_functors(span_g.leg_left, vert_g),
+                          identity_nat_trans(p_proj))
+    ident_g = MonNatTrans(compose_mon_functors(span_f.leg_right, vert_f),
+                          compose_mon_functors(span_g.leg_right, vert_g),
+                          identity_nat_trans(q_proj))
 
     apex_objects = tuple((f_objs[fi][0], f_objs[fi][1], f_objs[fi][2],
                           g_objs[gi][2]) for fi, gi in quads)

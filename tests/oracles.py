@@ -10,6 +10,9 @@ they compose every instance, in hom-sets with at most one morphism too.
 The module-functor and module-transformation checkers at the end are the
 bodies each law had before it was stated once in spans, and the module
 structure search there takes the full product of transport candidates.
+The pasted transports last are built through whiskering and vertical
+composition, as the span layer built them before it read each component
+off the carrier's comp table.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ from spanforge.fincat import (
     check_nat_trans,
     compose_functors,
     product_category,
+    vertical_composite,
+    whisker_post,
+    whisker_pre,
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
@@ -402,3 +408,41 @@ def brute_force_module_structures(f: Functor, dom: ModuleData,
                    == e_q[f.object_map[m]] for m in carrier_objects)
 
     return [xi for xi in product(*transport_candidates(f, dom, cod)) if lawful(xi)]
+
+
+# ---------------------------------------------------------------------------
+# pasted transports
+# ---------------------------------------------------------------------------
+
+def whiskered_apex_transport(t0: NatTrans, t1: NatTrans, p1: Functor,
+                             q0: Functor) -> NatTrans:
+    """(Q0 after t1) ∘ (t0 before P1): the transport of the tensor of two
+    span apex objects (P0, Q0, t0) and (P1, Q1, t1)."""
+    return vertical_composite(whisker_post(q0, t1), whisker_pre(t0, p1))
+
+
+def whiskered_composite_transport(fd: ModuleFunctorData, gd: ModuleFunctorData,
+                                  t1: NatTrans, t2: NatTrans,
+                                  w: NatTrans) -> NatTrans:
+    """(t2 before f) ∘ (g after w before f) ∘ (g after t1): the comparison w
+    between middle endofunctors slid into the transport of g∘f."""
+    step1 = whisker_post(gd.f, t1)
+    step2 = whisker_post(gd.f, whisker_pre(w, fd.f))
+    step3 = whisker_pre(t2, fd.f)
+    return vertical_composite(step3, vertical_composite(step2, step1))
+
+
+def whiskered_filler_transport(q: Functor, phi: NatTrans,
+                               t_f: NatTrans) -> NatTrans:
+    """(Q after phi) ∘ t_f: the 2-span filler at a quadruple over (P, Q)."""
+    return vertical_composite(whisker_post(q, phi), t_f)
+
+
+def whiskered_compose_module_functors(g: ModuleFunctorData,
+                                      f: ModuleFunctorData) -> ModuleFunctorData:
+    """g∘f with each transport (g's transport before f) ∘ (g after f's)."""
+    if f.cod != g.dom:
+        raise StructureError("module functors are not composable")
+    xi = tuple(vertical_composite(whisker_pre(g.xi[c], f.f), whisker_post(g.f, f.xi[c]))
+               for c in range(f.dom.acting.base.num_objects))
+    return ModuleFunctorData(f.dom, g.cod, compose_functors(g.f, f.f), xi)

@@ -147,8 +147,8 @@ def test_span_verification_compares_the_mediated_tensor(monkeypatch):
 
     def skewed(*args):
         med = real(*args)
-        rotated = med.functor.object_map[1:] + med.functor.object_map[:1]
-        return replace(med, functor=replace(med.functor, object_map=rotated))
+        rotated = med.object_map[1:] + med.object_map[:1]
+        return replace(med, object_map=rotated)
 
     monkeypatch.setattr(spans, "mediate", skewed)
     with pytest.raises(StructureError, match="mediator tensor disagrees"):

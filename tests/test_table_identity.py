@@ -26,7 +26,12 @@ from spanforge.centers import (
 )
 from spanforge.fincat import Functor, chain_category, group_as_category
 from spanforge.groups import cyclic, klein_four
-from spanforge.laxators import laxator
+from spanforge.laxators import (
+    laxator,
+    laxator_coherence,
+    normalization_check,
+    quadruple_pasting_check,
+)
 from spanforge.limits import FORWARD, REVERSE, comma
 from spanforge.monoidal import (
     MonFunctor,
@@ -538,3 +543,102 @@ END_PINNED = {
 def test_end_tensor_tables_match_the_pinned_digests():
     assert {f"end/{label}": digest(end_monoidal(carrier).monoidal)
             for label, carrier in end_carriers().items()} == END_PINNED
+
+
+def pasting_digests() -> dict[str, str]:
+    """Everything the span layer builds from pasted transports: the coherence
+    cells, quadruple-pasting reports, normalization results and 2-span
+    fillers."""
+    out = {}
+    for name, fd, gd, hd in corpus.composable_triples():
+        result = laxator_coherence(fd, gd, hd)
+        cell = result.coherence_cell
+        out[f"coherence/{name}"] = digest(
+            functor_digest(cell.source), functor_digest(cell.target),
+            cell.underlying.components, result.cell_is_identity,
+            result.cell_report)
+    for name, fd, gd, hd, kd in corpus.composable_quadruples():
+        out[f"quadruple/{name}"] = digest(quadruple_pasting_check(fd, gd, hd, kd))
+    for name in ("m_terminal", "m_arrow", "m_disc2", "m_disc3", "m_bz2", "m_idem",
+                 "m_swap_action", "m_trivial_z2_on_disc2", "m_trivial_z2_on_bz2",
+                 "m_transposition_on_disc3", "m_klein_on_disc2"):
+        out[f"normalization/{name}"] = digest(
+            normalization_check(getattr(corpus, name)()))
+    for name, ad in corpus.nattrans_corpus():
+        filler = build_two_span(ad, verify=False).filler
+        out[f"2-span-filler/{name}"] = digest(
+            filler.source.object_map, filler.source.morphism_map,
+            filler.target.object_map, filler.target.morphism_map,
+            filler.components)
+    return out
+
+
+# computed with the span layer pasting transports through whisker_post,
+# whisker_pre and vertical_composite, before it read each component off the
+# carrier's comp table
+PASTINGS_PINNED = {
+    "coherence/arrow-triple-id":
+        "1615e0616e54e33242c872d42627b8b69d075195be9465bb2b5a9d7b003877fc",
+    "coherence/swap-triple":
+        "b7703b68d208ae0504d126b5fb4ab4279f1b4876141d3f13e4951a8779b07561",
+    "coherence/idem-triple":
+        "fa805e948df9b5872e7513c52a79c7ebc0e47157925e87eab9f359a368d927db",
+    "coherence/disc2-arrow-terminal-triple":
+        "d44647ca74dabc52e6ef679b32334946bf8b6e786e0a4c09dadb7921a6923704",
+    "coherence/disc2-swap-triple":
+        "b7703b68d208ae0504d126b5fb4ab4279f1b4876141d3f13e4951a8779b07561",
+    "coherence/klein-triple":
+        "b7703b68d208ae0504d126b5fb4ab4279f1b4876141d3f13e4951a8779b07561",
+    "coherence/point-arrow-terminal-point":
+        "471ff75ba82e01d741d2b28ae4920320f15dee47075c34385f420aa963310396",
+    "coherence/point-const-arrow":
+        "c4ba2cde12655f9472f751f7dfd216719e7ce8adcbe19da8848f61ea3da1a043",
+    "quadruple/arrow-quad-id":
+        "8a13da1dc99d0d4aeaac58ce5eb1aa828f9ac3b1822a4689c317c9c6ae236f4b",
+    "quadruple/swap-quad":
+        "8a13da1dc99d0d4aeaac58ce5eb1aa828f9ac3b1822a4689c317c9c6ae236f4b",
+    "quadruple/disc2-arrow-terminal-quad":
+        "8a13da1dc99d0d4aeaac58ce5eb1aa828f9ac3b1822a4689c317c9c6ae236f4b",
+    "quadruple/idem-quad":
+        "8a13da1dc99d0d4aeaac58ce5eb1aa828f9ac3b1822a4689c317c9c6ae236f4b",
+    "quadruple/point-consts-quad":
+        "8a13da1dc99d0d4aeaac58ce5eb1aa828f9ac3b1822a4689c317c9c6ae236f4b",
+    "normalization/m_terminal":
+        "abadfff9e1a198c517303fb4d84f32463e6cdc3e11ec473250bc8ed6b3b3ac67",
+    "normalization/m_arrow":
+        "63b4f5b0cfd1bfc85061751f6a1ed9503a18adc342d94eb7cf230f1792576214",
+    "normalization/m_disc2":
+        "4493097f389d2b787561824297ff4775a62ec7254cf1d1dc2d9b41d86862ee46",
+    "normalization/m_disc3":
+        "0a6a30f2922202be4da4a4482eb46e13ac2d46ac4a2c6572de826b874dd42bc5",
+    "normalization/m_bz2":
+        "62552fe1867ab2633742081368f3a0bb7562ce2d6071aa8e0978baa3b7832a92",
+    "normalization/m_idem":
+        "a56029b255f0fabf88cd1e3f1dbdbf32fa3f1fed17fd8dd12a3f9eedfbe79dd7",
+    "normalization/m_swap_action":
+        "4493097f389d2b787561824297ff4775a62ec7254cf1d1dc2d9b41d86862ee46",
+    "normalization/m_trivial_z2_on_disc2":
+        "4493097f389d2b787561824297ff4775a62ec7254cf1d1dc2d9b41d86862ee46",
+    "normalization/m_trivial_z2_on_bz2":
+        "62552fe1867ab2633742081368f3a0bb7562ce2d6071aa8e0978baa3b7832a92",
+    "normalization/m_transposition_on_disc3":
+        "0a6a30f2922202be4da4a4482eb46e13ac2d46ac4a2c6572de826b874dd42bc5",
+    "normalization/m_klein_on_disc2":
+        "4493097f389d2b787561824297ff4775a62ec7254cf1d1dc2d9b41d86862ee46",
+    "2-span-filler/terminal-identity":
+        "e71b0a52b28fccca983dee1c8721b89897f439c9e01f3e41d60fc9c5ac306ea1",
+    "2-span-filler/arrow-identity":
+        "fcdf720332ae08a857a25fc4f19a0e432b6bb242def4a06121b6aa5fc961bb6c",
+    "2-span-filler/arrow-const0-to-id":
+        "b1e9845e42856f58a390c1a2ec5c4bdc22b30804bf9798b5728b820ccbf1bcbf",
+    "2-span-filler/idem-absorbing":
+        "a71ea762eaa87b1b5a0ee1bc3f0bb5b84f71fdbe1a3e554ef825db13dc695217",
+    "2-span-filler/swap-identity":
+        "211d68bafbe1bfbc31f394f54c2d424f1fc0f564431722d823c2f71680b6c800",
+    "2-span-filler/bz2-central":
+        "f4a6bc58ff20f27399ff7882c2a2de85aaa773f5c8c563bc99f4a8a593da13f2",
+}
+
+
+def test_pastings_match_the_pinned_digests():
+    assert pasting_digests() == PASTINGS_PINNED
