@@ -8,6 +8,7 @@ itself a document of kind "report".
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -612,7 +613,11 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=default("forward"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: parse_args reads it without changing it, so repeated main calls
+    share one tree, and importing the module builds none."""
     parser = argparse.ArgumentParser(
         prog="spanforge",
         description="exact constructions and coherence checks for finite "
@@ -708,7 +713,8 @@ def main(argv=None) -> int:
     except SpanforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    structured = serialize(Document("report", out.payload()))
+    if args.report == "structured" or args.out is not None:
+        structured = serialize(Document("report", out.payload()))
     if args.report == "structured":
         sys.stdout.write(structured)
     else:

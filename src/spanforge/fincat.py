@@ -541,12 +541,30 @@ class FunctorCategory:
                                           self.functor_id(nt.target),
                                           nt.components)]
 
+    def within(self, budget: Budget) -> "FunctorCategory":
+        """This category, refused against budget where functor_category
+        would refuse to enumerate it, in the same order and with the same
+        message, so a caller may reuse it in place of enumerating again."""
+        _check_functor_estimate(self.dom, self.cod, budget)
+        budget.check_objects(len(self.functors), "functor category")
+        if len(self.transformations) > budget.max_morphisms:
+            # functor_category refuses at the first transformation past the
+            # limit
+            budget.check_morphisms(max(1, budget.max_morphisms + 1),
+                                   "functor category")
+        return self
+
+
+def _check_functor_estimate(m: FinCategory, n: FinCategory,
+                            budget: Budget) -> None:
+    estimate = n.num_objects ** m.num_objects if m.num_objects else 1
+    budget.check_objects(estimate, f"functor category on {m.num_objects}->{n.num_objects} objects")
+
 
 def functor_category(m: FinCategory, n: FinCategory,
                      budget: Budget = DEFAULT_BUDGET) -> FunctorCategory:
     """Enumerate Fun(m, n) exhaustively, in deterministic id order."""
-    estimate = n.num_objects ** m.num_objects if m.num_objects else 1
-    budget.check_objects(estimate, f"functor category on {m.num_objects}->{n.num_objects} objects")
+    _check_functor_estimate(m, n, budget)
     functors = enumerate_functors(m, n)
     budget.check_objects(len(functors), "functor category")
     fi = {(f.object_map, f.morphism_map): i for i, f in enumerate(functors)}

@@ -388,7 +388,7 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
     span_f, span_g, span_h, span_k = (build_span(d, budget) for d in (fd, gd, hd, kd))
     gf, hg, kh = (compose_module_functors(b, a)
                   for a, b in ((fd, gd), (gd, hd), (hd, kd)))
-    span_gf, span_hg, span_kh = (build_span(d, budget) for d in (gf, hg, kh))
+    span_gf, span_kh = build_span(gf, budget), build_span(kh, budget)
     hgf, khg = compose_module_functors(hd, gf), compose_module_functors(kd, hg)
     span_hgf, span_khg = build_span(hgf, budget), build_span(khg, budget)
     total = compose_module_functors(kd, hgf)

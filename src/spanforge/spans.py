@@ -412,7 +412,9 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
             f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
             f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
     endM, endN = dom.end, cod.end
-    hom_fc = functor_category(dom.carrier, cod.carrier, budget)
+    # over one carrier, Fun(M, N) is the End category's functor category
+    hom_fc = endM.fc.within(budget) if dom.carrier == cod.carrier \
+        else functor_category(dom.carrier, cod.carrier, budget)
     fp = fiber_product(pushforward(fd.f, endM.fc, hom_fc),
                        pullback(fd.f, endN.fc, hom_fc), budget)
     oi, mi = fp.object_index, fp.morphism_index
@@ -455,10 +457,11 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     acting = dom.acting
     lift_obj = []
     for c in range(acting.base.num_objects):
-        t = fd.xi[c]
-        key = (dom.action.on_obj(c), cod.action.on_obj(c),
-               hom_fc.transformation_id(t))
-        if key not in oi:
+        p, q, t = dom.action.on_obj(c), cod.action.on_obj(c), fd.xi[c]
+        s, u = fp.left.object_map[p], fp.right.object_map[q]
+        key = (p, q, hom_fc.transformation_index.get((s, u, t.components)))
+        if (t.source, t.target) != (hom_fc.functors[s], hom_fc.functors[u]) \
+                or key not in oi:
             raise StructureError(f"transport at acting object {c} is not an apex object")
         lift_obj.append(oi[key])
     action_lift = lift_mon_functor(acting, apex_ms, mi, lift_obj,

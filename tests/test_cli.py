@@ -1,10 +1,16 @@
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from spanforge.cli import main
+import spanforge
+from spanforge import cli
+from spanforge.cli import _build_parser, main
 from spanforge.docs import (
     Document,
     decode_braiding,
@@ -528,9 +534,6 @@ def test_module_on_lawless_carrier_exits_two(capsys, tmp_path):
 def test_readme_lists_every_subcommand():
     # the subcommands of the parser are exactly the `spanforge <subcommand>`
     # lines of the README's CLI block
-    import argparse
-    from spanforge.cli import _build_parser
-
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
     cli_block = next(b for b in blocks if b.startswith("spanforge "))
@@ -541,3 +544,87 @@ def test_readme_lists_every_subcommand():
     assert len(parsers) == 1
     assert set(parsers[0].choices) == documented
     assert len(documented) == 15
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _exit_matrix_calls():
+    # the acceptance suite's exit-code matrix in both report modes, human by
+    # default so that a default left behind by an earlier call shows: 90 calls
+    from test_acceptance import EXIT_MATRIX
+
+    return [[*flags,
+             *(str(data(a)) if a.endswith(".json") else a for a in argv)]
+            for flags in ([], ["--report", "structured"])
+            for _, cases in EXIT_MATRIX for _, argv in sorted(cases.items())]
+
+
+def _outputs(capsys, calls):
+    return {tuple(argv): run(capsys, *argv) for argv in calls}
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # main builds its parser once per process; running the matrix again, in
+    # reverse order, must give every call the same code, stdout and stderr
+    calls = _exit_matrix_calls()
+    first = _outputs(capsys, calls)
+    assert len(first) == 90
+    assert _outputs(capsys, calls[::-1]) == first
+
+
+def _usage_outputs(capsys, parse):
+    """Exit status, stdout and stderr of parse(argv) on -h, on every
+    subcommand's -h and on one argparse usage error per kind."""
+    subcommands = next(a.choices for a in _build_parser.__wrapped__()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    argvs = [["-h"], *([name, "-h"] for name in subcommands),
+             ["no-such-command"],
+             ["--report", "bogus", "validate", "doc.json"],
+             ["center"]]
+    outputs = []
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outputs.append((argv, exc.value.code, *capsys.readouterr()))
+    return outputs
+
+
+def test_help_and_usage_errors_match_a_fresh_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _outputs(capsys, _exit_matrix_calls())
+    fresh = _usage_outputs(
+        capsys, lambda argv: _build_parser.__wrapped__().parse_args(argv))
+    assert [code for _, code, _, _ in fresh] == [0] * 16 + [2] * 3
+    assert _usage_outputs(capsys, main) == fresh
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(spanforge.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-c", "import spanforge.cli as cli; "
+         "print(cli._build_parser.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert probe.stdout == "0\n"
+
+
+def test_reports_are_serialized_only_when_written(capsys, monkeypatch,
+                                                 tmp_path):
+    written = []
+    real = cli.serialize
+
+    def counted(doc):
+        written.append(doc.kind)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "serialize", counted)
+    for flags, count in ((["--report", "human"], 0),
+                         (["--report", "structured"], 1),
+                         (["--out", "-"], 1),
+                         (["--out", tmp_path / "report.json"], 1)):
+        written.clear()
+        code, _, _ = run(capsys, *flags, "center",
+                         data("z2_trivial_monoidal.json"))
+        assert (code, written) == (0, ["report"] * count), flags

@@ -170,7 +170,7 @@ def test_each_span_is_built_once_per_call(monkeypatch):
     for name, fd, gd, hd, kd in corpus.composable_quadruples():
         built.clear()
         quadruple_pasting_check(fd, gd, hd, kd)
-        assert len(built) == 10, name  # four, three pairs, two triples, total
+        assert len(built) == 9, name  # four, gf and kh, two triples, total
     same = 0
     for name, ad in corpus.nattrans_corpus():
         built.clear()

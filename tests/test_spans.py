@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -8,15 +10,19 @@ from spanforge.fincat import (
     Budget,
     BudgetError,
     Functor,
+    NatTrans,
+    SpanforgeError,
     StructureError,
     check_nat_trans,
     compose_functors,
     discrete_category,
+    functor_category,
     identity_functor,
     terminal_category,
     walking_arrow,
 )
 from spanforge.groups import cyclic
+from spanforge.laxators import laxator
 from spanforge.monoidal import (
     check_mon_functor,
     check_mon_nattrans,
@@ -433,3 +439,82 @@ def test_compose_module_functors_transports():
     assert gf.f == compose_functors(g.f, f.f)
     cell = build_span(gf)
     assert check_monoidal(cell.apex).ok
+
+
+# ---------------------------------------------------------------------------
+# outside input: transports not made by module_functor, and budgets
+# ---------------------------------------------------------------------------
+
+def test_transport_mutants_are_refused_as_structure_errors():
+    # a ModuleFunctorData built without module_functor, one transport entry
+    # changed: build_span and laxator return or refuse, never a KeyError
+    rng = random.Random(12)
+    pairs = corpus.composable_pairs()
+    outcomes = {"ok": 0, "refused": 0}
+    for _ in range(225):
+        _, fd, gd = rng.choice(pairs)
+        side = rng.randrange(2)
+        d = (fd, gd)[side]
+        c = rng.randrange(len(d.xi))
+        t = d.xi[c]
+        comps = list(t.components)
+        k = rng.randrange(len(comps))
+        comps[k] = rng.choice([m for m in range(d.cod.carrier.num_morphisms)
+                               if m != comps[k]] or [comps[k]])
+        mutant = replace(d, xi=d.xi[:c] + (NatTrans(t.source, t.target,
+                                                    tuple(comps)),)
+                         + d.xi[c + 1:])
+        f, g = (mutant, gd) if side == 0 else (fd, mutant)
+        for call in (lambda: build_span(mutant), lambda: laxator(f, g)):
+            try:
+                call()
+                outcomes["ok"] += 1
+            except SpanforgeError:
+                outcomes["refused"] += 1
+    assert outcomes == {"ok": 52, "refused": 398}
+    # the right components under a wrong declared source are refused too
+    misdeclared = 0
+    for _, fd, _ in pairs:
+        t = fd.xi[0]
+        for other in build_span(fd).hom_fc.functors:
+            if other != t.source:
+                mutant = replace(fd, xi=(NatTrans(other, t.target,
+                                                  t.components),) + fd.xi[1:])
+                with pytest.raises(StructureError, match="acting object 0"):
+                    build_span(mutant)
+                misdeclared += 1
+    assert misdeclared > 0
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except SpanforgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_reused_functor_category_refuses_where_enumeration_does():
+    # build_span reuses the End category's Fun(M, M) when both modules share
+    # a carrier; within(budget) refuses as functor_category would: the
+    # estimate, then the functor count, then the first transformation past
+    # the limit, with the same messages
+    for md in (corpus.m_terminal(), corpus.m_arrow(), corpus.m_disc3(),
+               corpus.m_bz2()):
+        c, fc = md.carrier, md.end.fc
+        top = max(c.num_objects ** c.num_objects, len(fc.transformations))
+        for b in range(-1, top + 2):
+            for budget in (Budget(max_objects=b), Budget(max_morphisms=b)):
+                assert _outcome(lambda: fc.within(budget)) == _outcome(
+                    lambda: functor_category(c, c, budget)), (b, budget)
+    # on the [1] carrier, build_span refuses with functor_category's message
+    # wherever functor_category refuses
+    fd = dict(corpus.span_corpus())["arrow-id"]
+    c = fd.dom.carrier
+    refused = 0
+    for b in range(-1, 8):
+        for budget in (Budget(max_objects=b), Budget(max_morphisms=b)):
+            enumerated = _outcome(lambda: functor_category(c, c, budget))
+            if enumerated[0] != "ok":
+                refused += 1
+                assert _outcome(lambda: build_span(fd, budget)) == enumerated
+    assert refused == 12
