@@ -34,6 +34,7 @@ from .monoidal import (
     identity_mon_functor,
     strict_mon_functor,
     tabulate_monoidal,
+    tensor_mor_over_product,
 )
 from .reporting import Report, ReportBuilder
 from .spans import (
@@ -90,13 +91,6 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
             raise StructureError(f"{what} is not an apex morphism")
         return mi[key]
 
-    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
-        key = (s, t, xs.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0]),
-               ys.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1]))
-        if key not in mi:
-            raise StructureError("monoidal fiber tensor of morphisms left the apex")
-        return mi[key]
-
     eta_f_inv = zb.inverse(f.unit_iso)
     if eta_f_inv is None:
         raise StructureError("unit cell of the first leg is not invertible")
@@ -105,7 +99,9 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
         raise StructureError("monoidal fiber unit is missing")
     obj = fp.objects
     apex_ms = tabulate_monoidal(
-        apex_cat, oi[unit_key], tensor_obj, tensor_mor,
+        apex_cat, oi[unit_key], tensor_obj,
+        tensor_mor_over_product(xs, ys, fp.morphisms, mi,
+                                "monoidal fiber tensor of morphisms left the apex"),
         associator=lambda i, j, k, s, t: lift(
             s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
             ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),

@@ -740,6 +740,23 @@ def lift_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
     return MonFunctor(source, target, fun, tuple(mult), unit)
 
 
+def tensor_mor_over_product(x: MonoidalStructure, y: MonoidalStructure,
+                            arrows: Sequence[tuple[int, int]],
+                            index: dict[tuple[int, ...], int],
+                            message: str) -> Callable[[int, int, int, int], int]:
+    """tabulate_monoidal's on_morphisms for a monoidal category over X × Y,
+    with arrows and index as category_over_product returns them: k0⊗k1 is
+    the morphism s -> t over the tensors of their arrows in X and in Y; a
+    miss raises StructureError(message)."""
+    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
+        h = index.get((s, t, x.tensor_mor(arrows[k0][0], arrows[k1][0]),
+                       y.tensor_mor(arrows[k0][1], arrows[k1][1])))
+        if h is None:
+            raise StructureError(message)
+        return h
+    return tensor_mor
+
+
 def identity_mon_functor(ms: MonoidalStructure) -> MonFunctor:
     return strict_mon_functor(ms, ms, identity_functor(ms.base))
 

@@ -4,9 +4,9 @@ A module is a category together with a monoidal functor from the acting
 category into its endofunctor category.  A module functor gives a span of
 monoidal categories: the apex pairs an endofunctor on each side with an
 invertible comparison between the two transports, tensored by the explicit
-pasting formula and cross-checked against the mediator of the underlying
-fiber product.  A module transformation refines this to quadruple data over
-the comma category of the two transports.
+pasting formula and checked against the table form of the underlying fiber
+product's mediator.  A module transformation refines this to quadruple data
+over the comma category of the two transports.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .fincat import (
     pullback,
     pushforward,
 )
-from .limits import FiberProductResult, fiber_product, mediate, mediate_2cell
+from .limits import FiberProductResult, fiber_product, mediate
 from .monoidal import (
     MonFunctor,
     MonNatTrans,
@@ -40,6 +40,7 @@ from .monoidal import (
     lift_mon_functor,
     strict_mon_functor,
     tabulate_monoidal,
+    tensor_mor_over_product,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -112,9 +113,22 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
     n = acting.base.num_objects
     if len(object_functors) != n:
         raise StructureError("one endofunctor per acting object is required")
-    obj_map = tuple(end.fc.functor_id(f) for f in object_functors)
-    trans_id = end.fc.transformation_id
 
+    def functor_id(fun: Functor, what: str) -> int:
+        i = end.fc.functor_index.get((fun.object_map, fun.morphism_map))
+        if i is None or (fun.source, fun.target) != (carrier, carrier):
+            raise StructureError(f"{what} is not an endofunctor of the carrier")
+        return i
+
+    def trans_id(t: NatTrans, what: str) -> int:
+        i = end.fc.transformation_index.get(
+            (functor_id(t.source, what), functor_id(t.target, what), t.components))
+        if i is None:
+            raise StructureError(f"{what} is not a transformation of endofunctors")
+        return i
+
+    obj_map = tuple(functor_id(f, f"action at acting object {c}")
+                    for c, f in enumerate(object_functors))
     if morphism_transes is None:
         morphism_transes = []
         for m in range(acting.base.num_morphisms):
@@ -123,7 +137,8 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
                     "non-identity acting morphisms need explicit transformations")
             morphism_transes.append(
                 identity_nat_trans(object_functors[acting.base.source[m]]))
-    mor_map = tuple(trans_id(t) for t in morphism_transes)
+    mor_map = tuple(trans_id(t, f"action at acting morphism {u}")
+                    for u, t in enumerate(morphism_transes))
     underlying = Functor(acting.base, end.fc.as_category, obj_map, mor_map)
 
     if mult_cells is None:
@@ -134,16 +149,17 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
                 if composite != object_functors[acting.tensor_obj(x, y)]:
                     raise StructureError(
                         f"action is not strict at ({x}, {y}); pass mult_cells")
-                mult.append(end.fc.as_category.identity[end.fc.functor_id(composite)])
+                mult.append(end.fc.as_category.identity[obj_map[acting.tensor_obj(x, y)]])
         mult = tuple(mult)
     else:
-        mult = tuple(trans_id(t) for t in mult_cells)
+        mult = tuple(trans_id(t, f"multiplicativity cell at {divmod(i, n)}")
+                     for i, t in enumerate(mult_cells))
     if unit_cell is None:
         if object_functors[acting.unit] != identity_functor(carrier):
             raise StructureError("unit does not act as the identity; pass unit_cell")
         unit_iso = end.fc.as_category.identity[end.monoidal.unit]
     else:
-        unit_iso = trans_id(unit_cell)
+        unit_iso = trans_id(unit_cell, "unit cell")
     action = MonFunctor(acting, end.monoidal, underlying, mult, unit_iso)
     return ModuleData(acting, carrier, end, action)
 
@@ -401,9 +417,9 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
 
     Apex objects are triples (P, Q, xi: f∘P ≅ Q∘f); the tensor composes
     endofunctors on both sides and pastes the comparisons.  When verify is
-    set, the tensor is recomputed through the fiber product's mediator and
-    the coherence components are revalidated through the unique-2-cell
-    machinery; any disagreement raises.
+    set, the tensor is checked against the table form of the fiber
+    product's mediator and the unitors against their unique 2-cells; any
+    disagreement raises.
     """
     dom, cod = fd.dom, fd.cod
     if dom.acting != cod.acting:
@@ -434,19 +450,13 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
             raise StructureError("span tensor left the apex; transports do not paste")
         return oi[key]
 
-    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
-        key = (s, t,
-               endM.monoidal.tensor_mor(fp.morphisms[k0][0], fp.morphisms[k1][0]),
-               endN.monoidal.tensor_mor(fp.morphisms[k0][1], fp.morphisms[k1][1]))
-        if key not in mi:
-            raise StructureError("span tensor of morphisms left the apex")
-        return mi[key]
-
     unit_hom = fp.left.object_map[endM.monoidal.unit]
     unit_key = (endM.monoidal.unit, endN.monoidal.unit,
                 hom_fc.as_category.identity[unit_hom])
     if unit_key not in oi:
         raise StructureError("span unit is missing from the apex")
+    tensor_mor = tensor_mor_over_product(endM.monoidal, endN.monoidal, fp.morphisms,
+                                         mi, "span tensor of morphisms left the apex")
     apex_ms = tabulate_monoidal(fp.apex, oi[unit_key], tensor_obj, tensor_mor,
                                 budget=budget)
 
@@ -474,60 +484,57 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     return cell
 
 
-def _partial_tensor(ms: MonoidalStructure, a: int, on_left: bool,
-                    leg: Functor) -> Functor:
-    """x ↦ a⊗leg(x) (on_left) or leg(x)⊗a, read off the tables."""
-    id_a = ms.base.identity[a]
-    if on_left:
-        return Functor(leg.source, ms.base,
-                       tuple(ms.tensor_obj(a, x) for x in leg.object_map),
-                       tuple(ms.tensor_mor(id_a, f) for f in leg.morphism_map))
-    return Functor(leg.source, ms.base,
-                   tuple(ms.tensor_obj(x, a) for x in leg.object_map),
-                   tuple(ms.tensor_mor(f, id_a) for f in leg.morphism_map))
-
-
 def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                               endN: EndCategory) -> None:
-    """Cross-check the explicit tensor against the mediator of the fiber
-    product, and the coherence components against the unique-2-cell route.
+    """Check the explicit tensor against the mediator of the fiber product,
+    and the unitors against their unique 2-cells, on tables.
 
-    The mediator is taken one variable at a time: each partial tensor a⊗−
-    and −⊗a of the apex is a cone over the two partial tensors of the End
-    categories, so 2n calls to mediate fix every object entry and every
-    morphism entry with an identity factor.  The interchange law of a
-    bifunctor, f⊗g = (f⊗1)∘(1⊗g) (CWM §II.3), then ties every other entry
-    to those, as the mediator on apex × apex would.
+    The mediator of a cone (p, q, ξ) is a ↦ (p a, q a, ξ_a), with identity
+    witnesses in the strict model (limits.mediate).  So a⊗− is the mediator
+    of its cone P(a)⊗P(−), Q(a)⊗Q(−), filler_{a⊗−} iff each a⊗x is the apex
+    object (P a⊗P x, Q a⊗Q x, filler_{a⊗x}) and each a⊗k the apex morphism
+    over (id⊗P k, id⊗Q k); likewise −⊗a.  These 2n partial tensors fix
+    every entry with an identity factor, and interchange, f⊗g = (f⊗1)∘(1⊗g)
+    (CWM §II.3), ties every other entry to those.
     """
-    fp = cell.fp
-    apex_ms = cell.apex
+    fp, apex_ms = cell.fp, cell.apex
     base = apex_ms.base
-    n = base.num_objects
-    ident = identity_functor(base)
-    partials: dict[bool, list[Functor]] = {True: [], False: []}
-    for on_left in (True, False):
-        for a in range(n):
-            explicit = _partial_tensor(apex_ms, a, on_left, ident)
-            p_cone = _partial_tensor(endM.monoidal, fp.pr1.object_map[a], on_left,
-                                     fp.pr1)
-            q_cone = _partial_tensor(endN.monoidal, fp.pr2.object_map[a], on_left,
-                                     fp.pr2)
-            comparison = NatTrans(
-                compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
-                tuple(fp.filler.components[x] for x in explicit.object_map))
-            if mediate(fp, p_cone, q_cone, comparison) != explicit:
+    n, m = base.num_objects, base.num_morphisms
+    objects, arrows, mi = fp.objects, fp.morphisms, fp.morphism_index
+    filler, unit = fp.filler.components, apex_ms.unit
+    ident, src, tgt = base.identity, base.source, base.target
+    partials: dict[bool, list[list[int]]] = {True: [], False: []}
+    for on_left, unitor in ((True, apex_ms.left_unitor), (False, apex_ms.right_unitor)):
+        def pair(a: int, x: int) -> tuple[int, int]:
+            return (a, x) if on_left else (x, a)
+        for a, (pa, qa, _) in enumerate(objects):
+            row = [apex_ms.tensor_obj(*pair(a, x)) for x in range(n)]
+            mor_row = [apex_ms.tensor_mor(*pair(ident[a], k)) for k in range(m)]
+            partials[on_left].append(mor_row)
+            id_pa, id_qa = endM.monoidal.base.identity[pa], endN.monoidal.base.identity[qa]
+            if any(objects[ax] != (endM.monoidal.tensor_obj(*pair(pa, px)),
+                                   endN.monoidal.tensor_obj(*pair(qa, qx)), filler[ax])
+                   for ax, (px, qx, _) in zip(row, objects)) \
+                    or any(mi.get((row[src[k]], row[tgt[k]],
+                                   endM.monoidal.tensor_mor(*pair(id_pa, pk)),
+                                   endN.monoidal.tensor_mor(*pair(id_qa, qk)))) != ak
+                           for k, ((pk, qk), ak) in enumerate(zip(arrows, mor_row))):
                 raise StructureError("mediator tensor disagrees with the explicit tensor")
-            partials[on_left].append(explicit)
+        # the unique 2-cell I⊗− => id over identity whiskers (mediate_2cell)
+        # exists iff I⊗− is the identity functor, and is then the identity;
+        # with it the filler check above covers every apex object
+        if [apex_ms.tensor_obj(*pair(unit, x)) for x in range(n)] != list(range(n)) \
+                or partials[on_left][unit] != list(range(m)) or unitor != ident:
+            raise StructureError("mediated unitor disagrees with the explicit one")
     a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
-    for f in range(base.num_morphisms):
-        for g in range(base.num_morphisms):
-            interchanged = base.comp[tensor_b[base.target[g]].morphism_map[f]][
-                a_tensor[base.source[f]].morphism_map[g]]
+    for f in range(m):
+        for g in range(m):
+            interchanged = base.comp[tensor_b[tgt[g]][f]][a_tensor[src[f]][g]]
             if apex_ms.tensor_mor(f, g) != interchanged:
                 raise StructureError(
                     f"explicit tensor breaks interchange at ({f}, {g})")
     # associator compatibility: pasting is associative on the nose
-    rows, filler = apex_ms.tensor_rows(), fp.filler.components
+    rows = apex_ms.tensor_rows()
     for i in range(n):
         i_row = rows[i]
         for j in range(n):
@@ -540,21 +547,6 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                         f"span tensor is not strictly associative at ({i}, {j}, {k})")
                 if filler[left] != filler[right]:
                     raise StructureError("pasted transports do not associate")
-    # unitor compatibility via the unique-2-cell machinery
-    for on_left, expected in ((True, apex_ms.left_unitor),
-                              (False, apex_ms.right_unitor)):
-        tensored = partials[on_left][apex_ms.unit]
-        gamma1 = NatTrans(compose_functors(fp.pr1, tensored),
-                          compose_functors(fp.pr1, ident),
-                          tuple(endM.monoidal.base.identity[fp.pr1.object_map[a]]
-                                for a in range(n)))
-        gamma2 = NatTrans(compose_functors(fp.pr2, tensored),
-                          compose_functors(fp.pr2, ident),
-                          tuple(endN.monoidal.base.identity[fp.pr2.object_map[a]]
-                                for a in range(n)))
-        theta = mediate_2cell(fp, tensored, ident, gamma1, gamma2)
-        if theta.components != expected:
-            raise StructureError("mediated unitor disagrees with the explicit one")
 
 
 def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,
@@ -661,18 +653,12 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
             raise StructureError("2-span tensor left the apex")
         return quad_index[pair]
 
-    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
-        key = (s, t,
-               endM.monoidal.tensor_mor(morphisms[k0][0], morphisms[k1][0]),
-               endN.monoidal.tensor_mor(morphisms[k0][1], morphisms[k1][1]))
-        if key not in mor_index:
-            raise StructureError("2-span tensor of morphisms left the apex")
-        return mor_index[key]
-
     unit_pair = (span_f.apex.unit, span_g.apex.unit)
     if unit_pair not in quad_index:
         raise StructureError("2-span unit is missing")
     unit = quad_index[unit_pair]
+    tensor_mor = tensor_mor_over_product(endM.monoidal, endN.monoidal, morphisms,
+                                         mor_index, "2-span tensor of morphisms left the apex")
     apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
                                 budget=budget)
 

@@ -10,9 +10,11 @@ they compose every instance, in hom-sets with at most one morphism too.
 The module-functor and module-transformation checkers at the end are the
 bodies each law had before it was stated once in spans, and the module
 structure search there takes the full product of transport candidates.
-The pasted transports last are built through whiskering and vertical
+The pasted transports are built through whiskering and vertical
 composition, as the span layer built them before it read each component
-off the carrier's comp table.
+off the carrier's comp table.  The span verifier last builds a Functor and
+a NatTrans per partial tensor and runs the mediator on each, as build_span
+did before it read the mediator's table form.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from spanforge.fincat import (
     check_functor,
     check_nat_trans,
     compose_functors,
+    identity_functor,
     product_category,
     vertical_composite,
     whisker_post,
@@ -35,7 +38,14 @@ from spanforge.fincat import (
 from spanforge.groups import GroupTable
 from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
-from spanforge.spans import ModuleData, ModuleFunctorData, ModuleNatTransData
+from spanforge.limits import mediate, mediate_2cell
+from spanforge.spans import (
+    EndCategory,
+    ModuleData,
+    ModuleFunctorData,
+    ModuleNatTransData,
+    SpanCell,
+)
 
 
 def scan_hom(c: FinCategory, x: int, y: int) -> tuple[int, ...]:
@@ -446,3 +456,90 @@ def whiskered_compose_module_functors(g: ModuleFunctorData,
     xi = tuple(vertical_composite(whisker_pre(g.xi[c], f.f), whisker_post(g.f, f.xi[c]))
                for c in range(f.dom.acting.base.num_objects))
     return ModuleFunctorData(f.dom, g.cod, compose_functors(g.f, f.f), xi)
+
+
+# ---------------------------------------------------------------------------
+# span verification
+# ---------------------------------------------------------------------------
+
+def _partial_tensor(ms: MonoidalStructure, a: int, on_left: bool,
+                    leg: Functor) -> Functor:
+    """x ↦ a⊗leg(x) (on_left) or leg(x)⊗a, read off the tables."""
+    id_a = ms.base.identity[a]
+    if on_left:
+        return Functor(leg.source, ms.base,
+                       tuple(ms.tensor_obj(a, x) for x in leg.object_map),
+                       tuple(ms.tensor_mor(id_a, f) for f in leg.morphism_map))
+    return Functor(leg.source, ms.base,
+                   tuple(ms.tensor_obj(x, a) for x in leg.object_map),
+                   tuple(ms.tensor_mor(f, id_a) for f in leg.morphism_map))
+
+
+def mediated_verify_span_construction(cell: SpanCell, endM: EndCategory,
+                                      endN: EndCategory) -> None:
+    """Cross-check the explicit tensor against the mediator of the fiber
+    product, and the coherence components against the unique-2-cell route.
+
+    The mediator is taken one variable at a time: each partial tensor a⊗−
+    and −⊗a of the apex is a cone over the two partial tensors of the End
+    categories, so 2n calls to mediate fix every object entry and every
+    morphism entry with an identity factor.  The interchange law of a
+    bifunctor, f⊗g = (f⊗1)∘(1⊗g) (CWM §II.3), then ties every other entry
+    to those, as the mediator on apex × apex would.
+    """
+    fp = cell.fp
+    apex_ms = cell.apex
+    base = apex_ms.base
+    n = base.num_objects
+    ident = identity_functor(base)
+    partials: dict[bool, list[Functor]] = {True: [], False: []}
+    for on_left in (True, False):
+        for a in range(n):
+            explicit = _partial_tensor(apex_ms, a, on_left, ident)
+            p_cone = _partial_tensor(endM.monoidal, fp.pr1.object_map[a], on_left,
+                                     fp.pr1)
+            q_cone = _partial_tensor(endN.monoidal, fp.pr2.object_map[a], on_left,
+                                     fp.pr2)
+            comparison = NatTrans(
+                compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
+                tuple(fp.filler.components[x] for x in explicit.object_map))
+            if mediate(fp, p_cone, q_cone, comparison) != explicit:
+                raise StructureError("mediator tensor disagrees with the explicit tensor")
+            partials[on_left].append(explicit)
+    a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
+    for f in range(base.num_morphisms):
+        for g in range(base.num_morphisms):
+            interchanged = base.comp[tensor_b[base.target[g]].morphism_map[f]][
+                a_tensor[base.source[f]].morphism_map[g]]
+            if apex_ms.tensor_mor(f, g) != interchanged:
+                raise StructureError(
+                    f"explicit tensor breaks interchange at ({f}, {g})")
+    # associator compatibility: pasting is associative on the nose
+    rows, filler = apex_ms.tensor_rows(), fp.filler.components
+    for i in range(n):
+        i_row = rows[i]
+        for j in range(n):
+            ij_row, j_row = rows[i_row[j]], rows[j]
+            for k in range(n):
+                left = ij_row[k]
+                right = i_row[j_row[k]]
+                if left != right:
+                    raise StructureError(
+                        f"span tensor is not strictly associative at ({i}, {j}, {k})")
+                if filler[left] != filler[right]:
+                    raise StructureError("pasted transports do not associate")
+    # unitor compatibility via the unique-2-cell machinery
+    for on_left, expected in ((True, apex_ms.left_unitor),
+                              (False, apex_ms.right_unitor)):
+        tensored = partials[on_left][apex_ms.unit]
+        gamma1 = NatTrans(compose_functors(fp.pr1, tensored),
+                          compose_functors(fp.pr1, ident),
+                          tuple(endM.monoidal.base.identity[fp.pr1.object_map[a]]
+                                for a in range(n)))
+        gamma2 = NatTrans(compose_functors(fp.pr2, tensored),
+                          compose_functors(fp.pr2, ident),
+                          tuple(endN.monoidal.base.identity[fp.pr2.object_map[a]]
+                                for a in range(n)))
+        theta = mediate_2cell(fp, tensored, ident, gamma1, gamma2)
+        if theta.components != expected:
+            raise StructureError("mediated unitor disagrees with the explicit one")

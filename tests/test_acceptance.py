@@ -145,9 +145,9 @@ def test_criterion_04_span_suite():
     entries = corpus.span_corpus()
     assert len(entries) >= 20
     for name, fd in entries:
-        # build_span(verify=True) re-derives the tensor through the mediator
-        # and the unitors through the unique-2-cell machinery; disagreement
-        # raises instead of passing silently
+        # build_span(verify=True) checks the tensor against the table form
+        # of the mediator and the unitors against their unique 2-cells;
+        # disagreement raises instead of passing silently
         cell = build_span(fd, verify=True)
         assert check_monoidal(cell.apex).ok, name
         assert check_mon_functor(cell.leg_left).ok, name

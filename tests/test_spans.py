@@ -5,7 +5,11 @@ from itertools import product
 import pytest
 
 import corpus
-from oracles import brute_force_functors
+from oracles import (
+    _partial_tensor,
+    brute_force_functors,
+    mediated_verify_span_construction,
+)
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -23,6 +27,7 @@ from spanforge.fincat import (
 )
 from spanforge.groups import cyclic
 from spanforge.laxators import laxator
+from spanforge.limits import mediate
 from spanforge.monoidal import (
     check_mon_functor,
     check_mon_nattrans,
@@ -31,6 +36,7 @@ from spanforge.monoidal import (
 )
 from spanforge.spans import (
     ModuleNatTransData,
+    _verify_span_construction,
     build_span,
     build_two_span,
     check_module_nattrans,
@@ -91,6 +97,46 @@ def test_make_module_rejects_non_strict_assignment():
                     [corpus.swap_functor(carrier), identity_functor(carrier)])
 
 
+def test_make_module_mutants_return_or_refuse():
+    # the arguments that rebuild each corpus module, one table entry changed:
+    # an object functor, an acting morphism's transformation, a
+    # multiplicativity cell or the unit cell that is not one of End(carrier)
+    # is refused as a SpanforgeError, never a KeyError
+    rng = random.Random(13)
+    modules = [getattr(corpus, name)() for name in dir(corpus)
+               if name.startswith("m_")]
+    outcomes = {"ok": 0, "refused": 0}
+    for md in modules:
+        trans = md.end.fc.transformations
+        args = ([md.functor_at(c) for c in range(md.acting.base.num_objects)],
+                [trans[md.action.on_mor(u)]
+                 for u in range(md.acting.base.num_morphisms)],
+                [trans[g] for g in md.action.mult],
+                [trans[md.action.unit_iso]])
+        assert make_module(md.acting, md.carrier, *args[:3], args[3][0]) == md
+        for _ in range(12):
+            which = rng.randrange(4)
+            i = rng.randrange(len(args[which]))
+            entry = args[which][i]
+            if which == 0:
+                field = rng.choice(("object_map", "morphism_map"))
+                size = (md.carrier.num_objects if field == "object_map"
+                        else md.carrier.num_morphisms)
+            else:
+                field, size = "components", md.carrier.num_morphisms
+            table = list(getattr(entry, field))
+            k = rng.randrange(len(table))
+            table[k] = rng.randrange(size + 1)  # may be dangling
+            mutated = [list(a) for a in args]
+            mutated[which][i] = replace(entry, **{field: tuple(table)})
+            try:
+                make_module(md.acting, md.carrier, *mutated[:3], mutated[3][0])
+                outcomes["ok"] += 1
+            except SpanforgeError:
+                outcomes["refused"] += 1
+    assert outcomes["ok"] > 0 and outcomes["refused"] > 0, outcomes
+
+
 # ---------------------------------------------------------------------------
 # spans of module functors
 # ---------------------------------------------------------------------------
@@ -133,32 +179,135 @@ def test_build_span_budget_refuses_the_tensor_table():
     build_span(fd, Budget(max_morphisms=m * m), verify=False)
 
 
+SPAN_TABLES = ("tensor_objects", "tensor_morphisms", "unit", "left_unitor",
+               "right_unitor", "associator", "filler")
+
+
+def span_table_mutant(cell, table, rng):
+    """cell with one entry of one table the span verifier reads set to
+    another id of the same kind, half the time a parallel morphism where
+    there is one; None when no other id exists."""
+    apex, fp = cell.apex, cell.fp
+    if table == "filler":
+        cat, entries = cell.hom_fc.as_category, fp.filler.components
+    elif table == "unit":
+        cat, entries = None, (apex.unit,)
+    else:
+        cat, entries = apex.base, getattr(apex, table)
+    i = rng.randrange(len(entries))
+    old = entries[i]
+    if cat is None or table == "tensor_objects":
+        choices = [x for x in range(apex.base.num_objects) if x != old]
+    else:
+        choices = [h for h in range(cat.num_morphisms) if h != old]
+        parallel = [h for h in cat.hom(cat.source[old], cat.target[old]) if h != old]
+        if parallel and rng.randrange(2):
+            choices = parallel
+    if not choices:
+        return None
+    if table == "unit":
+        return replace(cell, apex=replace(apex, unit=rng.choice(choices)))
+    changed = entries[:i] + (rng.choice(choices),) + entries[i + 1:]
+    if table == "filler":
+        return replace(cell, fp=replace(
+            fp, filler=replace(fp.filler, components=changed)))
+    return replace(cell, apex=replace(apex, **{table: changed}))
+
+
+def span_verification_verdicts(seed, per_pair):
+    """(entry, table, verdict) for per_pair seeded single-entry mutants of
+    each table of each span_corpus() cell, and (entry, None, verdict) for the
+    cell itself, where a verdict pairs the table-form verifier's outcome
+    with the mediator route's (oracles): "ok" or "refused"."""
+    def outcome(verify, cell, fd):
+        try:
+            verify(cell, fd.dom.end, fd.cod.end)
+        except StructureError:
+            return "refused"
+        return "ok"
+
+    rng = random.Random(seed)
+    results = []
+    for name, fd in corpus.span_corpus():
+        cell = build_span(fd, verify=False)
+        mutants = [(None, cell)] + [
+            (table, span_table_mutant(cell, table, rng))
+            for table in SPAN_TABLES for _ in range(per_pair)]
+        for table, mutant in mutants:
+            if mutant is not None:
+                results.append((name, table, (
+                    outcome(_verify_span_construction, mutant, fd),
+                    outcome(mediated_verify_span_construction, mutant, fd))))
+    return results
+
+
+def test_span_verification_agrees_with_the_mediator_route():
+    # the table-form verifier against the one that builds a Functor and a
+    # NatTrans per partial tensor and runs mediate and mediate_2cell
+    results = span_verification_verdicts(seed=13, per_pair=2)
+    disagreements = [r for r in results if r[2][0] != r[2][1]]
+    assert not disagreements, disagreements[:5]
+    assert all(v == ("ok", "ok") for _, table, v in results if table is None)
+    covered = {(name, table) for name, table, _ in results if table is not None}
+    changeable = set()
+    for name, fd in corpus.span_corpus():
+        cell = build_span(fd, verify=False)
+        ids = {"objects": cell.apex.base.num_objects,
+               "morphisms": cell.apex.base.num_morphisms,
+               "filler": cell.hom_fc.as_category.num_morphisms}
+        changeable |= {(name, table) for table in SPAN_TABLES if ids[
+            "objects" if table in ("tensor_objects", "unit") else
+            "filler" if table == "filler" else "morphisms"] > 1}
+    assert covered == changeable
+    assert {v for _, _, v in results} == {("ok", "ok"), ("refused", "refused")}
+
+
 def test_span_verification_mediates_each_partial_tensor(monkeypatch):
+    # verification reads the mediator's table form and runs no mediator;
+    # each of the 2n partial tensors a⊗− and −⊗a it checks is the strict
+    # mediator of its cone over the End categories' partial tensors
+    import spanforge.limits as limits
     import spanforge.spans as spans
     calls = {"mediate": 0, "mediate_2cell": 0}
-    for name in calls:
-        def counted(*args, _original=getattr(spans, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(spans, name, counted)
-    cell = build_span(dict(corpus.span_corpus())["bz2-id"], verify=True)
-    assert calls == {"mediate": 2 * cell.apex.base.num_objects,
-                     "mediate_2cell": 2}
+    for module in (limits, spans):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _original=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _original(*args)
+                monkeypatch.setattr(module, name, counted)
+    fd = dict(corpus.span_corpus())["bz2-id"]
+    cell = build_span(fd, verify=True)
+    assert calls == {"mediate": 0, "mediate_2cell": 0}
+    monkeypatch.undo()
+    fp, apex, n = cell.fp, cell.apex, cell.apex.base.num_objects
+    ident = identity_functor(apex.base)
+    for on_left in (True, False):
+        for a in range(n):
+            explicit = _partial_tensor(apex, a, on_left, ident)
+            p_cone = _partial_tensor(fd.dom.end.monoidal, fp.pr1.object_map[a],
+                                     on_left, fp.pr1)
+            q_cone = _partial_tensor(fd.cod.end.monoidal, fp.pr2.object_map[a],
+                                     on_left, fp.pr2)
+            comparison = NatTrans(
+                compose_functors(fp.left, p_cone), compose_functors(fp.right, q_cone),
+                tuple(fp.filler.components[x] for x in explicit.object_map))
+            assert mediate(fp, p_cone, q_cone, comparison) == explicit
 
 
-def test_span_verification_compares_the_mediated_tensor(monkeypatch):
-    from dataclasses import replace
-    import spanforge.spans as spans
-    real = spans.mediate
-
-    def skewed(*args):
-        med = real(*args)
-        rotated = med.object_map[1:] + med.object_map[:1]
-        return replace(med, object_map=rotated)
-
-    monkeypatch.setattr(spans, "mediate", skewed)
+def test_span_verification_compares_the_mediated_tensor():
+    # the mediator a ↦ (p a, q a, ξ_a) read off a skewed filler no longer
+    # lands on the explicit tensor; the mediator route refuses it too, inside
+    # mediate
+    fd = dict(corpus.span_corpus())["bz2-id"]
+    cell = build_span(fd, verify=False)
+    comps = cell.fp.filler.components
+    skewed = replace(cell, fp=replace(cell.fp, filler=replace(
+        cell.fp.filler, components=comps[1:] + comps[:1])))
     with pytest.raises(StructureError, match="mediator tensor disagrees"):
-        build_span(dict(corpus.span_corpus())["bz2-id"], verify=True)
+        _verify_span_construction(skewed, fd.dom.end, fd.cod.end)
+    with pytest.raises(StructureError):
+        mediated_verify_span_construction(skewed, fd.dom.end, fd.cod.end)
 
 
 def test_span_verification_catches_a_wrong_tensor_entry():
