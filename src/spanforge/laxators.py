@@ -2,9 +2,11 @@
 
 Composing two module functors gives two spans of monoidal categories: the
 fiber-product composite of the individual spans, and the span of the
-composite functor.  The comparison from the former into the latter is
-produced by the mediator of the underlying fiber product; it need not be
-invertible, so its failure modes (essential surjectivity, fullness,
+composite functor.  The comparison from the former into the latter, and the
+two collapses of a triple that a coherence cell compares, are lifted along
+their outer legs from their object maps (fincat.lift_functor), as strict
+mediators are, so no limits.mediate call is made.  The comparison need not
+be invertible, so its failure modes (essential surjectivity, fullness,
 faithfulness) are measured and reported, never assumed.
 """
 from __future__ import annotations
@@ -16,13 +18,12 @@ from .fincat import (
     DEFAULT_BUDGET,
     Functor,
     MediationError,
-    NatTrans,
     StructureError,
     compose_functors,
     identity_nat_trans,
     lift_functor,
 )
-from .limits import FiberProductResult, fiber_product, mediate, mediate_2cell
+from .limits import FiberProductResult, fiber_product, mediate_2cell
 from .monoidal import (
     Braiding,
     MonFunctor,
@@ -148,6 +149,16 @@ def _composite_transport(fd: ModuleFunctorData, gd: ModuleFunctorData,
                                for fm, t in zip(fd.f.object_map, t1)))
 
 
+def _collapse(fd: ModuleFunctorData, gd: ModuleFunctorData,
+              span_f: SpanCell, span_g: SpanCell, span_gf: SpanCell,
+              af: int, ag: int, w: int) -> int:
+    """The object (P, R, pasted transport) of span_gf that the pairing object
+    (af, ag, w) collapses to; a pasting of isomorphisms is one, so it exists."""
+    return span_gf.fp.object_index[(
+        span_f.fp.objects[af][0], span_g.fp.objects[ag][1],
+        _composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w))]
+
+
 def _hom_profile(fun: Functor) -> tuple[list[tuple[tuple[int, int], bool, bool]],
                                        int | None]:
     """Where fun fails to be fully faithful or essentially surjective.
@@ -207,11 +218,11 @@ def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
     w_fp = pairing.fp
     p = compose_functors(span_f.leg_left.underlying, w_fp.pr1)
     q = compose_functors(span_g.leg_right.underlying, w_fp.pr2)
-    xi = NatTrans(compose_functors(span_gf.fp.left, p),
-                  compose_functors(span_gf.fp.right, q),
-                  tuple(_composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w)
-                        for af, ag, w in w_fp.objects))
-    phi_fun = mediate(span_gf.fp, p, q, xi)
+    phi_fun = lift_functor(
+        w_fp.apex, span_gf.fp.apex, span_gf.fp.morphism_index,
+        [_collapse(fd, gd, span_f, span_g, span_gf, af, ag, w)
+         for af, ag, w in w_fp.objects],
+        zip(p.morphism_map, q.morphism_map), "laxator comparison")
     # tensors are preserved on the nose in the strict model
     napex = pairing.apex.base.num_objects
     for i in range(napex):
@@ -237,57 +248,12 @@ def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
 # coherence of the comparisons
 # ---------------------------------------------------------------------------
 
-def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
-                         left_map: Functor | None,
-                         right_map: Functor | None) -> Functor:
-    """The functor between fiber products acting by the given maps on the two
-    coordinates and leaving the comparison morphism untouched; the maps must
-    commute with the relevant cospan legs on the nose."""
-    src_fp, tgt_fp = source_sq.fp, target_sq.fp
-    oi = tgt_fp.object_index
-    obj_map = []
-    for x, y, w in src_fp.objects:
-        nx = left_map.object_map[x] if left_map is not None else x
-        ny = right_map.object_map[y] if right_map is not None else y
-        key = (nx, ny, w)
-        if key not in oi:
-            raise StructureError("induced map left the fiber product")
-        obj_map.append(oi[key])
-    arrows = ((left_map.morphism_map[p] if left_map is not None else p,
-               right_map.morphism_map[q] if right_map is not None else q)
-              for p, q in src_fp.morphisms)
-    return lift_functor(src_fp.apex, tgt_fp.apex, tgt_fp.morphism_index,
-                        obj_map, arrows, "induced pairing map")
-
-
-def _reassociate(t_right: MonoidalSquare, t_left: MonoidalSquare,
-                 inner_right: MonoidalSquare,
-                 inner_left: MonoidalSquare) -> Functor:
-    """x ×_N (y ×_P z)  →  (x ×_N y) ×_P z on literal triples."""
-    in_left_oi = inner_left.fp.object_index
-    in_left_mi = inner_left.fp.morphism_index
-    out_oi = t_left.fp.object_index
-    out_mi = t_left.fp.morphism_index
-    obj_map = []
-    for x, j, w1 in t_right.fp.objects:
-        y, z, w2 = inner_right.fp.objects[j]
-        inner = in_left_oi[(x, y, w1)]
-        obj_map.append(out_oi[(inner, z, w2)])
-    mor_map = []
-    for k in range(t_right.fp.apex.num_morphisms):
-        p, mj = t_right.fp.morphisms[k]
-        q, r = inner_right.fp.morphisms[mj]
-        src = t_right.fp.apex.source[k]
-        tgt = t_right.fp.apex.target[k]
-        x0, j0, w_src = t_right.fp.objects[src]
-        x1, j1, w_tgt = t_right.fp.objects[tgt]
-        y0 = inner_right.fp.objects[j0][0]
-        y1 = inner_right.fp.objects[j1][0]
-        inner = in_left_mi[(in_left_oi[(x0, y0, w_src)],
-                            in_left_oi[(x1, y1, w_tgt)], p, q)]
-        mor_map.append(out_mi[(obj_map[src], obj_map[tgt], inner, r)])
-    return Functor(t_right.fp.apex, t_left.fp.apex, tuple(obj_map),
-                   tuple(mor_map))
+def _image(lax: LaxatorResult, key: tuple[int, int, int]) -> int:
+    """The image of the pairing object key under lax's comparison."""
+    found = lax.pairing.fp.object_index.get(key)
+    if found is None:
+        raise StructureError("induced map left the fiber product")
+    return lax.comparison.underlying.object_map[found]
 
 
 @dataclass(frozen=True)
@@ -304,8 +270,11 @@ class LaxatorCoherenceResult:
 def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
                       hd: ModuleFunctorData,
                       budget: Budget = DEFAULT_BUDGET) -> LaxatorCoherenceResult:
-    """The 2-cell comparing the two ways of collapsing a composable triple,
-    produced by the unique-2-cell machinery of the target fiber product."""
+    """The 2-cell comparing the two ways of collapsing a composable triple.
+
+    Both collapses u and v of A_f ×_N (A_g ×_P A_h) lie over its outer legs,
+    so each is lifted along them; the cell is the unique 2-cell of the target
+    fiber product over identity whiskers (mediate_2cell)."""
     # each span is built once: f, g, h, gf, hg and hgf (build_span is pure)
     lax_fg = laxator(fd, gd, budget)
     if gd.cod != hd.dom:
@@ -324,39 +293,24 @@ def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
     if span_hgf.apex != lax_f_hg.span_composite.apex:
         raise StructureError("the two triple composites have different spans")
 
-    # (A_f x A_g) x A_h and A_f x (A_g x A_h)
-    left_edge = compose_mon_functors(lax_fg.span_right.leg_right,
-                                     lax_fg.pairing.pr2)
-    t_left = monoidal_fiber_product(left_edge, lax_gh.span_right.leg_left,
-                                    budget)
     right_edge = compose_mon_functors(lax_gh.span_left.leg_left,
                                       lax_gh.pairing.pr1)
     t_right = monoidal_fiber_product(lax_fg.span_left.leg_right, right_edge,
                                      budget)
-    reassoc = _reassociate(t_right, t_left, lax_gh.pairing, lax_fg.pairing)
-
-    # route A: collapse (f, g) first, then against h
-    phi_fg_one = _induced_pairing_map(t_left, lax_gf_h.pairing,
-                                      lax_fg.comparison.underlying, None)
-    route_a = compose_functors(lax_gf_h.comparison.underlying, phi_fg_one)
-    # route B: collapse (g, h) first, then against f
-    one_phi_gh = _induced_pairing_map(t_right, lax_f_hg.pairing, None,
-                                      lax_gh.comparison.underlying)
-    route_b = compose_functors(lax_f_hg.comparison.underlying, one_phi_gh)
-
-    u = compose_functors(route_a, reassoc)
-    v = route_b
-    pr1u = compose_functors(span_hgf.fp.pr1, u)
-    pr1v = compose_functors(span_hgf.fp.pr1, v)
-    pr2u = compose_functors(span_hgf.fp.pr2, u)
-    pr2v = compose_functors(span_hgf.fp.pr2, v)
-    if pr1u != pr1v or pr2u != pr2v:
-        raise StructureError("triple collapses disagree on the outer legs")
-    gamma1 = NatTrans(pr1u, pr1v, tuple(
-        pr1u.target.identity[x] for x in pr1u.object_map))
-    gamma2 = NatTrans(pr2u, pr2v, tuple(
-        pr2u.target.identity[x] for x in pr2u.object_map))
-    theta = mediate_2cell(span_hgf.fp, u, v, gamma1, gamma2)
+    u_obj, v_obj = [], []
+    for x, j, w1 in t_right.fp.objects:
+        y, z, w2 = lax_gh.pairing.fp.objects[j]
+        u_obj.append(_image(lax_gf_h, (_image(lax_fg, (x, y, w1)), z, w2)))
+        v_obj.append(_image(lax_f_hg, (x, _image(lax_gh, (y, z, w2)), w1)))
+    outer_p = compose_functors(lax_fg.span_left.leg_left.underlying, t_right.fp.pr1)
+    outer_r = compose_functors(span_h.leg_right.underlying,
+                               compose_functors(lax_gh.pairing.fp.pr2, t_right.fp.pr2))
+    arrows = list(zip(outer_p.morphism_map, outer_r.morphism_map))
+    u, v = (lift_functor(t_right.fp.apex, span_hgf.fp.apex, span_hgf.fp.morphism_index,
+                         obj_map, arrows, "triple collapse")
+            for obj_map in (u_obj, v_obj))
+    theta = mediate_2cell(span_hgf.fp, u, v, identity_nat_trans(outer_p),
+                          identity_nat_trans(outer_r))
     is_identity = u == v and theta == identity_nat_trans(u)
 
     rb = ReportBuilder("laxator_coherence")
@@ -365,9 +319,8 @@ def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
         if apex.inverse(theta.components[a]) is None:
             rb.add("coherence-cell-iso", (a,), "component is not invertible")
     # as a monoidal transformation between monoidal comparisons
-    mon_u = strict_mon_functor(t_right.apex, span_hgf.apex, u)
-    mon_v = strict_mon_functor(t_right.apex, span_hgf.apex, v)
-    cell = MonNatTrans(mon_u, mon_v, theta)
+    cell = MonNatTrans(strict_mon_functor(t_right.apex, span_hgf.apex, u),
+                       strict_mon_functor(t_right.apex, span_hgf.apex, v), theta)
     sub = check_mon_nattrans(cell)
     for viol in sub.violations:
         rb.add(viol.law, viol.witness, viol.detail)
@@ -395,11 +348,6 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
         rb.add("composite-associativity", (), "the two total spans differ")
         return rb.report()
 
-    def collapse(fa, ga, sf, sg, sgf, af, ag, w):
-        key = (sf.fp.objects[af][0], sg.fp.objects[ag][1],
-               _composite_transport(fa, ga, sf, sg, sgf, af, ag, w))
-        return sgf.fp.object_index[key]
-
     endN = fd.cod.end.fc.as_category
     endP = gd.cod.end.fc.as_category
     endQ = hd.cod.end.fc.as_category
@@ -416,17 +364,17 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
                         for ak in range(len(span_k.fp.objects)):
                             pk = span_k.fp.objects[ak][0]
                             for w3 in endQ.isos(qh, pk):
-                                left = collapse(fd, gd, span_f, span_g,
+                                left = _collapse(fd, gd, span_f, span_g,
                                                 span_gf, af, ag, w1)
-                                left = collapse(gf, hd, span_gf, span_h,
+                                left = _collapse(gf, hd, span_gf, span_h,
                                                 span_hgf, left, ah, w2)
-                                left = collapse(hgf, kd, span_hgf, span_k,
+                                left = _collapse(hgf, kd, span_hgf, span_k,
                                                 span_total, left, ak, w3)
-                                right = collapse(hd, kd, span_h, span_k,
+                                right = _collapse(hd, kd, span_h, span_k,
                                                  span_kh, ah, ak, w3)
-                                right = collapse(gd, kh, span_g, span_kh,
+                                right = _collapse(gd, kh, span_g, span_kh,
                                                  span_khg, ag, right, w2)
-                                right = collapse(fd, khg, span_f, span_khg,
+                                right = _collapse(fd, khg, span_f, span_khg,
                                                  span_total, af, right, w1)
                                 checked += 1
                                 if left != right:

@@ -28,10 +28,11 @@ from .fincat import (
     functor_category,
     identity_functor,
     identity_nat_trans,
+    lift_functor,
     pullback,
     pushforward,
 )
-from .limits import FiberProductResult, fiber_product, mediate
+from .limits import FiberProductResult, fiber_product
 from .monoidal import (
     MonFunctor,
     MonNatTrans,
@@ -107,7 +108,8 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
 
     Defaults realize a strict action: acting morphisms must then all be
     identities, tensors of assigned functors must compose on the nose, and
-    the unit must act as the identity functor.
+    the unit must act as the identity functor.  A given transformation must
+    run F(src u) -> F(tgt u), F(x)⊗F(y) -> F(x⊗y) or I -> F(I), by its place.
     """
     end = end_monoidal(carrier, budget)
     n = acting.base.num_objects
@@ -120,24 +122,28 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
             raise StructureError(f"{what} is not an endofunctor of the carrier")
         return i
 
-    def trans_id(t: NatTrans, what: str) -> int:
-        i = end.fc.transformation_index.get(
-            (functor_id(t.source, what), functor_id(t.target, what), t.components))
-        if i is None:
-            raise StructureError(f"{what} is not a transformation of endofunctors")
+    def trans_id(t: NatTrans, src: int, tgt: int, what: str) -> int:
+        # src -> tgt are the ends t's place requires, as in docs.decode_module
+        i = end.fc.transformation_index.get((src, tgt, t.components))
+        if i is None or (functor_id(t.source, what), functor_id(t.target, what)) \
+                != (src, tgt):
+            raise StructureError(
+                f"{what} is not a transformation {src} -> {tgt} of endofunctors")
         return i
 
     obj_map = tuple(functor_id(f, f"action at acting object {c}")
                     for c, f in enumerate(object_functors))
     if morphism_transes is None:
-        morphism_transes = []
-        for m in range(acting.base.num_morphisms):
-            if not acting.base.is_identity(m):
-                raise StructureError(
-                    "non-identity acting morphisms need explicit transformations")
-            morphism_transes.append(
-                identity_nat_trans(object_functors[acting.base.source[m]]))
-    mor_map = tuple(trans_id(t, f"action at acting morphism {u}")
+        if not all(map(acting.base.is_identity, range(acting.base.num_morphisms))):
+            raise StructureError(
+                "non-identity acting morphisms need explicit transformations")
+        morphism_transes = [identity_nat_trans(object_functors[c])
+                            for c in acting.base.source]
+    if len(morphism_transes) != acting.base.num_morphisms:
+        raise StructureError("one transformation per acting morphism is required")
+    mor_map = tuple(trans_id(t, obj_map[acting.base.source[u]],
+                             obj_map[acting.base.target[u]],
+                             f"action at acting morphism {u}")
                     for u, t in enumerate(morphism_transes))
     underlying = Functor(acting.base, end.fc.as_category, obj_map, mor_map)
 
@@ -152,14 +158,20 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
                 mult.append(end.fc.as_category.identity[obj_map[acting.tensor_obj(x, y)]])
         mult = tuple(mult)
     else:
-        mult = tuple(trans_id(t, f"multiplicativity cell at {divmod(i, n)}")
-                     for i, t in enumerate(mult_cells))
+        if len(mult_cells) != n * n:
+            raise StructureError("one multiplicativity cell per acting pair is required")
+        mult = tuple(trans_id(mult_cells[x * n + y],
+                              end.monoidal.tensor_obj(obj_map[x], obj_map[y]),
+                              obj_map[acting.tensor_obj(x, y)],
+                              f"multiplicativity cell at {(x, y)}")
+                     for x in range(n) for y in range(n))
     if unit_cell is None:
         if object_functors[acting.unit] != identity_functor(carrier):
             raise StructureError("unit does not act as the identity; pass unit_cell")
         unit_iso = end.fc.as_category.identity[end.monoidal.unit]
     else:
-        unit_iso = trans_id(unit_cell, "unit cell")
+        unit_iso = trans_id(unit_cell, end.monoidal.unit, obj_map[acting.unit],
+                            "unit cell")
     action = MonFunctor(acting, end.monoidal, underlying, mult, unit_iso)
     return ModuleData(acting, carrier, end, action)
 
@@ -487,7 +499,8 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
 def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                               endN: EndCategory) -> None:
     """Check the explicit tensor against the mediator of the fiber product,
-    and the unitors against their unique 2-cells, on tables.
+    the unitors against their unique 2-cells and the associator against the
+    identities of strictly associative pasting, on tables.
 
     The mediator of a cone (p, q, ξ) is a ↦ (p a, q a, ξ_a), with identity
     witnesses in the strict model (limits.mediate).  So a⊗− is the mediator
@@ -533,16 +546,17 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
             if apex_ms.tensor_mor(f, g) != interchanged:
                 raise StructureError(
                     f"explicit tensor breaks interchange at ({f}, {g})")
-    # associator compatibility: pasting is associative on the nose
-    rows = apex_ms.tensor_rows()
+    # pasting is associative on the nose, with identity associator components
+    rows, assoc = apex_ms.tensor_rows(), apex_ms.associator
     for i in range(n):
         i_row = rows[i]
         for j in range(n):
             ij_row, j_row = rows[i_row[j]], rows[j]
+            at = (i * n + j) * n
             for k in range(n):
                 left = ij_row[k]
                 right = i_row[j_row[k]]
-                if left != right:
+                if left != right or assoc[at + k] != ident[left]:
                     raise StructureError(
                         f"span tensor is not strictly associative at ({i}, {j}, {k})")
                 if filler[left] != filler[right]:
@@ -605,8 +619,9 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     The apex holds quadruples (P, Q, xi_f, xi_g) subject to the exchange
     condition against the transformation, built over End(M) × End(N) through
     category_over_product: (mu, nu) is a morphism when it is one in both
-    fiber products.  Its vertical legs into the two spans are produced
-    through the mediator of each fiber product.
+    fiber products.  Its vertical legs into the two spans send a quadruple
+    to its triple in each and are lifted along the 2-span's own legs
+    (lift_functor), as the strict mediators of the two fiber products are.
     """
     fd, gd = ad.dom, ad.cod
     if fd.dom != gd.dom or fd.cod != gd.cod:
@@ -662,23 +677,18 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
                                 budget=budget)
 
-    # vertical legs through the mediators of the two fiber products
+    # the vertical legs send (fi, gi) to fi and gi, lying over (mu, nu) in both
     p_proj = Functor(apex_cat, endM.fc.as_category,
                      tuple(f_objs[fi][0] for fi, _ in quads),
                      tuple(mu for mu, _ in morphisms))
     q_proj = Functor(apex_cat, endN.fc.as_category,
                      tuple(f_objs[fi][1] for fi, _ in quads),
                      tuple(nu for _, nu in morphisms))
-    xi_f = NatTrans(compose_functors(span_f.fp.left, p_proj),
-                    compose_functors(span_f.fp.right, q_proj),
-                    tuple(f_objs[fi][2] for fi, _ in quads))
-    xi_g = NatTrans(compose_functors(span_g.fp.left, p_proj),
-                    compose_functors(span_g.fp.right, q_proj),
-                    tuple(g_objs[gi][2] for _, gi in quads))
-    med_f = mediate(span_f.fp, p_proj, q_proj, xi_f)
-    med_g = mediate(span_g.fp, p_proj, q_proj, xi_g)
-    vert_f = strict_mon_functor(apex_ms, span_f.apex, med_f)
-    vert_g = strict_mon_functor(apex_ms, span_g.apex, med_g)
+    vert_f, vert_g = (
+        strict_mon_functor(apex_ms, span.apex, lift_functor(
+            apex_cat, span.fp.apex, span.fp.morphism_index, [q[side] for q in quads],
+            morphisms, "2-span vertical leg"))
+        for side, span in enumerate((span_f, span_g)))
 
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, p_proj)
     leg_right = strict_mon_functor(apex_ms, endN.monoidal, q_proj)
@@ -692,9 +702,10 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
             hom_fc, span_f.fp.left.object_map[p0], span_g.fp.right.object_map[q0],
             tuple(comp[q_mor[a]][t] for a, t in
                   zip(phi.components, hom_fc.transformations[x0].components))))
-    filler = NatTrans(xi_f.source, xi_g.target, tuple(filler_comps))
+    filler = NatTrans(compose_functors(span_f.fp.left, p_proj),
+                      compose_functors(span_g.fp.right, q_proj), tuple(filler_comps))
 
-    # a mediator's witnesses are identities: pr1∘med = p_proj, pr2∘med = q_proj
+    # the legs lie over the 2-span's: pr1∘vert = p_proj, pr2∘vert = q_proj
     ident_f = MonNatTrans(compose_mon_functors(span_f.leg_left, vert_f),
                           compose_mon_functors(span_g.leg_left, vert_g),
                           identity_nat_trans(p_proj))

@@ -12,9 +12,12 @@ bodies each law had before it was stated once in spans, and the module
 structure search there takes the full product of transport candidates.
 The pasted transports are built through whiskering and vertical
 composition, as the span layer built them before it read each component
-off the carrier's comp table.  The span verifier last builds a Functor and
+off the carrier's comp table.  The span verifier builds a Functor and
 a NatTrans per partial tensor and runs the mediator on each, as build_span
-did before it read the mediator's table form.
+did before it read the mediator's table form.  The laxator comparison, the
+two ends of the coherence cell and the 2-span vertical legs last go through
+the mediator and the reassociation functor, as the laxator and 2-span
+layers built them before they lifted each functor along its outer legs.
 """
 from __future__ import annotations
 
@@ -30,15 +33,27 @@ from spanforge.fincat import (
     check_nat_trans,
     compose_functors,
     identity_functor,
+    lift_functor,
     product_category,
     vertical_composite,
     whisker_post,
     whisker_pre,
 )
 from spanforge.groups import GroupTable
-from spanforge.monoidal import MonoidalStructure, _check_monoidal_laws
+from spanforge.monoidal import (
+    MonoidalStructure,
+    _check_monoidal_laws,
+    compose_mon_functors,
+)
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 from spanforge.limits import mediate, mediate_2cell
+from spanforge.laxators import (
+    LaxatorCoherenceResult,
+    LaxatorResult,
+    MonoidalSquare,
+    _composite_transport,
+    monoidal_fiber_product,
+)
 from spanforge.spans import (
     EndCategory,
     ModuleData,
@@ -543,3 +558,129 @@ def mediated_verify_span_construction(cell: SpanCell, endM: EndCategory,
         theta = mediate_2cell(fp, tensored, ident, gamma1, gamma2)
         if theta.components != expected:
             raise StructureError("mediated unitor disagrees with the explicit one")
+
+
+# ---------------------------------------------------------------------------
+# mediated laxator comparisons, coherence ends and 2-span vertical legs
+# ---------------------------------------------------------------------------
+
+def mediated_comparison(fd: ModuleFunctorData, gd: ModuleFunctorData,
+                        lax: LaxatorResult) -> Functor:
+    """The laxator comparison as the mediator of the composite span's fiber
+    product, over the cone of outer legs and pasted transports."""
+    span_f, span_g, span_gf = lax.span_left, lax.span_right, lax.span_composite
+    w_fp = lax.pairing.fp
+    p = compose_functors(span_f.leg_left.underlying, w_fp.pr1)
+    q = compose_functors(span_g.leg_right.underlying, w_fp.pr2)
+    xi = NatTrans(compose_functors(span_gf.fp.left, p),
+                  compose_functors(span_gf.fp.right, q),
+                  tuple(_composite_transport(fd, gd, span_f, span_g, span_gf, af, ag, w)
+                        for af, ag, w in w_fp.objects))
+    return mediate(span_gf.fp, p, q, xi)
+
+
+def _induced_pairing_map(source_sq: MonoidalSquare, target_sq: MonoidalSquare,
+                         left_map: Functor | None,
+                         right_map: Functor | None) -> Functor:
+    """The functor between fiber products acting by the given maps on the two
+    coordinates and leaving the comparison morphism untouched; the maps must
+    commute with the relevant cospan legs on the nose."""
+    src_fp, tgt_fp = source_sq.fp, target_sq.fp
+    oi = tgt_fp.object_index
+    obj_map = []
+    for x, y, w in src_fp.objects:
+        nx = left_map.object_map[x] if left_map is not None else x
+        ny = right_map.object_map[y] if right_map is not None else y
+        key = (nx, ny, w)
+        if key not in oi:
+            raise StructureError("induced map left the fiber product")
+        obj_map.append(oi[key])
+    arrows = ((left_map.morphism_map[p] if left_map is not None else p,
+               right_map.morphism_map[q] if right_map is not None else q)
+              for p, q in src_fp.morphisms)
+    return lift_functor(src_fp.apex, tgt_fp.apex, tgt_fp.morphism_index,
+                        obj_map, arrows, "induced pairing map")
+
+
+def _reassociate(t_right: MonoidalSquare, t_left: MonoidalSquare,
+                 inner_right: MonoidalSquare,
+                 inner_left: MonoidalSquare) -> Functor:
+    """x ×_N (y ×_P z)  →  (x ×_N y) ×_P z on literal triples."""
+    in_left_oi = inner_left.fp.object_index
+    in_left_mi = inner_left.fp.morphism_index
+    out_oi = t_left.fp.object_index
+    out_mi = t_left.fp.morphism_index
+    obj_map = []
+    for x, j, w1 in t_right.fp.objects:
+        y, z, w2 = inner_right.fp.objects[j]
+        inner = in_left_oi[(x, y, w1)]
+        obj_map.append(out_oi[(inner, z, w2)])
+    mor_map = []
+    for k in range(t_right.fp.apex.num_morphisms):
+        p, mj = t_right.fp.morphisms[k]
+        q, r = inner_right.fp.morphisms[mj]
+        src = t_right.fp.apex.source[k]
+        tgt = t_right.fp.apex.target[k]
+        x0, j0, w_src = t_right.fp.objects[src]
+        x1, j1, w_tgt = t_right.fp.objects[tgt]
+        y0 = inner_right.fp.objects[j0][0]
+        y1 = inner_right.fp.objects[j1][0]
+        inner = in_left_mi[(in_left_oi[(x0, y0, w_src)],
+                            in_left_oi[(x1, y1, w_tgt)], p, q)]
+        mor_map.append(out_mi[(obj_map[src], obj_map[tgt], inner, r)])
+    return Functor(t_right.fp.apex, t_left.fp.apex, tuple(obj_map),
+                   tuple(mor_map))
+
+
+def reassociated_coherence_ends(result: LaxatorCoherenceResult,
+                                budget: Budget) -> tuple[Functor, Functor]:
+    """u and v of the coherence cell: u reassociates x ×_N (y ×_P z) into
+    (x ×_N y) ×_P z and collapses (f, g) first, v collapses (g, h) first;
+    both must agree on the outer legs."""
+    lax_fg, lax_gh = result.lax_fg, result.lax_gh
+    lax_gf_h, lax_f_hg = result.lax_gf_h, result.lax_f_hg
+    span_hgf = lax_gf_h.span_composite
+    # (A_f x A_g) x A_h and A_f x (A_g x A_h)
+    left_edge = compose_mon_functors(lax_fg.span_right.leg_right,
+                                     lax_fg.pairing.pr2)
+    t_left = monoidal_fiber_product(left_edge, lax_gh.span_right.leg_left,
+                                    budget)
+    right_edge = compose_mon_functors(lax_gh.span_left.leg_left,
+                                      lax_gh.pairing.pr1)
+    t_right = monoidal_fiber_product(lax_fg.span_left.leg_right, right_edge,
+                                     budget)
+    reassoc = _reassociate(t_right, t_left, lax_gh.pairing, lax_fg.pairing)
+
+    # route A: collapse (f, g) first, then against h
+    phi_fg_one = _induced_pairing_map(t_left, lax_gf_h.pairing,
+                                      lax_fg.comparison.underlying, None)
+    route_a = compose_functors(lax_gf_h.comparison.underlying, phi_fg_one)
+    # route B: collapse (g, h) first, then against f
+    one_phi_gh = _induced_pairing_map(t_right, lax_f_hg.pairing, None,
+                                      lax_gh.comparison.underlying)
+    route_b = compose_functors(lax_f_hg.comparison.underlying, one_phi_gh)
+
+    u = compose_functors(route_a, reassoc)
+    v = route_b
+    pr1u = compose_functors(span_hgf.fp.pr1, u)
+    pr1v = compose_functors(span_hgf.fp.pr1, v)
+    pr2u = compose_functors(span_hgf.fp.pr2, u)
+    pr2v = compose_functors(span_hgf.fp.pr2, v)
+    if pr1u != pr1v or pr2u != pr2v:
+        raise StructureError("triple collapses disagree on the outer legs")
+    return u, v
+
+
+def mediated_vertical_legs(cell: SpanCell) -> tuple[Functor, Functor]:
+    """The vertical legs of a 2-span as the mediators of its two spans' fiber
+    products, over its own legs and the xi_f and xi_g of its quadruples."""
+    span_f, span_g = cell.top, cell.bottom
+    p_proj, q_proj = cell.leg_left.underlying, cell.leg_right.underlying
+    xi_f = NatTrans(compose_functors(span_f.fp.left, p_proj),
+                    compose_functors(span_f.fp.right, q_proj),
+                    tuple(x_f for _, _, x_f, _ in cell.apex_objects))
+    xi_g = NatTrans(compose_functors(span_g.fp.left, p_proj),
+                    compose_functors(span_g.fp.right, q_proj),
+                    tuple(x_g for _, _, _, x_g in cell.apex_objects))
+    return (mediate(span_f.fp, p_proj, q_proj, xi_f),
+            mediate(span_g.fp, p_proj, q_proj, xi_g))

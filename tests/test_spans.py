@@ -22,6 +22,7 @@ from spanforge.fincat import (
     discrete_category,
     functor_category,
     identity_functor,
+    identity_nat_trans,
     terminal_category,
     walking_arrow,
 )
@@ -95,6 +96,30 @@ def test_make_module_rejects_non_strict_assignment():
         # breaks strictness
         make_module(acting, carrier,
                     [corpus.swap_functor(carrier), identity_functor(carrier)])
+
+
+def test_make_module_reads_each_cell_under_the_ends_its_place_requires():
+    # a multiplicativity cell runs F(x)⊗F(y) -> F(x⊗y) and the unit cell
+    # I -> F(I); the identity of the swap is a transformation, but not one
+    # between those ends, so it is refused in either place
+    md = corpus.m_swap_action()
+    trans = md.end.fc.transformations
+    n = md.acting.base.num_objects
+    objs = [md.functor_at(c) for c in range(n)]
+    mors = [trans[md.action.on_mor(u)] for u in range(md.acting.base.num_morphisms)]
+    mult = [trans[g] for g in md.action.mult]
+    unit = trans[md.action.unit_iso]
+    assert make_module(md.acting, md.carrier, objs, mors, mult, unit) == md
+    swap_id = identity_nat_trans(corpus.swap_functor(md.carrier))
+    with pytest.raises(StructureError, match=r"multiplicativity cell at \(1, 1\)"):
+        make_module(md.acting, md.carrier, objs, mors,
+                    mult[:n * n - 1] + [swap_id], unit)
+    with pytest.raises(StructureError, match="unit cell"):
+        make_module(md.acting, md.carrier, objs, mors, mult, swap_id)
+    with pytest.raises(StructureError, match="acting morphism 1"):
+        make_module(md.acting, md.carrier, objs, [mors[0], mors[0]], mult, unit)
+    with pytest.raises(StructureError, match="one multiplicativity cell per acting pair"):
+        make_module(md.acting, md.carrier, objs, mors, mult[:-1], unit)
 
 
 def test_make_module_mutants_return_or_refuse():
@@ -243,10 +268,16 @@ def span_verification_verdicts(seed, per_pair):
 
 def test_span_verification_agrees_with_the_mediator_route():
     # the table-form verifier against the one that builds a Functor and a
-    # NatTrans per partial tensor and runs mediate and mediate_2cell
+    # NatTrans per partial tensor and runs mediate and mediate_2cell; the
+    # mediator route never reads the associator, which strict pasting
+    # requires to be the identity, so only the table form refuses its
+    # mutants (every corpus apex holds identities there)
     results = span_verification_verdicts(seed=13, per_pair=2)
-    disagreements = [r for r in results if r[2][0] != r[2][1]]
+    disagreements = [r for r in results
+                     if r[2][0] != r[2][1] and r[1] != "associator"]
     assert not disagreements, disagreements[:5]
+    assert all(v == ("refused", "ok") for _, table, v in results
+               if table == "associator")
     assert all(v == ("ok", "ok") for _, table, v in results if table is None)
     covered = {(name, table) for name, table, _ in results if table is not None}
     changeable = set()
@@ -259,7 +290,8 @@ def test_span_verification_agrees_with_the_mediator_route():
             "objects" if table in ("tensor_objects", "unit") else
             "filler" if table == "filler" else "morphisms"] > 1}
     assert covered == changeable
-    assert {v for _, _, v in results} == {("ok", "ok"), ("refused", "refused")}
+    assert {v for _, _, v in results} == {("ok", "ok"), ("refused", "refused"),
+                                          ("refused", "ok")}
 
 
 def test_span_verification_mediates_each_partial_tensor(monkeypatch):

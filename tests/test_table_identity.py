@@ -354,8 +354,13 @@ def lift_digests() -> dict[str, str]:
         out[f"action-lift/{name}"] = functor_digest(
             build_span(fd, verify=False).action_lift)
     for name, ad in corpus.nattrans_corpus():
-        out[f"2-span-action-lift/{name}"] = functor_digest(
-            build_two_span(ad, verify=False).action_lift)
+        cell = build_two_span(ad, verify=False)
+        out[f"2-span-action-lift/{name}"] = functor_digest(cell.action_lift)
+        out[f"2-span-vertical-legs/{name}"] = digest(
+            *(functor_digest(leg) for leg in cell.vertical_legs))
+        out[f"2-span-vertical-fillers/{name}"] = digest(
+            *((functor_digest(c.source), functor_digest(c.target),
+               c.underlying.components) for c in cell.vertical_fillers))
     for name, fd, gd in corpus.composable_pairs():
         out[f"laxator/{name}"] = functor_digest(laxator(fd, gd).comparison)
     for name, setup in central_setups().items():
@@ -365,6 +370,9 @@ def lift_digests() -> dict[str, str]:
         out[f"induced/{name}"] = functor_digest(central_module_check(setup).induced)
     return out
 
+
+# the 2-span vertical legs and their identity fillers were computed with the
+# legs built by limits.mediate, before they were lifted along the outer legs
 LIFTS_PINNED = {
     "action-lift/terminal-id":
         "680c9dfda637249311a04167b71e64b71d696734761a01c4d1639086b860863e",
@@ -424,6 +432,30 @@ LIFTS_PINNED = {
         "aca282094969531a309b16bb0961dbfba8b2b6b89a0fe1015a068fbec02f9e7f",
     "2-span-action-lift/bz2-central":
         "89bce5a267fad21a9f45e44ab965153cae51067ad3c47711d9b4222ed1cb13d5",
+    "2-span-vertical-legs/terminal-identity":
+        "813df457a3238e301bfc81100a0d414b0150ff204cd60ba85e42d94ea9d2ee95",
+    "2-span-vertical-fillers/terminal-identity":
+        "67b5eb1b01a839e25620901a5af68281aee5db3443a77aabb4daa368ec50d609",
+    "2-span-vertical-legs/arrow-identity":
+        "aec83645773aaaa40c34b4c6511f22be95f19b6aa6906f7c100773895eb906fa",
+    "2-span-vertical-fillers/arrow-identity":
+        "5c7e93b5d993a9c316a61b57120d8b38f1f14b0f561fb2e5d57bd750cae41238",
+    "2-span-vertical-legs/arrow-const0-to-id":
+        "3e7ecafcda1e64ee195322312bfff6249389c2d56ecdd322bf3a2164f1c020d7",
+    "2-span-vertical-fillers/arrow-const0-to-id":
+        "6d5e3d5190174af436f7dc16a6e8d356c121f890ab4ad9ef7fea50bd94d363d6",
+    "2-span-vertical-legs/idem-absorbing":
+        "0e658e790922dee5cd535b0800a4d432e1458645b50338c73a2e133a47d97b96",
+    "2-span-vertical-fillers/idem-absorbing":
+        "02642214202db0f53ee1dba08d630c2e974c8896c83c5a260f07490eb26cdfb0",
+    "2-span-vertical-legs/swap-identity":
+        "1d9723d49562f877ea735743d9530774402ed561f84fa5a81965d97ec3e2c3bc",
+    "2-span-vertical-fillers/swap-identity":
+        "0d90ef200a4af16072abb3d2a5ee783c896e0ee2d5afdf5067e90268e14cb2c1",
+    "2-span-vertical-legs/bz2-central":
+        "743a4be975e11883b052903523afcd0ed128bdc129a2edac3b04e9b31d71c8fa",
+    "2-span-vertical-fillers/bz2-central":
+        "8c169ed727bf558482a1ad6309049dae96f04cb8aed6c4ad472dba2256b354d4",
     "laxator/arrow-id-id":
         "3c640fd856a344240f4214161439cd8a8c7a738cee645b47fced063efafb1931",
     "laxator/disc2-arrow-bz2":
