@@ -91,6 +91,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise StructureError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"cannot read {path}: {exc}")
 
 
 def _load(path: str, kind: str) -> Document:
@@ -715,16 +717,20 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     if args.report == "structured" or args.out is not None:
         structured = serialize(Document("report", out.payload()))
+    # the file is written before anything is printed, so a failed write
+    # leaves stdout empty
+    if args.out not in (None, "-"):
+        try:
+            _write_atomic(args.out, structured)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_ERROR
     if args.report == "structured":
         sys.stdout.write(structured)
     else:
         print("\n".join(out.human_lines()))
-    if args.out is not None:
-        if args.out == "-":
-            if args.report != "structured":
-                sys.stdout.write(structured)
-        else:
-            _write_atomic(args.out, structured)
+    if args.out == "-" and args.report != "structured":
+        sys.stdout.write(structured)
     return EXIT_OK if out.ok else EXIT_VIOLATION
 
 

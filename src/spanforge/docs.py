@@ -55,6 +55,9 @@ def parse(text: str) -> Document:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc.msg}")
+    except (RecursionError, ValueError) as exc:
+        # too deeply nested, or an integer past int's digit limit
+        raise SchemaError("$", f"not valid JSON: {exc}")
     _expect_keys(tree, "$", ("format", "kind", "payload"))
     if tree["format"] != FORMAT:
         raise SchemaError("$.format",

@@ -37,7 +37,8 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
-    compose_mon_functors,
+    check_mon_functor,
+    identity_mon_nattrans,
     lift_mon_functor,
     strict_mon_functor,
     tabulate_monoidal,
@@ -109,7 +110,8 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
     Defaults realize a strict action: acting morphisms must then all be
     identities, tensors of assigned functors must compose on the nose, and
     the unit must act as the identity functor.  A given transformation must
-    run F(src u) -> F(tgt u), F(x)⊗F(y) -> F(x⊗y) or I -> F(I), by its place.
+    run F(src u) -> F(tgt u), F(x)⊗F(y) -> F(x⊗y) or I -> F(I), by its place,
+    and the assembled action must be a monoidal functor.
     """
     end = end_monoidal(carrier, budget)
     n = acting.base.num_objects
@@ -173,6 +175,10 @@ def make_module(acting: MonoidalStructure, carrier: FinCategory,
         unit_iso = trans_id(unit_cell, end.monoidal.unit, obj_map[acting.unit],
                             "unit cell")
     action = MonFunctor(acting, end.monoidal, underlying, mult, unit_iso)
+    bad = check_mon_functor(action, cap=1)
+    if not bad.ok:
+        raise StructureError("action is not a monoidal functor: "
+                             + bad.violations[0].render())
     return ModuleData(acting, carrier, end, action)
 
 
@@ -622,6 +628,9 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     fiber products.  Its vertical legs into the two spans send a quadruple
     to its triple in each and are lifted along the 2-span's own legs
     (lift_functor), as the strict mediators of the two fiber products are.
+    So their composites with the spans' legs are the 2-span's legs on the
+    nose, and each vertical filler, a 2-cell over identity whiskers in a
+    strict iso-comma, is an identity (CWM §II.6).
     """
     fd, gd = ad.dom, ad.cod
     if fd.dom != gd.dom or fd.cod != gd.cod:
@@ -705,14 +714,6 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     filler = NatTrans(compose_functors(span_f.fp.left, p_proj),
                       compose_functors(span_g.fp.right, q_proj), tuple(filler_comps))
 
-    # the legs lie over the 2-span's: pr1∘vert = p_proj, pr2∘vert = q_proj
-    ident_f = MonNatTrans(compose_mon_functors(span_f.leg_left, vert_f),
-                          compose_mon_functors(span_g.leg_left, vert_g),
-                          identity_nat_trans(p_proj))
-    ident_g = MonNatTrans(compose_mon_functors(span_f.leg_right, vert_f),
-                          compose_mon_functors(span_g.leg_right, vert_g),
-                          identity_nat_trans(q_proj))
-
     apex_objects = tuple((f_objs[fi][0], f_objs[fi][1], f_objs[fi][2],
                           g_objs[gi][2]) for fi, gi in quads)
     lift_obj = []
@@ -729,4 +730,5 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
     return SpanCell(apex_ms, apex_objects, leg_left, leg_right, filler,
                     hom_fc, None, action_lift, top=span_f, bottom=span_g,
                     vertical_legs=(vert_f, vert_g),
-                    vertical_fillers=(ident_f, ident_g))
+                    vertical_fillers=(identity_mon_nattrans(leg_left),
+                                      identity_mon_nattrans(leg_right)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -199,20 +200,16 @@ def main() -> None:
     disc2 = corpus.discrete_category(2)
     write("broken_disc2_functor.json", "functor", encode_functor(
         Functor(disc2, disc2, (0, 1), (1, 0))))
-    sigma_cell = NatTrans(identity_functor(corpus.bz2()),
-                          identity_functor(corpus.bz2()), (1,))
-    broken_module = corpus.make_module(
+    # the strict trivial action of Z/2 on BZ/2 with its multiplicativity cell
+    # at (0, 1) replaced by the non-identity automorphism of the identity
+    # functor; make_module refuses it, so the action is edited directly
+    lawful = corpus.make_module(
         make_discrete_group_category(Z2), corpus.bz2(),
-        [identity_functor(corpus.bz2()), identity_functor(corpus.bz2())],
-        mult_cells=[NatTrans(identity_functor(corpus.bz2()),
-                             identity_functor(corpus.bz2()), (0,)),
-                    sigma_cell,
-                    NatTrans(identity_functor(corpus.bz2()),
-                             identity_functor(corpus.bz2()), (0,)),
-                    NatTrans(identity_functor(corpus.bz2()),
-                             identity_functor(corpus.bz2()), (0,))],
-        unit_cell=NatTrans(identity_functor(corpus.bz2()),
-                           identity_functor(corpus.bz2()), (0,)))
+        [identity_functor(corpus.bz2()), identity_functor(corpus.bz2())])
+    ident = lawful.action.on_obj(0)
+    mult = list(lawful.action.mult)
+    mult[1] = lawful.end.fc.transformation_index[(ident, ident, (1,))]
+    broken_module = replace(lawful, action=replace(lawful.action, mult=tuple(mult)))
     write("broken_module.json", "module", encode_module(broken_module))
 
     # central-check z2 fixture pieces over the discrete Z/2 carrier

@@ -18,6 +18,10 @@ did before it read the mediator's table form.  The laxator comparison, the
 two ends of the coherence cell and the 2-span vertical legs last go through
 the mediator and the reassociation functor, as the laxator and 2-span
 layers built them before they lifted each functor along its outer legs.
+The coherence cell through mediate_2cell and its scans, the 2-span vertical
+fillers pasted from the legs, and the normalization check that compares
+both legs of the diagonal with the identity are the routes those layers
+took before each cell over identity whiskers was built as an identity.
 """
 from __future__ import annotations
 
@@ -27,12 +31,14 @@ from spanforge.fincat import (
     Budget,
     FinCategory,
     Functor,
+    MediationError,
     NatTrans,
     StructureError,
     check_functor,
     check_nat_trans,
     compose_functors,
     identity_functor,
+    identity_nat_trans,
     lift_functor,
     product_category,
     vertical_composite,
@@ -41,9 +47,14 @@ from spanforge.fincat import (
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import (
+    MonNatTrans,
     MonoidalStructure,
     _check_monoidal_laws,
+    check_mon_functor,
+    check_mon_nattrans,
     compose_mon_functors,
+    identity_mon_functor,
+    strict_mon_functor,
 )
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 from spanforge.limits import mediate, mediate_2cell
@@ -51,7 +62,10 @@ from spanforge.laxators import (
     LaxatorCoherenceResult,
     LaxatorResult,
     MonoidalSquare,
+    NormalizationResult,
     _composite_transport,
+    _hom_profile,
+    _image,
     monoidal_fiber_product,
 )
 from spanforge.spans import (
@@ -60,6 +74,8 @@ from spanforge.spans import (
     ModuleFunctorData,
     ModuleNatTransData,
     SpanCell,
+    build_span,
+    identity_module_functor,
 )
 
 
@@ -684,3 +700,112 @@ def mediated_vertical_legs(cell: SpanCell) -> tuple[Functor, Functor]:
                     tuple(x_g for _, _, _, x_g in cell.apex_objects))
     return (mediate(span_f.fp, p_proj, q_proj, xi_f),
             mediate(span_g.fp, p_proj, q_proj, xi_g))
+
+
+# ---------------------------------------------------------------------------
+# cells over identity whiskers, mediated and pasted
+# ---------------------------------------------------------------------------
+
+def mediated_coherence_cell(result: LaxatorCoherenceResult, budget: Budget
+                            ) -> tuple[MonNatTrans, bool, Report]:
+    """The coherence cell of a triple, with cell_is_identity and cell_report,
+    as mediate_2cell gives it and check_mon_nattrans scans it."""
+    lax_fg, lax_gh = result.lax_fg, result.lax_gh
+    lax_gf_h, lax_f_hg = result.lax_gf_h, result.lax_f_hg
+    span_h, span_hgf = lax_gh.span_right, lax_gf_h.span_composite
+    right_edge = compose_mon_functors(lax_gh.span_left.leg_left,
+                                      lax_gh.pairing.pr1)
+    t_right = monoidal_fiber_product(lax_fg.span_left.leg_right, right_edge,
+                                     budget)
+    u_obj, v_obj = [], []
+    for x, j, w1 in t_right.fp.objects:
+        y, z, w2 = lax_gh.pairing.fp.objects[j]
+        u_obj.append(_image(lax_gf_h, (_image(lax_fg, (x, y, w1)), z, w2)))
+        v_obj.append(_image(lax_f_hg, (x, _image(lax_gh, (y, z, w2)), w1)))
+    outer_p = compose_functors(lax_fg.span_left.leg_left.underlying, t_right.fp.pr1)
+    outer_r = compose_functors(span_h.leg_right.underlying,
+                               compose_functors(lax_gh.pairing.fp.pr2, t_right.fp.pr2))
+    arrows = list(zip(outer_p.morphism_map, outer_r.morphism_map))
+    u, v = (lift_functor(t_right.fp.apex, span_hgf.fp.apex, span_hgf.fp.morphism_index,
+                         obj_map, arrows, "triple collapse")
+            for obj_map in (u_obj, v_obj))
+    theta = mediate_2cell(span_hgf.fp, u, v, identity_nat_trans(outer_p),
+                          identity_nat_trans(outer_r))
+    is_identity = u == v and theta == identity_nat_trans(u)
+
+    rb = ReportBuilder("laxator_coherence")
+    apex = span_hgf.apex.base
+    for a in range(u.source.num_objects):
+        if apex.inverse(theta.components[a]) is None:
+            rb.add("coherence-cell-iso", (a,), "component is not invertible")
+    # as a monoidal transformation between monoidal comparisons
+    cell = MonNatTrans(strict_mon_functor(t_right.apex, span_hgf.apex, u),
+                       strict_mon_functor(t_right.apex, span_hgf.apex, v), theta)
+    sub = check_mon_nattrans(cell)
+    for viol in sub.violations:
+        rb.add(viol.law, viol.witness, viol.detail)
+    return cell, is_identity, rb.report()
+
+
+def pasted_vertical_fillers(cell: SpanCell) -> tuple[MonNatTrans, MonNatTrans]:
+    """The vertical fillers of a 2-span between the composites of its
+    vertical legs with the two spans' legs, pasted through
+    compose_mon_functors."""
+    span_f, span_g = cell.top, cell.bottom
+    vert_f, vert_g = cell.vertical_legs
+    p_proj, q_proj = cell.leg_left.underlying, cell.leg_right.underlying
+    # the legs lie over the 2-span's: pr1∘vert = p_proj, pr2∘vert = q_proj
+    ident_f = MonNatTrans(compose_mon_functors(span_f.leg_left, vert_f),
+                          compose_mon_functors(span_g.leg_left, vert_g),
+                          identity_nat_trans(p_proj))
+    ident_g = MonNatTrans(compose_mon_functors(span_f.leg_right, vert_f),
+                          compose_mon_functors(span_g.leg_right, vert_g),
+                          identity_nat_trans(q_proj))
+    return ident_f, ident_g
+
+
+def retracted_normalization_check(md: ModuleData,
+                                  budget: Budget) -> NormalizationResult:
+    """normalization_check with the diagonal's objects looked up by the
+    transformation id of each identity transport, and both legs composed
+    with the diagonal and compared with the identity."""
+    rb = ReportBuilder("normalization")
+    idf = identity_module_functor(md)
+    cell = build_span(idf, budget)
+    end = md.end
+    apex = cell.apex.base
+    oi = cell.fp.object_index
+    end_cat = end.fc.as_category
+    obj_map = [oi[(i, i, cell.hom_fc.transformation_id(identity_nat_trans(fun)))]
+               for i, fun in enumerate(end.fc.functors)]
+    try:
+        diag_fun = lift_functor(end_cat, apex, cell.fp.morphism_index, obj_map,
+                                ((k, k) for k in range(end_cat.num_morphisms)),
+                                "diagonal")
+    except MediationError as exc:
+        rb.add("diagonal-morphism", exc.witness, "pair is not an apex morphism")
+        return NormalizationResult(rb.report(), False, apex.num_objects,
+                                   end_cat.num_objects)
+    n = end_cat.num_objects
+    diag = strict_mon_functor(end.monoidal, cell.apex, diag_fun)
+    sub = check_mon_functor(diag)
+    for v in sub.violations:
+        rb.add("diagonal-" + v.law, v.witness, v.detail)
+    left = compose_mon_functors(cell.leg_left, diag)
+    right = compose_mon_functors(cell.leg_right, diag)
+    ident_mon = identity_mon_functor(end.monoidal)
+    if left != ident_mon:
+        rb.add("left-leg-identity", (), "left leg does not retract the diagonal")
+    if right != ident_mon:
+        rb.add("right-leg-identity", (), "right leg does not retract the diagonal")
+    pairs, missed = _hom_profile(diag_fun)
+    for witness, collide, uncovered in pairs:
+        if collide:
+            rb.add("diagonal-faithful", witness, "images collide")
+        if uncovered:
+            rb.add("diagonal-full", witness, "hom-set is not covered")
+    if missed is not None:
+        rb.add("diagonal-essentially-surjective", (missed,),
+               "apex object misses the diagonal")
+    return NormalizationResult(rb.report(), apex.num_objects == n,
+                               apex.num_objects, n)

@@ -531,6 +531,36 @@ def test_module_on_lawless_carrier_exits_two(capsys, tmp_path):
     assert err.startswith("error:") and "carrier is not a category" in err
 
 
+def assert_clean_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+UNREADABLE = {
+    "undecodable": b"\xff\xfe",
+    "deeply-nested": b"[" * 200_000 + b"]" * 200_000,
+    "huge-integer": b'{"format": 1, "kind": "category", "payload": '
+                    + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_exits_two(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    assert_clean_error(*run(capsys, "validate", path))
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_two_before_printing(capsys, tmp_path, target):
+    out_path = tmp_path / "missing" / "r.json" if target == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "--out", out_path, "validate",
+                         data("terminal_category.json"))
+    assert_clean_error(code, out, err)
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_lists_every_subcommand():
     # the subcommands of the parser are exactly the `spanforge <subcommand>`
     # lines of the README's CLI block

@@ -4,19 +4,27 @@ A functor into a category cut out of a product is fixed by its object map
 and its two factor functors, because the category's functor to the product
 is faithful (CWM §II.6).  The laxator comparison, the two ends u and v of
 each coherence cell and the 2-span vertical legs are built that way, with no
-limits.mediate call.  Each must equal the functor the mediator and the
-reassociation route give (tests/oracles.py), on the corpus and on a copy
-whose module carriers are relabelled.
+limits.mediate call; the cells over identity whiskers are built as
+identities (test_identity_cells), so those layers and normalization_check
+make no limits.mediate_2cell call either.  Each functor must equal the one
+the mediator and the reassociation route give (tests/oracles.py), on the
+corpus and on a copy whose module carriers are relabelled.
 """
 import pytest
 
 import corpus
 import oracles
+from test_module_laws import MODULES
 from test_pasted_transports import COPIES, Renamer
 
 from spanforge import laxators, limits, spans
-from spanforge.fincat import DEFAULT_BUDGET
-from spanforge.laxators import laxator, laxator_coherence, quadruple_pasting_check
+from spanforge.fincat import DEFAULT_BUDGET, identity_functor, identity_nat_trans
+from spanforge.laxators import (
+    laxator,
+    laxator_coherence,
+    normalization_check,
+    quadruple_pasting_check,
+)
 from spanforge.spans import build_span, build_two_span
 
 
@@ -57,16 +65,21 @@ def test_two_span_vertical_legs_are_the_mediated_ones(copy):
 
 
 def test_laxator_and_two_span_layers_make_no_mediate_call(monkeypatch):
-    calls = []
-    real = limits.mediate
+    calls = {"mediate": [], "mediate_2cell": []}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(limits, name)
 
-    for module in (limits, spans, laxators):
-        if hasattr(module, "mediate"):
-            monkeypatch.setattr(module, "mediate", counted)
+        def counted(*args):
+            calls[name].append(args)
+            return real(*args)
+        return counted
+
+    for name in calls:
+        counted = counting(name)
+        for module in (limits, spans, laxators):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     for _, fd, gd in corpus.composable_pairs():
         laxator(fd, gd)
     for _, fd, gd, hd in corpus.composable_triples():
@@ -75,8 +88,13 @@ def test_laxator_and_two_span_layers_make_no_mediate_call(monkeypatch):
         quadruple_pasting_check(fd, gd, hd, kd)
     for _, ad in corpus.nattrans_corpus():
         build_two_span(ad)
-    assert calls == []
-    # the counter sees a call through the module
+    for name in MODULES:
+        normalization_check(getattr(corpus, name)())
+    assert calls == {"mediate": [], "mediate_2cell": []}
+    # the counters see a call through the module
     fp = build_span(dict(corpus.span_corpus())["bz2-id"]).fp
     limits.mediate(fp, fp.pr1, fp.pr2, fp.filler)
-    assert len(calls) == 1
+    u = identity_functor(fp.apex)
+    limits.mediate_2cell(fp, u, u, identity_nat_trans(fp.pr1),
+                         identity_nat_trans(fp.pr2))
+    assert [len(c) for c in calls.values()] == [1, 1]

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from dataclasses import replace
 from itertools import product
@@ -10,6 +11,9 @@ from oracles import (
     brute_force_functors,
     mediated_verify_span_construction,
 )
+from test_module_laws import MODULES
+
+from spanforge.docs import decode_module, parse
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -48,6 +52,8 @@ from spanforge.spans import (
     module_functor,
     module_structures_on,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,16 @@ def test_make_module_reads_each_cell_under_the_ends_its_place_requires():
         make_module(md.acting, md.carrier, objs, mors, mult[:-1], unit)
 
 
+def module_args(md):
+    """The object functors, acting-morphism transformations, multiplicativity
+    cells and unit cell (in a list of one) that rebuild md."""
+    trans = md.end.fc.transformations
+    return ([md.functor_at(c) for c in range(md.acting.base.num_objects)],
+            [trans[md.action.on_mor(u)] for u in range(md.acting.base.num_morphisms)],
+            [trans[g] for g in md.action.mult],
+            [trans[md.action.unit_iso]])
+
+
 def test_make_module_mutants_return_or_refuse():
     # the arguments that rebuild each corpus module, one table entry changed:
     # an object functor, an acting morphism's transformation, a
@@ -132,12 +148,7 @@ def test_make_module_mutants_return_or_refuse():
                if name.startswith("m_")]
     outcomes = {"ok": 0, "refused": 0}
     for md in modules:
-        trans = md.end.fc.transformations
-        args = ([md.functor_at(c) for c in range(md.acting.base.num_objects)],
-                [trans[md.action.on_mor(u)]
-                 for u in range(md.acting.base.num_morphisms)],
-                [trans[g] for g in md.action.mult],
-                [trans[md.action.unit_iso]])
+        args = module_args(md)
         assert make_module(md.acting, md.carrier, *args[:3], args[3][0]) == md
         for _ in range(12):
             which = rng.randrange(4)
@@ -160,6 +171,61 @@ def test_make_module_mutants_return_or_refuse():
             except SpanforgeError:
                 outcomes["refused"] += 1
     assert outcomes["ok"] > 0 and outcomes["refused"] > 0, outcomes
+
+
+def test_make_module_returns_only_lawful_actions():
+    # one cell replaced by a transformation of End(carrier) between the ends
+    # its place requires: make_module returns the module exactly when the
+    # action with that table entry is a monoidal functor, and refuses it
+    # otherwise
+    rng = random.Random(15)
+    outcomes = {"ok": 0, "refused": 0}
+    for name in MODULES:
+        md = getattr(corpus, name)()
+        args = module_args(md)
+        transformations = md.end.fc.transformations
+        for _ in range(12):
+            which = rng.randrange(1, 4)
+            i = rng.randrange(len(args[which]))
+            entry = args[which][i]
+            tid = rng.choice([k for k, t in enumerate(transformations)
+                              if (t.source, t.target) == (entry.source, entry.target)])
+            mutated = [list(a) for a in args]
+            mutated[which][i] = transformations[tid]
+            action = md.action
+            if which == 1:
+                mor_map = list(action.underlying.morphism_map)
+                mor_map[i] = tid
+                action = replace(action, underlying=replace(
+                    action.underlying, morphism_map=tuple(mor_map)))
+            elif which == 2:
+                mult = list(action.mult)
+                mult[i] = tid
+                action = replace(action, mult=tuple(mult))
+            else:
+                action = replace(action, unit_iso=tid)
+            if check_mon_functor(action).ok:
+                got = make_module(md.acting, md.carrier, *mutated[:3], mutated[3][0])
+                assert got.action == action, name
+                outcomes["ok"] += 1
+            else:
+                with pytest.raises(StructureError,
+                                   match="action is not a monoidal functor: "):
+                    make_module(md.acting, md.carrier, *mutated[:3], mutated[3][0])
+                outcomes["refused"] += 1
+    assert outcomes["ok"] > 0 and outcomes["refused"] > 0, outcomes
+
+
+def test_make_module_refuses_the_broken_module_fixture():
+    # decode_module reads the document unchecked, so validate reports its
+    # witnesses; make_module refuses the same cells
+    tree = parse((DATA / "broken_module.json").read_text()).payload
+    md = decode_module(tree, Budget())
+    first = check_mon_functor(md.action).violations[0]
+    args = module_args(md)
+    with pytest.raises(StructureError) as exc:
+        make_module(md.acting, md.carrier, *args[:3], args[3][0])
+    assert str(exc.value) == "action is not a monoidal functor: " + first.render()
 
 
 # ---------------------------------------------------------------------------
