@@ -24,11 +24,9 @@ from .fincat import (
     check_nat_trans,
     compose_functors,
     full_subcategory,
-    horizontal_composite,
     identity_functor,
     identity_nat_trans,
     lift_functor,
-    vertical_composite,
 )
 from .groups import GroupTable, validate_group
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
@@ -780,22 +778,6 @@ def compose_mon_functors(g: MonFunctor, f: MonFunctor) -> MonFunctor:
 
 def identity_mon_nattrans(f: MonFunctor) -> MonNatTrans:
     return MonNatTrans(f, f, identity_nat_trans(f.underlying))
-
-
-def vcomp_mon_nattrans(b: MonNatTrans, a: MonNatTrans) -> MonNatTrans:
-    if a.target != b.source:
-        raise StructureError("vertical composition: middle monoidal functors differ")
-    return MonNatTrans(a.source, b.target,
-                       vertical_composite(b.underlying, a.underlying))
-
-
-def hcomp_mon_nattrans(b: MonNatTrans, a: MonNatTrans) -> MonNatTrans:
-    """b★a for a between functors C -> D and b between functors D -> E."""
-    if a.source.target != b.source.source:
-        raise StructureError("horizontal composition: structures do not meet")
-    return MonNatTrans(compose_mon_functors(b.source, a.source),
-                       compose_mon_functors(b.target, a.target),
-                       horizontal_composite(b.underlying, a.underlying))
 
 
 def make_skeletal_group_category(g: GroupTable, u: GroupTable,

@@ -4,9 +4,11 @@ A module is a category together with a monoidal functor from the acting
 category into its endofunctor category.  A module functor gives a span of
 monoidal categories: the apex pairs an endofunctor on each side with an
 invertible comparison between the two transports, tensored by the explicit
-pasting formula and checked against the table form of the underlying fiber
-product's mediator.  A module transformation refines this to quadruple data
-over the comma category of the two transports.
+pasting formula.  The construction checks its hypotheses (lawful carriers, f
+a functor, each transport an apex object); by the theorem in build_span the
+span is then lawful, and verify=True re-derives it against the table form of
+the underlying fiber product's mediator.  A module transformation refines
+this to quadruple data over the comma category of the two transports.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .fincat import (
     StructureError,
     category_over_product,
     check_category,
+    check_functor,
     check_nat_trans,
     compose_functors,
     enumerate_nat_transes,
@@ -198,12 +201,20 @@ class ModuleFunctorData:
     xi: tuple[NatTrans, ...]
 
 
+def _require_functor(f: Functor, dom: ModuleData, cod: ModuleData) -> None:
+    """Refuse an f that is not a functor dom.carrier -> cod.carrier."""
+    if f.source != dom.carrier or f.target != cod.carrier:
+        raise StructureError("functor does not match the module carriers")
+    bad = check_functor(f, cap=1)
+    if not bad.ok:
+        raise StructureError("f is not a functor: " + bad.violations[0].render())
+
+
 def module_functor(dom: ModuleData, cod: ModuleData, f: Functor,
                    xi: list[NatTrans] | None = None) -> ModuleFunctorData:
     """Wrap transport data; defaults to identity transports, which requires
     f to commute with the two actions on the nose."""
-    if f.source != dom.carrier or f.target != cod.carrier:
-        raise StructureError("functor does not match the module carriers")
+    _require_functor(f, dom, cod)
     if dom.acting != cod.acting:
         raise StructureError(
             "module bases differ: acting category with "
@@ -430,14 +441,32 @@ def _transport_id(fc: FunctorCategory, source: int, target: int,
 
 
 def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
-               verify: bool = True) -> SpanCell:
+               verify: bool = False) -> SpanCell:
     """The span associated to a module functor.
 
     Apex objects are triples (P, Q, xi: f∘P ≅ Q∘f); the tensor composes
-    endofunctors on both sides and pastes the comparisons.  When verify is
-    set, the tensor is checked against the table form of the fiber
-    product's mediator and the unitors against their unique 2-cells; any
-    disagreement raises.
+    endofunctors on both sides and pastes the comparisons.
+
+    Theorem.  Suppose (H1) both carriers are lawful, which end_monoidal
+    checks; (H2) f is a functor dom.carrier -> cod.carrier, which
+    _require_functor checks here; (H3) each transport is an apex object,
+    which the action-lift lookup below checks.  Then the returned cell
+    passes _verify_span_construction:
+    - partial tensors: tensor_obj looks a⊗x up under exactly the key
+      (P a⊗P x, Q a⊗Q x, pasted transport) the audit compares, and
+      tensor_mor_over_product looks a⊗k up under (id⊗P k, id⊗Q k);
+    - interchange: the apex composes and tensors factor by factor, and
+      End(M) and End(N) are strict 2-categorical composites (CWM §II.3,
+      §II.5);
+    - associativity and unit: composing functors and pasting whiskered
+      transformations are associative and unital on the nose (CWM §II.5),
+      and tabulate_monoidal fills the associator and unitors with
+      identities.
+    So the default path checks only the hypotheses, and any failure of
+    them raises StructureError.  verify=True re-derives the finished cell
+    against the table form of the fiber product's mediator, the unitors
+    against their unique 2-cells and the associator against identities;
+    any disagreement raises.
     """
     dom, cod = fd.dom, fd.cod
     if dom.acting != cod.acting:
@@ -445,6 +474,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
             "module bases differ: acting category with "
             f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
             f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
+    _require_functor(fd.f, dom, cod)
     endM, endN = dom.end, cod.end
     # over one carrier, Fun(M, N) is the End category's functor category
     hom_fc = endM.fc.within(budget) if dom.carrier == cod.carrier \
@@ -565,16 +595,13 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                 if left != right or assoc[at + k] != ident[left]:
                     raise StructureError(
                         f"span tensor is not strictly associative at ({i}, {j}, {k})")
-                if filler[left] != filler[right]:
-                    raise StructureError("pasted transports do not associate")
 
 
 def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,
                          budget: Budget = DEFAULT_BUDGET) -> list[ModuleFunctorData]:
     """All transport families making f a module functor, by exhaustive search
     with incremental pruning; families are ordered lexicographically."""
-    if f.source != dom.carrier or f.target != cod.carrier:
-        raise StructureError("functor does not match the module carriers")
+    _require_functor(f, dom, cod)
     if dom.acting != cod.acting:
         raise StructureError("modules have different acting categories")
     acting = dom.acting
@@ -618,8 +645,8 @@ def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,
     return results
 
 
-def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
-                   verify: bool = True) -> SpanCell:
+def build_two_span(ad: ModuleNatTransData,
+                   budget: Budget = DEFAULT_BUDGET) -> SpanCell:
     """The 2-span associated to a module transformation.
 
     The apex holds quadruples (P, Q, xi_f, xi_g) subject to the exchange
@@ -640,8 +667,8 @@ def build_two_span(ad: ModuleNatTransData, budget: Budget = DEFAULT_BUDGET,
         first = bad.violations[0]
         raise StructureError(
             f"module transformation condition fails at witness {first.witness}")
-    span_f = build_span(fd, budget, verify)
-    span_g = span_f if gd == fd else build_span(gd, budget, verify)
+    span_f = build_span(fd, budget)
+    span_g = span_f if gd == fd else build_span(gd, budget)
     hom_fc = span_f.hom_fc
     phi = ad.a
     f_objs = span_f.fp.objects

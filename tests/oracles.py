@@ -22,6 +22,8 @@ The coherence cell through mediate_2cell and its scans, the 2-span vertical
 fillers pasted from the legs, and the normalization check that compares
 both legs of the diagonal with the identity are the routes those layers
 took before each cell over identity whiskers was built as an identity.
+The vertical and horizontal composites of monoidal transformations have no
+caller in the library; they are kept here for the test that checks them.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from spanforge.fincat import (
     check_functor,
     check_nat_trans,
     compose_functors,
+    horizontal_composite,
     identity_functor,
     identity_nat_trans,
     lift_functor,
@@ -809,3 +812,19 @@ def retracted_normalization_check(md: ModuleData,
                "apex object misses the diagonal")
     return NormalizationResult(rb.report(), apex.num_objects == n,
                                apex.num_objects, n)
+
+
+def vcomp_mon_nattrans(b: MonNatTrans, a: MonNatTrans) -> MonNatTrans:
+    if a.target != b.source:
+        raise StructureError("vertical composition: middle monoidal functors differ")
+    return MonNatTrans(a.source, b.target,
+                       vertical_composite(b.underlying, a.underlying))
+
+
+def hcomp_mon_nattrans(b: MonNatTrans, a: MonNatTrans) -> MonNatTrans:
+    """b★a for a between functors C -> D and b between functors D -> E."""
+    if a.source.target != b.source.source:
+        raise StructureError("horizontal composition: structures do not meet")
+    return MonNatTrans(compose_mon_functors(b.source, a.source),
+                       compose_mon_functors(b.target, a.target),
+                       horizontal_composite(b.underlying, a.underlying))

@@ -3,7 +3,12 @@ from itertools import product
 
 import pytest
 
-from oracles import coboundary_vanishes, is_bicharacter
+from oracles import (
+    coboundary_vanishes,
+    hcomp_mon_nattrans,
+    is_bicharacter,
+    vcomp_mon_nattrans,
+)
 from spanforge.laxators import monoidal_fiber_product
 from spanforge.fincat import (
     Functor,
@@ -24,7 +29,6 @@ from spanforge.monoidal import (
     check_mon_nattrans,
     check_monoidal,
     compose_mon_functors,
-    hcomp_mon_nattrans,
     identity_mon_functor,
     identity_mon_nattrans,
     is_symmetric,
@@ -36,7 +40,6 @@ from spanforge.monoidal import (
     restrict_monoidal,
     terminal_monoidal,
     trivial_cochain,
-    vcomp_mon_nattrans,
 )
 
 Z2 = cyclic(2)

@@ -68,9 +68,9 @@ def composite(gd, fd):
 def assert_composite_transports(fd, gd):
     """Every comparison a laxator of (fd, gd) pastes, over every pairing
     object (af, ag, w: Q_f ≅ P_g); returns the composite."""
-    span_f, span_g = build_span(fd, verify=False), build_span(gd, verify=False)
+    span_f, span_g = build_span(fd), build_span(gd)
     gf = composite(gd, fd)
-    span_gf = build_span(gf, verify=False)
+    span_gf = build_span(gf)
     middle = fd.cod.end.fc
     checked = 0
     for af, (_, qf, x0) in enumerate(span_f.apex_objects):
@@ -93,7 +93,7 @@ def test_apex_tensor_pastes_like_the_whiskered_transport(copy):
     rename = Renamer(copy)
     for name, fd in corpus.span_corpus():
         fd = rename.functor(fd)
-        cell = build_span(fd, verify=False)
+        cell = build_span(fd)
         fc, end_m, end_n = cell.hom_fc, fd.dom.end, fd.cod.end
         objs = cell.apex_objects
         for a0, (p0, q0, x0) in enumerate(objs):
@@ -138,7 +138,7 @@ def test_two_span_filler_pastes_like_the_whiskered_transport(copy):
     rename = Renamer(copy)
     for name, ad in corpus.nattrans_corpus():
         ad = rename.nattrans(ad)
-        cell = build_two_span(ad, verify=False)
+        cell = build_two_span(ad)
         fc, end_m, end_n = cell.hom_fc, ad.dom.dom.end, ad.dom.cod.end
         comps = tuple(
             fc.transformation_id(oracles.whiskered_filler_transport(

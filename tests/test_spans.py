@@ -262,12 +262,12 @@ def test_span_corpus_passes_all_coherence_checks():
 
 def test_build_span_budget_refuses_the_tensor_table():
     fd = dict(corpus.span_corpus())["bz2-id"]
-    m = build_span(fd, verify=False).apex.base.num_morphisms
+    m = build_span(fd).apex.base.num_morphisms
     with pytest.raises(BudgetError) as exc:
-        build_span(fd, Budget(max_morphisms=m * m - 1), verify=False)
+        build_span(fd, Budget(max_morphisms=m * m - 1))
     assert exc.value.what == "tensor table (morphisms)"
     assert exc.value.estimate == m * m
-    build_span(fd, Budget(max_morphisms=m * m), verify=False)
+    build_span(fd, Budget(max_morphisms=m * m))
 
 
 SPAN_TABLES = ("tensor_objects", "tensor_morphisms", "unit", "left_unitor",
@@ -320,7 +320,7 @@ def span_verification_verdicts(seed, per_pair):
     rng = random.Random(seed)
     results = []
     for name, fd in corpus.span_corpus():
-        cell = build_span(fd, verify=False)
+        cell = build_span(fd)
         mutants = [(None, cell)] + [
             (table, span_table_mutant(cell, table, rng))
             for table in SPAN_TABLES for _ in range(per_pair)]
@@ -348,7 +348,7 @@ def test_span_verification_agrees_with_the_mediator_route():
     covered = {(name, table) for name, table, _ in results if table is not None}
     changeable = set()
     for name, fd in corpus.span_corpus():
-        cell = build_span(fd, verify=False)
+        cell = build_span(fd)
         ids = {"objects": cell.apex.base.num_objects,
                "morphisms": cell.apex.base.num_morphisms,
                "filler": cell.hom_fc.as_category.num_morphisms}
@@ -398,7 +398,7 @@ def test_span_verification_compares_the_mediated_tensor():
     # lands on the explicit tensor; the mediator route refuses it too, inside
     # mediate
     fd = dict(corpus.span_corpus())["bz2-id"]
-    cell = build_span(fd, verify=False)
+    cell = build_span(fd)
     comps = cell.fp.filler.components
     skewed = replace(cell, fp=replace(cell.fp, filler=replace(
         cell.fp.filler, components=comps[1:] + comps[:1])))
@@ -412,7 +412,7 @@ def test_span_verification_catches_a_wrong_tensor_entry():
     from dataclasses import replace
     from spanforge.spans import _verify_span_construction
     fd = dict(corpus.span_corpus())["bz2-id"]
-    cell = build_span(fd, verify=False)
+    cell = build_span(fd)
     base = cell.apex.base
     m = base.num_morphisms
     caught = set()

@@ -68,14 +68,14 @@ def center_digest(center) -> str:
 def table_digests() -> dict[str, str]:
     out = {}
     for name, fd in corpus.span_corpus():
-        cell = build_span(fd, verify=False)
+        cell = build_span(fd)
         out[f"span/{name}"] = digest(cell.apex, cell.apex_objects, cell.fp.morphisms)
         for orientation in (FORWARD, REVERSE):
             result = comma(cell.fp.left, cell.fp.right, orientation=orientation)
             out[f"comma-{orientation}/{name}"] = digest(
                 result.apex, result.objects, result.morphisms)
     for name, ad in corpus.nattrans_corpus():
-        cell = build_two_span(ad, verify=False)
+        cell = build_two_span(ad)
         out[f"2-span/{name}"] = digest(
             cell.apex, cell.apex_objects,
             cell.leg_left.underlying.morphism_map,
@@ -352,9 +352,9 @@ def lift_digests() -> dict[str, str]:
     out = {}
     for name, fd in corpus.span_corpus():
         out[f"action-lift/{name}"] = functor_digest(
-            build_span(fd, verify=False).action_lift)
+            build_span(fd).action_lift)
     for name, ad in corpus.nattrans_corpus():
-        cell = build_two_span(ad, verify=False)
+        cell = build_two_span(ad)
         out[f"2-span-action-lift/{name}"] = functor_digest(cell.action_lift)
         out[f"2-span-vertical-legs/{name}"] = digest(
             *(functor_digest(leg) for leg in cell.vertical_legs))
@@ -597,7 +597,7 @@ def pasting_digests() -> dict[str, str]:
         out[f"normalization/{name}"] = digest(
             normalization_check(getattr(corpus, name)()))
     for name, ad in corpus.nattrans_corpus():
-        filler = build_two_span(ad, verify=False).filler
+        filler = build_two_span(ad).filler
         out[f"2-span-filler/{name}"] = digest(
             filler.source.object_map, filler.source.morphism_map,
             filler.target.object_map, filler.target.morphism_map,
