@@ -10,6 +10,10 @@ mediators are, so no limits.mediate call is made.  In a strict iso-comma a
 cell is built as one, with no limits.mediate_2cell call.  The comparison
 need not be invertible, so its failure modes (essential surjectivity,
 fullness, faithfulness) are measured and reported, never assumed.
+Each module functor passes build_span's gate, so what the span theorem
+implies is not re-checked (tests/oracles.py keeps those checks): the
+comparison preserves tensors on the nose and pasting transports is
+associative on the nose (interchange and strict pasting in Cat, CWM §II.5).
 """
 from __future__ import annotations
 
@@ -202,12 +206,9 @@ def laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
             budget: Budget = DEFAULT_BUDGET) -> LaxatorResult:
     """The canonical comparison from the composite of the two spans into the
     span of the composite module functor, with its invertibility profile."""
-    if fd.cod != gd.dom:
-        raise StructureError("module functors are not composable")
-    span_f, span_g = build_span(fd, budget), build_span(gd, budget)
-    composite = compose_module_functors(gd, fd)
-    return _laxator(fd, gd, composite, span_f, span_g, build_span(composite, budget),
-                    budget)
+    composite = compose_module_functors(gd, fd)  # refuses a non-composable pair
+    return _laxator(fd, gd, composite, build_span(fd, budget), build_span(gd, budget),
+                    build_span(composite, budget), budget)
 
 
 def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
@@ -223,20 +224,15 @@ def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
         [_collapse(fd, gd, span_f, span_g, span_gf, af, ag, w)
          for af, ag, w in w_fp.objects],
         zip(p.morphism_map, q.morphism_map), "laxator comparison")
-    # tensors are preserved on the nose in the strict model
-    napex = pairing.apex.base.num_objects
-    for i in range(napex):
-        for j in range(napex):
-            if phi_fun.object_map[pairing.apex.tensor_obj(i, j)] != \
-                    span_gf.apex.tensor_obj(phi_fun.object_map[i],
-                                            phi_fun.object_map[j]):
-                raise StructureError("comparison does not preserve tensors")
+    # both tensors compose factor by factor and paste transports, so by
+    # interchange in Cat (CWM §II.5) phi preserves them on the nose
     comparison = strict_mon_functor(pairing.apex, span_gf.apex, phi_fun)
     pairs, missed = _hom_profile(phi_fun)
     full = not any(uncovered for _, _, uncovered in pairs)
     faithful = not any(collide for _, collide, _ in pairs)
     target = span_gf.apex.base
-    bij = len(set(phi_fun.object_map)) == napex == target.num_objects
+    bij = len(set(phi_fun.object_map)) == pairing.apex.base.num_objects \
+        == target.num_objects
     table_iso = bij and faithful and full and len(set(phi_fun.morphism_map)) \
         == pairing.apex.base.num_morphisms == target.num_morphisms
     return LaxatorResult(composite, span_f, span_g, span_gf, pairing,
@@ -249,11 +245,9 @@ def _laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
 # ---------------------------------------------------------------------------
 
 def _image(lax: LaxatorResult, key: tuple[int, int, int]) -> int:
-    """The image of the pairing object key under lax's comparison."""
-    found = lax.pairing.fp.object_index.get(key)
-    if found is None:
-        raise StructureError("induced map left the fiber product")
-    return lax.comparison.underlying.object_map[found]
+    """The image of the pairing object key under lax's comparison; by
+    construction of t_right each key laxator_coherence reads is one."""
+    return lax.comparison.underlying.object_map[lax.pairing.fp.object_index[key]]
 
 
 @dataclass(frozen=True)
@@ -278,21 +272,18 @@ def laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
     §II.6); otherwise MediationError names the first differing object."""
     # each span is built once: f, g, h, gf, hg and hgf (build_span is pure)
     lax_fg = laxator(fd, gd, budget)
-    if gd.cod != hd.dom:
-        raise StructureError("module functors are not composable")
+    hg = compose_module_functors(hd, gd)  # refuses a non-composable pair
     span_h = build_span(hd, budget)
-    hg = compose_module_functors(hd, gd)
     lax_gh = _laxator(gd, hd, hg, lax_fg.span_right, span_h, build_span(hg, budget),
                       budget)
-    gf_h = compose_module_functors(hd, lax_fg.composite)
-    span_hgf = build_span(gf_h, budget)
-    lax_gf_h = _laxator(lax_fg.composite, hd, gf_h, lax_fg.span_composite, span_h,
+    # f, g and h passed the gate, and pasting whiskered transports is
+    # associative on the nose (CWM §II.5): (hg)f = h(gf) serves both laxators
+    hgf = compose_module_functors(hd, lax_fg.composite)
+    span_hgf = build_span(hgf, budget)
+    lax_gf_h = _laxator(lax_fg.composite, hd, hgf, lax_fg.span_composite, span_h,
                         span_hgf, budget)
-    f_hg = compose_module_functors(hg, fd)
-    lax_f_hg = _laxator(fd, hg, f_hg, lax_fg.span_left, lax_gh.span_composite,
-                        span_hgf if f_hg == gf_h else build_span(f_hg, budget), budget)
-    if span_hgf.apex != lax_f_hg.span_composite.apex:
-        raise StructureError("the two triple composites have different spans")
+    lax_f_hg = _laxator(fd, hg, hgf, lax_fg.span_left, lax_gh.span_composite,
+                        span_hgf, budget)
 
     right_edge = compose_mon_functors(lax_gh.span_left.leg_left,
                                       lax_gh.pairing.pr1)
@@ -332,13 +323,10 @@ def quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
     span_gf, span_kh = build_span(gf, budget), build_span(kh, budget)
     hgf, khg = compose_module_functors(hd, gf), compose_module_functors(kd, hg)
     span_hgf, span_khg = build_span(hgf, budget), build_span(khg, budget)
+    # the four passed the gate, and pasting whiskered transports is
+    # associative on the nose (CWM §II.5): k(hgf) = (khg)f is the one total
     total = compose_module_functors(kd, hgf)
     span_total = build_span(total, budget)
-    # build_span is pure: equal module functors give equal spans
-    other = compose_module_functors(khg, fd)
-    if other != total and span_total.apex != build_span(other, budget).apex:
-        rb.add("composite-associativity", (), "the two total spans differ")
-        return rb.report()
 
     endN = fd.cod.end.fc.as_category
     endP = gd.cod.end.fc.as_category

@@ -4,11 +4,11 @@ A module is a category together with a monoidal functor from the acting
 category into its endofunctor category.  A module functor gives a span of
 monoidal categories: the apex pairs an endofunctor on each side with an
 invertible comparison between the two transports, tensored by the explicit
-pasting formula.  The construction checks its hypotheses (lawful carriers, f
-a functor, each transport an apex object); by the theorem in build_span the
-span is then lawful, and verify=True re-derives it against the table form of
-the underlying fiber product's mediator.  A module transformation refines
-this to quadruple data over the comma category of the two transports.
+pasting formula.  One gate, _require_module_functor, checks the hypotheses
+of the theorem in build_span before anything is enumerated; the span is
+then lawful, and verify=True re-derives it against the table form of the
+fiber product's mediator.  A module transformation refines this to
+quadruple data over the comma category of the two transports.
 """
 from __future__ import annotations
 
@@ -201,48 +201,77 @@ class ModuleFunctorData:
     xi: tuple[NatTrans, ...]
 
 
-def _require_functor(f: Functor, dom: ModuleData, cod: ModuleData) -> None:
-    """Refuse an f that is not a functor dom.carrier -> cod.carrier."""
+def _require_frame(dom: ModuleData, cod: ModuleData, f: Functor, xi=None) -> None:
+    """The gate on the hypotheses of the theorem in build_span starts here:
+    one acting category, f between the carriers and, given xi, one
+    transport per acting object."""
+    if dom.acting != cod.acting:
+        raise StructureError(
+            "module bases differ: acting category with "
+            f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
+            f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
     if f.source != dom.carrier or f.target != cod.carrier:
         raise StructureError("functor does not match the module carriers")
+    if xi is not None and len(xi) != dom.acting.base.num_objects:
+        raise StructureError("one transport per acting object is required")
+
+
+def _require_functor(f: Functor, dom: ModuleData, cod: ModuleData, xi=None) -> None:
+    """(H2): the frame holds and f is a functor."""
+    _require_frame(dom, cod, f, xi)
     bad = check_functor(f, cap=1)
     if not bad.ok:
         raise StructureError("f is not a functor: " + bad.violations[0].render())
+
+
+def _transport_failures(dom: ModuleData, cod: ModuleData, f: Functor,
+                        c: int, t: NatTrans):
+    """Where t fails to be an invertible natural transformation
+    f∘P(c) -> Q(c)∘f: its shape, else each naturality violation and then
+    each component with no inverse."""
+    if t.source != compose_functors(f, dom.functor_at(c)) \
+            or t.target != compose_functors(cod.functor_at(c), f):
+        yield "transport-shape", (c,), "transport has the wrong endpoints"
+        return
+    for v in check_nat_trans(t).violations:
+        yield "transport-" + v.law, (c,) + v.witness, v.detail
+    for m, x in enumerate(t.components):
+        if cod.carrier.inverse(x) is None:
+            yield "transport-iso", (c, m), "component is not invertible"
+
+
+def _require_module_functor(fd: ModuleFunctorData) -> None:
+    """(H2) and (H3): also, each transport is an apex object.  A pass is kept
+    on fd, whose fields are immutable, as FinCategory keeps its tables, so
+    a module functor is checked once however many spans and composites it
+    enters."""
+    if "_gate_passed" in fd.__dict__:
+        return
+    _require_functor(fd.f, fd.dom, fd.cod, fd.xi)
+    for c, t in enumerate(fd.xi):
+        for law, _, _ in _transport_failures(fd.dom, fd.cod, fd.f, c, t):
+            raise StructureError(f"transport at acting object {c} " + (
+                "has the wrong shape" if law == "transport-shape" else
+                "is not invertible" if law == "transport-iso" else "is not natural"))
+    fd.__dict__["_gate_passed"] = True
 
 
 def module_functor(dom: ModuleData, cod: ModuleData, f: Functor,
                    xi: list[NatTrans] | None = None) -> ModuleFunctorData:
     """Wrap transport data; defaults to identity transports, which requires
     f to commute with the two actions on the nose."""
-    _require_functor(f, dom, cod)
-    if dom.acting != cod.acting:
-        raise StructureError(
-            "module bases differ: acting category with "
-            f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
-            f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
-    n = dom.acting.base.num_objects
     if xi is None:
+        _require_functor(f, dom, cod)
         xi = []
-        for c in range(n):
+        for c in range(dom.acting.base.num_objects):
             left = compose_functors(f, dom.functor_at(c))
-            right = compose_functors(cod.functor_at(c), f)
-            if left != right:
+            if left != compose_functors(cod.functor_at(c), f):
                 raise StructureError(
                     f"functor is not strictly equivariant at acting object {c}")
             xi.append(identity_nat_trans(left))
-    if len(xi) != n:
-        raise StructureError("one transport per acting object is required")
-    for c, t in enumerate(xi):
-        if t.source != compose_functors(f, dom.functor_at(c)) \
-                or t.target != compose_functors(cod.functor_at(c), f):
-            raise StructureError(f"transport at {c} has the wrong shape")
-        bad = check_nat_trans(t)
-        if not bad.ok:
-            raise StructureError(f"transport at {c} is not natural")
-        for m in range(dom.carrier.num_objects):
-            if cod.carrier.inverse(t.components[m]) is None:
-                raise StructureError(f"transport at {c} is not invertible")
-    return ModuleFunctorData(dom, cod, f, tuple(xi))
+    fd = ModuleFunctorData(dom, cod, f, tuple(xi))
+    _require_module_functor(fd)
+    return fd
 
 
 def identity_module_functor(md: ModuleData) -> ModuleFunctorData:
@@ -317,30 +346,18 @@ def _exchange_failures(dom: ModuleData, cod: ModuleData, a: NatTrans,
 
 def check_module_functor(fd: ModuleFunctorData,
                          cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """Shape, naturality, invertibility, and equivariance of the transports,
-    reported as violations rather than raised."""
+    """The gate's transport scan, then equivariance, multiplicativity and the
+    unit law, reported rather than raised; a bad frame raises, and f's own
+    laws are check_functor's."""
     rb = ReportBuilder("module_functor", cap)
     dom, cod = fd.dom, fd.cod
-    if dom.acting != cod.acting:
-        raise StructureError("module bases differ")
-    if fd.f.source != dom.carrier or fd.f.target != cod.carrier:
-        raise StructureError("functor does not match the module carriers")
-    n = dom.acting.base.num_objects
-    if len(fd.xi) != n:
-        raise StructureError("one transport per acting object is required")
-    n_cat = cod.carrier
+    _require_frame(dom, cod, fd.f, fd.xi)
     for c, t in enumerate(fd.xi):
-        if t.source != compose_functors(fd.f, dom.functor_at(c)) \
-                or t.target != compose_functors(cod.functor_at(c), fd.f):
-            rb.add("transport-shape", (c,), "transport has the wrong endpoints")
-            continue
-        sub = check_nat_trans(t)
-        for v in sub.violations:
-            rb.add("transport-" + v.law, (c,) + v.witness, v.detail)
-        for m in range(dom.carrier.num_objects):
-            if n_cat.inverse(t.components[m]) is None:
-                rb.add("transport-iso", (c, m), "component is not invertible")
-        if rb.full:
+        shaped = True
+        for law, witness, detail in _transport_failures(dom, cod, fd.f, c, t):
+            rb.add(law, witness, detail)
+            shaped = law != "transport-shape"
+        if shaped and rb.full:  # a wrong shape never stops the scan
             return rb.report()
     if rb.report().ok:
         for u in range(dom.acting.base.num_morphisms):
@@ -359,20 +376,19 @@ def compose_module_functors(g: ModuleFunctorData,
                             f: ModuleFunctorData) -> ModuleFunctorData:
     """g∘f with transports pasted: slide f's transport through g's functor,
     then apply g's transport, ξ_{c,m} = ξ^g_{c, f m} ∘ g(ξ^f_{c,m})
-    (whiskering, CWM §II.5)."""
+    (whiskering, CWM §II.5).  Both pass the gate first, so the middle
+    functors g∘Q(c)∘f agree and every composite is defined."""
     if f.cod != g.dom:
         raise StructureError("module functors are not composable")
-    compose, g_mor = g.f.target.compose, g.f.morphism_map
-    xi = []
-    for c in range(f.dom.acting.base.num_objects):
-        t_f, t_g = f.xi[c], g.xi[c]
-        if compose_functors(g.f, t_f.target) != compose_functors(t_g.source, f.f):
-            raise StructureError("transports do not paste: middle functors differ")
-        xi.append(NatTrans(compose_functors(g.f, t_f.source),
-                           compose_functors(t_g.target, f.f),
-                           tuple(compose(t_g.components[fm], g_mor[t])
-                                 for fm, t in zip(f.f.object_map, t_f.components))))
-    return ModuleFunctorData(f.dom, g.cod, compose_functors(g.f, f.f), tuple(xi))
+    for d in (f, g):
+        _require_module_functor(d)
+    comp, g_mor = g.f.target.comp, g.f.morphism_map
+    xi = tuple(NatTrans(compose_functors(g.f, t_f.source),
+                        compose_functors(t_g.target, f.f),
+                        tuple(comp[t_g.components[fm]][g_mor[t]]
+                              for fm, t in zip(f.f.object_map, t_f.components)))
+               for t_f, t_g in zip(f.xi, g.xi))
+    return ModuleFunctorData(f.dom, g.cod, compose_functors(g.f, f.f), xi)
 
 
 @dataclass(frozen=True)
@@ -393,6 +409,8 @@ def check_module_nattrans(ad: ModuleNatTransData,
         raise StructureError("module transformation between mismatched functors")
     if ad.a.source != fd.f or ad.a.target != gd.f:
         raise StructureError("underlying transformation has the wrong shape")
+    for d in (fd, gd):
+        _require_frame(d.dom, d.cod, d.f, d.xi)
     sub = check_nat_trans(ad.a)
     for v in sub.violations:
         rb.add("underlying-" + v.law, v.witness, v.detail)
@@ -447,11 +465,13 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     Apex objects are triples (P, Q, xi: f∘P ≅ Q∘f); the tensor composes
     endofunctors on both sides and pastes the comparisons.
 
-    Theorem.  Suppose (H1) both carriers are lawful, which end_monoidal
-    checks; (H2) f is a functor dom.carrier -> cod.carrier, which
-    _require_functor checks here; (H3) each transport is an apex object,
-    which the action-lift lookup below checks.  Then the returned cell
-    passes _verify_span_construction:
+    Theorem.  Suppose (H1) both carriers are lawful; (H2) f is a functor
+    dom.carrier -> cod.carrier over one acting category; (H3) each acting
+    object has one transport, an invertible natural f∘P(c) -> Q(c)∘f, i.e.
+    an apex object.  H1-H3 are checked before any enumeration: end_monoidal
+    checks (H1) when each module is made, and _require_module_functor (H2)
+    and (H3) first thing here.  Then the returned cell passes
+    _verify_span_construction:
     - partial tensors: tensor_obj looks a⊗x up under exactly the key
       (P a⊗P x, Q a⊗Q x, pasted transport) the audit compares, and
       tensor_mor_over_product looks a⊗k up under (id⊗P k, id⊗Q k);
@@ -469,12 +489,7 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     any disagreement raises.
     """
     dom, cod = fd.dom, fd.cod
-    if dom.acting != cod.acting:
-        raise StructureError(
-            "module bases differ: acting category with "
-            f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
-            f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
-    _require_functor(fd.f, dom, cod)
+    _require_module_functor(fd)
     endM, endN = dom.end, cod.end
     # over one carrier, Fun(M, N) is the End category's functor category
     hom_fc = endM.fc.within(budget) if dom.carrier == cod.carrier \
@@ -511,18 +526,14 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, fp.pr1)
     leg_right = strict_mon_functor(apex_ms, endN.monoidal, fp.pr2)
 
-    # the action lift c ↦ (F(c), G(c), xi_c)
-    acting = dom.acting
+    # the action lift c ↦ (F(c), G(c), xi_c), an apex object by (H2), (H3)
     lift_obj = []
-    for c in range(acting.base.num_objects):
-        p, q, t = dom.action.on_obj(c), cod.action.on_obj(c), fd.xi[c]
-        s, u = fp.left.object_map[p], fp.right.object_map[q]
-        key = (p, q, hom_fc.transformation_index.get((s, u, t.components)))
-        if (t.source, t.target) != (hom_fc.functors[s], hom_fc.functors[u]) \
-                or key not in oi:
-            raise StructureError(f"transport at acting object {c} is not an apex object")
-        lift_obj.append(oi[key])
-    action_lift = lift_mon_functor(acting, apex_ms, mi, lift_obj,
+    for c, t in enumerate(fd.xi):
+        p, q = dom.action.on_obj(c), cod.action.on_obj(c)
+        x = hom_fc.transformation_index[(fp.left.object_map[p], fp.right.object_map[q],
+                                         t.components)]
+        lift_obj.append(oi[(p, q, x)])
+    action_lift = lift_mon_functor(dom.acting, apex_ms, mi, lift_obj,
                                    (dom.action, cod.action), "action lift")
 
     cell = SpanCell(apex_ms, fp.objects, leg_left, leg_right, fp.filler,
@@ -602,8 +613,6 @@ def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,
     """All transport families making f a module functor, by exhaustive search
     with incremental pruning; families are ordered lexicographically."""
     _require_functor(f, dom, cod)
-    if dom.acting != cod.acting:
-        raise StructureError("modules have different acting categories")
     acting = dom.acting
     n = acting.base.num_objects
     n_cat = cod.carrier
@@ -660,8 +669,6 @@ def build_two_span(ad: ModuleNatTransData,
     strict iso-comma, is an identity (CWM §II.6).
     """
     fd, gd = ad.dom, ad.cod
-    if fd.dom != gd.dom or fd.cod != gd.cod:
-        raise StructureError("module transformation between mismatched functors")
     bad = check_module_nattrans(ad)
     if not bad.ok:
         first = bad.violations[0]

@@ -22,8 +22,14 @@ The coherence cell through mediate_2cell and its scans, the 2-span vertical
 fillers pasted from the legs, and the normalization check that compares
 both legs of the diagonal with the identity are the routes those layers
 took before each cell over identity whiskers was built as an identity.
-The vertical and horizontal composites of monoidal transformations have no
-caller in the library; they are kept here for the test that checks them.
+The module-functor checks and the action-lift guard the span layer ran
+before one gate checked each hypothesis of the span theorem, and the
+re-checks of the laxator layer that the gate and the theorem make
+unreachable (tensor preservation, pairing-key misses, the second triple
+composite and the second total of a quadruple), are the parent routes at
+the end.  The vertical and horizontal composites of monoidal
+transformations have no caller in the library; they are kept here for the
+test that checks them.
 """
 from __future__ import annotations
 
@@ -50,6 +56,7 @@ from spanforge.fincat import (
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import (
+    MonFunctor,
     MonNatTrans,
     MonoidalStructure,
     _check_monoidal_laws,
@@ -57,6 +64,8 @@ from spanforge.monoidal import (
     check_mon_nattrans,
     compose_mon_functors,
     identity_mon_functor,
+    identity_mon_nattrans,
+    lift_mon_functor,
     strict_mon_functor,
 )
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
@@ -68,8 +77,9 @@ from spanforge.laxators import (
     NormalizationResult,
     _composite_transport,
     _hom_profile,
-    _image,
+    _laxator,
     monoidal_fiber_product,
+    quadruple_pasting_check,
 )
 from spanforge.spans import (
     EndCategory,
@@ -78,6 +88,7 @@ from spanforge.spans import (
     ModuleNatTransData,
     SpanCell,
     build_span,
+    compose_module_functors,
     identity_module_functor,
 )
 
@@ -723,8 +734,8 @@ def mediated_coherence_cell(result: LaxatorCoherenceResult, budget: Budget
     u_obj, v_obj = [], []
     for x, j, w1 in t_right.fp.objects:
         y, z, w2 = lax_gh.pairing.fp.objects[j]
-        u_obj.append(_image(lax_gf_h, (_image(lax_fg, (x, y, w1)), z, w2)))
-        v_obj.append(_image(lax_f_hg, (x, _image(lax_gh, (y, z, w2)), w1)))
+        u_obj.append(guarded_image(lax_gf_h, (guarded_image(lax_fg, (x, y, w1)), z, w2)))
+        v_obj.append(guarded_image(lax_f_hg, (x, guarded_image(lax_gh, (y, z, w2)), w1)))
     outer_p = compose_functors(lax_fg.span_left.leg_left.underlying, t_right.fp.pr1)
     outer_r = compose_functors(span_h.leg_right.underlying,
                                compose_functors(lax_gh.pairing.fp.pr2, t_right.fp.pr2))
@@ -828,3 +839,168 @@ def hcomp_mon_nattrans(b: MonNatTrans, a: MonNatTrans) -> MonNatTrans:
     return MonNatTrans(compose_mon_functors(b.source, a.source),
                        compose_mon_functors(b.target, a.target),
                        horizontal_composite(b.underlying, a.underlying))
+
+
+# ---------------------------------------------------------------------------
+# the routes before the gate: inline hypothesis checks and re-checks of
+# what the span theorem implies
+# ---------------------------------------------------------------------------
+
+def reference_module_functor(dom: ModuleData, cod: ModuleData, f: Functor,
+                             xi: list[NatTrans] | None = None) -> ModuleFunctorData:
+    """module_functor with its own transport loop, before the gate."""
+    if f.source != dom.carrier or f.target != cod.carrier:
+        raise StructureError("functor does not match the module carriers")
+    bad = check_functor(f, cap=1)
+    if not bad.ok:
+        raise StructureError("f is not a functor: " + bad.violations[0].render())
+    if dom.acting != cod.acting:
+        raise StructureError(
+            "module bases differ: acting category with "
+            f"{dom.acting.base.num_objects} objects / unit {dom.acting.unit} vs "
+            f"{cod.acting.base.num_objects} objects / unit {cod.acting.unit}")
+    n = dom.acting.base.num_objects
+    if xi is None:
+        xi = []
+        for c in range(n):
+            left = compose_functors(f, dom.functor_at(c))
+            right = compose_functors(cod.functor_at(c), f)
+            if left != right:
+                raise StructureError(
+                    f"functor is not strictly equivariant at acting object {c}")
+            xi.append(identity_nat_trans(left))
+    if len(xi) != n:
+        raise StructureError("one transport per acting object is required")
+    for c, t in enumerate(xi):
+        if t.source != compose_functors(f, dom.functor_at(c)) \
+                or t.target != compose_functors(cod.functor_at(c), f):
+            raise StructureError(f"transport at {c} has the wrong shape")
+        bad = check_nat_trans(t)
+        if not bad.ok:
+            raise StructureError(f"transport at {c} is not natural")
+        for m in range(dom.carrier.num_objects):
+            if cod.carrier.inverse(t.components[m]) is None:
+                raise StructureError(f"transport at {c} is not invertible")
+    return ModuleFunctorData(dom, cod, f, tuple(xi))
+
+
+def guarded_action_lift(fd: ModuleFunctorData, cell: SpanCell) -> MonFunctor:
+    """The action lift of build_span's cell, each transport looked up with
+    the guard build_span ran after tabulating the apex."""
+    dom, cod, fp, hom_fc = fd.dom, fd.cod, cell.fp, cell.hom_fc
+    oi = fp.object_index
+    acting = dom.acting
+    lift_obj = []
+    for c in range(acting.base.num_objects):
+        p, q, t = dom.action.on_obj(c), cod.action.on_obj(c), fd.xi[c]
+        s, u = fp.left.object_map[p], fp.right.object_map[q]
+        key = (p, q, hom_fc.transformation_index.get((s, u, t.components)))
+        if (t.source, t.target) != (hom_fc.functors[s], hom_fc.functors[u]) \
+                or key not in oi:
+            raise StructureError(f"transport at acting object {c} is not an apex object")
+        lift_obj.append(oi[key])
+    return lift_mon_functor(acting, cell.apex, fp.morphism_index, lift_obj,
+                            (dom.action, cod.action), "action lift")
+
+
+def check_comparison_preserves_tensors(lax: LaxatorResult) -> None:
+    """The n² loop _laxator ran on every comparison."""
+    pairing, span_gf = lax.pairing, lax.span_composite
+    phi = lax.comparison.underlying.object_map
+    napex = pairing.apex.base.num_objects
+    for i in range(napex):
+        for j in range(napex):
+            if phi[pairing.apex.tensor_obj(i, j)] != \
+                    span_gf.apex.tensor_obj(phi[i], phi[j]):
+                raise StructureError("comparison does not preserve tensors")
+
+
+def _checked_laxator(*args) -> LaxatorResult:
+    lax = _laxator(*args)
+    check_comparison_preserves_tensors(lax)
+    return lax
+
+
+def guarded_image(lax: LaxatorResult, key: tuple[int, int, int]) -> int:
+    """laxators._image with its miss branch."""
+    found = lax.pairing.fp.object_index.get(key)
+    if found is None:
+        raise StructureError("induced map left the fiber product")
+    return lax.comparison.underlying.object_map[found]
+
+
+def reference_laxator(fd: ModuleFunctorData, gd: ModuleFunctorData,
+                      budget: Budget) -> LaxatorResult:
+    """laxator with its composability pre-check and the tensor loop."""
+    if fd.cod != gd.dom:
+        raise StructureError("module functors are not composable")
+    span_f, span_g = build_span(fd, budget), build_span(gd, budget)
+    composite = compose_module_functors(gd, fd)
+    return _checked_laxator(fd, gd, composite, span_f, span_g,
+                            build_span(composite, budget), budget)
+
+
+def reference_laxator_coherence(fd: ModuleFunctorData, gd: ModuleFunctorData,
+                                hd: ModuleFunctorData,
+                                budget: Budget) -> LaxatorCoherenceResult:
+    """laxator_coherence with both triple composites, the fallback span of
+    the second, their apex comparison, guarded images and the tensor loop
+    on all four comparisons."""
+    lax_fg = reference_laxator(fd, gd, budget)
+    if gd.cod != hd.dom:
+        raise StructureError("module functors are not composable")
+    span_h = build_span(hd, budget)
+    hg = compose_module_functors(hd, gd)
+    lax_gh = _checked_laxator(gd, hd, hg, lax_fg.span_right, span_h,
+                              build_span(hg, budget), budget)
+    gf_h = compose_module_functors(hd, lax_fg.composite)
+    span_hgf = build_span(gf_h, budget)
+    lax_gf_h = _checked_laxator(lax_fg.composite, hd, gf_h, lax_fg.span_composite,
+                                span_h, span_hgf, budget)
+    f_hg = compose_module_functors(hg, fd)
+    lax_f_hg = _checked_laxator(fd, hg, f_hg, lax_fg.span_left, lax_gh.span_composite,
+                                span_hgf if f_hg == gf_h else build_span(f_hg, budget),
+                                budget)
+    if span_hgf.apex != lax_f_hg.span_composite.apex:
+        raise StructureError("the two triple composites have different spans")
+
+    right_edge = compose_mon_functors(lax_gh.span_left.leg_left,
+                                      lax_gh.pairing.pr1)
+    t_right = monoidal_fiber_product(lax_fg.span_left.leg_right, right_edge,
+                                     budget)
+    u_obj, v_obj = [], []
+    for x, j, w1 in t_right.fp.objects:
+        y, z, w2 = lax_gh.pairing.fp.objects[j]
+        u_obj.append(guarded_image(lax_gf_h, (guarded_image(lax_fg, (x, y, w1)), z, w2)))
+        v_obj.append(guarded_image(lax_f_hg, (x, guarded_image(lax_gh, (y, z, w2)), w1)))
+    outer_p = compose_functors(lax_fg.span_left.leg_left.underlying, t_right.fp.pr1)
+    outer_r = compose_functors(span_h.leg_right.underlying,
+                               compose_functors(lax_gh.pairing.fp.pr2, t_right.fp.pr2))
+    arrows = list(zip(outer_p.morphism_map, outer_r.morphism_map))
+    u, _ = (lift_functor(t_right.fp.apex, span_hgf.fp.apex, span_hgf.fp.morphism_index,
+                         obj_map, arrows, "triple collapse")
+            for obj_map in (u_obj, v_obj))
+    differ = next((a for a, (x, y) in enumerate(zip(u_obj, v_obj)) if x != y), None)
+    if differ is not None:
+        raise MediationError("triple collapses differ on objects", (differ,))
+    cell = identity_mon_nattrans(strict_mon_functor(t_right.apex, span_hgf.apex, u))
+    return LaxatorCoherenceResult(lax_fg, lax_gh, lax_gf_h, lax_f_hg,
+                                  cell, True, Report("laxator_coherence"))
+
+
+def reference_quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorData,
+                                      hd: ModuleFunctorData, kd: ModuleFunctorData,
+                                      budget: Budget) -> Report:
+    """quadruple_pasting_check with the composite-associativity branch:
+    the spans of k(hgf) and (khg)f compared before any chain is collapsed."""
+    for d in (fd, gd, hd, kd):
+        build_span(d, budget)
+    gf, hg = compose_module_functors(gd, fd), compose_module_functors(hd, gd)
+    hgf, khg = compose_module_functors(hd, gf), compose_module_functors(kd, hg)
+    total, other = compose_module_functors(kd, hgf), compose_module_functors(khg, fd)
+    if other != total and build_span(total, budget).apex \
+            != build_span(other, budget).apex:
+        rb = ReportBuilder("quadruple_pasting")
+        rb.add("composite-associativity", (), "the two total spans differ")
+        return rb.report()
+    return quadruple_pasting_check(fd, gd, hd, kd, budget)

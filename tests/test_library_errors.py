@@ -2,22 +2,25 @@
 
 A mutant sets 1-3 entries of a corpus module functor's f (object or
 morphism map) to other in-range ids, keeping its transports; a transport
-mutant sets one component of one transport to another morphism id.  Every
-library route that builds a span from such an input returns or raises a
-SpanforgeError, never a KeyError, and refuses an f that is not a functor
-with StructureError before it builds anything.
+mutant sets one component of one transport to another morphism id; a count
+mutant drops the last transport or appends a copy of it.  Every public
+span-layer entry returns or raises a SpanforgeError on such an input, never
+an IndexError or a KeyError; an f that is not a functor, and a transport
+count other than one per acting object, are refused with StructureError,
+and a refused input is refused before anything is built.
 
 build_span checks the hypotheses of the theorem in its docstring (lawful
-carriers, f a functor, each transport an apex object); verify=True also
-re-derives the finished cell.  On every corpus cell, on relabelled copies
-and over both mutant sweeps the two paths agree: equal cells, or the same
-SpanforgeError class.
+carriers, f a functor, each transport an apex object) in one gate, first;
+verify=True also re-derives the finished cell.  On every corpus cell, on
+relabelled copies and over both mutant sweeps the two paths agree: equal
+cells, or the same SpanforgeError class.
 """
 import random
 
 import pytest
 
 import corpus
+import oracles
 from test_pasted_transports import COPIES, Renamer
 
 from spanforge.fincat import (
@@ -26,11 +29,17 @@ from spanforge.fincat import (
     SpanforgeError,
     StructureError,
     check_functor,
+    identity_nat_trans,
 )
-from spanforge.laxators import laxator
+from spanforge.laxators import laxator, laxator_coherence, quadruple_pasting_check
 from spanforge.spans import (
     ModuleFunctorData,
+    ModuleNatTransData,
     build_span,
+    build_two_span,
+    check_module_functor,
+    check_module_nattrans,
+    compose_module_functors,
     module_functor,
     module_structures_on,
 )
@@ -180,3 +189,107 @@ def test_audit_agrees_with_the_hypothesis_checks_on_mutants():
         got = assert_audit_agrees(fd)
         kinds["refused" if isinstance(got, type) else "built"] += 1
     assert all(kinds.values()), kinds
+
+
+def count_mutants(fd: ModuleFunctorData) -> list[ModuleFunctorData]:
+    """fd with its last transport dropped, and with a copy of it appended."""
+    return [ModuleFunctorData(fd.dom, fd.cod, fd.f, xi)
+            for xi in (fd.xi[:-1], fd.xi + fd.xi[-1:])]
+
+
+COUNT_REFUSAL = "one transport per acting object is required"
+
+
+def functor_routes(m: ModuleFunctorData):
+    """Every public span-layer entry that takes one module functor."""
+    ident = ModuleNatTransData(m, m, identity_nat_trans(m.f))
+    return {"build_span": lambda: build_span(m),
+            "module_functor": lambda: module_functor(m.dom, m.cod, m.f, list(m.xi)),
+            "check_module_functor": lambda: check_module_functor(m),
+            "check_module_nattrans": lambda: check_module_nattrans(ident),
+            "build_two_span": lambda: build_two_span(ident)}
+
+
+CHAIN_ROUTES = {2: (("compose_module_functors", lambda f, g: compose_module_functors(g, f)),
+                    ("laxator", laxator)),
+                3: (("laxator_coherence", laxator_coherence),),
+                4: (("quadruple_pasting_check", quadruple_pasting_check),)}
+
+
+def chain_routes(chain, i, m):
+    """The chain entries with its member i replaced by m."""
+    mutated = chain[:i] + (m,) + chain[i + 1:]
+    return {name: (lambda route=route: route(*mutated))
+            for name, route in CHAIN_ROUTES[len(chain)]}
+
+
+def corpus_chains():
+    return [tuple(c[1:]) for c in corpus.composable_pairs()
+            + corpus.composable_triples() + corpus.composable_quadruples()]
+
+
+def test_every_entry_refuses_a_wrong_transport_count():
+    calls = dict.fromkeys(list(functor_routes(corpus.terminal_id()))
+                          + [n for routes in CHAIN_ROUTES.values() for n, _ in routes], 0)
+    for chain in corpus_chains():
+        for i, fd in enumerate(chain):
+            for m in count_mutants(fd):
+                routes = {**functor_routes(m), **chain_routes(chain, i, m)}
+                for name, call in routes.items():
+                    with pytest.raises(StructureError, match=COUNT_REFUSAL):
+                        call()
+                    calls[name] += 1
+    # bz2-id with its transport doubled was built as a span
+    for _, fd in corpus.span_corpus():
+        for m in count_mutants(fd):
+            for call in functor_routes(m).values():
+                with pytest.raises(StructureError, match=COUNT_REFUSAL):
+                    call()
+    assert all(calls.values()), calls
+
+
+def test_a_short_transport_family_is_refused_where_it_raised_index_error():
+    # disc2-id then disc2-swap, with disc2-swap's last transport dropped
+    _, fd, gd = dict((c[0], c) for c in corpus.composable_pairs())["disc2-id-swap"]
+    short = count_mutants(gd)[0]
+    for call in (lambda: compose_module_functors(short, fd),
+                 lambda: build_two_span(ModuleNatTransData(
+                     short, short, identity_nat_trans(short.f)))):
+        with pytest.raises(StructureError, match=COUNT_REFUSAL):
+            call()
+
+
+def test_every_entry_keeps_the_error_contract_on_transport_mutants():
+    rng = random.Random(31)
+    kinds = {"value": 0, "refused": 0}
+    for chain in corpus_chains():
+        for i, fd in enumerate(chain):
+            for _ in range(2):
+                m = transport_mutant(fd, rng)
+                if m is None:
+                    continue
+                for call in {**functor_routes(m), **chain_routes(chain, i, m)}.values():
+                    got = outcome(call)
+                    kinds["refused" if isinstance(got, type) else "value"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_a_refused_transport_never_reaches_the_span_builders(monkeypatch):
+    import spanforge.spans as spans
+    reached = []
+    monkeypatch.setattr(spans, "pushforward",
+                        lambda *args: reached.append("pushforward"))
+    monkeypatch.setattr(spans, "tabulate_monoidal",
+                        lambda *args, **kwargs: reached.append("tabulate_monoidal"))
+    entries = [fd for _, fd in corpus.span_corpus()]
+    refused = 0
+    for m in sweep(entries, transport_mutant, 100, random.Random(2026)) \
+            + [c for fd in entries for c in count_mutants(fd)]:
+        expected = outcome(lambda: oracles.reference_module_functor(
+            m.dom, m.cod, m.f, list(m.xi)))
+        if expected is StructureError:
+            with pytest.raises(StructureError):
+                build_span(m)
+            assert not reached
+            refused += 1
+    assert refused > 100

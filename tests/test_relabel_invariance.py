@@ -9,6 +9,13 @@ renamed entry must have the apex size of the original, and check_monoidal
 and check_mon_functor must give the same verdicts on its apex, legs and
 action lift.
 
+Seeded transport mutants, built directly as ModuleFunctorData, are renamed
+the same way: a component set to another morphism id, and transport
+families that pass the span gate but may break equivariance,
+multiplicativity or the unit law.  check_module_functor must report the
+same laws on a mutant and on its renamed copy, with each witness mapped
+through the carrier permutations.
+
 The three 27-object apexes (disc3-id, disc3-three-cycle and
 transposition-equivariant) are left out to keep the suite fast:
 test_reduced_scans already scans their apexes, and the span-corpus
@@ -19,10 +26,18 @@ import random
 import pytest
 
 from corpus import span_corpus
+from oracles import transport_candidates
 
 from spanforge.fincat import Functor, NatTrans, compose_functors, relabel_category
 from spanforge.monoidal import check_mon_functor, check_monoidal
-from spanforge.spans import build_span, make_module, module_functor
+from spanforge.reporting import DEFAULT_VIOLATION_CAP
+from spanforge.spans import (
+    ModuleFunctorData,
+    build_span,
+    check_module_functor,
+    make_module,
+    module_functor,
+)
 
 LARGE = ("disc3-id", "disc3-three-cycle", "transposition-equivariant")
 
@@ -60,7 +75,8 @@ class Relabeler:
                                     perm)
         return self.modules[id(md)][1:]
 
-    def module_functor(self, fd):
+    def functor_data(self, fd):
+        """fd renamed, transports conjugated along, with no check made."""
         dom, dperm = self.module(fd.dom)
         cod, cperm = self.module(fd.cod)
         f = self._functor(fd.f, dom.carrier, cod.carrier, dperm, cperm)
@@ -71,7 +87,21 @@ class Relabeler:
                 comps[dperm[0][x]] = cperm[1][m]
             xi.append(NatTrans(compose_functors(f, dom.functor_at(c)),
                                compose_functors(cod.functor_at(c), f), tuple(comps)))
-        return module_functor(dom, cod, f, xi)
+        return ModuleFunctorData(dom, cod, f, tuple(xi))
+
+    def module_functor(self, fd):
+        renamed = self.functor_data(fd)
+        return module_functor(renamed.dom, renamed.cod, renamed.f, list(renamed.xi))
+
+    def witness(self, fd, law, witness):
+        """A module_functor violation's witness on the renamed fd: its last
+        id is a carrier object of fd.dom, or a carrier morphism for
+        naturality; the other ids are acting ids, which are not renamed."""
+        if law == "transport-shape":
+            return witness
+        obj, mor = self.module(fd.dom)[1]
+        last = (mor if law == "transport-naturality" else obj)[witness[-1]]
+        return witness[:-1] + (last,)
 
 
 def profile(fd):
@@ -94,3 +124,45 @@ def test_relabelled_carriers_keep_span_sizes_and_verdicts(seed):
         assert profile(relabel.module_functor(fd)) == profile(fd), name
         checked += 1
     assert checked == 20
+
+
+def law_mutants(fd, rng):
+    """fd with one transport component set to another morphism id, and fd
+    with its transports redrawn among the natural isomorphisms of the
+    right shape (oracles.transport_candidates)."""
+    # imported here: test_library_errors reaches this module's Relabeler
+    # through test_pasted_transports
+    from test_library_errors import transport_mutant
+    out = [transport_mutant(fd, rng)]
+    candidates = transport_candidates(fd.f, fd.dom, fd.cod)
+    if all(candidates):
+        xi = tuple(rng.choice(ts) for ts in candidates)
+        out.append(ModuleFunctorData(fd.dom, fd.cod, fd.f, xi))
+    return [m for m in out if m is not None]
+
+
+def law_multiset(report, mapped=lambda law, w: w):
+    return sorted((v.law, mapped(v.law, v.witness)) for v in report.violations)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabelled_mutants_keep_laws_and_map_witnesses(seed):
+    rng = random.Random(seed)
+    relabel = Relabeler(random.Random(seed))
+    laws, compared = set(), 0
+    for name, fd in span_corpus():
+        if name in LARGE:
+            continue
+        for _ in range(3):
+            for m in law_mutants(fd, rng):
+                before = check_module_functor(m)
+                after = check_module_functor(relabel.functor_data(m))
+                assert (after.ok, after.truncated, len(after.violations)) \
+                    == (before.ok, before.truncated, len(before.violations)), name
+                if len(before.violations) < DEFAULT_VIOLATION_CAP:
+                    assert law_multiset(after) == law_multiset(
+                        before, lambda law, w: relabel.witness(m, law, w)), name
+                    compared += 1
+                laws |= {v.law for v in before.violations}
+    assert compared > 50
+    assert {"transport-naturality", "transport-iso", "transport-unit"} <= laws, laws
