@@ -21,12 +21,9 @@ from .centers import (
     mueger_center,
 )
 from .central import (
-    CentralBraidedModule,
-    CentralBraidedSetup,
     CentralCheckResult,
     CentralFunctorSetup,
     CentralModule,
-    central_braided_module,
     central_module,
     central_module_check,
 )

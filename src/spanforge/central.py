@@ -1,11 +1,19 @@
-"""Central module structures over braided and symmetric bases.
+"""Central module structures: the paper's MCat and BrCat cases.
 
-A central module over a braided category is a monoidal category receiving a
-braided functor from the base into its center; over a symmetric base, a
-braided category receiving a braided functor into its transparent
-subcategory.  Candidate functors and transformations between such modules
-are verified by building the induced functor into the matching fiber product
-of centers and checking it is braided, exactly and exhaustively.
+"In these cases, module objects correspond to central module monoidal
+categories over a braided monoidal category and central braided monoidal
+categories over a symmetric monoidal category, respectively."
+
+Both are one notion, a CentralModule: a braided functor from the base into
+a center of the carrier, and the carrier's type picks the center.  A
+MonoidalStructure acts through its Drinfeld center Z₁ over a braided base
+(Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, 2015); a Braiding acts
+through its Müger center Z₂, the transparent subcategory, over a symmetric
+base (Müger, Proc. LMS 2003).  Candidate functors and transformations
+between such modules are verified by building the induced functor into the
+matching fiber product of centers and checking it is braided, exactly and
+exhaustively.  The two checks stay separate: they are different
+mathematics.
 """
 from __future__ import annotations
 
@@ -46,29 +54,56 @@ from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
 
 # ---------------------------------------------------------------------------
-# module data over a braided base (centers of the first kind)
+# module data: one type for both kinds of center
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CentralModule:
+    """A braided action of the base into the Drinfeld center of a
+    MonoidalStructure carrier, or into the Müger center of a Braiding
+    carrier over a symmetric base."""
+
     base: Braiding
-    carrier: MonoidalStructure
+    carrier: MonoidalStructure | Braiding
     center: CenterCategory
     action: MonFunctor
 
 
-def central_module(base: Braiding, carrier: MonoidalStructure,
+def _require_action(base: Braiding, center: CenterCategory, action: MonFunctor,
+                    subject: str = "action") -> None:
+    if action.source != base.on or action.target != center.monoidal:
+        raise StructureError(f"{subject} does not run from the base into the center")
+
+
+def _central_module(base: Braiding, carrier: MonoidalStructure | Braiding,
+                    action: MonFunctor, budget: Budget,
+                    subject: str = "action") -> tuple[CentralModule, Report]:
+    """The module on the center the carrier's type picks, with the report
+    of check_braided_functor on its action; wrong ends raise."""
+    if isinstance(carrier, Braiding):
+        if not is_symmetric(base):
+            raise StructureError("the acting base must be symmetric")
+        center = mueger_center(carrier)
+    elif isinstance(carrier, MonoidalStructure):
+        center = drinfeld_center(carrier, budget)
+    else:
+        raise StructureError("the carrier must be a MonoidalStructure or a Braiding")
+    _require_action(base, center, action, subject)
+    return (CentralModule(base, carrier, center, action),
+            check_braided_functor(action, base, center.braiding))
+
+
+def central_module(base: Braiding, carrier: MonoidalStructure | Braiding,
                    action: MonFunctor,
                    budget: Budget = DEFAULT_BUDGET) -> CentralModule:
-    """Validate and wrap a braided action of the base into the center."""
-    center = drinfeld_center(carrier, budget)
-    if action.source != base.on or action.target != center.monoidal:
-        raise StructureError("action does not run from the base into the center")
-    bad = check_braided_functor(action, base, center.braiding)
+    """Validate and wrap a braided action of the base into the carrier's
+    center: Z₁ of a MonoidalStructure, or Z₂ of a Braiding, whose base must
+    then be symmetric."""
+    module, bad = _central_module(base, carrier, action, budget)
     if not bad.ok:
         raise StructureError("action is not a braided functor: "
                              + bad.violations[0].render())
-    return CentralModule(base, carrier, center, action)
+    return module
 
 
 def _forgetful_then(g: MonFunctor, center: CenterCategory) -> MonFunctor:
@@ -126,8 +161,9 @@ def _pull_center(g: MonFunctor, center_tgt: CenterCategory,
 
 @dataclass(frozen=True)
 class CentralFunctorSetup:
-    """A candidate (g, psi_g) between central modules, optionally with a
-    second candidate (h, psi_h) and a monoidal transformation phi: g -> h."""
+    """A candidate (g, psi_g) between central modules of one kind,
+    optionally with a second candidate (h, psi_h) and a monoidal
+    transformation phi: g -> h."""
 
     left: CentralModule
     right: CentralModule
@@ -156,17 +192,33 @@ class CentralCheckResult:
     phi_matches_common: bool | None = None
 
 
-def _check_lengths(setup) -> None:
-    """One comparison per base object in psi_g and psi_h, and one phi
-    component per object of the candidates' source."""
-    acting = setup.left.base.on.base.num_objects
+def _check_shape(setup: CentralFunctorSetup, braided: bool) -> None:
+    """What both checks read before building anything: one base, symmetric
+    when the carriers are braided; actions from it into the modules'
+    centers; candidates between the carriers; one comparison per base
+    object; and with phi the second candidate, with one phi component per
+    object of the candidates' source."""
+    left, right = setup.left, setup.right
+    if left.base != right.base:
+        raise StructureError("central modules live over different bases")
+    if braided and not is_symmetric(left.base):
+        raise StructureError("the acting base must be symmetric")
+    for m in (left, right):
+        _require_action(m.base, m.center, m.action)
+    ends = tuple(m.carrier.on if braided else m.carrier for m in (left, right))
+    for cand in (setup.g, setup.h):
+        if cand is not None and (cand.source, cand.target) != ends:
+            raise StructureError("candidate functor does not match the carriers")
+    acting = left.base.on.base.num_objects
     if len(setup.psi_g) != acting or (
             setup.psi_h is not None and len(setup.psi_h) != acting):
         raise StructureError("one comparison per base object is required")
-    if setup.phi is not None and len(setup.phi.underlying.components) \
-            != setup.g.source.base.num_objects:
-        raise StructureError(
-            "phi needs one component per object of the candidates' source")
+    if setup.phi is not None:
+        if setup.h is None or setup.psi_h is None:
+            raise StructureError("phi given without the second candidate")
+        if len(setup.phi.underlying.components) != setup.g.source.base.num_objects:
+            raise StructureError(
+                "phi needs one component per object of the candidates' source")
 
 
 # law and detail by the witness of lift_mon_functor's MediationError
@@ -208,51 +260,38 @@ def _checked_induced(rb: ReportBuilder, base: Braiding, left: MonFunctor,
         return None
     induced = _induced_into_fiber(rb, base.on, left, right, fiber, tuple(psi_ids))
     if induced is not None:
-        sub = check_mon_functor(induced)
-        for v in sub.violations:
-            rb.add("induced-" + v.law, v.witness, v.detail)
-        sub = check_braided_functor(induced, base, fiber.braiding)
-        for v in sub.violations:
-            rb.add("induced-braided-" + v.law, v.witness, v.detail)
+        rb.merge("induced-", check_mon_functor(induced))
+        rb.merge("induced-braided-",
+                 check_braided_functor(induced, base, fiber.braiding))
     return induced
 
 
-def central_monoidal_check(setup: CentralFunctorSetup,
-                           budget: Budget = DEFAULT_BUDGET,
-                           cap: int = DEFAULT_VIOLATION_CAP) -> CentralCheckResult:
+def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
+                            cap: int) -> CentralCheckResult:
+    """Over a braided base, through Drinfeld centers and the monoidal
+    centralizer of g."""
     rb = ReportBuilder("central_module_check", cap)
     left, right = setup.left, setup.right
-    if left.base != right.base:
-        raise StructureError("central modules live over different bases")
-    if setup.g.source != left.carrier or setup.g.target != right.carrier:
-        raise StructureError("candidate functor does not match the carriers")
-    _check_lengths(setup)
     z1g = monoidal_centralizer(setup.g, budget)
     mi = z1g.morphism_index
     g_push = _push_center(setup.g, left.center, z1g)
     g_pull = _pull_center(setup.g, right.center, z1g)
     for name, mf in (("push", g_push), ("pull", g_pull)):
-        sub = check_mon_functor(mf)
-        for v in sub.violations:
-            rb.add(f"{name}-{v.law}", v.witness, v.detail)
+        rb.merge(name + "-", check_mon_functor(mf))
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
-    sub = check_braiding(fiber.braiding)
-    for v in sub.violations:
-        rb.add("fiber-braiding-" + v.law, v.witness, v.detail)
+    rb.merge("fiber-braiding-", check_braiding(fiber.braiding))
 
     acting = left.base.on.base
     psi_ids = []
     for x in range(acting.num_objects):
         m_half = left.center.objects_data[left.action.on_obj(x)]
         n_half = right.center.objects_data[right.action.on_obj(x)]
-        hpt = check_hpt_conditions(HptSetup(
+        rb.merge("compatibility-", check_hpt_conditions(HptSetup(
             setup.g, m_half, n_half, setup.psi_g[x],
             setup.h, None if setup.psi_h is None else setup.psi_h[x],
-            setup.phi))
-        for v in hpt.violations:
-            rb.add("compatibility-" + v.law, (x,) + v.witness, v.detail)
+            setup.phi)), (x,))
         psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
                                g_pull.on_obj(right.action.on_obj(x)),
                                setup.psi_g[x])))
@@ -261,8 +300,6 @@ def central_monoidal_check(setup: CentralFunctorSetup,
 
     phi_fiber = None
     if setup.phi is not None:
-        if setup.h is None or setup.psi_h is None:
-            raise StructureError("phi given without the second candidate")
         phi_fiber = _phi_quadruples_z1(rb, setup, budget)
     return CentralCheckResult(rb.report(), fiber, induced, phi_fiber)
 
@@ -367,42 +404,8 @@ def _phi_braiding_scan(rb: ReportBuilder, setup, carrier: MonoidalStructure,
 
 
 # ---------------------------------------------------------------------------
-# module data over a symmetric base (transparent centers)
+# the check over a symmetric base (transparent centers)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CentralBraidedModule:
-    base: Braiding
-    carrier: Braiding
-    center: CenterCategory
-    action: MonFunctor
-
-
-def central_braided_module(base: Braiding, carrier: Braiding,
-                           action: MonFunctor) -> CentralBraidedModule:
-    if not is_symmetric(base):
-        raise StructureError("the acting base must be symmetric")
-    center = mueger_center(carrier)
-    if action.source != base.on or action.target != center.monoidal:
-        raise StructureError("action does not run from the base into the "
-                             "transparent subcategory")
-    bad = check_braided_functor(action, base, center.braiding)
-    if not bad.ok:
-        raise StructureError("action is not a braided functor: "
-                             + bad.violations[0].render())
-    return CentralBraidedModule(base, carrier, center, action)
-
-
-@dataclass(frozen=True)
-class CentralBraidedSetup:
-    left: CentralBraidedModule
-    right: CentralBraidedModule
-    g: MonFunctor
-    psi_g: tuple[int, ...]
-    h: MonFunctor | None = None
-    psi_h: tuple[int, ...] | None = None
-    phi: MonNatTrans | None = None
-
 
 def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
                     z2g: CenterCategory, apply_g: bool) -> MonFunctor:
@@ -423,17 +426,14 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
                             obj_map, (leg,), "braided centralizer functor")
 
 
-def central_braided_check(setup: CentralBraidedSetup,
-                          budget: Budget = DEFAULT_BUDGET,
-                          cap: int = DEFAULT_VIOLATION_CAP) -> CentralCheckResult:
+def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
+                           cap: int) -> CentralCheckResult:
+    """Over a symmetric base, through Müger centers and the braided
+    centralizer of g."""
     rb = ReportBuilder("central_braided_check", cap)
     left, right = setup.left, setup.right
-    if left.base != right.base:
-        raise StructureError("central modules live over different bases")
-    _check_lengths(setup)
-    sub = check_braided_functor(setup.g, left.carrier, right.carrier)
-    for v in sub.violations:
-        rb.add("candidate-" + v.law, v.witness, v.detail)
+    rb.merge("candidate-",
+             check_braided_functor(setup.g, left.carrier, right.carrier))
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
     mi = z2g.morphism_index
     g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
@@ -441,9 +441,7 @@ def central_braided_check(setup: CentralBraidedSetup,
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
-    sub = check_braiding(fiber.braiding)
-    for v in sub.violations:
-        rb.add("fiber-braiding-" + v.law, v.witness, v.detail)
+    rb.merge("fiber-braiding-", check_braiding(fiber.braiding))
     if not is_symmetric(fiber.braiding):
         rb.add("fiber-symmetry", (), "the fiber product is not symmetric")
 
@@ -462,11 +460,8 @@ def central_braided_check(setup: CentralBraidedSetup,
     common = None
     matches = None
     if setup.phi is not None:
-        if setup.h is None or setup.psi_h is None:
-            raise StructureError("phi given without the second candidate")
-        sub = check_braided_functor(setup.h, left.carrier, right.carrier)
-        for v in sub.violations:
-            rb.add("candidate-h-" + v.law, v.witness, v.detail)
+        rb.merge("candidate-h-",
+                 check_braided_functor(setup.h, left.carrier, right.carrier))
         z2h = braided_centralizer(setup.h, left.carrier, right.carrier)
         common = tuple(sorted({o.carrier for o in z2g.objects_data}
                               & {o.carrier for o in z2h.objects_data}))
@@ -481,7 +476,7 @@ def central_braided_check(setup: CentralBraidedSetup,
                               common, matches)
 
 
-def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralBraidedSetup,
+def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralFunctorSetup,
                        budget: Budget) -> PhiFiberResult:
     """Transparent quadruples (x, y, xi_g, xi_h) with xi_h ∘ phi_x = xi_g."""
     left, right = setup.left, setup.right
@@ -512,11 +507,20 @@ def _phi_quadruples_z2(rb: ReportBuilder, setup: CentralBraidedSetup,
     return PhiFiberResult(cat, tuple(objects))
 
 
-def central_module_check(setup, budget: Budget = DEFAULT_BUDGET,
+def central_module_check(setup: CentralFunctorSetup,
+                         budget: Budget = DEFAULT_BUDGET,
                          cap: int = DEFAULT_VIOLATION_CAP) -> CentralCheckResult:
-    """Dispatch on the flavor of the setup."""
-    if isinstance(setup, CentralFunctorSetup):
-        return central_monoidal_check(setup, budget, cap)
-    if isinstance(setup, CentralBraidedSetup):
-        return central_braided_check(setup, budget, cap)
-    raise StructureError(f"unknown central setup {type(setup).__name__}")
+    """Check a candidate between central modules, through Drinfeld centers
+    when both carriers are MonoidalStructures and through Müger centers when
+    both are Braidings; modules of different kinds are refused."""
+    if not isinstance(setup, CentralFunctorSetup):
+        raise StructureError(f"unknown central setup {type(setup).__name__}")
+    kinds = {type(getattr(m, "carrier", None)) for m in (setup.left, setup.right)}
+    if kinds not in ({MonoidalStructure}, {Braiding}):
+        raise StructureError("central modules must both have MonoidalStructure "
+                             "or both have Braiding carriers")
+    braided = kinds == {Braiding}
+    _check_shape(setup, braided)
+    if braided:
+        return _central_braided_check(setup, budget, cap)
+    return _central_monoidal_check(setup, budget, cap)

@@ -13,13 +13,7 @@ import os
 import sys
 import tempfile
 
-from .central import (
-    CentralBraidedSetup,
-    CentralFunctorSetup,
-    CentralBraidedModule,
-    CentralModule,
-    central_module_check,
-)
+from .central import CentralFunctorSetup, _central_module, central_module_check
 from .centers import (
     braided_centralizer,
     braided_intertwiner,
@@ -470,56 +464,39 @@ def _cmd_module_structures(args, budget, out: Outcome) -> None:
 
 
 def _cmd_central_check(args, budget, out: Outcome) -> None:
-    files = args.files
-    if args.variant == "z1":
-        if len(files) not in (5, 8):
-            raise StructureError(
-                "central-check z1 takes base braiding, two actions, the "
-                "candidate, psi, and optionally a second candidate with psi "
-                "and phi")
-        base = decode_braiding(_load(files[0], "braiding").payload)
-        action_a = decode_mon_functor(_load(files[1], "mon_functor").payload)
-        action_b = decode_mon_functor(_load(files[2], "mon_functor").payload)
-        g = decode_mon_functor(_load(files[3], "mon_functor").payload)
-        psi_g = decode_nat_trans(_load(files[4], "nat_trans").payload)
-        ok = _braiding_lawful(out, "base", base)
-        if not _ends_lawful(out, "candidate", g) or not ok:
-            return
-        left = _central_module_from(base, g.source, action_a, budget, out,
-                                    "action-left")
-        right = _central_module_from(base, g.target, action_b, budget, out,
-                                     "action-right")
-        if left is None or right is None:
-            return
-        setup = _central_setup(CentralFunctorSetup, left, right, g, psi_g,
-                               files[5:])
-    else:
-        if len(files) not in (7, 10):
-            raise StructureError(
-                "central-check z2 takes base braiding, two carrier braidings, "
-                "two actions, the candidate, psi, and optionally a second "
-                "candidate with psi and phi")
-        base = decode_braiding(_load(files[0], "braiding").payload)
-        carrier_a = decode_braiding(_load(files[1], "braiding").payload)
-        carrier_b = decode_braiding(_load(files[2], "braiding").payload)
-        action_a = decode_mon_functor(_load(files[3], "mon_functor").payload)
-        action_b = decode_mon_functor(_load(files[4], "mon_functor").payload)
-        g = decode_mon_functor(_load(files[5], "mon_functor").payload)
-        psi_g = decode_nat_trans(_load(files[6], "nat_trans").payload)
-        ok = True
-        for subject, b in (("base", base), ("carrier-left", carrier_a),
-                           ("carrier-right", carrier_b)):
-            ok = _braiding_lawful(out, subject, b) and ok
-        if not ok:
-            return
-        left = _central_braided_from(base, carrier_a, action_a, out,
-                                     "action-left")
-        right = _central_braided_from(base, carrier_b, action_b, out,
-                                      "action-right")
-        if left is None or right is None:
-            return
-        setup = _central_setup(CentralBraidedSetup, left, right, g, psi_g,
-                               files[7:])
+    """z1 reads the base braiding, two actions, the candidate and psi, and z2
+    two carrier braidings after the base; the carrier's type then picks the
+    center, Drinfeld for z1's monoidal carriers and Müger for z2's."""
+    files, braided = args.files, args.variant == "z2"
+    if len(files) not in ((7, 10) if braided else (5, 8)):
+        raise StructureError(
+            f"central-check {args.variant} takes base braiding, "
+            + ("two carrier braidings, " if braided else "")
+            + "two actions, the candidate, psi, and optionally a second "
+            "candidate with psi and phi")
+    k = 3 if braided else 1
+    base, *carriers = (decode_braiding(_load(f, "braiding").payload)
+                       for f in files[:k])
+    action_a, action_b, g = (decode_mon_functor(_load(f, "mon_functor").payload)
+                             for f in files[k:k + 3])
+    psi_g = decode_nat_trans(_load(files[k + 3], "nat_trans").payload)
+    ok = True
+    for subject, b in zip(("base", "carrier-left", "carrier-right"),
+                          (base, *carriers)):
+        ok = _braiding_lawful(out, subject, b) and ok
+    if not braided:
+        ok = _ends_lawful(out, "candidate", g) and ok
+        carriers = [g.source, g.target]
+    if not ok:
+        return
+    modules = []
+    for subject, carrier, action in zip(("action-left", "action-right"),
+                                        carriers, (action_a, action_b)):
+        module, report = _central_module(base, carrier, action, budget, subject)
+        modules.append(module if out.check(subject, report) else None)
+    if None in modules:
+        return
+    setup = _central_setup(*modules, g, psi_g, files[k + 4:])
     result = central_module_check(setup, budget)
     out.check("central", result.report)
     if result.fiber is not None:
@@ -530,8 +507,7 @@ def _cmd_central_check(args, budget, out: Outcome) -> None:
         out.summary["phi_matches_common"] = result.phi_matches_common
 
 
-def _central_setup(setup_type, left, right, g, psi_g: NatTrans,
-                   second: list[str]):
+def _central_setup(left, right, g, psi_g: NatTrans, second: list[str]):
     """The setup for candidate g with comparison psi_g, and the second
     candidate h with psi_h and phi when second names their three documents.
     A comparison psi for a candidate c must run from c∘U_left∘F_left to
@@ -555,33 +531,8 @@ def _central_setup(setup_type, left, right, g, psi_g: NatTrans,
             raise StructureError("phi does not run from the first candidate "
                                  "to the second")
         phi = MonNatTrans(g, h, phi)
-    return setup_type(left, right, g, tuple(psi_g.components), h,
+    return CentralFunctorSetup(left, right, g, tuple(psi_g.components), h,
                       None if psi_h is None else tuple(psi_h.components), phi)
-
-
-def _central_module_from(base, carrier, action, budget, out: Outcome,
-                         subject: str):
-    center = drinfeld_center(carrier, budget)
-    if action.source != base.on or action.target != center.monoidal:
-        raise StructureError(
-            f"{subject}: action does not match the base and computed center")
-    if not out.check(subject, check_braided_functor(action, base,
-                                                    center.braiding)):
-        return None
-    return CentralModule(base, carrier, center, action)
-
-
-def _central_braided_from(base, carrier, action, out: Outcome, subject: str):
-    if not is_symmetric(base):
-        raise StructureError("the acting base must be symmetric")
-    center = mueger_center(carrier)
-    if action.source != base.on or action.target != center.monoidal:
-        raise StructureError(
-            f"{subject}: action does not match the base and computed center")
-    if not out.check(subject, check_braided_functor(action, base,
-                                                    center.braiding)):
-        return None
-    return CentralBraidedModule(base, carrier, center, action)
 
 
 def _cmd_normalize_check(args, budget, out: Outcome) -> None:

@@ -644,9 +644,6 @@ class ProductCategory:
     left: FinCategory
     right: FinCategory
 
-    def object_pair(self, x: int, y: int) -> int:
-        return x * self.right.num_objects + y
-
     def object_factors(self, p: int) -> tuple[int, int]:
         return divmod(p, self.right.num_objects)
 

@@ -405,9 +405,7 @@ def normalization_check(md, budget: Budget = DEFAULT_BUDGET) -> NormalizationRes
                                    end_cat.num_objects)
     n = end_cat.num_objects
     diag = strict_mon_functor(end.monoidal, cell.apex, diag_fun)
-    sub = check_mon_functor(diag)
-    for v in sub.violations:
-        rb.add("diagonal-" + v.law, v.witness, v.detail)
+    rb.merge("diagonal-", check_mon_functor(diag))
     # lifted along (k, k), the diagonal composes with both legs to the identity
     pairs, missed = _hom_profile(diag_fun)
     for witness, collide, uncovered in pairs:

@@ -402,8 +402,7 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
     rb = ReportBuilder("monoidal", cap)
     _check_tables(ms)
     base_laws = check_category(ms.base, cap)
-    for v in base_laws.violations:
-        rb.add("base-" + v.law, v.witness, v.detail)
+    rb.merge("base-", base_laws)
     if not base_laws.ok:
         return rb.report()
     scan_tensor(ms, rb)
@@ -545,9 +544,7 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     n = src.base.num_objects
     if len(mf.mult) != n * n:
         raise StructureError("multiplicativity table has the wrong length")
-    sub = check_functor(mf.underlying)
-    for v in sub.violations:
-        rb.add("underlying-" + v.law, v.witness, v.detail)
+    rb.merge("underlying-", check_functor(mf.underlying))
     base = tgt.base
 
     bad = _component_ok(base, mf.unit_iso, tgt.unit, mf.on_obj(src.unit))
@@ -647,9 +644,7 @@ def check_mon_nattrans(t: MonNatTrans, cap: int = DEFAULT_VIOLATION_CAP) -> Repo
         raise StructureError("monoidal transformation between mismatched functors")
     if t.underlying.source != f.underlying or t.underlying.target != g.underlying:
         raise StructureError("underlying transformation does not match the functors")
-    sub = check_nat_trans(t.underlying)
-    for v in sub.violations:
-        rb.add("underlying-" + v.law, v.witness, v.detail)
+    rb.merge("underlying-", check_nat_trans(t.underlying))
     src, tgt = f.source, f.target
     base = tgt.base
     comps = t.underlying.components
@@ -673,8 +668,7 @@ def check_braided_functor(mf: MonFunctor, b_src: Braiding, b_tgt: Braiding,
     if b_src.on != mf.source or b_tgt.on != mf.target:
         raise StructureError("braidings do not match the functor's structures")
     rb = ReportBuilder("braided_functor", cap)
-    for v in check_mon_functor(mf, cap).violations:
-        rb.add(v.law, v.witness, v.detail)
+    rb.merge("", check_mon_functor(mf, cap))
     base = mf.target.base
     n = mf.source.base.num_objects
     for x in range(n):

@@ -57,6 +57,14 @@ class ReportBuilder:
             return
         self._violations.append(Violation(law, witness, detail))
 
+    def merge(self, prefix: str, report: Report,
+              witness: tuple[int, ...] = ()) -> None:
+        """Add each violation of a sub-check's report, its law after prefix
+        and its witness after the given ids; the sub-report's own
+        truncation is not carried over."""
+        for v in report.violations:
+            self.add(prefix + v.law, witness + v.witness, v.detail)
+
     @property
     def full(self) -> bool:
         return self._truncated or len(self._violations) >= self.cap

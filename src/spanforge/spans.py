@@ -411,9 +411,16 @@ def check_module_nattrans(ad: ModuleNatTransData,
         raise StructureError("underlying transformation has the wrong shape")
     for d in (fd, gd):
         _require_frame(d.dom, d.cod, d.f, d.xi)
-    sub = check_nat_trans(ad.a)
-    for v in sub.violations:
-        rb.add("underlying-" + v.law, v.witness, v.detail)
+        # the exchange scan reads every transport component as an id of
+        # the codomain carrier; check_nat_trans refuses the same shapes
+        for t in d.xi:
+            if len(t.components) != d.dom.carrier.num_objects:
+                raise StructureError("component table length does not match "
+                                     "the source category")
+            for x, cx in enumerate(t.components):
+                if not 0 <= cx < d.cod.carrier.num_morphisms:
+                    raise StructureError(f"component at {x} is dangling id {cx}")
+    rb.merge("underlying-", check_nat_trans(ad.a))
     for c in range(fd.dom.acting.base.num_objects):
         for m, lhs, rhs in _exchange_failures(
                 fd.dom, fd.cod, ad.a, fd.dom.functor_at(c), gd.cod.functor_at(c),

@@ -3,11 +3,9 @@ from dataclasses import replace
 import pytest
 
 from spanforge.central import (
-    CentralBraidedSetup,
     CentralFunctorSetup,
     _induced_into_fiber,
     _phi_quadruples_z2,
-    central_braided_module,
     central_module,
     central_module_check,
 )
@@ -192,9 +190,9 @@ def discrete_z2_braided():
 
 def discrete_z2_setup():
     ms, b = discrete_z2_braided()
-    module = central_braided_module(b, b, identity_mon_functor(ms))
+    module = central_module(b, b, identity_mon_functor(ms))
     psi = tuple(ms.base.identity[x] for x in range(2))
-    return CentralBraidedSetup(module, module, identity_mon_functor(ms), psi)
+    return CentralFunctorSetup(module, module, identity_mon_functor(ms), psi)
 
 
 def test_discrete_z2_fiber_is_discrete_z2():
@@ -255,14 +253,14 @@ def phi_fiber_setup(name):
     base = identity_braiding(base_ms)
     center = mueger_center(b)
     action = unit_action_into(center, base_ms)
-    module = central_braided_module(base, b, action)
+    module = central_module(base, b, action)
     ident = identity_mon_functor(carrier_ms)
     phi = character_phi(carrier_ms, phi_scalars)
     unit_carrier = center.objects_data[center.monoidal.unit].carrier
     psi_g = (carrier_ms.base.identity[unit_carrier],)
     # xi_h = xi_g ∘ phi⁻¹ at the unit carrier; the characters vanish there
     psi_h = psi_g
-    return CentralBraidedSetup(module, module, ident, psi_g, ident, psi_h, phi), b
+    return CentralFunctorSetup(module, module, ident, psi_g, ident, psi_h, phi), b
 
 
 @pytest.mark.parametrize("name", ["z2-trivial", "z3-pairing", "klein-pairing"])
@@ -290,7 +288,7 @@ def unit_inclusion_setup():
     base = identity_braiding(base_ms)
     center = mueger_center(b)
     action = unit_action_into(center, base_ms)
-    module = central_braided_module(base, b, action)
+    module = central_module(base, b, action)
     unit_mf = MonFunctor(base_ms, carrier_ms,
                          Functor(base_ms.base, carrier_ms.base, (0,),
                                  (carrier_ms.base.identity[0],)),
@@ -300,11 +298,11 @@ def unit_inclusion_setup():
     term_b = identity_braiding(base_ms)
     term_center = mueger_center(term_b)
     term_action = unit_action_into(term_center, base_ms)
-    term_module = central_braided_module(base, term_b, term_action)
+    term_module = central_module(base, term_b, term_action)
     phi = MonNatTrans(unit_mf, unit_mf,
                       identity_nat_trans(unit_mf.underlying))
     psi = (carrier_ms.base.identity[0],)
-    return CentralBraidedSetup(term_module, module, unit_mf, psi,
+    return CentralFunctorSetup(term_module, module, unit_mf, psi,
                                unit_mf, psi, phi)
 
 

@@ -1,4 +1,4 @@
-"""The span layer's error contract on seeded mutants of its inputs.
+"""The span and central layers' error contract on seeded mutants of their inputs.
 
 A mutant sets 1-3 entries of a corpus module functor's f (object or
 morphism map) to other in-range ids, keeping its transports; a transport
@@ -14,8 +14,16 @@ carriers, f a functor, each transport an apex object) in one gate, first;
 verify=True also re-derives the finished cell.  On every corpus cell, on
 relabelled copies and over both mutant sweeps the two paths agree: equal
 cells, or the same SpanforgeError class.
+
+check_module_nattrans, and build_two_span through it, refuse a transport
+component that is not a morphism id of the codomain carrier.  The central
+layer keeps the same contract: central_module and central_module_check
+refuse modules of two kinds, short comparisons, phi without the second
+candidate, actions with the wrong ends, a non-symmetric base under braided
+carriers and a non-setup with StructureError.
 """
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +31,7 @@ import corpus
 import oracles
 from test_pasted_transports import COPIES, Renamer
 
+from spanforge.central import central_module, central_module_check
 from spanforge.fincat import (
     Functor,
     NatTrans,
@@ -32,6 +41,7 @@ from spanforge.fincat import (
     identity_nat_trans,
 )
 from spanforge.laxators import laxator, laxator_coherence, quadruple_pasting_check
+from spanforge.monoidal import terminal_monoidal
 from spanforge.spans import (
     ModuleFunctorData,
     ModuleNatTransData,
@@ -293,3 +303,82 @@ def test_a_refused_transport_never_reaches_the_span_builders(monkeypatch):
             assert not reached
             refused += 1
     assert refused > 100
+
+
+@pytest.mark.parametrize("component", [99, -1])
+def test_a_dangling_transport_component_is_refused_by_the_transformation_entries(component):
+    # arrow-id's identity transformation with component 0 of its transport
+    # out of range: 99 raised IndexError, and -1 was read as the last row of
+    # the carrier's composition table
+    fd = dict(corpus.span_corpus())["arrow-id"]
+    t = fd.xi[0]
+    xi = (NatTrans(t.source, t.target, (component,) + t.components[1:]),) + fd.xi[1:]
+    m = ModuleFunctorData(fd.dom, fd.cod, fd.f, xi)
+    ident = ModuleNatTransData(m, m, identity_nat_trans(m.f))
+    for call in (lambda: check_module_nattrans(ident), lambda: build_two_span(ident)):
+        with pytest.raises(StructureError,
+                           match=f"component at 0 is dangling id {component}$"):
+            call()
+
+
+def central_mutants():
+    """Seeded mutants of the central setups of test_central, by name: each
+    breaks what the setup's two modules, candidates and comparisons must
+    agree on."""
+    from test_central import central_setups, phi_fiber_setup, unit_action_into
+
+    setups = central_setups()
+    z1, z2 = setups["grading"], setups["discrete-z2"]
+    coupled, paired = setups["coupled"], setups["z2-trivial"]
+    _, non_symmetric = phi_fiber_setup("z3-pairing")
+    out = {"z1-modules-in-a-z2-setup": replace(z2, left=z1.left, right=z1.right),
+           "z2-modules-in-a-z1-setup": replace(z1, left=z2.left, right=z2.right),
+           "mixed-kinds": replace(z1, right=z2.right),
+           "mixed-kinds-reversed": replace(z2, left=z1.left),
+           "non-symmetric-base": replace(z2, left=replace(z2.left, base=non_symmetric),
+                                         right=replace(z2.right, base=non_symmetric))}
+    for name, setup in (("z1", coupled), ("z2", paired)):
+        out[f"{name}-short-psi-g"] = replace(setup, psi_g=setup.psi_g[:-1])
+        out[f"{name}-short-psi-h"] = replace(setup, psi_h=setup.psi_h[:-1])
+        out[f"{name}-phi-without-h"] = replace(setup, h=None)
+        out[f"{name}-phi-without-psi-h"] = replace(setup, psi_h=None)
+    for name, setup in (("z1", z1), ("z2", z2)):
+        module = setup.left
+        wrong = unit_action_into(module.center, terminal_monoidal())
+        out[f"{name}-action-wrong-ends"] = replace(
+            setup, left=replace(module, action=wrong))
+    return out
+
+
+def test_central_setup_mutants_are_refused_with_structure_error():
+    for name, setup in central_mutants().items():
+        with pytest.raises(StructureError):
+            central_module_check(setup)
+    for thing in (None, object(), central_mutants()["mixed-kinds"].left):
+        with pytest.raises(StructureError, match="unknown central setup"):
+            central_module_check(thing)
+
+
+def test_mixed_kinds_are_refused_before_either_check_runs():
+    for name in ("mixed-kinds", "mixed-kinds-reversed"):
+        with pytest.raises(StructureError, match="both have MonoidalStructure "
+                                                 "or both have Braiding carriers"):
+            central_module_check(central_mutants()[name])
+
+
+def test_central_module_refuses_wrong_ends_and_a_non_symmetric_base():
+    from test_central import central_setups, phi_fiber_setup, unit_action_into
+
+    setups = central_setups()
+    for module in (setups["grading"].left, setups["discrete-z2"].left):
+        wrong = unit_action_into(module.center, terminal_monoidal())
+        with pytest.raises(StructureError,
+                           match="action does not run from the base into the center"):
+            central_module(module.base, module.carrier, wrong)
+        assert central_module(module.base, module.carrier, module.action) == module
+    _, non_symmetric = phi_fiber_setup("z3-pairing")
+    module = setups["discrete-z2"].left
+    with pytest.raises(StructureError, match="the acting base must be symmetric"):
+        central_module(non_symmetric, module.carrier, module.action)
+    with pytest.raises(StructureError, match="MonoidalStructure or a Braiding"):
+        central_module(module.base, None, module.action)

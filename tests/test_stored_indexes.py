@@ -11,7 +11,7 @@ from dataclasses import replace
 from corpus import composable_pairs, span_corpus
 from test_central import central_setups
 
-from spanforge.central import CentralFunctorSetup, central_module_check
+from spanforge.central import central_module_check
 from spanforge.centers import (
     braided_centralizer,
     monoidal_centralizer,
@@ -19,6 +19,7 @@ from spanforge.centers import (
 )
 from spanforge.laxators import laxator
 from spanforge.limits import FORWARD, REVERSE, comma
+from spanforge.monoidal import MonoidalStructure
 from spanforge.spans import build_span
 
 
@@ -100,7 +101,7 @@ def test_centralizers_centers_and_intertwiners_of_the_central_setups():
             assert_center_maps(center, name)
         fiber = central_module_check(setup).fiber
         assert_comma_maps(fiber.fp, name)
-        if isinstance(setup, CentralFunctorSetup):
+        if isinstance(setup.left.carrier, MonoidalStructure):
             assert_center_maps(monoidal_centralizer(setup.g), name)
             other = setup.g if setup.h is None else setup.h
             result = monoidal_intertwiner(setup.g, other)

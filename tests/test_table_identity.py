@@ -11,7 +11,6 @@ import hashlib
 
 import corpus
 from spanforge.central import (
-    CentralFunctorSetup,
     _pull_center,
     _push_center,
     _subcat_functor,
@@ -35,6 +34,7 @@ from spanforge.laxators import (
 from spanforge.limits import FORWARD, REVERSE, comma
 from spanforge.monoidal import (
     MonFunctor,
+    MonoidalStructure,
     identity_mon_functor,
     terminal_monoidal,
 )
@@ -339,7 +339,7 @@ def functor_digest(mf) -> str:
 
 
 def push_and_pull(setup):
-    if isinstance(setup, CentralFunctorSetup):
+    if isinstance(setup.left.carrier, MonoidalStructure):
         z1g = monoidal_centralizer(setup.g)
         return (_push_center(setup.g, setup.left.center, z1g),
                 _pull_center(setup.g, setup.right.center, z1g))
