@@ -14,7 +14,6 @@ from .centers import (
     braided_centralizer,
     braided_intertwiner,
     check_hpt_conditions,
-    check_intertwiner_actions,
     drinfeld_center,
     monoidal_centralizer,
     monoidal_intertwiner,

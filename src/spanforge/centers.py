@@ -371,60 +371,6 @@ def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
                              action(intertwiner, z1g, g))
 
 
-def check_intertwiner_actions(result: IntertwinerResult,
-                              cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """Associativity and unitality of the two actions, up to the ambient
-    associator and unitors realized as intertwiner morphisms."""
-    rb = ReportBuilder("intertwiner_actions", cap)
-    ms, mor_index = result.g.target, result.intertwiner.morphism_index
-    left, right = result.left_center, result.right_center
-    vs, xs, ws = ([o.carrier for o in data] for data in (
-        left.objects_data, result.intertwiner.objects_data, right.objects_data))
-    # the action functors' object maps, on row-major pair ids
-    left_map, right_map = result.left_action.object_map, result.right_action.object_map
-
-    def left_act(j: int, i: int) -> int:
-        return left_map[j * len(xs) + i]
-
-    def right_act(i: int, j: int) -> int:
-        return right_map[i * len(ws) + j]
-
-    for i, x in enumerate(xs):
-        for j, k in product(range(len(ws)), repeat=2):
-            src = right_act(right_act(i, j), k)
-            tgt = right_act(i, right.monoidal.tensor_obj(j, k))
-            if (src, tgt, ms.alpha(x, ws[j], ws[k])) not in mor_index:
-                rb.add("right-action-associativity", (i, j, k),
-                       "associator is not an intertwiner morphism")
-            if rb.full:
-                return rb.report()
-        if (right_act(i, right.monoidal.unit), i, ms.right_unitor[x]) not in mor_index:
-            rb.add("right-action-unit", (i,),
-                   "right unitor is not an intertwiner morphism")
-    for i, x in enumerate(xs):
-        for j, k in product(range(len(vs)), repeat=2):
-            src = left_act(left.monoidal.tensor_obj(j, k), i)
-            tgt = left_act(j, left_act(k, i))
-            if (src, tgt, ms.alpha(vs[j], vs[k], x)) not in mor_index:
-                rb.add("left-action-associativity", (j, k, i),
-                       "associator is not an intertwiner morphism")
-            if rb.full:
-                return rb.report()
-        if (left_act(left.monoidal.unit, i), i, ms.left_unitor[x]) not in mor_index:
-            rb.add("left-action-unit", (i,),
-                   "left unitor is not an intertwiner morphism")
-    # the two actions commute up to the ambient associator
-    for j, i, k in product(range(len(vs)), range(len(xs)), range(len(ws))):
-        src = right_act(left_act(j, i), k)
-        tgt = left_act(j, right_act(i, k))
-        if (src, tgt, ms.alpha(vs[j], xs[i], ws[k])) not in mor_index:
-            rb.add("action-compatibility", (j, i, k),
-                   "associator does not interchange the actions")
-        if rb.full:
-            return rb.report()
-    return rb.report()
-
-
 def braided_intertwiner(g: MonFunctor, h: MonFunctor, b_source: Braiding,
                         b_target: Braiding) -> tuple[FinCategory, Functor, tuple[int, ...]]:
     """Smallest full subcategory containing both braided centralizers:

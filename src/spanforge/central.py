@@ -196,8 +196,9 @@ def _check_shape(setup: CentralFunctorSetup, braided: bool) -> None:
     """What both checks read before building anything: one base, symmetric
     when the carriers are braided; actions from it into the modules'
     centers; candidates between the carriers; one comparison per base
-    object; and with phi the second candidate, with one phi component per
-    object of the candidates' source."""
+    object; with phi the second candidate, with one phi component per
+    object of the candidates' source; and every comparison and phi
+    component a morphism id of the right carrier."""
     left, right = setup.left, setup.right
     if left.base != right.base:
         raise StructureError("central modules live over different bases")
@@ -219,6 +220,14 @@ def _check_shape(setup: CentralFunctorSetup, braided: bool) -> None:
         if len(setup.phi.underlying.components) != setup.g.source.base.num_objects:
             raise StructureError(
                 "phi needs one component per object of the candidates' source")
+    # both checks read every comparison component as a morphism id of the
+    # right carrier; check_nat_trans refuses the same ids
+    n_mor = ends[1].base.num_morphisms
+    phi = () if setup.phi is None else setup.phi.underlying.components
+    for comps in (setup.psi_g, setup.psi_h or (), phi):
+        for x, cx in enumerate(comps):
+            if not 0 <= cx < n_mor:
+                raise StructureError(f"component at {x} is dangling id {cx}")
 
 
 # law and detail by the witness of lift_mon_functor's MediationError

@@ -119,6 +119,12 @@ def main() -> None:
                           tuple(u if m == u else arrow.identity[0]
                                 for m in range(3)))
     write("broken_functor.json", "functor", encode_functor(bad_functor))
+    # one object, morphisms id, a, b with a∘a = b, a∘b = a and b∘a = b∘b = b:
+    # unital but not associative, a∘(a∘a) = a while (a∘a)∘a = b
+    nonassoc = FinCategory(1, (0, 0, 0), (0, 0, 0), (0,),
+                           ((0, 1, 2), (1, 2, 1), (2, 2, 2)))
+    write("nonassoc_identity_functor.json", "functor",
+          encode_functor(identity_functor(nonassoc)))
 
     # natural transformations
     ident = identity_functor(arrow)

@@ -1,6 +1,10 @@
 import pytest
 
-from oracles import bicharacter_radical, brute_force_half_braidings
+from oracles import (
+    bicharacter_radical,
+    brute_force_half_braidings,
+    check_intertwiner_actions,
+)
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -23,7 +27,6 @@ from spanforge.centers import (
     braided_centralizer,
     braided_intertwiner,
     check_hpt_conditions,
-    check_intertwiner_actions,
     drinfeld_center,
     enumerate_half_braidings,
     monoidal_centralizer,

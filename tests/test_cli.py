@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -111,6 +112,28 @@ def test_fiber_product_and_comma(capsys):
                        data("arrow_identity_functor.json"))
     assert code == 0
     assert parse(out).payload["summary"]["orientation"] == "reverse"
+
+
+@pytest.mark.parametrize("flags", [[], ["--report", "structured"]])
+@pytest.mark.parametrize("command", ["fiber-product", "comma"])
+def test_a_lawless_category_under_a_lawful_functor_is_an_input_violation(
+        capsys, command, flags):
+    # the identity functor of a unital, non-associative category passes
+    # check_functor, so only the input category checks can see the fault
+    feet = [data("nonassoc_identity_functor.json")] * 2
+    code, out, err = run(capsys, *flags, command, *feet)
+    assert (code, err) == (1, "")
+    inputs = {"input-left-source", "input-right-source", "input-target"}
+    if flags:
+        violations = parse(out).payload["violations"]
+        assert {v["subject"] for v in violations} == inputs
+        assert {v["law"] for v in violations} == {"associativity"}
+        assert [1, 1, 1] in (v["witness"] for v in violations)
+    else:
+        header, *lines = out.splitlines()
+        assert header == f"{command}: violations found"
+        assert {line.split(":")[0].strip() for line in lines} == inputs
+        assert all(": associativity at (" in line for line in lines)
 
 
 @pytest.mark.parametrize("name", ["arrow_identity_functor.json",
@@ -589,6 +612,27 @@ def _exit_matrix_calls():
              *(str(data(a)) if a.endswith(".json") else a for a in argv)]
             for flags in ([], ["--report", "structured"])
             for _, cases in EXIT_MATRIX for _, argv in sorted(cases.items())]
+
+
+# sha256 of [argv, exit code, stdout, stderr] for every EXIT_MATRIX call in
+# both report modes, run from tests/data on bare file names; computed while
+# the CLI still law-checked every output it built, so the digest pins that
+# dropping those checks changed no byte of any report
+EXIT_MATRIX_DIGEST = \
+    "70bc1fdb5f021dd51dee9e4eb2dfc5568500181b74294449bc7ef63fc2ad9a2c"
+
+
+def test_exit_matrix_outputs_match_the_pinned_digest(capsys, monkeypatch):
+    from test_acceptance import EXIT_MATRIX
+
+    monkeypatch.chdir(DATA)
+    rows = [[argv, *run(capsys, *argv)]
+            for flags in ([], ["--report", "structured"])
+            for _, cases in EXIT_MATRIX
+            for argv in ([*flags, *case] for _, case in sorted(cases.items()))]
+    assert len(rows) == 90
+    blob = json.dumps(rows, ensure_ascii=False, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXIT_MATRIX_DIGEST
 
 
 def _outputs(capsys, calls):

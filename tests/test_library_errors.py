@@ -18,9 +18,10 @@ cells, or the same SpanforgeError class.
 check_module_nattrans, and build_two_span through it, refuse a transport
 component that is not a morphism id of the codomain carrier.  The central
 layer keeps the same contract: central_module and central_module_check
-refuse modules of two kinds, short comparisons, phi without the second
-candidate, actions with the wrong ends, a non-symmetric base under braided
-carriers and a non-setup with StructureError.
+refuse modules of two kinds, short comparisons, comparison or phi
+components that are not morphism ids of the right carrier, phi without the
+second candidate, actions with the wrong ends, a non-symmetric base under
+braided carriers and a non-setup with StructureError.
 """
 import random
 from dataclasses import replace
@@ -382,3 +383,40 @@ def test_central_module_refuses_wrong_ends_and_a_non_symmetric_base():
         central_module(non_symmetric, module.carrier, module.action)
     with pytest.raises(StructureError, match="MonoidalStructure or a Braiding"):
         central_module(module.base, None, module.action)
+
+
+def dangling_comparison_mutants():
+    """The Z₁ setups grading and coupled and the Z₂ setups discrete-z2 and
+    z2-trivial with component 0 of psi_g, psi_h or phi set to 99 or -1, by
+    name; psi_h and phi only where the setup has a second candidate."""
+    from test_central import central_setups
+
+    setups = central_setups()
+    out = {}
+    for name in ("grading", "coupled", "discrete-z2", "z2-trivial"):
+        setup = setups[name]
+        for component in (99, -1):
+            for field in ("psi_g", "psi_h"):
+                comps = getattr(setup, field)
+                if comps is not None:
+                    out[f"{name}-{field}-{component}"] = (component, replace(
+                        setup, **{field: (component,) + comps[1:]}))
+            if setup.phi is not None:
+                nat = setup.phi.underlying
+                phi = replace(setup.phi, underlying=replace(
+                    nat, components=(component,) + nat.components[1:]))
+                out[f"{name}-phi-{component}"] = (component,
+                                                  replace(setup, phi=phi))
+    return out
+
+
+def test_a_dangling_comparison_component_is_refused_by_the_central_check():
+    # psi_g, psi_h or phi at 99 raised IndexError over either kind, -1 was
+    # refused only when its endpoints happened to be wrong, and over braided
+    # carriers a dangling psi was reported as a comparison violation
+    mutants = dangling_comparison_mutants()
+    assert len(mutants) == 16
+    for name, (component, setup) in mutants.items():
+        with pytest.raises(StructureError,
+                           match=f"component at 0 is dangling id {component}$"):
+            central_module_check(setup)
