@@ -10,7 +10,6 @@ from .centers import (
     CenterCategory,
     HalfBraidedObject,
     HptSetup,
-    IntertwinerResult,
     braided_centralizer,
     braided_intertwiner,
     check_hpt_conditions,

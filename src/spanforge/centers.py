@@ -21,8 +21,6 @@ from .fincat import (
     StructureError,
     category_over_product,
     full_subcategory,
-    lift_functor,
-    product_category,
 )
 from .monoidal import (
     Braiding,
@@ -323,64 +321,27 @@ def braided_centralizer(g: MonFunctor, b_source: Braiding,
 # intertwiners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntertwinerResult:
-    """Lax half-braidings x⊗G(y) -> H(y)⊗x, with the action data of the two
-    centralizers materialized as functors on product categories."""
-
-    g: MonFunctor
-    h: MonFunctor
-    intertwiner: CenterCategory
-    left_center: CenterCategory
-    right_center: CenterCategory
-    left_action: Functor
-    right_action: Functor
-
-
 def monoidal_intertwiner(g: MonFunctor, h: MonFunctor,
-                         budget: Budget = DEFAULT_BUDGET) -> IntertwinerResult:
+                         budget: Budget = DEFAULT_BUDGET) -> CenterCategory:
+    """Lax half-braidings x⊗G(y) -> H(y)⊗x, on which Z₁(h) and Z₁(g) act
+    lawfully from the left and the right by pasting half-braidings
+    (EGNO §7.13)."""
     if g.source != h.source or g.target != h.target:
         raise StructureError("intertwiner needs functors with shared source and target")
-    ms = g.target
-    intertwiner = _half_braided_category(ms, g, h, True, budget,
-                                         "monoidal intertwiner")
-    z1g = monoidal_centralizer(g, budget)
-    z1h = monoidal_centralizer(h, budget)
-
-    def action(left: CenterCategory, right: CenterCategory,
-               k: MonFunctor) -> Functor:
-        """Tensor on left × right, k the functor the two factors meet at."""
-        square = product_category(left.as_category, right.as_category, budget)
-        # product object and morphism ids are row-major pairs
-        obj_map = []
-        for v in left.objects_data:
-            for w in right.objects_data:
-                key = (ms.tensor_obj(v.carrier, w.carrier),
-                       _pasted_half_braiding(ms, g, k, h, v, w))
-                if key not in intertwiner.object_index:
-                    raise StructureError("action left the intertwiner")
-                obj_map.append(intertwiner.object_index[key])
-        arrows = ((ms.tensor_mor(a, b),) for a in left.forgetful.morphism_map
-                  for b in right.forgetful.morphism_map)
-        return lift_functor(square.category, intertwiner.as_category,
-                            intertwiner.morphism_index, obj_map, arrows,
-                            "intertwiner action")
-
-    return IntertwinerResult(g, h, intertwiner, z1h, z1g,
-                             action(z1h, intertwiner, h),
-                             action(intertwiner, z1g, g))
+    return _half_braided_category(g.target, g, h, True, budget,
+                                  "monoidal intertwiner")
 
 
 def braided_intertwiner(g: MonFunctor, h: MonFunctor, b_source: Braiding,
-                        b_target: Braiding) -> tuple[FinCategory, Functor, tuple[int, ...]]:
+                        b_target: Braiding) -> tuple[FinCategory, tuple[int, ...]]:
     """Smallest full subcategory containing both braided centralizers:
-    the full subcategory on the union of their object sets."""
+    the full subcategory on the union of their object sets, with those
+    carriers."""
     zg = braided_centralizer(g, b_source, b_target)
     zh = braided_centralizer(h, b_source, b_target)
-    carriers = sorted(set(o.carrier for o in zg.objects_data)
-                      | set(o.carrier for o in zh.objects_data))
-    sub, inclusion = full_subcategory(g.target.base, tuple(carriers))
-    return sub, inclusion, tuple(carriers)
+    carriers = tuple(sorted(set(o.carrier for o in zg.objects_data)
+                            | set(o.carrier for o in zh.objects_data)))
+    return full_subcategory(g.target.base, carriers)[0], carriers
 
 
 # ---------------------------------------------------------------------------

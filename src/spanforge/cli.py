@@ -292,8 +292,7 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
         if not ok:
             return
         # the actions paste half-braidings (EGNO §7.13): no output check
-        result = monoidal_intertwiner(g, h, budget)
-        intertwiner = result.intertwiner
+        intertwiner = monoidal_intertwiner(g, h, budget)
         out.summary["object_count"] = intertwiner.as_category.num_objects
         out.summary["morphism_count"] = intertwiner.as_category.num_morphisms
         out.summary["lax_objects"] = sum(
@@ -313,8 +312,9 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
         ok = out.check("input-h", check_braided_functor(h, b_src, b_tgt)) and ok
         if not ok:
             return
-        # a full subcategory and its inclusion (CWM §I.3): no output check
-        sub, _, carriers = braided_intertwiner(g, h, b_src, b_tgt)
+        # a full subcategory of a braided category is braided (CWM §I.3): no
+        # output check
+        sub, carriers = braided_intertwiner(g, h, b_src, b_tgt)
         out.summary["object_count"] = sub.num_objects
         out.summary["carriers"] = list(carriers)
         out.artifacts["intertwiner"] = encode_category(sub)
@@ -323,16 +323,19 @@ def _cmd_intertwiner(args, budget, out: Outcome) -> None:
 def _cospan_lawful(out: Outcome, f, g) -> bool:
     """Law-check the two functor inputs and, when they share a target, the
     categories under them, as input-left-source, input-right-source and
-    input-target; check_functor reads the categories as lawful.  Functors
-    with different targets are left to the construction, which refuses
-    them."""
+    input-target, each distinct category once; check_functor reads the
+    categories as lawful.  Functors with different targets are left to the
+    construction, which refuses them."""
     ok = out.check("input-left", check_functor(f))
     ok = out.check("input-right", check_functor(g)) and ok
     if f.target == g.target:
+        seen = []
         for subject, c in (("input-left-source", f.source),
                            ("input-right-source", g.source),
                            ("input-target", f.target)):
-            ok = out.check(subject, check_category(c)) and ok
+            if c not in seen:
+                seen.append(c)
+                ok = out.check(subject, check_category(c)) and ok
     return ok
 
 
@@ -372,10 +375,34 @@ def _cmd_end(args, budget, out: Outcome) -> None:
     out.artifacts["end"] = encode_monoidal(end.monoidal)
 
 
+def _modules_lawful(out: Outcome, *named) -> bool:
+    """Law-check the modules at the ends of module functor inputs, each
+    distinct module once: its acting structure (once per structure), then its
+    action, as the subjects name-source-acting, name-source-action,
+    name-target-action and so on.  decode_module reads both unchecked and
+    check_module_functor reads them as lawful; a carrier is checked when its
+    End category is built."""
+    ok, modules, actings = True, [], []
+    for name, fd in named:
+        for end, md in (("source", fd.dom), ("target", fd.cod)):
+            if md in modules:
+                continue
+            modules.append(md)
+            subject = f"{name}-{end}"
+            lawful = next((v for a, v in actings if a == md.acting), None)
+            if lawful is None:
+                lawful = out.check(f"{subject}-acting", check_monoidal(md.acting))
+                actings.append((md.acting, lawful))
+            ok = lawful and out.check(f"{subject}-action",
+                                      check_mon_functor(md.action)) and ok
+    return ok
+
+
 def _cmd_build_span(args, budget, out: Outcome) -> None:
     fd = decode_module_functor(_load(args.file, "module_functor").payload,
                                budget)
-    if not out.check("input", check_module_functor(fd)):
+    ok = _modules_lawful(out, ("input", fd))
+    if not out.check("input", check_module_functor(fd)) or not ok:
         return
     # the span theorem in build_span's docstring: no output check
     cell = build_span(fd, budget)
@@ -387,7 +414,8 @@ def _cmd_build_span(args, budget, out: Outcome) -> None:
 def _cmd_build_two_span(args, budget, out: Outcome) -> None:
     ad = decode_module_nattrans(_load(args.file, "module_nattrans").payload,
                                 budget)
-    ok = out.check("input-dom", check_module_functor(ad.dom))
+    ok = _modules_lawful(out, ("input-dom", ad.dom), ("input-cod", ad.cod))
+    ok = out.check("input-dom", check_module_functor(ad.dom)) and ok
     ok = out.check("input-cod", check_module_functor(ad.cod)) and ok
     ok = out.check("input", check_module_nattrans(ad)) and ok
     if not ok:
@@ -405,7 +433,8 @@ def _cmd_laxator(args, budget, out: Outcome) -> None:
                                budget)
     gd = decode_module_functor(_load(args.right, "module_functor").payload,
                                budget)
-    ok = out.check("input-left", check_module_functor(fd))
+    ok = _modules_lawful(out, ("input-left", fd), ("input-right", gd))
+    ok = out.check("input-left", check_module_functor(fd)) and ok
     ok = out.check("input-right", check_module_functor(gd)) and ok
     if not ok:
         return

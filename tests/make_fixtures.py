@@ -217,6 +217,11 @@ def main() -> None:
     mult[1] = lawful.end.fc.transformation_index[(ident, ident, (1,))]
     broken_module = replace(lawful, action=replace(lawful.action, mult=tuple(mult)))
     write("broken_module.json", "module", encode_module(broken_module))
+    # its identity module functor, whose identity transports pass: only the
+    # module checks of build-span and laxator find that the action is not
+    # monoidal
+    write("broken_module_identity_functor.json", "module_functor",
+          encode_module_functor(corpus.identity_module_functor(broken_module)))
 
     # central-check z2 fixture pieces over the discrete Z/2 carrier
     from spanforge.centers import mueger_center

@@ -29,16 +29,19 @@ unreachable (tensor preservation, pairing-key misses, the second triple
 composite and the second total of a quadruple), are the parent routes at
 the end.  The vertical and horizontal composites of monoidal
 transformations have no caller in the library; they are kept here for the
-test that checks them.  The intertwiner action check is the one the CLI ran
-on every intertwiner it built, before it relied on the theorem that the
-actions are lawful.
+test that checks them.  The intertwiner actions, functors on product
+categories that the library built with every intertwiner, and their check
+are the ones the CLI ran on every intertwiner it built, before it relied on
+the theorem that the actions are lawful.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 from spanforge.fincat import (
     Budget,
+    DEFAULT_BUDGET,
     FinCategory,
     Functor,
     MediationError,
@@ -56,7 +59,11 @@ from spanforge.fincat import (
     whisker_post,
     whisker_pre,
 )
-from spanforge.centers import IntertwinerResult
+from spanforge.centers import (
+    CenterCategory,
+    _pasted_half_braiding,
+    monoidal_centralizer,
+)
 from spanforge.groups import GroupTable
 from spanforge.monoidal import (
     MonFunctor,
@@ -1009,7 +1016,52 @@ def reference_quadruple_pasting_check(fd: ModuleFunctorData, gd: ModuleFunctorDa
     return quadruple_pasting_check(fd, gd, hd, kd, budget)
 
 
-def check_intertwiner_actions(result: IntertwinerResult,
+@dataclass(frozen=True)
+class IntertwinerActions:
+    """An intertwiner of g and h with Z₁(h) acting on the left and Z₁(g) on
+    the right, each action a functor on a product category."""
+
+    g: MonFunctor
+    h: MonFunctor
+    intertwiner: CenterCategory
+    left_center: CenterCategory
+    right_center: CenterCategory
+    left_action: Functor
+    right_action: Functor
+
+
+def intertwiner_actions(g: MonFunctor, h: MonFunctor, intertwiner: CenterCategory,
+                        budget: Budget = DEFAULT_BUDGET) -> IntertwinerActions:
+    """The two actions on monoidal_intertwiner(g, h): each tensors a pair
+    and pastes the two half-braidings, lifted along the ambient tensor."""
+    ms = g.target
+    z1g, z1h = monoidal_centralizer(g, budget), monoidal_centralizer(h, budget)
+
+    def action(left: CenterCategory, right: CenterCategory,
+               k: MonFunctor) -> Functor:
+        """Tensor on left × right, k the functor the two factors meet at."""
+        square = product_category(left.as_category, right.as_category, budget)
+        # product object and morphism ids are row-major pairs
+        obj_map = []
+        for v in left.objects_data:
+            for w in right.objects_data:
+                key = (ms.tensor_obj(v.carrier, w.carrier),
+                       _pasted_half_braiding(ms, g, k, h, v, w))
+                if key not in intertwiner.object_index:
+                    raise StructureError("action left the intertwiner")
+                obj_map.append(intertwiner.object_index[key])
+        arrows = ((ms.tensor_mor(a, b),) for a in left.forgetful.morphism_map
+                  for b in right.forgetful.morphism_map)
+        return lift_functor(square.category, intertwiner.as_category,
+                            intertwiner.morphism_index, obj_map, arrows,
+                            "intertwiner action")
+
+    return IntertwinerActions(g, h, intertwiner, z1h, z1g,
+                              action(z1h, intertwiner, h),
+                              action(intertwiner, z1g, g))
+
+
+def check_intertwiner_actions(result: IntertwinerActions,
                               cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     """Associativity and unitality of the two actions, up to the ambient
     associator and unitors realized as intertwiner morphisms."""

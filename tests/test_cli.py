@@ -119,21 +119,55 @@ def test_fiber_product_and_comma(capsys):
 def test_a_lawless_category_under_a_lawful_functor_is_an_input_violation(
         capsys, command, flags):
     # the identity functor of a unital, non-associative category passes
-    # check_functor, so only the input category checks can see the fault
+    # check_functor, so only the input category checks can see the fault;
+    # both feet and the target are that one category, checked once
     feet = [data("nonassoc_identity_functor.json")] * 2
     code, out, err = run(capsys, *flags, command, *feet)
     assert (code, err) == (1, "")
-    inputs = {"input-left-source", "input-right-source", "input-target"}
     if flags:
         violations = parse(out).payload["violations"]
-        assert {v["subject"] for v in violations} == inputs
-        assert {v["law"] for v in violations} == {"associativity"}
-        assert [1, 1, 1] in (v["witness"] for v in violations)
+        assert [(v["subject"], v["law"], v["witness"]) for v in violations] == [
+            ("input-left-source", "associativity", [1, 1, 1]),
+            ("input-left-source", "associativity", [1, 2, 1])]
     else:
-        header, *lines = out.splitlines()
-        assert header == f"{command}: violations found"
-        assert {line.split(":")[0].strip() for line in lines} == inputs
-        assert all(": associativity at (" in line for line in lines)
+        assert out == (
+            f"{command}: violations found\n"
+            "  input-left-source: associativity at (1, 1, 1): "
+            "1∘(1∘1) = 1 but (1∘1)∘1 = 2\n"
+            "  input-left-source: associativity at (1, 2, 1): "
+            "1∘(2∘1) = 1 but (1∘2)∘1 = 2\n")
+
+
+MODULE_ACTION_VIOLATIONS = [
+    ("mult-associativity", (0, 0, 1), "paths 3 vs 2"),
+    ("mult-associativity", (0, 1, 1), "paths 3 vs 2"),
+    ("mult-associativity", (1, 0, 1), "paths 2 vs 3"),
+    ("mult-associativity", (1, 1, 1), "paths 3 vs 2"),
+    ("left-unit-coherence", (1,), "path 3 vs 2")]
+
+
+@pytest.mark.parametrize("flags", [[], ["--report", "structured"]])
+@pytest.mark.parametrize("command", ["build-span", "laxator"])
+def test_a_non_monoidal_action_under_a_module_functor_is_an_input_violation(
+        capsys, command, flags):
+    # the identity module functor of broken_module.json passes
+    # check_module_functor, so only the module checks can see that its
+    # action is not monoidal; its two ends are one module, checked once
+    argv = [data("broken_module_identity_functor.json")] * (
+        1 if command == "build-span" else 2)
+    subject = "input-source-action" if command == "build-span" \
+        else "input-left-source-action"
+    code, out, err = run(capsys, *flags, command, *argv)
+    assert (code, err) == (1, "")
+    if flags:
+        violations = parse(out).payload["violations"]
+        assert [(v["subject"], v["law"], tuple(v["witness"]), v["detail"])
+                for v in violations] == [
+            (subject, *entry) for entry in MODULE_ACTION_VIOLATIONS]
+    else:
+        assert out == f"{command}: violations found\n" + "".join(
+            f"  {subject}: {law} at ({', '.join(map(str, witness))}): {detail}\n"
+            for law, witness, detail in MODULE_ACTION_VIOLATIONS)
 
 
 @pytest.mark.parametrize("name", ["arrow_identity_functor.json",

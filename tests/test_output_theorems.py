@@ -10,7 +10,8 @@ that makes the result lawful, and not the result:
   (CWM §II.6), over lawful categories, which are now input checks;
 - end: End(C) is strict monoidal (CWM §VII.1);
 - build-span, build-2span and laxator: the span theorem in build_span's
-  docstring, and lifts along the outer legs.
+  docstring, and lifts along the outer legs, over modules whose acting
+  structures and actions are now input checks.
 
 This test runs every output check the CLI dropped, each on the result of
 the builder the handler calls (recorded by wrapping the names cli.py
@@ -25,13 +26,23 @@ On seeded mutants of fiber-product and comma inputs, lawful functor tables
 over categories with one composition entry changed, the exit code must be
 the one the parent handler gave: functor checks, then the builder, then the
 output checks.  The exception is a lawful functor over an unlawful
-category, which the input category checks now report with exit 1: the
-parent exited 2 where the builder raised on it, and 0 where the flaw did
-not reach the apex (a composite missing from the source of the identity
-foot, paired with the inclusion of the discrete category).
+category, which the input category checks now report, alone, with exit 1.
+The parent exited 2 where the builder raised on it, and 0 where the flaw
+did not reach the apex (a composite missing from the source of the identity
+foot, paired with the inclusion of the discrete category); the two cases
+are told apart, and CHANGES.md records both.
+
+On seeded mutants of module functor inputs, whose modules' actions have one
+cell changed, the exit code must also be the parent's, whose modules went
+unchecked: build-span and build-2span reported a non-monoidal action only
+through their output checks, and now report it through the module checks.
+The exception is laxator, whose comparison reads neither action: the
+parent exited 0 on a pair over a non-monoidal action, and the module
+checks, alone, now report it with exit 1, as CHANGES.md records.
 """
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +73,7 @@ from spanforge.fincat import (
     check_functor,
     check_nat_trans,
     discrete_category,
+    full_subcategory,
     identity_functor,
     terminal_category,
     walking_arrow,
@@ -76,12 +88,18 @@ from spanforge.monoidal import (
     identity_mon_functor,
     make_skeletal_group_category,
 )
-from spanforge.spans import check_module_functor
+from spanforge.laxators import laxator
+from spanforge.spans import (
+    build_span,
+    build_two_span,
+    check_module_functor,
+    check_module_nattrans,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def _span_checks(cell):
+def _span_checks(cell, *_):
     return {"apex": check_monoidal(cell.apex),
             "left-leg": check_mon_functor(cell.leg_left),
             "right-leg": check_mon_functor(cell.leg_right),
@@ -89,7 +107,7 @@ def _span_checks(cell):
             "filler": check_nat_trans(cell.filler)}
 
 
-def _two_span_checks(cell):
+def _two_span_checks(cell, *_):
     (vert_f, vert_g), (fill_l, fill_r) = cell.vertical_legs, cell.vertical_fillers
     return {**_span_checks(cell),
             "vertical-left": check_mon_functor(vert_f),
@@ -98,27 +116,33 @@ def _two_span_checks(cell):
             "vertical-filler-right": check_mon_nattrans(fill_r)}
 
 
-# the output checks the CLI ran before, by the builder whose result they read
+# the output checks the CLI ran before, by the builder whose result they
+# read; each takes the result, then the builder's arguments.  The intertwiner
+# actions and the braided intertwiner's inclusion are built here, as the
+# library built them with every intertwiner before it stopped doing so.
 DROPPED = {
-    "drinfeld_center": lambda c: {"center-monoidal": check_monoidal(c.monoidal),
-                                  "center-braiding": check_braiding(c.braiding)},
-    "monoidal_centralizer": lambda r: {
+    "drinfeld_center": lambda c, *_: {
+        "center-monoidal": check_monoidal(c.monoidal),
+        "center-braiding": check_braiding(c.braiding)},
+    "monoidal_centralizer": lambda r, *_: {
         "centralizer-monoidal": check_monoidal(r.monoidal)},
-    "braided_centralizer": lambda r: {
+    "braided_centralizer": lambda r, *_: {
         "centralizer-braiding": check_braiding(r.braiding)},
-    "monoidal_intertwiner": lambda r: {
-        "actions": oracles.check_intertwiner_actions(r)},
-    "braided_intertwiner": lambda r: {"inclusion": check_functor(r[1])},
-    "fiber_product": lambda r: {"apex": check_category(r.apex),
-                                "pr1": check_functor(r.pr1),
-                                "pr2": check_functor(r.pr2),
-                                "filler": check_nat_trans(r.filler)},
-    "comma": lambda r: {"apex": check_category(r.apex),
-                        "filler": check_nat_trans(r.filler)},
-    "end_monoidal": lambda r: {"end-monoidal": check_monoidal(r.monoidal)},
+    "monoidal_intertwiner": lambda r, g, h, *_: {
+        "actions": oracles.check_intertwiner_actions(
+            oracles.intertwiner_actions(g, h, r))},
+    "braided_intertwiner": lambda r, g, *_: {
+        "inclusion": check_functor(full_subcategory(g.target.base, r[1])[1])},
+    "fiber_product": lambda r, *_: {"apex": check_category(r.apex),
+                                    "pr1": check_functor(r.pr1),
+                                    "pr2": check_functor(r.pr2),
+                                    "filler": check_nat_trans(r.filler)},
+    "comma": lambda r, *_: {"apex": check_category(r.apex),
+                            "filler": check_nat_trans(r.filler)},
+    "end_monoidal": lambda r, *_: {"end-monoidal": check_monoidal(r.monoidal)},
     "build_span": _span_checks,
     "build_two_span": _two_span_checks,
-    "laxator": lambda r: {"comparison": check_mon_functor(r.comparison)},
+    "laxator": lambda r, *_: {"comparison": check_mon_functor(r.comparison)},
 }
 
 
@@ -135,7 +159,7 @@ class Recorder:
     def _wrap(self, name, real):
         def record(*args, **kwargs):
             result = real(*args, **kwargs)
-            self.built.append((name, result))
+            self.built.append((name, result, args))
             return result
         return record
 
@@ -145,9 +169,9 @@ class Recorder:
         self.built.clear()
         code = cli.main([str(a) for a in argv])
         out = self.capsys.readouterr().out
-        for name, result in self.built:
+        for name, result, args in self.built:
             self.reached[name] += 1
-            for subject, report in DROPPED[name](result).items():
+            for subject, report in DROPPED[name](result, *args).items():
                 assert report.ok, (argv, name, subject, report.violations[:3])
         return code, out
 
@@ -334,6 +358,9 @@ def parent_code(build, left, right):
     return 0 if all(r.ok for r in reports.values()) else 1
 
 
+CATEGORY_SUBJECTS = {"input-left-source", "input-right-source", "input-target"}
+
+
 def rebase(f: Functor, source: FinCategory, target: FinCategory) -> Functor:
     return Functor(source, target, f.object_map, f.morphism_map)
 
@@ -372,12 +399,139 @@ def test_seeded_cospan_mutants_keep_the_parents_exit_code(rec, tmp_path):
                     if code == parent:
                         tally["equal"] += 1
                         continue
-                    # an unlawful category under a lawful functor, which
-                    # the input category checks now report: the builder
-                    # raised on it, or its flaw missed the apex
-                    assert code == 1 and parent in (0, 2), (argv, side, k)
                     subjects = {v["subject"] for v in parse(out).payload["violations"]}
-                    assert subjects <= {"input-left-source", "input-right-source",
-                                        "input-target"}, subjects
-                    tally[parent] += 1
+                    where = (argv, side, k, parent, code, subjects)
+                    # an unlawful category under lawful functors, which only
+                    # the input category checks report
+                    assert code == 1 and subjects \
+                        and subjects <= CATEGORY_SUBJECTS, where
+                    if parent == 2:
+                        # the exception the change records: the builder
+                        # raised on the category
+                        tally[2] += 1
+                    else:
+                        # beyond it: the flaw missed everything the parent
+                        # checked, the apex included
+                        assert parent == 0, where
+                        tally[0] += 1
     assert tally["equal"] > 140 and tally[2] > 20, tally
+
+
+def action_mutants(md, rng, count):
+    """md with one cell of its action, the image of an acting morphism, a
+    multiplication cell or the unit cell, set to another transformation
+    between the same endofunctors, which decode_module reads unchecked."""
+    transformations, action = md.end.fc.transformations, md.action
+    cells = []
+    for kind, table in (("mor", action.underlying.morphism_map),
+                        ("mult", action.mult), ("unit", (action.unit_iso,))):
+        for i, t in enumerate(table):
+            ends = (transformations[t].source, transformations[t].target)
+            others = [k for k, u in enumerate(transformations)
+                      if k != t and (u.source, u.target) == ends]
+            if others:
+                cells.append((kind, i, others))
+    out = []
+    for _ in range(count if cells else 0):
+        kind, i, others = rng.choice(cells)
+        tid = rng.choice(others)
+        if kind == "mor":
+            mor_map = list(action.underlying.morphism_map)
+            mor_map[i] = tid
+            mutant = replace(action, underlying=replace(
+                action.underlying, morphism_map=tuple(mor_map)))
+        elif kind == "mult":
+            mult = list(action.mult)
+            mult[i] = tid
+            mutant = replace(action, mult=tuple(mult))
+        else:
+            mutant = replace(action, unit_iso=tid)
+        out.append(replace(md, action=mutant))
+    return out
+
+
+def with_module(fd, old, new):
+    """fd with the module old, at either end, replaced by new."""
+    return replace(fd, dom=new if fd.dom == old else fd.dom,
+                   cod=new if fd.cod == old else fd.cod)
+
+
+PARENT_MODULE_ROUTES = {
+    "build-span": (lambda fd: [fd], build_span, "build_span"),
+    "build-2span": (lambda ad: [ad.dom, ad.cod], build_two_span, "build_two_span"),
+    "laxator": (lambda pair: list(pair), lambda pair: laxator(*pair), "laxator"),
+}
+
+
+def parent_module_code(command, data):
+    """The parent handler's exit code: the module functor checks (and the
+    module transformation check), then the builder, then the output
+    checks; nothing checked the modules themselves."""
+    functors, build, name = PARENT_MODULE_ROUTES[command]
+    try:
+        reports = [check_module_functor(fd) for fd in functors(data)]
+        if command == "build-2span":
+            reports.append(check_module_nattrans(data))
+        if not all(r.ok for r in reports):
+            return 1
+        reports = DROPPED[name](build(data))
+    except SpanforgeError:
+        return 2
+    return 0 if all(r.ok for r in reports.values()) else 1
+
+
+def test_seeded_action_mutants_keep_the_parents_exit_code(rec, tmp_path):
+    # a module whose action is not a monoidal functor, under module functors
+    # whose transports pass: at the parent only the output checks (the
+    # action lift lies over the two actions) reported it; the module input
+    # checks must report it with the same exit code
+    rng = random.Random(21)
+    cases = []
+    for name, fd in corpus.span_corpus():
+        for md in {fd.dom: None, fd.cod: None}:
+            for m in action_mutants(md, rng, 2):
+                mutant = with_module(fd, md, m)
+                cases.append(("build-span", mutant, "module_functor",
+                              encode_module_functor))
+                if fd.dom == fd.cod:
+                    # an endo module functor composes with itself
+                    cases.append(("laxator", (mutant, mutant), None, None))
+    for name, ad in corpus.nattrans_corpus():
+        for md in {ad.dom.dom: None, ad.dom.cod: None}:
+            for m in action_mutants(md, rng, 2):
+                mutant = replace(ad, dom=with_module(ad.dom, md, m),
+                                 cod=with_module(ad.cod, md, m))
+                cases.append(("build-2span", mutant, "module_nattrans",
+                              encode_module_nattrans))
+    for name, fd, gd in corpus.composable_pairs():
+        for md in {fd.dom: None, fd.cod: None, gd.cod: None}:
+            for m in action_mutants(md, rng, 2):
+                cases.append(("laxator", (with_module(fd, md, m),
+                                          with_module(gd, md, m)), None, None))
+    tally = {}
+    for i, (command, data, kind, encode) in enumerate(cases):
+        if command == "laxator":
+            paths = [write(tmp_path, f"a{i}-{j}.json", "module_functor",
+                           encode_module_functor(d)) for j, d in enumerate(data)]
+        else:
+            paths = [write(tmp_path, f"a{i}.json", kind, encode(data))]
+        code, out = rec.call("--report", "structured", command, *paths)
+        parent = parent_module_code(command, data)
+        subjects = {v["subject"] for v in parse(out).payload["violations"]}
+        modules_only = bool(subjects) and all(
+            s.endswith(("-acting", "-action")) for s in subjects)
+        if code == parent:
+            # with the module checks the whole report, only the parent's
+            # output checks saw the action
+            key = (command, "modules-only" if modules_only else "other")
+        else:
+            # the laxator comparison reads neither action, so the parent
+            # passed a pair over a non-monoidal action: the exit-code change
+            # recorded for laxator
+            assert (command, parent, code) == ("laxator", 0, 1) \
+                and modules_only, (i, parent, code, subjects)
+            key = (command, "0 to 1")
+        tally[key] = tally.get(key, 0) + 1
+    assert tally.get(("build-span", "modules-only"), 0) >= 8, tally
+    assert tally.get(("build-2span", "modules-only"), 0) >= 4, tally
+    assert tally.get(("laxator", "0 to 1"), 0) >= 8, tally

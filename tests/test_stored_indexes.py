@@ -104,9 +104,8 @@ def test_centralizers_centers_and_intertwiners_of_the_central_setups():
         if isinstance(setup.left.carrier, MonoidalStructure):
             assert_center_maps(monoidal_centralizer(setup.g), name)
             other = setup.g if setup.h is None else setup.h
-            result = monoidal_intertwiner(setup.g, other)
-            for center in (result.intertwiner, result.left_center,
-                           result.right_center):
+            for center in (monoidal_intertwiner(setup.g, other),
+                           monoidal_centralizer(other)):
                 assert_center_maps(center, name)
         else:
             assert_center_maps(braided_centralizer(

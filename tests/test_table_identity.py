@@ -10,6 +10,7 @@ lift_mon_functor replaced, so ids and tables must match them exactly.
 import hashlib
 
 import corpus
+from oracles import intertwiner_actions
 from spanforge.central import (
     _pull_center,
     _push_center,
@@ -93,10 +94,11 @@ def table_digests() -> dict[str, str]:
     out["centralizer/unit-into-toric-z2"] = center_digest(monoidal_centralizer(incl))
     for name in ("discrete-z4", "idempotent", "terminal", "toric-z2"):
         ident = identity_mon_functor(cases[name])
-        result = monoidal_intertwiner(ident, ident)
+        intertwiner = monoidal_intertwiner(ident, ident)
+        result = intertwiner_actions(ident, ident, intertwiner)
         out[f"intertwiner/{name}"] = digest(
-            result.intertwiner.as_category, result.intertwiner.objects_data,
-            result.intertwiner.forgetful.morphism_map, result.left_action,
+            intertwiner.as_category, intertwiner.objects_data,
+            intertwiner.forgetful.morphism_map, result.left_action,
             result.right_action)
     for name, b in braiding_cases().items():
         out[f"mueger/{name}"] = center_digest(mueger_center(b))
