@@ -194,10 +194,10 @@ def _unit_half_braiding(ms: MonoidalStructure, g: MonFunctor) -> tuple[int, ...]
     comps = []
     for y in range(g.source.base.num_objects):
         gy = g.on_obj(y)
-        rho_inv = base.inverse(ms.right_unitor[gy])
+        rho_inv = base.inverse(ms.unitor(gy, False))
         if rho_inv is None:
             raise StructureError("right unitor is not invertible")
-        comps.append(base.compose(rho_inv, ms.left_unitor[gy]))
+        comps.append(base.compose(rho_inv, ms.unitor(gy, True)))
     return tuple(comps)
 
 
@@ -235,8 +235,8 @@ def _centralizer_monoidal(g: MonFunctor, center: CenterCategory) -> MonoidalStru
         center.as_category, obj_index[unit_key], tensor_obj, tensor_mor,
         associator=lambda i, j, k, s, t: lift(s, t, ms.alpha(
             objects[i].carrier, objects[j].carrier, objects[k].carrier)),
-        left_unitor=lambda i, s: lift(s, i, ms.left_unitor[objects[i].carrier]),
-        right_unitor=lambda i, s: lift(s, i, ms.right_unitor[objects[i].carrier]))
+        left_unitor=lambda i, s: lift(s, i, ms.unitor(objects[i].carrier, True)),
+        right_unitor=lambda i, s: lift(s, i, ms.unitor(objects[i].carrier, False)))
 
 
 # ---------------------------------------------------------------------------

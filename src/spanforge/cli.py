@@ -376,32 +376,36 @@ def _cmd_end(args, budget, out: Outcome) -> None:
 
 
 def _modules_lawful(out: Outcome, *named) -> bool:
-    """Law-check the modules at the ends of module functor inputs, each
-    distinct module once: its acting structure (once per structure), then its
-    action, as the subjects name-source-acting, name-source-action,
-    name-target-action and so on.  decode_module reads both unchecked and
-    check_module_functor reads them as lawful; a carrier is checked when its
-    End category is built."""
+    """Law-check module inputs, each given as (acting subject, action
+    subject, module), each distinct module once: its acting structure (once
+    per structure), then its action.  decode_module reads both unchecked,
+    and check_module_functor and the constructions on modules read them as
+    lawful; a carrier is checked when its End category is built."""
     ok, modules, actings = True, [], []
-    for name, fd in named:
-        for end, md in (("source", fd.dom), ("target", fd.cod)):
-            if md in modules:
-                continue
-            modules.append(md)
-            subject = f"{name}-{end}"
-            lawful = next((v for a, v in actings if a == md.acting), None)
-            if lawful is None:
-                lawful = out.check(f"{subject}-acting", check_monoidal(md.acting))
-                actings.append((md.acting, lawful))
-            ok = lawful and out.check(f"{subject}-action",
-                                      check_mon_functor(md.action)) and ok
+    for acting_subject, action_subject, md in named:
+        if md in modules:
+            continue
+        modules.append(md)
+        lawful = next((v for a, v in actings if a == md.acting), None)
+        if lawful is None:
+            lawful = out.check(acting_subject, check_monoidal(md.acting))
+            actings.append((md.acting, lawful))
+        ok = lawful and out.check(action_subject, check_mon_functor(md.action)) and ok
     return ok
+
+
+def _ends(name: str, fd) -> tuple:
+    """The modules at the ends of module functor input name, as
+    _modules_lawful takes them: subjects name-source-acting,
+    name-source-action, name-target-acting and name-target-action."""
+    return tuple((f"{name}-{end}-acting", f"{name}-{end}-action", md)
+                 for end, md in (("source", fd.dom), ("target", fd.cod)))
 
 
 def _cmd_build_span(args, budget, out: Outcome) -> None:
     fd = decode_module_functor(_load(args.file, "module_functor").payload,
                                budget)
-    ok = _modules_lawful(out, ("input", fd))
+    ok = _modules_lawful(out, *_ends("input", fd))
     if not out.check("input", check_module_functor(fd)) or not ok:
         return
     # the span theorem in build_span's docstring: no output check
@@ -414,7 +418,7 @@ def _cmd_build_span(args, budget, out: Outcome) -> None:
 def _cmd_build_two_span(args, budget, out: Outcome) -> None:
     ad = decode_module_nattrans(_load(args.file, "module_nattrans").payload,
                                 budget)
-    ok = _modules_lawful(out, ("input-dom", ad.dom), ("input-cod", ad.cod))
+    ok = _modules_lawful(out, *_ends("input-dom", ad.dom), *_ends("input-cod", ad.cod))
     ok = out.check("input-dom", check_module_functor(ad.dom)) and ok
     ok = out.check("input-cod", check_module_functor(ad.cod)) and ok
     ok = out.check("input", check_module_nattrans(ad)) and ok
@@ -433,7 +437,7 @@ def _cmd_laxator(args, budget, out: Outcome) -> None:
                                budget)
     gd = decode_module_functor(_load(args.right, "module_functor").payload,
                                budget)
-    ok = _modules_lawful(out, ("input-left", fd), ("input-right", gd))
+    ok = _modules_lawful(out, *_ends("input-left", fd), *_ends("input-right", gd))
     ok = out.check("input-left", check_module_functor(fd)) and ok
     ok = out.check("input-right", check_module_functor(gd)) and ok
     if not ok:
@@ -458,9 +462,9 @@ def _cmd_laxator_coherence(args, budget, out: Outcome) -> None:
                                budget)
     hd = decode_module_functor(_load(args.third, "module_functor").payload,
                                budget)
-    ok = True
-    for name, data in (("input-first", fd), ("input-second", gd),
-                       ("input-third", hd)):
+    named = (("input-first", fd), ("input-second", gd), ("input-third", hd))
+    ok = _modules_lawful(out, *(end for name, data in named for end in _ends(name, data)))
+    for name, data in named:
         ok = out.check(name, check_module_functor(data)) and ok
     if not ok:
         return
@@ -476,7 +480,9 @@ def _cmd_module_structures(args, budget, out: Outcome) -> None:
     if fun.source != dom.carrier or fun.target != cod.carrier:
         raise StructureError(
             "functor document does not match the module carriers")
-    if not out.check("input", check_functor(fun)):
+    ok = _modules_lawful(out, ("input-dom-acting", "input-dom-action", dom),
+                         ("input-cod-acting", "input-cod-action", cod))
+    if not out.check("input", check_functor(fun)) or not ok:
         return
     found = module_structures_on(fun, dom, cod, budget)
     out.summary["structure_count"] = len(found)
@@ -558,7 +564,7 @@ def _central_setup(left, right, g, psi_g: NatTrans, second: list[str]):
 
 def _cmd_normalize_check(args, budget, out: Outcome) -> None:
     md = decode_module(_load(args.file, "module").payload, budget)
-    if not out.check("input", check_mon_functor(md.action)):
+    if not _modules_lawful(out, ("input-acting", "input", md)):
         return
     result = normalization_check(md, budget)
     out.check("normalization", result.report)

@@ -334,8 +334,8 @@ def encode_monoidal(ms: MonoidalStructure) -> dict:
         },
         "associator": [[[ms.alpha(x, y, z) for z in range(n)]
                         for y in range(n)] for x in range(n)],
-        "left_unitor": list(ms.left_unitor),
-        "right_unitor": list(ms.right_unitor),
+        "left_unitor": [ms.unitor(x, True) for x in range(n)],
+        "right_unitor": [ms.unitor(x, False) for x in range(n)],
     }
 
 

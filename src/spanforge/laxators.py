@@ -110,10 +110,10 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
         associator=lambda i, j, k, s, t: lift(
             s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
             ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
-        left_unitor=lambda i, s: lift(s, i, xs.left_unitor[obj[i][0]],
-                                      ys.left_unitor[obj[i][1]], "left unitor pair"),
-        right_unitor=lambda i, s: lift(s, i, xs.right_unitor[obj[i][0]],
-                                       ys.right_unitor[obj[i][1]], "right unitor pair"),
+        left_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
+                                      ys.unitor(obj[i][1], True), "left unitor pair"),
+        right_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
+                                       ys.unitor(obj[i][1], False), "right unitor pair"),
         budget=budget)
     pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
     pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)

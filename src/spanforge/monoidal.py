@@ -1,14 +1,17 @@
 """Monoidal, braided, and symmetric structures on finite categories.
 
 Structure data is stored as full component tables (associators, unitors,
-braidings, multiplicativity cells), never as formulas or strictness flags;
-the checkers scan every instance of every coherence law and report witnesses.
+braidings, multiplicativity cells), never as formulas or flags, with one
+exception: a strict structure, whose associator and unitor components are
+all identities, stores no coherence table at all.  The checkers scan every
+instance of every coherence law and report witnesses; on a strict structure
+they read the identities off the tensor (CWM §VII.1) instead of a table.
 The tensor is two flat tables, n² object pairs and m² morphism pairs, not a
 functor on base × base, whose composition table would have m⁴ entries.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,16 +43,31 @@ class MonoidalStructure:
     is x⊗y and ``tensor_morphisms[f*m + g]`` is f⊗g; only this module reads
     that layout, and constructors fill it through tabulate_monoidal.
     ``associator[(x*n + y)*n + z]`` is the component (x⊗y)⊗z -> x⊗(y⊗z);
-    unitor tables are indexed by object id.
+    unitor tables are indexed by object id.  Outside this module the
+    components are read through alpha, alpha_inv and unitor.
+
+    A strict structure stores None for all three coherence tables: every
+    associator component is the identity of (x⊗y)⊗z and every unitor
+    component the identity of x.  Whether those identities are well typed,
+    (x⊗y)⊗z = x⊗(y⊗z) and I⊗x = x = x⊗I, is check_monoidal's business, as
+    for a stored table.  tabulate_monoidal stores every structure whose
+    components are all identities in this one form, so == compares
+    components there; a structure built directly with explicit identity
+    tables is not == to its strict form.
     """
 
     base: FinCategory
     tensor_objects: tuple[int, ...]
     tensor_morphisms: tuple[int, ...]
     unit: int
-    associator: tuple[int, ...]
-    left_unitor: tuple[int, ...]
-    right_unitor: tuple[int, ...]
+    associator: tuple[int, ...] | None
+    left_unitor: tuple[int, ...] | None
+    right_unitor: tuple[int, ...] | None
+
+    @property
+    def strict(self) -> bool:
+        return self.associator is None and self.left_unitor is None \
+            and self.right_unitor is None
 
     def tensor_obj(self, x: int, y: int) -> int:
         return self.tensor_objects[x * self.base.num_objects + y]
@@ -64,6 +82,9 @@ class MonoidalStructure:
 
     def alpha(self, x: int, y: int, z: int) -> int:
         n = self.base.num_objects
+        if self.associator is None:
+            t_obj = self.tensor_objects
+            return self.base.identity[t_obj[t_obj[x * n + y] * n + z]]
         return self.associator[(x * n + y) * n + z]
 
     def alpha_inv(self, x: int, y: int, z: int) -> int:
@@ -71,6 +92,11 @@ class MonoidalStructure:
         if inv is None:
             raise StructureError(f"associator at ({x}, {y}, {z}) is not invertible")
         return inv
+
+    def unitor(self, x: int, left: bool) -> int:
+        """The left unitor I⊗x -> x when left, else the right unitor x⊗I -> x."""
+        table = self.left_unitor if left else self.right_unitor
+        return self.base.identity[x] if table is None else table[x]
 
 
 def tabulate_monoidal(base: FinCategory, unit: int,
@@ -86,8 +112,12 @@ def tabulate_monoidal(base: FinCategory, unit: int,
     the tensors of the endpoints of f and g.  associator(x, y, z, s, t) is
     the component s = (x⊗y)⊗z -> t = x⊗(y⊗z); left_unitor(x, s) and
     right_unitor(x, s) map s = I⊗x and s = x⊗I to x.  Coherence callbacks
-    left out give identity components (a strict structure).  A budget, when
-    given, refuses the n² and m² pairs before any is tabulated.
+    left out give identity components.  When every component is the
+    identity of its source, whether the callbacks were left out or returned
+    it, the structure is stored strict, with no coherence table; otherwise
+    all three tables are stored, and the callbacks, which must not depend
+    on how often they are called, are called again for them.  A budget,
+    when given, refuses the n² and m² pairs before any is tabulated.
     """
     n, m = base.num_objects, base.num_morphisms
     if budget is not None:
@@ -98,17 +128,40 @@ def tabulate_monoidal(base: FinCategory, unit: int,
     morphisms = tuple(on_morphisms(f, g, objects[src[f] * n + src[g]],
                                    objects[tgt[f] * n + tgt[g]])
                       for f in range(m) for g in range(m))
+    strict = MonoidalStructure(base, objects, morphisms, unit, None, None, None)
+    if associator is None and left_unitor is None and right_unitor is None:
+        return strict
     identity = base.identity
-    associator = associator or (lambda x, y, z, s, t: identity[s])
-    left_unitor = left_unitor or (lambda x, s: identity[x])
-    right_unitor = right_unitor or (lambda x, s: identity[x])
-    return MonoidalStructure(
-        base, objects, morphisms, unit,
-        tuple(associator(x, y, z, objects[objects[x * n + y] * n + z],
-                         objects[x * n + objects[y * n + z]])
-              for x in range(n) for y in range(n) for z in range(n)),
-        tuple(left_unitor(x, objects[unit * n + x]) for x in range(n)),
-        tuple(right_unitor(x, objects[x * n + unit]) for x in range(n)))
+
+    def components(compare: bool) -> Iterator[int | bool]:
+        """The associator, left unitor and right unitor components in table
+        order, identities where a callback is left out; with compare, whether
+        each is the identity of its source instead."""
+        for x in range(n):
+            for y in range(n):
+                xy = objects[x * n + y] * n
+                for z in range(n):
+                    s = objects[xy + z]
+                    cell = identity[s] if associator is None else \
+                        associator(x, y, z, s, objects[x * n + objects[y * n + z]])
+                    yield cell == identity[s] if compare else cell
+        for x in range(n):
+            cell = identity[x] if left_unitor is None else \
+                left_unitor(x, objects[unit * n + x])
+            yield cell == identity[x] if compare else cell
+        for x in range(n):
+            cell = identity[x] if right_unitor is None else \
+                right_unitor(x, objects[x * n + unit])
+            yield cell == identity[x] if compare else cell
+
+    # no table is kept while the components are identities; a structure
+    # that is not strict is tabulated in a second pass
+    if all(components(True)):
+        return strict
+    flat = tuple(components(False))
+    n3 = n ** 3
+    return MonoidalStructure(base, objects, morphisms, unit, flat[:n3],
+                             flat[n3:n3 + n], flat[n3 + n:])
 
 
 @dataclass(frozen=True)
@@ -167,10 +220,13 @@ def _check_tables(ms: MonoidalStructure) -> None:
         raise StructureError("tensor table has the wrong length")
     if not 0 <= ms.unit < n:
         raise StructureError(f"unit object {ms.unit} is dangling")
-    if len(ms.associator) != n ** 3:
-        raise StructureError("associator table has the wrong length")
-    if len(ms.left_unitor) != n or len(ms.right_unitor) != n:
-        raise StructureError("unitor table has the wrong length")
+    if not ms.strict:
+        if None in (ms.associator, ms.left_unitor, ms.right_unitor):
+            raise StructureError("coherence tables must be all stored or all None")
+        if len(ms.associator) != n ** 3:
+            raise StructureError("associator table has the wrong length")
+        if len(ms.left_unitor) != n or len(ms.right_unitor) != n:
+            raise StructureError("unitor table has the wrong length")
     for x in ms.tensor_objects:
         if not 0 <= x < n:
             raise StructureError(f"tensor maps an object pair to dangling id {x}")
@@ -255,11 +311,50 @@ def _scan_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     sizes = _hom_sizes(ms.base)
     if max(sizes, default=0) <= 1:
         return
-    for scan in (_scan_associator_naturality, _scan_unitor_naturality,
-                 _scan_pentagon, _scan_triangle):
+    # the strict reduction (CWM §VII.1): with identity components that are
+    # well typed, which the component scan establishes before the coherence
+    # scans run, composing a path with a component leaves it as it is, by the
+    # identity law of the lawful base; so the triangle compares id_x⊗id_y
+    # with itself and holds, and the other scans read the tensor alone
+    scans = (_scan_associator_naturality, _scan_unitor_naturality) + (
+        (_scan_strict_pentagon,) if ms.strict else (_scan_pentagon, _scan_triangle))
+    for scan in scans:
         scan(ms, rb, sizes)
         if rb.full:
             return
+
+
+def _scan_strict_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
+                          sizes: list[int]) -> None:
+    """_scan_pentagon on a strict structure, where it compares
+    (id_w⊗id_((x⊗y)⊗z))∘(id_((w⊗x)⊗y)⊗id_z) with the identity.  A tensor
+    that preserves identities makes both paths identities, so only a tensor
+    that breaks that law is scanned."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    comp, ident = base.comp, base.identity
+    t_obj, t_mor = ms.tensor_objects, ms.tensor_morphisms
+    if all(t_mor[ident[x] * m + ident[y]] == ident[t_obj[x * n + y]]
+           for x in range(n) for y in range(n)):
+        return
+    for w in range(n):
+        id_w = ident[w] * m
+        for x in range(n):
+            wx = t_obj[w * n + x]
+            for y in range(n):
+                xy = t_obj[x * n + y] * n
+                wx_y = t_obj[wx * n + y]
+                for z in range(n):
+                    if sizes[t_obj[wx_y * n + z] * n
+                             + t_obj[w * n + t_obj[x * n + t_obj[y * n + z]]]] <= 1:
+                        continue
+                    lhs = comp[t_mor[id_w + ident[t_obj[xy + z]]]][
+                        t_mor[ident[wx_y] * m + ident[z]]]
+                    rhs = ident[t_obj[wx_y * n + z]]
+                    if lhs != rhs:
+                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
+                        if rb.full:
+                            return
 
 
 def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
@@ -268,7 +363,8 @@ def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
     a bifunctorial tensor, natural in each variable separately means natural
     jointly, so the 3·m·n² triples with at most one non-identity morphism
     stand for all m³.  The square at (p, q, r) lies in
-    hom((s_p⊗s_q)⊗s_r, t_p⊗(t_q⊗t_r)).
+    hom((s_p⊗s_q)⊗s_r, t_p⊗(t_q⊗t_r)); on a strict structure it reads
+    (p⊗q)⊗r = p⊗(q⊗r).
     """
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
@@ -284,9 +380,10 @@ def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
                 if sizes[t_obj[s_pq + src[r]] * n + t_obj[
                         tgt[p] * n + t_obj[tgt[q] * n + tgt[r]]]] <= 1:
                     continue
-                lhs = comp[assoc[(tgt[p] * n + tgt[q]) * n + tgt[r]]][t_mor[pq * m + r]]
-                rhs = comp[t_mor[p * m + t_mor[q * m + r]]][
-                    assoc[(src[p] * n + src[q]) * n + src[r]]]
+                lhs, rhs = t_mor[pq * m + r], t_mor[p * m + t_mor[q * m + r]]
+                if assoc is not None:
+                    lhs = comp[assoc[(tgt[p] * n + tgt[q]) * n + tgt[r]]][lhs]
+                    rhs = comp[rhs][assoc[(src[p] * n + src[q]) * n + src[r]]]
                 if lhs != rhs or lhs == -1:
                     rb.add("associator-naturality", (p, q, r),
                            f"paths {lhs} vs {rhs}")
@@ -296,22 +393,24 @@ def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
 
 def _scan_unitor_naturality(ms: MonoidalStructure, rb: ReportBuilder,
                             sizes: list[int]) -> None:
-    """Unitor naturality at each p: x -> y, in hom(I⊗x, y) and hom(x⊗I, y)."""
+    """Unitor naturality at each p: x -> y, in hom(I⊗x, y) and hom(x⊗I, y);
+    on a strict structure it reads id_I⊗p = p = p⊗id_I."""
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
     comp, t_obj, t_mor = base.comp, ms.tensor_objects, ms.tensor_morphisms
-    unit, lam, rho = ms.unit, ms.left_unitor, ms.right_unitor
-    id_unit = base.identity[unit]
+    unit, id_unit = ms.unit, base.identity[ms.unit]
     for p in range(m):
         x, y = base.source[p], base.target[p]
-        if sizes[t_obj[unit * n + x] * n + y] > 1:
-            lhs = comp[lam[y]][t_mor[id_unit * m + p]]
-            if lhs != comp[p][lam[x]] or lhs == -1:
-                rb.add("left-unitor-naturality", (p,), "square does not commute")
-        if sizes[t_obj[x * n + unit] * n + y] > 1:
-            lhs = comp[rho[y]][t_mor[p * m + id_unit]]
-            if lhs != comp[p][rho[x]] or lhs == -1:
-                rb.add("right-unitor-naturality", (p,), "square does not commute")
+        for law, table, s, tensored in (
+                ("left-unitor-naturality", ms.left_unitor, unit * n + x, id_unit * m + p),
+                ("right-unitor-naturality", ms.right_unitor, x * n + unit, p * m + id_unit)):
+            if sizes[t_obj[s] * n + y] <= 1:
+                continue
+            lhs, rhs = t_mor[tensored], p
+            if table is not None:
+                lhs, rhs = comp[table[y]][lhs], comp[p][table[x]]
+            if lhs != rhs or lhs == -1:
+                rb.add(law, (p,), "square does not commute")
         if rb.full:
             return
 
@@ -410,18 +509,20 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
     n, m = base.num_objects, base.num_morphisms
     # the base passed validate_structure, so no inverse entry is the -1 of
     # a scan that raises
-    src, tgt, inv = base.source, base.target, base.inverse_table
+    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
     t_obj, assoc = ms.tensor_objects, ms.associator
 
+    # on a strict structure the components are identities, well typed iff
+    # the tensor is associative and unital on objects
     stop = rb.full  # a builder full on entry stops after the first instance
     k = 0
     for x in range(n):
         for y in range(n):
             xy = t_obj[x * n + y] * n
             for z in range(n):
-                a = assoc[k]
-                k += 1
                 s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
+                a = ident[s] if assoc is None else assoc[k]
+                k += 1
                 if not (0 <= a < m and src[a] == s and tgt[a] == t):
                     rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
                 elif inv[a] is None:
@@ -432,8 +533,8 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
                     return rb.report()
     unit = ms.unit
     for x in range(n):
-        for law, cell, s in (("left-unitor", ms.left_unitor[x], t_obj[unit * n + x]),
-                             ("right-unitor", ms.right_unitor[x], t_obj[x * n + unit])):
+        for law, cell, s in (("left-unitor", ms.unitor(x, True), t_obj[unit * n + x]),
+                             ("right-unitor", ms.unitor(x, False), t_obj[x * n + unit])):
             if not (0 <= cell < m and src[cell] == s and tgt[cell] == x):
                 rb.add(law + "-component", (x,), _component_ok(base, cell, s, x))
             elif inv[cell] is None:
@@ -591,15 +692,20 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
                 rb.add("mult-naturality", (p, q), f"paths {lhs} vs {rhs}")
                 if rb.full:
                     return rb.report()
-    # a composite of -1 goes back through compose_path, which raises
+    # a composite of -1 goes back through compose_path, which raises; a
+    # strict end's associator component is read off its tensor as the
+    # identity of (x⊗y)⊗z
+    s_ident = src.base.identity
     for x in range(n):
         fx = obj_map[x]
         for y in range(n):
             xy = s_obj[x * n + y]
             fxy = fx * nt + obj_map[y]
+            fx_fy = t_obj[fxy] * nt
             g_xy = mult[x * n + y] * mt
             for z in range(n):
-                f3 = mor_map[s_assoc[(x * n + y) * n + z]]
+                f3 = mor_map[s_ident[s_obj[xy * n + z]] if s_assoc is None
+                             else s_assoc[(x * n + y) * n + z]]
                 f2 = mult[xy * n + z]
                 f1 = t_mor[g_xy + ident[obj_map[z]]]
                 f32 = comp[f3][f2]
@@ -608,7 +714,8 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
                     lhs = base.compose_path(f3, f2, f1)
                 g3 = mult[x * n + s_obj[y * n + z]]
                 g2 = t_mor[ident[fx] * mt + mult[y * n + z]]
-                g1 = t_assoc[fxy * nt + obj_map[z]]
+                g1 = ident[t_obj[fx_fy + obj_map[z]]] if t_assoc is None \
+                    else t_assoc[fxy * nt + obj_map[z]]
                 g32 = comp[g3][g2]
                 rhs = comp[g32][g1] if g32 >= 0 else -1
                 if rhs < 0:
@@ -620,17 +727,17 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     for x in range(n):
         fx = mf.on_obj(x)
         lhs = base.compose_path(
-            mf.on_mor(src.left_unitor[x]),
+            mf.on_mor(src.unitor(x, True)),
             mf.gamma(src.unit, x),
             tgt.tensor_mor(mf.unit_iso, base.identity[fx]))
-        if lhs != tgt.left_unitor[fx]:
-            rb.add("left-unit-coherence", (x,), f"path {lhs} vs {tgt.left_unitor[fx]}")
+        if lhs != tgt.unitor(fx, True):
+            rb.add("left-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, True)}")
         lhs = base.compose_path(
-            mf.on_mor(src.right_unitor[x]),
+            mf.on_mor(src.unitor(x, False)),
             mf.gamma(x, src.unit),
             tgt.tensor_mor(base.identity[fx], mf.unit_iso))
-        if lhs != tgt.right_unitor[fx]:
-            rb.add("right-unit-coherence", (x,), f"path {lhs} vs {tgt.right_unitor[fx]}")
+        if lhs != tgt.unitor(fx, False):
+            rb.add("right-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, False)}")
         if rb.full:
             return rb.report()
     return rb.report()
@@ -875,8 +982,8 @@ def restrict_monoidal(ms: MonoidalStructure,
         tensor_mor,
         associator=lambda x, y, z, s, t: mor_index[
             ms.alpha(objects[x], objects[y], objects[z])],
-        left_unitor=lambda x, s: mor_index[ms.left_unitor[objects[x]]],
-        right_unitor=lambda x, s: mor_index[ms.right_unitor[objects[x]]])
+        left_unitor=lambda x, s: mor_index[ms.unitor(objects[x], True)],
+        right_unitor=lambda x, s: mor_index[ms.unitor(objects[x], False)])
     return restricted, inclusion
 
 

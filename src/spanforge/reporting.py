@@ -60,14 +60,17 @@ class ReportBuilder:
     def merge(self, prefix: str, report: Report,
               witness: tuple[int, ...] = ()) -> None:
         """Add each violation of a sub-check's report, its law after prefix
-        and its witness after the given ids; the sub-report's own
-        truncation is not carried over."""
+        and its witness after the given ids.  A truncated sub-report
+        truncates this one too: its scan stopped at its cap, so the merged
+        violations are not all there are."""
         for v in report.violations:
             self.add(prefix + v.law, witness + v.witness, v.detail)
+        if report.truncated:
+            self._truncated = True
 
     @property
     def full(self) -> bool:
-        return self._truncated or len(self._violations) >= self.cap
+        return len(self._violations) >= self.cap
 
     def report(self) -> Report:
         return Report(self.subject, tuple(self._violations), self._truncated)

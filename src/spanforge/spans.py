@@ -487,13 +487,13 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
       §II.5);
     - associativity and unit: composing functors and pasting whiskered
       transformations are associative and unital on the nose (CWM §II.5),
-      and tabulate_monoidal fills the associator and unitors with
-      identities.
+      and tabulate_monoidal, given no coherence callbacks, stores the apex
+      strict: identity associator and unitors, and no table of them.
     So the default path checks only the hypotheses, and any failure of
     them raises StructureError.  verify=True re-derives the finished cell
     against the table form of the fiber product's mediator, the unitors
-    against their unique 2-cells and the associator against identities;
-    any disagreement raises.
+    against their unique 2-cells and the associator against strictly
+    associative pasting; any disagreement raises.
     """
     dom, cod = fd.dom, fd.cod
     _require_module_functor(fd)
@@ -554,7 +554,9 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                               endN: EndCategory) -> None:
     """Check the explicit tensor against the mediator of the fiber product,
     the unitors against their unique 2-cells and the associator against the
-    identities of strictly associative pasting, on tables.
+    identities of strictly associative pasting, on tables.  The unique
+    2-cells and the pasting associator are identities, so the apex must be
+    stored strict, which says that every explicit component is one.
 
     The mediator of a cone (p, q, ξ) is a ↦ (p a, q a, ξ_a), with identity
     witnesses in the strict model (limits.mediate).  So a⊗− is the mediator
@@ -571,7 +573,7 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
     filler, unit = fp.filler.components, apex_ms.unit
     ident, src, tgt = base.identity, base.source, base.target
     partials: dict[bool, list[list[int]]] = {True: [], False: []}
-    for on_left, unitor in ((True, apex_ms.left_unitor), (False, apex_ms.right_unitor)):
+    for on_left in (True, False):
         def pair(a: int, x: int) -> tuple[int, int]:
             return (a, x) if on_left else (x, a)
         for a, (pa, qa, _) in enumerate(objects):
@@ -591,7 +593,7 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
         # exists iff I⊗− is the identity functor, and is then the identity;
         # with it the filler check above covers every apex object
         if [apex_ms.tensor_obj(*pair(unit, x)) for x in range(n)] != list(range(n)) \
-                or partials[on_left][unit] != list(range(m)) or unitor != ident:
+                or partials[on_left][unit] != list(range(m)) or not apex_ms.strict:
             raise StructureError("mediated unitor disagrees with the explicit one")
     a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
     for f in range(m):
@@ -600,17 +602,17 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
             if apex_ms.tensor_mor(f, g) != interchanged:
                 raise StructureError(
                     f"explicit tensor breaks interchange at ({f}, {g})")
-    # pasting is associative on the nose, with identity associator components
-    rows, assoc = apex_ms.tensor_rows(), apex_ms.associator
+    # pasting is associative on the nose; its identity associator
+    # components are the strict apex's
+    rows = apex_ms.tensor_rows()
     for i in range(n):
         i_row = rows[i]
         for j in range(n):
             ij_row, j_row = rows[i_row[j]], rows[j]
-            at = (i * n + j) * n
             for k in range(n):
                 left = ij_row[k]
                 right = i_row[j_row[k]]
-                if left != right or assoc[at + k] != ident[left]:
+                if left != right:
                     raise StructureError(
                         f"span tensor is not strictly associative at ({i}, {j}, {k})")
 

@@ -243,6 +243,18 @@ def brute_force_half_braidings(ms, x: int) -> list[tuple[int, ...]]:
     return found
 
 
+def explicit_tables(ms: MonoidalStructure) -> MonoidalStructure:
+    """ms built directly with every associator and unitor component in a
+    table, identities included, so that a strict structure has entries to
+    mutate; it is == to ms only when ms is not strict."""
+    n = ms.base.num_objects
+    return MonoidalStructure(
+        ms.base, ms.tensor_objects, ms.tensor_morphisms, ms.unit,
+        tuple(ms.alpha(x, y, z) for x, y, z in product(range(n), repeat=3)),
+        tuple(ms.unitor(x, True) for x in range(n)),
+        tuple(ms.unitor(x, False) for x in range(n)))
+
+
 def exhaustive_tensor_scan(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     """check_functor on the tensor as a functor out of the materialised
     product base × base, whose pair (f, g) has id f*m + g."""
@@ -286,11 +298,11 @@ def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     id_unit = base.identity[ms.unit]
     for p in range(m):
         x, y = base.source[p], base.target[p]
-        lhs = base.comp[ms.left_unitor[y]][ms.tensor_mor(id_unit, p)]
-        if lhs != base.comp[p][ms.left_unitor[x]] or lhs == -1:
+        lhs = base.comp[ms.unitor(y, True)][ms.tensor_mor(id_unit, p)]
+        if lhs != base.comp[p][ms.unitor(x, True)] or lhs == -1:
             rb.add("left-unitor-naturality", (p,), "square does not commute")
-        lhs = base.comp[ms.right_unitor[y]][ms.tensor_mor(p, id_unit)]
-        if lhs != base.comp[p][ms.right_unitor[x]] or lhs == -1:
+        lhs = base.comp[ms.unitor(y, False)][ms.tensor_mor(p, id_unit)]
+        if lhs != base.comp[p][ms.unitor(x, False)] or lhs == -1:
             rb.add("right-unitor-naturality", (p,), "square does not commute")
         if rb.full:
             return
@@ -306,9 +318,9 @@ def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
             if rb.full:
                 return
     for x, y in product(range(n), repeat=2):
-        lhs = base.comp[ms.tensor_mor(base.identity[x], ms.left_unitor[y])][
+        lhs = base.comp[ms.tensor_mor(base.identity[x], ms.unitor(y, True))][
             ms.alpha(x, ms.unit, y)]
-        rhs = ms.tensor_mor(ms.right_unitor[x], base.identity[y])
+        rhs = ms.tensor_mor(ms.unitor(x, False), base.identity[y])
         if lhs != rhs:
             rb.add("triangle", (x, y), f"paths {lhs} vs {rhs}")
             if rb.full:
@@ -584,8 +596,8 @@ def mediated_verify_span_construction(cell: SpanCell, endM: EndCategory,
                 if filler[left] != filler[right]:
                     raise StructureError("pasted transports do not associate")
     # unitor compatibility via the unique-2-cell machinery
-    for on_left, expected in ((True, apex_ms.left_unitor),
-                              (False, apex_ms.right_unitor)):
+    for on_left in (True, False):
+        expected = tuple(apex_ms.unitor(x, on_left) for x in range(n))
         tensored = partials[on_left][apex_ms.unit]
         gamma1 = NatTrans(compose_functors(fp.pr1, tensored),
                           compose_functors(fp.pr1, ident),
@@ -1088,7 +1100,7 @@ def check_intertwiner_actions(result: IntertwinerActions,
                        "associator is not an intertwiner morphism")
             if rb.full:
                 return rb.report()
-        if (right_act(i, right.monoidal.unit), i, ms.right_unitor[x]) not in mor_index:
+        if (right_act(i, right.monoidal.unit), i, ms.unitor(x, False)) not in mor_index:
             rb.add("right-action-unit", (i,),
                    "right unitor is not an intertwiner morphism")
     for i, x in enumerate(xs):
@@ -1100,7 +1112,7 @@ def check_intertwiner_actions(result: IntertwinerActions,
                        "associator is not an intertwiner morphism")
             if rb.full:
                 return rb.report()
-        if (left_act(left.monoidal.unit, i), i, ms.left_unitor[x]) not in mor_index:
+        if (left_act(left.monoidal.unit, i), i, ms.unitor(x, True)) not in mor_index:
             rb.add("left-action-unit", (i,),
                    "left unitor is not an intertwiner morphism")
     # the two actions commute up to the ambient associator

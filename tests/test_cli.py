@@ -15,14 +15,21 @@ from spanforge.cli import _build_parser, main
 from spanforge.docs import (
     Document,
     decode_braiding,
+    decode_module,
     decode_mon_functor,
     decode_nat_trans,
+    encode_functor,
     encode_mon_functor,
     encode_nat_trans,
     parse,
     serialize,
 )
-from spanforge.fincat import identity_functor, identity_nat_trans, terminal_category
+from spanforge.fincat import (
+    Budget,
+    identity_functor,
+    identity_nat_trans,
+    terminal_category,
+)
 from spanforge.monoidal import identity_mon_functor
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -146,17 +153,40 @@ MODULE_ACTION_VIOLATIONS = [
     ("left-unit-coherence", (1,), "path 3 vs 2")]
 
 
+def identity_functor_document(tmp_path, module):
+    """A functor document, written to tmp_path, of the identity functor of
+    the carrier of the module document at path module."""
+    carrier = decode_module(parse(module.read_text()).payload, Budget()).carrier
+    path = tmp_path / "identity.json"
+    path.write_text(serialize(Document(
+        "functor", encode_functor(identity_functor(carrier)))))
+    return path
+
+
+# the files each command reads, and the subject of the action check, when
+# every module is broken_module.json's
+MODULE_ACTION_CALLS = {
+    "build-span": (["broken_module_identity_functor.json"], "input-source-action"),
+    "laxator": (["broken_module_identity_functor.json"] * 2,
+                "input-left-source-action"),
+    "laxator-coherence": (["broken_module_identity_functor.json"] * 3,
+                          "input-first-source-action"),
+    "module-structures": (["broken_module.json"] * 2 + ["identity"],
+                          "input-dom-action"),
+    "normalize-check": (["broken_module.json"], "input"),
+}
+
+
 @pytest.mark.parametrize("flags", [[], ["--report", "structured"]])
-@pytest.mark.parametrize("command", ["build-span", "laxator"])
+@pytest.mark.parametrize("command", sorted(MODULE_ACTION_CALLS))
 def test_a_non_monoidal_action_under_a_module_functor_is_an_input_violation(
-        capsys, command, flags):
+        capsys, tmp_path, command, flags):
     # the identity module functor of broken_module.json passes
     # check_module_functor, so only the module checks can see that its
-    # action is not monoidal; its two ends are one module, checked once
-    argv = [data("broken_module_identity_functor.json")] * (
-        1 if command == "build-span" else 2)
-    subject = "input-source-action" if command == "build-span" \
-        else "input-left-source-action"
+    # action is not monoidal; every end is one module, checked once
+    names, subject = MODULE_ACTION_CALLS[command]
+    identity = identity_functor_document(tmp_path, data("broken_module.json"))
+    argv = [identity if name == "identity" else data(name) for name in names]
     code, out, err = run(capsys, *flags, command, *argv)
     assert (code, err) == (1, "")
     if flags:
@@ -168,6 +198,26 @@ def test_a_non_monoidal_action_under_a_module_functor_is_an_input_violation(
         assert out == f"{command}: violations found\n" + "".join(
             f"  {subject}: {law} at ({', '.join(map(str, witness))}): {detail}\n"
             for law, witness, detail in MODULE_ACTION_VIOLATIONS)
+
+
+@pytest.mark.parametrize("command", ["module-structures", "normalize-check"])
+def test_a_non_monoidal_acting_structure_is_an_input_violation(
+        capsys, tmp_path, command):
+    # swap_action_module.json with an ill-typed left unitor component in its
+    # acting structure: the acting check reports it, and the action, read
+    # against that structure, is not checked
+    tree = json.loads(data("swap_action_module.json").read_text())
+    tree["payload"]["acting"]["left_unitor"][1] = 0
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(tree))
+    identity = identity_functor_document(tmp_path, module)
+    argv = [module, module, identity] if command == "module-structures" else [module]
+    code, out, err = run(capsys, "--report", "structured", command, *argv)
+    assert (code, err) == (1, "")
+    subject = "input-dom-acting" if command == "module-structures" else "input-acting"
+    assert [(v["subject"], v["law"], v["witness"])
+            for v in parse(out).payload["violations"]] == [
+        (subject, "left-unitor-component", [1])]
 
 
 @pytest.mark.parametrize("name", ["arrow_identity_functor.json",

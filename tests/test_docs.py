@@ -74,6 +74,40 @@ def test_braiding_roundtrip():
     assert decode_braiding(parse(text).payload) == b
 
 
+def fixture_monoidals():
+    """(file, monoidal structure) for every monoidal structure that a
+    monoidal, braiding or mon_functor fixture holds."""
+    found = []
+    for path in sorted(DATA.glob("*.json")):
+        try:
+            doc = parse(path.read_text())
+        except SchemaError:
+            continue
+        if doc.kind == "monoidal":
+            found.append((path.name, decode_monoidal(doc.payload)))
+        elif doc.kind == "braiding":
+            found.append((path.name, decode_braiding(doc.payload).on))
+        elif doc.kind == "mon_functor":
+            mf = decode_mon_functor(doc.payload)
+            found += [(path.name, mf.source), (path.name, mf.target)]
+    return found
+
+
+def test_strict_structures_roundtrip_strict():
+    # a document always lists the identity tables, and decoding stores a
+    # structure whose components are all identities strict again
+    strict = [(name, ms) for name, ms in fixture_monoidals() if ms.strict]
+    assert len(strict) >= 8
+    for name, ms in strict:
+        tree = encode_monoidal(ms)
+        assert len(tree["associator"]) == len(tree["left_unitor"]) \
+            == ms.base.num_objects, name
+        back = decode_monoidal(parse(roundtrip("monoidal", tree)).payload)
+        assert back == ms and back.strict, name
+    cocycle = decode_monoidal(parse((DATA / "z2_cocycle_monoidal.json").read_text()).payload)
+    assert not cocycle.strict
+
+
 def test_functor_and_nat_trans_roundtrip():
     fun = identity_functor(walking_arrow())
     text = roundtrip("functor", encode_functor(fun))

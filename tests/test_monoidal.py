@@ -14,7 +14,9 @@ from spanforge.fincat import (
     Functor,
     MediationError,
     StructureError,
+    check_category,
     compose_functors,
+    group_as_category,
     identity_functor,
     identity_nat_trans,
 )
@@ -38,6 +40,7 @@ from spanforge.monoidal import (
     make_skeletal_group_category,
     restrict_braiding,
     restrict_monoidal,
+    tabulate_monoidal,
     terminal_monoidal,
     trivial_cochain,
 )
@@ -96,6 +99,19 @@ def test_lawless_base_is_reported_before_the_tensor_laws():
     assert not report.ok
     assert {v.law for v in report.violations} >= {"base-left-identity"}
     assert all(v.law.startswith("base-") for v in report.violations)
+
+
+def test_a_lawless_base_report_keeps_its_truncation():
+    # BZ/2 with id∘a = id and a∘id = id: check_category reports both identity
+    # laws at a, so at cap 1 its report is truncated, and the check_monoidal
+    # report it is merged into says so
+    lawless = replace(group_as_category(Z2.mult), comp=((0, 0), (0, 0)))
+    ms = tabulate_monoidal(lawless, 0, lambda x, y: 0, lambda f, g, s, t: f)
+    base_laws = check_category(lawless, cap=1)
+    assert len(base_laws.violations) == 1 and base_laws.truncated
+    report = check_monoidal(ms, cap=1)
+    assert [v.law for v in report.violations] == ["base-left-identity"]
+    assert report.truncated
 
 
 def test_non_cocycle_fails_pentagon():

@@ -39,6 +39,8 @@ through their output checks, and now report it through the module checks.
 The exception is laxator, whose comparison reads neither action: the
 parent exited 0 on a pair over a non-monoidal action, and the module
 checks, alone, now report it with exit 1, as CHANGES.md records.
+laxator-coherence, module-structures and normalize-check check the modules
+they read too, and exit 1 on every such mutant at the default budget.
 """
 import pathlib
 import random
@@ -58,6 +60,7 @@ from spanforge.docs import (
     decode_mon_functor,
     encode_category,
     encode_functor,
+    encode_module,
     encode_module_functor,
     encode_module_nattrans,
     encode_mon_functor,
@@ -535,3 +538,36 @@ def test_seeded_action_mutants_keep_the_parents_exit_code(rec, tmp_path):
     assert tally.get(("build-span", "modules-only"), 0) >= 8, tally
     assert tally.get(("build-2span", "modules-only"), 0) >= 4, tally
     assert tally.get(("laxator", "0 to 1"), 0) >= 8, tally
+
+
+def test_seeded_action_mutants_fail_every_module_reading_command(rec, tmp_path):
+    # laxator-coherence, module-structures and normalize-check law-check the
+    # acting structure and the action of every module they read, so a
+    # non-monoidal action exits 1 at the default budget; without those
+    # checks laxator-coherence and module-structures exited 0, or 2 where
+    # the budget refused the construction, as CHANGES.md records
+    rng = random.Random(22)
+    action_subjects = {"laxator-coherence": "input-first-source-action",
+                       "module-structures": "input-dom-action",
+                       "normalize-check": "input"}
+    calls = 0
+    for name, fd in corpus.span_corpus():
+        if fd.dom != fd.cod:
+            continue
+        for m in action_mutants(fd.dom, rng, 2):
+            if check_mon_functor(m.action).ok:
+                continue
+            i = calls
+            functor = write(tmp_path, f"f{i}.json", "module_functor",
+                            encode_module_functor(with_module(fd, fd.dom, m)))
+            module = write(tmp_path, f"m{i}.json", "module", encode_module(m))
+            ident = write(tmp_path, f"i{i}.json", "functor",
+                          encode_functor(identity_functor(m.carrier)))
+            for argv in (("laxator-coherence", functor, functor, functor),
+                         ("module-structures", module, module, ident),
+                         ("normalize-check", module)):
+                code, out = rec.call("--report", "structured", *argv)
+                subjects = {v["subject"] for v in parse(out).payload["violations"]}
+                assert code == 1 and action_subjects[argv[0]] in subjects, (name, argv)
+                calls += 1
+    assert calls >= 24, calls

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from corpus import span_corpus
-from oracles import exhaustive_check_monoidal
+from oracles import exhaustive_check_monoidal, explicit_tables
 from spanforge.docs import (
     SchemaError,
     decode_braiding,
@@ -168,8 +168,8 @@ def with_scalars(ms: MonoidalStructure, twisted=frozenset()) -> MonoidalStructur
         doubled, ms.unit, ms.tensor_obj,
         lambda f, g, s, t: 2 * ms.tensor_mor(f // 2, g // 2) + (f + g) % 2,
         associator=lambda x, y, z, s, t: 2 * ms.alpha(x, y, z) + ((x, y, z) in twisted),
-        left_unitor=lambda x, s: 2 * ms.left_unitor[x],
-        right_unitor=lambda x, s: 2 * ms.right_unitor[x])
+        left_unitor=lambda x, s: 2 * ms.unitor(x, True),
+        right_unitor=lambda x, s: 2 * ms.unitor(x, False))
 
 
 def category_from_composites(num_objects: int, arrows, composites) -> FinCategory:
@@ -346,9 +346,11 @@ def test_reduced_scans_agree_on_mixed_thin_bases():
 
 
 def mutants(ms, rng: random.Random, count: int):
-    """Single-entry mutants of the tensor and associator tables.  Most swap an
-    entry for a parallel morphism, so the mutant stays well typed and only
-    the composition and naturality laws can catch it."""
+    """Single-entry mutants of the tensor and associator tables, on ms with
+    its coherence tables explicit.  Most swap an entry for a parallel
+    morphism, so the mutant stays well typed and only the composition and
+    naturality laws can catch it."""
+    ms = explicit_tables(ms)
     base = ms.base
     m = base.num_morphisms
     for _ in range(count):

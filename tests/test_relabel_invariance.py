@@ -39,7 +39,7 @@ from itertools import product
 import pytest
 
 from corpus import span_corpus
-from oracles import transport_candidates
+from oracles import explicit_tables, transport_candidates
 
 from spanforge.centers import drinfeld_center
 from spanforge.fincat import (
@@ -251,19 +251,24 @@ class TableRelabeler:
         return self.bases[id(c)][1:]
 
     def monoidal(self, ms):
+        """The renamed structure, strict when ms is: renaming carries
+        identities to identities."""
         base, (obj, mor) = self.base(ms.base)
         n, m = base.num_objects, base.num_morphisms
-        t_obj, t_mor, assoc = [0] * (n * n), [0] * (m * m), [0] * n ** 3
-        lam, rho = [0] * n, [0] * n
+        t_obj, t_mor = [0] * (n * n), [0] * (m * m)
         for x, y in product(range(n), repeat=2):
             t_obj[obj[x] * n + obj[y]] = obj[ms.tensor_obj(x, y)]
         for f, g in product(range(m), repeat=2):
             t_mor[mor[f] * m + mor[g]] = mor[ms.tensor_mor(f, g)]
+        if ms.strict:
+            return MonoidalStructure(base, tuple(t_obj), tuple(t_mor), obj[ms.unit],
+                                     None, None, None)
+        assoc, lam, rho = [0] * n ** 3, [0] * n, [0] * n
         for x, y, z in product(range(n), repeat=3):
             assoc[(obj[x] * n + obj[y]) * n + obj[z]] = mor[ms.alpha(x, y, z)]
         for x in range(n):
-            lam[obj[x]] = mor[ms.left_unitor[x]]
-            rho[obj[x]] = mor[ms.right_unitor[x]]
+            lam[obj[x]] = mor[ms.unitor(x, True)]
+            rho[obj[x]] = mor[ms.unitor(x, False)]
         return MonoidalStructure(base, tuple(t_obj), tuple(t_mor), obj[ms.unit],
                                  tuple(assoc), tuple(lam), tuple(rho))
 
@@ -341,6 +346,7 @@ def table_mutants(kind, s, rng):
         return tuple(table)
 
     if kind == "monoidal":
+        s = explicit_tables(s)  # a strict structure stores no coherence entries
         n, m = s.base.num_objects, s.base.num_morphisms
         field = rng.choice(["tensor_objects", "tensor_morphisms", "associator",
                             "left_unitor", "right_unitor"])
@@ -380,6 +386,10 @@ TABLE_CHECKS = {"monoidal": (check_monoidal, "monoidal", lambda s: s.base),
                                 lambda s: s.source.base)}
 
 
+STRUCTURES = {"monoidal": lambda s: [s], "braiding": lambda s: [s.on],
+              "mon_functor": lambda s: [s.source, s.target]}
+
+
 def verdict(check, s):
     try:
         return check(s)
@@ -393,13 +403,17 @@ def test_relabelled_tables_keep_verdicts_and_map_witnesses(kind):
     rng = random.Random(21)
     relabel = TableRelabeler(random.Random(21))
     rename = getattr(relabel, method)
-    laws, compared, lawful = set(), 0, 0
+    laws, compared, lawful, strict = set(), 0, 0, 0
     carriers = table_carriers()[kind]
     for s in carriers:
         for m in [s] + [table_mutants(kind, s, rng) for _ in range(4)]:
             if m is None:
                 continue
-            before, after = verdict(check, m), verdict(check, rename(m))
+            renamed = rename(m)
+            stored = [ms.strict for ms in STRUCTURES[kind](m)]
+            assert [ms.strict for ms in STRUCTURES[kind](renamed)] == stored
+            strict += sum(stored)
+            before, after = verdict(check, m), verdict(check, renamed)
             if isinstance(before, type) or isinstance(after, type):
                 assert before is after, kind
                 continue
@@ -413,3 +427,4 @@ def test_relabelled_tables_keep_verdicts_and_map_witnesses(kind):
             laws |= {v.law for v in before.violations}
     assert lawful == len(carriers) and compared > 3 * len(carriers), (lawful, compared)
     assert SCANNED_LAWS[kind] <= laws, laws
+    assert strict, kind

@@ -6,11 +6,18 @@ and morphisms; each functor digest, of its object map, morphism map,
 multiplicativity cells and unit cell.  The pinned values were computed with
 the per-site loops that category_over_product, lift_functor and
 lift_mon_functor replaced, so ids and tables must match them exactly.
+
+A monoidal structure enters a digest in a normalised view: its tensor
+tables and every associator and unitor component, as explicit_tables
+stores them, whether or not the structure itself is stored strict.  The
+pins were computed when every structure stored its coherence tables, so a
+strict structure must have the identity components those tables held.
 """
 import hashlib
+from dataclasses import fields, is_dataclass
 
 import corpus
-from oracles import intertwiner_actions
+from oracles import explicit_tables, intertwiner_actions
 from spanforge.central import (
     _pull_center,
     _push_center,
@@ -44,8 +51,25 @@ from test_central import central_setups, phi_fiber_setup
 from test_centers import identity_braiding, monoidal_cases
 
 
+def normalised_repr(obj) -> str:
+    """repr(obj), with every monoidal structure in it shown through
+    explicit_tables."""
+    if isinstance(obj, MonoidalStructure):
+        return repr(explicit_tables(obj))
+    if is_dataclass(obj):
+        return f"{type(obj).__qualname__}(" + ", ".join(
+            f"{f.name}={normalised_repr(getattr(obj, f.name))}"
+            for f in fields(obj) if f.repr) + ")"
+    if type(obj) in (tuple, list) and not all(type(x) is int for x in obj):
+        inner = ", ".join(normalised_repr(x) for x in obj)
+        if type(obj) is list:
+            return f"[{inner}]"
+        return f"({inner},)" if len(obj) == 1 else f"({inner})"
+    return repr(obj)
+
+
 def digest(*parts) -> str:
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    return hashlib.sha256(normalised_repr(parts).encode()).hexdigest()
 
 
 def braiding_cases():
