@@ -10,9 +10,13 @@ MonoidalStructure acts through its Drinfeld center Z₁ over a braided base
 (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, 2015); a Braiding acts
 through its Müger center Z₂, the transparent subcategory, over a symmetric
 base (Müger, Proc. LMS 2003).  Candidate functors and transformations
-between such modules are verified by building the induced functor into the
-matching fiber product of centers and checking it is braided, exactly and
-exhaustively.  The two checks stay separate: they are different
+between such modules are verified by checking the candidate, exactly and
+exhaustively, and building the induced functor into the matching fiber
+product of centers.  What is built from a lawful candidate is lawful by
+theorem and is not checked: a functor lifted along a faithful strict
+monoidal functor, here a center's forgetful functor or the fiber product's
+jointly faithful projections (CWM §II.6), satisfies each coherence law iff
+its image does.  The two checks stay separate: they are different
 mathematics.
 """
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .monoidal import (
     MonNatTrans,
     MonoidalStructure,
     check_braided_functor,
-    check_braiding,
     check_mon_functor,
     is_symmetric,
     lift_mon_functor,
@@ -238,10 +241,13 @@ _INDUCED_MISSES = {1: ("induced-morphism", "pair is not a fiber morphism"),
 
 def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
                         left: MonFunctor, right: MonFunctor,
-                        fiber: MonoidalSquare, psi_ids: tuple[int, ...],
+                        fiber: MonoidalSquare, psi_ids: list[int | None],
                         ) -> MonFunctor | None:
     """x ↦ (left(x), right(x), psi_x) for the two actions, with all cells
-    forced as pairs."""
+    forced as pairs, once every psi is a centralizer morphism (no id is
+    None); it lies over the two braided actions, so it is braided."""
+    if None in psi_ids:
+        return None
     oi = fiber.fp.object_index
     obj_map = []
     for x in range(base_struct.base.num_objects):
@@ -260,37 +266,25 @@ def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
         return None
 
 
-def _checked_induced(rb: ReportBuilder, base: Braiding, left: MonFunctor,
-                     right: MonFunctor, fiber: MonoidalSquare,
-                     psi_ids: list[int | None]) -> MonFunctor | None:
-    """Once every psi is a centralizer morphism (no id is None), the induced
-    functor into the fiber, checked monoidal and braided."""
-    if None in psi_ids:
-        return None
-    induced = _induced_into_fiber(rb, base.on, left, right, fiber, tuple(psi_ids))
-    if induced is not None:
-        rb.merge("induced-", check_mon_functor(induced))
-        rb.merge("induced-braided-",
-                 check_braided_functor(induced, base, fiber.braiding))
-    return induced
-
-
 def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
                             cap: int) -> CentralCheckResult:
     """Over a braided base, through Drinfeld centers and the monoidal
-    centralizer of g."""
+    centralizer of g.  Only the candidates, g and h when given, are checked
+    monoidal: push and pull are lifts of g along the centers' forgetful
+    functors, and the fiber braiding is a pair of Drinfeld-center braidings
+    (EGNO §7.13)."""
     rb = ReportBuilder("central_module_check", cap)
     left, right = setup.left, setup.right
+    rb.merge("candidate-", check_mon_functor(setup.g, cap))
+    if setup.h is not None:
+        rb.merge("candidate-h-", check_mon_functor(setup.h, cap))
     z1g = monoidal_centralizer(setup.g, budget)
     mi = z1g.morphism_index
     g_push = _push_center(setup.g, left.center, z1g)
     g_pull = _pull_center(setup.g, right.center, z1g)
-    for name, mf in (("push", g_push), ("pull", g_pull)):
-        rb.merge(name + "-", check_mon_functor(mf))
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
-    rb.merge("fiber-braiding-", check_braiding(fiber.braiding))
 
     acting = left.base.on.base
     psi_ids = []
@@ -300,12 +294,12 @@ def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
         rb.merge("compatibility-", check_hpt_conditions(HptSetup(
             setup.g, m_half, n_half, setup.psi_g[x],
             setup.h, None if setup.psi_h is None else setup.psi_h[x],
-            setup.phi)), (x,))
+            setup.phi), cap), (x,))
         psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
                                g_pull.on_obj(right.action.on_obj(x)),
                                setup.psi_g[x])))
-    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
-                               psi_ids)
+    induced = _induced_into_fiber(rb, left.base.on, left.action, right.action,
+                                  fiber, psi_ids)
 
     phi_fiber = None
     if setup.phi is not None:
@@ -438,11 +432,13 @@ def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
 def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
                            cap: int) -> CentralCheckResult:
     """Over a symmetric base, through Müger centers and the braided
-    centralizer of g."""
+    centralizer of g.  Only the candidates are checked braided: the fiber
+    braiding is a pair of Müger-center braidings, symmetric by definition
+    (Müger 2003)."""
     rb = ReportBuilder("central_braided_check", cap)
     left, right = setup.left, setup.right
     rb.merge("candidate-",
-             check_braided_functor(setup.g, left.carrier, right.carrier))
+             check_braided_functor(setup.g, left.carrier, right.carrier, cap))
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
     mi = z2g.morphism_index
     g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
@@ -450,9 +446,6 @@ def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
     fiber = monoidal_fiber_product(g_push, g_pull, budget,
                                    braidings=(left.center.braiding,
                                               right.center.braiding))
-    rb.merge("fiber-braiding-", check_braiding(fiber.braiding))
-    if not is_symmetric(fiber.braiding):
-        rb.add("fiber-symmetry", (), "the fiber product is not symmetric")
 
     psi_ids = []
     for x in range(left.base.on.base.num_objects):
@@ -462,15 +455,15 @@ def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
         if psi_ids[-1] is None:
             rb.add("comparison", (x,),
                    "psi component is not a centralizer morphism")
-    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
-                               psi_ids)
+    induced = _induced_into_fiber(rb, left.base.on, left.action, right.action,
+                                  fiber, psi_ids)
 
     phi_fiber = None
     common = None
     matches = None
     if setup.phi is not None:
         rb.merge("candidate-h-",
-                 check_braided_functor(setup.h, left.carrier, right.carrier))
+                 check_braided_functor(setup.h, left.carrier, right.carrier, cap))
         z2h = braided_centralizer(setup.h, left.carrier, right.carrier)
         common = tuple(sorted({o.carrier for o in z2g.objects_data}
                               & {o.carrier for o in z2h.objects_data}))

@@ -645,7 +645,7 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     n = src.base.num_objects
     if len(mf.mult) != n * n:
         raise StructureError("multiplicativity table has the wrong length")
-    rb.merge("underlying-", check_functor(mf.underlying))
+    rb.merge("underlying-", check_functor(mf.underlying, cap))
     base = tgt.base
 
     bad = _component_ok(base, mf.unit_iso, tgt.unit, mf.on_obj(src.unit))
@@ -751,7 +751,7 @@ def check_mon_nattrans(t: MonNatTrans, cap: int = DEFAULT_VIOLATION_CAP) -> Repo
         raise StructureError("monoidal transformation between mismatched functors")
     if t.underlying.source != f.underlying or t.underlying.target != g.underlying:
         raise StructureError("underlying transformation does not match the functors")
-    rb.merge("underlying-", check_nat_trans(t.underlying))
+    rb.merge("underlying-", check_nat_trans(t.underlying, cap))
     src, tgt = f.source, f.target
     base = tgt.base
     comps = t.underlying.components

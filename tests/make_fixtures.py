@@ -260,6 +260,24 @@ def main() -> None:
           encode_nat_trans(NatTrans(carriers, carriers,
                                     (1, toric.base.identity[1]))))
 
+    # central-check z1 over the terminal base into skeletal S3 with Z/2
+    # scalars, whose Drinfeld center lies over the unit object; the
+    # candidate's broken multiplicativity cell is read by no half-braiding,
+    # so only the check of the candidate itself finds it
+    from test_central import s3_twisted_setup
+    s3_case = s3_twisted_setup()
+    write("terminal_braiding.json", "braiding",
+          encode_braiding(s3_case.left.base))
+    write("s3_z2_unit_action.json", "mon_functor",
+          encode_mon_functor(s3_case.left.action))
+    write("s3_z2_twisted_mon_functor.json", "mon_functor",
+          encode_mon_functor(s3_case.g))
+    s3_base = s3_case.g.target.base
+    at_unit = Functor(s3_case.left.base.on.base, s3_base, (0,),
+                      (s3_base.identity[0],))
+    write("s3_z2_unit_psi.json", "nat_trans", encode_nat_trans(
+        NatTrans(at_unit, at_unit, s3_case.psi_g)))
+
     print(f"wrote {len(list(DATA.glob('*.json')))} fixtures to {DATA}")
 
 

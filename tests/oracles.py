@@ -32,7 +32,10 @@ transformations have no caller in the library; they are kept here for the
 test that checks them.  The intertwiner actions, functors on product
 categories that the library built with every intertwiner, and their check
 are the ones the CLI ran on every intertwiner it built, before it relied on
-the theorem that the actions are lawful.
+the theorem that the actions are lawful.  The central check at the end
+law-checks the lifts it builds from the candidate, the fiber braiding and
+the induced functor, and over a braided base not the candidates, as
+central_module_check did before it checked the candidates instead.
 """
 from __future__ import annotations
 
@@ -61,20 +64,38 @@ from spanforge.fincat import (
 )
 from spanforge.centers import (
     CenterCategory,
+    HptSetup,
     _pasted_half_braiding,
+    braided_centralizer,
+    check_hpt_conditions,
     monoidal_centralizer,
+)
+from spanforge.central import (
+    CentralCheckResult,
+    CentralFunctorSetup,
+    _check_shape,
+    _induced_into_fiber,
+    _phi_quadruples_z1,
+    _phi_quadruples_z2,
+    _pull_center,
+    _push_center,
+    _subcat_functor,
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import (
+    Braiding,
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
     _check_monoidal_laws,
+    check_braided_functor,
+    check_braiding,
     check_mon_functor,
     check_mon_nattrans,
     compose_mon_functors,
     identity_mon_functor,
     identity_mon_nattrans,
+    is_symmetric,
     lift_mon_functor,
     strict_mon_functor,
 )
@@ -1125,3 +1146,110 @@ def check_intertwiner_actions(result: IntertwinerActions,
         if rb.full:
             return rb.report()
     return rb.report()
+
+
+def _checked_induced(rb: ReportBuilder, base, left: MonFunctor, right: MonFunctor,
+                     fiber: MonoidalSquare, psi_ids, cap: int) -> MonFunctor | None:
+    induced = _induced_into_fiber(rb, base.on, left, right, fiber, psi_ids)
+    if induced is not None:
+        rb.merge("induced-", check_mon_functor(induced, cap))
+        rb.merge("induced-braided-",
+                 check_braided_functor(induced, base, fiber.braiding, cap))
+    return induced
+
+
+def _checked_monoidal_body(setup: CentralFunctorSetup, budget: Budget,
+                           cap: int) -> CentralCheckResult:
+    rb = ReportBuilder("central_module_check", cap)
+    left, right = setup.left, setup.right
+    z1g = monoidal_centralizer(setup.g, budget)
+    mi = z1g.morphism_index
+    g_push = _push_center(setup.g, left.center, z1g)
+    g_pull = _pull_center(setup.g, right.center, z1g)
+    for name, mf in (("push", g_push), ("pull", g_pull)):
+        rb.merge(name + "-", check_mon_functor(mf, cap))
+    fiber = monoidal_fiber_product(g_push, g_pull, budget,
+                                   braidings=(left.center.braiding,
+                                              right.center.braiding))
+    rb.merge("fiber-braiding-", check_braiding(fiber.braiding, cap))
+    psi_ids = []
+    for x in range(left.base.on.base.num_objects):
+        m_half = left.center.objects_data[left.action.on_obj(x)]
+        n_half = right.center.objects_data[right.action.on_obj(x)]
+        rb.merge("compatibility-", check_hpt_conditions(HptSetup(
+            setup.g, m_half, n_half, setup.psi_g[x],
+            setup.h, None if setup.psi_h is None else setup.psi_h[x],
+            setup.phi), cap), (x,))
+        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
+                               g_pull.on_obj(right.action.on_obj(x)),
+                               setup.psi_g[x])))
+    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
+                               psi_ids, cap)
+    phi_fiber = None
+    if setup.phi is not None:
+        phi_fiber = _phi_quadruples_z1(rb, setup, budget)
+    return CentralCheckResult(rb.report(), fiber, induced, phi_fiber)
+
+
+def _checked_braided_body(setup: CentralFunctorSetup, budget: Budget,
+                          cap: int) -> CentralCheckResult:
+    rb = ReportBuilder("central_braided_check", cap)
+    left, right = setup.left, setup.right
+    rb.merge("candidate-",
+             check_braided_functor(setup.g, left.carrier, right.carrier, cap))
+    z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
+    mi = z2g.morphism_index
+    g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
+    g_pull = _subcat_functor(setup.g, right.center, z2g, apply_g=False)
+    fiber = monoidal_fiber_product(g_push, g_pull, budget,
+                                   braidings=(left.center.braiding,
+                                              right.center.braiding))
+    rb.merge("fiber-braiding-", check_braiding(fiber.braiding, cap))
+    if not is_symmetric(fiber.braiding):
+        rb.add("fiber-symmetry", (), "the fiber product is not symmetric")
+    psi_ids = []
+    for x in range(left.base.on.base.num_objects):
+        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
+                               g_pull.on_obj(right.action.on_obj(x)),
+                               setup.psi_g[x])))
+        if psi_ids[-1] is None:
+            rb.add("comparison", (x,),
+                   "psi component is not a centralizer morphism")
+    induced = _checked_induced(rb, left.base, left.action, right.action, fiber,
+                               psi_ids, cap)
+    phi_fiber = common = matches = None
+    if setup.phi is not None:
+        rb.merge("candidate-h-",
+                 check_braided_functor(setup.h, left.carrier, right.carrier, cap))
+        z2h = braided_centralizer(setup.h, left.carrier, right.carrier)
+        common = tuple(sorted({o.carrier for o in z2g.objects_data}
+                              & {o.carrier for o in z2h.objects_data}))
+        phi_fiber = _phi_quadruples_z2(rb, setup, budget)
+        reached = {right.center.objects_data[j].carrier
+                   for _, j, _, _ in phi_fiber.objects}
+        base = right.carrier.on.base
+        closure = {c for c in range(base.num_objects)
+                   if any(base.isos(r, c) for r in reached)}
+        matches = closure == set(common)
+    return CentralCheckResult(rb.report(), fiber, induced, phi_fiber,
+                              common, matches)
+
+
+def checked_central_module_check(setup: CentralFunctorSetup,
+                                 budget: Budget = DEFAULT_BUDGET,
+                                 cap: int = DEFAULT_VIOLATION_CAP
+                                 ) -> CentralCheckResult:
+    """central_module_check that law-checks what it builds from the
+    candidate, and over a braided base not the candidates themselves: push
+    and pull, the fiber braiding and the induced functor over a braided
+    base; the fiber braiding, its symmetry and the induced functor over a
+    symmetric base.  Its sub-checks run at the caller's cap, as the
+    library's do, so that the two differ only in what they check."""
+    kinds = {type(m.carrier) for m in (setup.left, setup.right)}
+    if kinds not in ({MonoidalStructure}, {Braiding}):
+        raise StructureError("central modules must both have MonoidalStructure "
+                             "or both have Braiding carriers")
+    braided = kinds == {Braiding}
+    _check_shape(setup, braided)
+    body = _checked_braided_body if braided else _checked_monoidal_body
+    return body(setup, budget, cap)

@@ -17,13 +17,14 @@ from spanforge.fincat import (
     StructureError,
     identity_nat_trans,
 )
-from spanforge.groups import cyclic, klein_four
+from spanforge.groups import cyclic, klein_four, symmetric_3
 from spanforge.laxators import monoidal_fiber_product
 from spanforge.monoidal import (
     Braiding,
     MonFunctor,
     MonNatTrans,
     check_braiding,
+    check_mon_functor,
     identity_mon_functor,
     is_symmetric,
     make_bicharacter_braiding,
@@ -324,6 +325,37 @@ def test_transparent_quadruple_category_honours_the_morphism_budget():
     with pytest.raises(BudgetError) as info:
         _phi_quadruples_z2(rb, setup, Budget(max_morphisms=26))
     assert info.value.what == "transparent quadruple category (morphisms)"
+
+
+def s3_twisted_setup():
+    """The unit module over the terminal base on skeletal S3 with Z/2
+    scalars, whose Drinfeld center lies over the unit object, mapped to
+    itself by the identity with its multiplicativity cell at (1, 2) set to
+    the non-trivial scalar: no half-braiding reads that cell."""
+    s3 = symmetric_3()
+    carrier = make_skeletal_group_category(s3, Z2, trivial_cochain(s3))
+    base_ms = terminal_monoidal()
+    module = central_module(identity_braiding(base_ms), carrier,
+                            unit_action_into(drinfeld_center(carrier), base_ms))
+    ident = identity_mon_functor(carrier)
+    mult = list(ident.mult)
+    mult[1 * 6 + 2] = carrier.tensor_obj(1, 2) * 2 + 1
+    return CentralFunctorSetup(module, module, replace(ident, mult=tuple(mult)),
+                               (carrier.base.identity[0],))
+
+
+def test_candidate_is_checked_where_no_half_braiding_reads_it():
+    # the parent checked only what it built from g: push, pull, the fiber
+    # braiding and the induced functor all passed, and the report was ok
+    setup = s3_twisted_setup()
+    assert {o.carrier for o in setup.left.center.objects_data} == {0}
+    result = central_module_check(setup)
+    own = check_mon_functor(setup.g)
+    assert {v.law for v in own.violations} == {"mult-associativity"}
+    assert result.report.violations == tuple(
+        replace(v, law="candidate-" + v.law) for v in own.violations)
+    assert len(result.report.violations) == 18
+    assert result.induced is not None
 
 
 def central_setups():

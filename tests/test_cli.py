@@ -447,6 +447,37 @@ def test_central_check_z1_cli(capsys, psi, code, laws):
     assert payload["summary"]["induced_exists"] is (code == 0)
 
 
+# the unit module over the terminal base on skeletal S3 with Z/2 scalars, and
+# the identity candidate with its multiplicativity cell at (1, 2) twisted by
+# the non-trivial scalar; the Drinfeld center lies over the unit object
+CENTRAL_S3 = ["terminal_braiding.json", "s3_z2_unit_action.json",
+              "s3_z2_unit_action.json", "s3_z2_twisted_mon_functor.json",
+              "s3_z2_unit_psi.json"]
+S3_ASSOCIATIVITY_FAILURES = [
+    ((1, 1, 2), 4, 5), ((1, 1, 4), 8, 9), ((1, 2, 1), 11, 10),
+    ((1, 2, 2), 3, 2), ((1, 2, 3), 1, 0), ((1, 2, 4), 7, 6), ((1, 2, 5), 5, 4),
+    ((1, 3, 1), 8, 9), ((1, 4, 5), 8, 9), ((1, 5, 3), 8, 9), ((2, 1, 2), 10, 11),
+    ((2, 3, 2), 9, 8), ((3, 1, 2), 0, 1), ((3, 5, 2), 9, 8), ((4, 1, 2), 6, 7),
+    ((4, 2, 2), 9, 8), ((5, 1, 2), 2, 3), ((5, 4, 2), 9, 8)]
+
+
+def test_central_check_z1_checks_the_candidate(capsys):
+    # no half-braiding reads the twisted cell, so push, pull, the fiber and
+    # the induced functor are built as for the identity: the parent checked
+    # only those and printed "central-check: ok" with exit 0
+    code, out, _ = run(capsys, "central-check", "z1", *map(data, CENTRAL_S3))
+    assert code == 1
+    assert out.splitlines() == [
+        "central-check: violations found",
+        "  fiber_objects = 4",
+        "  induced_exists = True",
+        *(f"  central: candidate-mult-associativity at ({x}, {y}, {z}): "
+          f"paths {lhs} vs {rhs}"
+          for (x, y, z), lhs, rhs in S3_ASSOCIATIVITY_FAILURES)]
+    code, out, _ = run(capsys, "validate", data(CENTRAL_S3[3]))
+    assert code == 1 and "mult-associativity at (1, 1, 2)" in out
+
+
 def _drop_first_composite(tree, *path):
     for key in path:
         tree = tree[key]

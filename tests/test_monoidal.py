@@ -13,8 +13,11 @@ from spanforge.laxators import monoidal_fiber_product
 from spanforge.fincat import (
     Functor,
     MediationError,
+    NatTrans,
     StructureError,
     check_category,
+    check_functor,
+    check_nat_trans,
     compose_functors,
     group_as_category,
     identity_functor,
@@ -435,3 +438,43 @@ def test_lift_mon_functor_missing_unit_cell():
     with pytest.raises(MediationError, match="probe lift: .* unit") as info:
         lift_diagonal((ident, scaled_unit))
     assert info.value.witness == ()
+
+
+def permuted_scalars(n, pairs):
+    """The identity monoidal functor of skeletal Z/n with Z/n scalars, its
+    morphism map swapping the scalars in each pair at every object: a
+    non-functor whose tensor cells are all still identities."""
+    zn = cyclic(n)
+    ms = make_skeletal_group_category(zn, zn, trivial_cochain(zn))
+    swap = list(range(n))
+    for a, b in pairs:
+        swap[a], swap[b] = b, a
+    ident = identity_mon_functor(ms)
+    mor_map = tuple(x * n + swap[s] for x in range(n) for s in range(n))
+    return replace(ident, underlying=replace(ident.underlying,
+                                             morphism_map=mor_map))
+
+
+def test_sub_checks_run_at_the_callers_cap():
+    # the underlying functor and transformation checks ran at the default
+    # cap whatever the caller's: 32 of 126 functor violations were merged,
+    # with truncated=False
+    big = 10 ** 9
+    mf = permuted_scalars(6, ((1, 2), (3, 4)))
+    own = check_functor(mf.underlying, cap=big)
+    assert len(own.violations) == 126 and not own.truncated
+    got = check_mon_functor(mf, cap=big)
+    assert [v for v in got.violations if v.law.startswith("underlying-")] \
+        == [replace(v, law="underlying-" + v.law) for v in own.violations]
+    assert not got.truncated
+    # identity components from the Z/8 permutation to the identity: 48
+    # naturality squares fail
+    mf = permuted_scalars(8, ((1, 2), (3, 4), (5, 6)))
+    ident = identity_mon_functor(mf.source)
+    t = MonNatTrans(mf, ident, NatTrans(mf.underlying, ident.underlying,
+                                        mf.source.base.identity))
+    own = check_nat_trans(t.underlying, cap=big)
+    assert len(own.violations) == 48 and not own.truncated
+    got = check_mon_nattrans(t, cap=big)
+    assert [v for v in got.violations if v.law.startswith("underlying-")] \
+        == [replace(v, law="underlying-" + v.law) for v in own.violations]

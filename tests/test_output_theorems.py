@@ -41,6 +41,20 @@ parent exited 0 on a pair over a non-monoidal action, and the module
 checks, alone, now report it with exit 1, as CHANGES.md records.
 laxator-coherence, module-structures and normalize-check check the modules
 they read too, and exit 1 on every such mutant at the default budget.
+
+The library follows the same rule, at the end of this file.
+central_module_check checks the candidates, the hypotheses of its theorem,
+and not what it builds from them: push and pull are lifts of g along a
+center's faithful forgetful functor, the fiber braiding is a pair of center
+braidings, and the induced functor lies over the two actions along the
+jointly faithful projections (CWM §II.6).  normalization_check no longer
+checks that the diagonal is monoidal: it is strict monoidal by whiskering
+and interchange (CWM §II.5).  oracles.checked_central_module_check and
+oracles.retracted_normalization_check keep the dropped checks.  They run on
+every setup of test_central, every central-check fixture and seeded
+candidate mutants, and on every corpus module and seeded action mutants.
+The dropped checks report nothing on a lawful candidate, and on a mutant
+they report only what the candidate checks report too.
 """
 import pathlib
 import random
@@ -50,9 +64,13 @@ import pytest
 
 import corpus
 import oracles
-from test_gate_differential import gated_families
+from test_central import central_setups, s3_twisted_setup
+from test_cli import CENTRAL_S3, CENTRAL_Z1, CENTRAL_Z2
+from test_gate_differential import gated_families, outcome
+from test_module_laws import MODULES
 
 from spanforge import cli
+from spanforge.central import central_module_check
 from spanforge.docs import (
     Document,
     decode_braiding,
@@ -65,10 +83,12 @@ from spanforge.docs import (
     encode_module_nattrans,
     encode_mon_functor,
     encode_monoidal,
+    encode_nat_trans,
     parse,
     serialize,
 )
 from spanforge.fincat import (
+    DEFAULT_BUDGET,
     FinCategory,
     Functor,
     SpanforgeError,
@@ -78,6 +98,7 @@ from spanforge.fincat import (
     discrete_category,
     full_subcategory,
     identity_functor,
+    identity_nat_trans,
     terminal_category,
     walking_arrow,
 )
@@ -91,7 +112,8 @@ from spanforge.monoidal import (
     identity_mon_functor,
     make_skeletal_group_category,
 )
-from spanforge.laxators import laxator
+from spanforge.laxators import laxator, normalization_check
+from spanforge.reporting import DEFAULT_VIOLATION_CAP
 from spanforge.spans import (
     build_span,
     build_two_span,
@@ -571,3 +593,169 @@ def test_seeded_action_mutants_fail_every_module_reading_command(rec, tmp_path):
                 assert code == 1 and action_subjects[argv[0]] in subjects, (name, argv)
                 calls += 1
     assert calls >= 24, calls
+
+
+# ---------------------------------------------------------------------------
+# the library: central_module_check and normalization_check
+# ---------------------------------------------------------------------------
+
+BIG = 10 ** 9
+# the lift misses stay under the induced- prefix; every other law under
+# these prefixes came from a check central_module_check dropped
+LIFT_MISSES = {"induced-object", "induced-morphism", "induced-mult",
+               "induced-unit"}
+
+
+def dropped_central_law(law):
+    return law.startswith(("push-", "pull-", "fiber-braiding-",
+                           "fiber-symmetry", "induced-")) \
+        and law not in LIFT_MISSES
+
+
+def fixture_setups(monkeypatch, capsys, tmp_path):
+    """The setup of every central-check call on the fixtures, each psi
+    alone and with the candidate repeated as the second one, phi its
+    identity."""
+    seen = []
+    real = cli.central_module_check
+
+    def record(setup, *args):
+        seen.append(setup)
+        return real(setup, *args)
+
+    monkeypatch.setattr(cli, "central_module_check", record)
+    calls = [("z1", CENTRAL_Z1[:4], ("toric_z2_psi.json", "toric_z2_psi_bad.json")),
+             ("z1", CENTRAL_S3[:4], CENTRAL_S3[4:]),
+             ("z2", CENTRAL_Z2[:6], ("disc_z2_psi.json", "disc_z2_psi_bad.json"))]
+    for variant, files, psis in calls:
+        files = [DATA / name for name in files]
+        g = decode_mon_functor(parse(files[-1].read_text()).payload)
+        phi = write(tmp_path, "phi.json", "nat_trans",
+                    encode_nat_trans(identity_nat_trans(g.underlying)))
+        for psi in (DATA / name for name in psis):
+            for second in ([], [files[-1], psi, phi]):
+                cli.main(["central-check", variant, *map(str, files), str(psi),
+                          *map(str, second)])
+    capsys.readouterr()
+    assert len(seen) == 10
+    return [(f"fixture-{i}", setup) for i, setup in enumerate(seen)]
+
+
+def candidates(setup):
+    return [(prefix, c) for prefix, c in (("candidate-", setup.g),
+                                          ("candidate-h-", setup.h))
+            if c is not None]
+
+
+def test_central_check_agrees_with_the_parent_route(monkeypatch, capsys,
+                                                    tmp_path):
+    inputs = [*central_setups().items(), ("s3-twisted", s3_twisted_setup()),
+              *fixture_setups(monkeypatch, capsys, tmp_path)]
+    lawful = 0
+    for name, setup in inputs:
+        parent = oracles.checked_central_module_check(setup, cap=BIG)
+        assert not any(dropped_central_law(v.law)
+                       for v in parent.report.violations), name
+        if not all(check_mon_functor(c).ok for _, c in candidates(setup)):
+            continue
+        lawful += 1
+        for cap in (DEFAULT_VIOLATION_CAP, 1):
+            assert central_module_check(setup, cap=cap) \
+                == oracles.checked_central_module_check(setup, cap=cap), (name, cap)
+    # the twisted S3 candidate, from the library and from the fixtures
+    assert lawful == len(inputs) - 3
+
+
+def mutant_cells(mf, carriers):
+    """Each multiplicativity cell, morphism entry and the unit cell of mf,
+    with the other morphisms of its hom-set, tagged inside when it sits at
+    a carrier of the center's image."""
+    target, source = mf.target.base, mf.source.base
+    n = source.num_objects
+    cells = [("unit", 0, True, mf.unit_iso)]
+    cells += [("mult", i, i // n in carriers or i % n in carriers, c)
+              for i, c in enumerate(mf.mult)]
+    cells += [("mor", f, source.source[f] in carriers, c)
+              for f, c in enumerate(mf.underlying.morphism_map)]
+    return [(kind, i, inside, others) for kind, i, inside, c in cells
+            if (others := [d for d in target.hom(target.source[c], target.target[c])
+                           if d != c])]
+
+
+def mutate(mf, kind, i, value):
+    if kind == "unit":
+        return replace(mf, unit_iso=value)
+    if kind == "mult":
+        return replace(mf, mult=mf.mult[:i] + (value,) + mf.mult[i + 1:])
+    mor_map = mf.underlying.morphism_map
+    return replace(mf, underlying=replace(
+        mf.underlying, morphism_map=mor_map[:i] + (value,) + mor_map[i + 1:]))
+
+
+def candidate_mutants(setup, rng, count):
+    """setup with one cell of g, or of h, set to another morphism with the
+    same ends: count cells inside the image of the center's forgetful
+    functor and count outside it, where there are any."""
+    carriers = {o.carrier for o in setup.left.center.objects_data}
+    out = []
+    for field_name, mf in (("g", setup.g), ("h", setup.h)):
+        if mf is None:
+            continue
+        cells = mutant_cells(mf, carriers)
+        for inside in (True, False):
+            pool = [c for c in cells if c[2] is inside]
+            for kind, i, _, others in rng.sample(pool, min(count, len(pool))):
+                out.append(((field_name, kind, i, inside), replace(
+                    setup, **{field_name: mutate(mf, kind, i, rng.choice(others))})))
+    return out
+
+
+def test_candidate_mutants_report_the_candidate_and_the_rest_as_before():
+    rng = random.Random(24)
+    named = central_setups()
+    s3 = s3_twisted_setup()
+    s3_ident = replace(s3, g=identity_mon_functor(s3.g.source))
+    # the parent checked the candidates over a symmetric base already
+    cases = [(True, named["trivial-base"]), (True, named["grading"]),
+             (True, named["coupled"]), (True, s3_ident),
+             (False, named["discrete-z2"]), (False, named["z3-pairing"])]
+    tally = {"raised": 0, True: 0, False: 0}
+    for new_checks, setup in cases:
+        for (_, _, _, inside), m in candidate_mutants(setup, rng, 6):
+            new = outcome(lambda: central_module_check(m, cap=BIG))
+            old = outcome(lambda: oracles.checked_central_module_check(m, cap=BIG))
+            if isinstance(new, tuple) or isinstance(old, tuple):
+                assert new == old
+                tally["raised"] += 1
+                continue
+            kept = [v for v in old.report.violations if not dropped_central_law(v.law)]
+            own = [replace(v, law=prefix + v.law) for prefix, c in candidates(m)
+                   for v in check_mon_functor(c, BIG).violations] \
+                if new_checks else []
+            assert list(new.report.violations) == own + kept
+            assert not new.report.truncated
+            if len(kept) < len(old.report.violations):
+                # a dropped check fails only where a candidate is unlawful
+                assert not all(check_mon_functor(c).ok for _, c in candidates(m))
+            tally[inside] += 1
+    # most cells inside the image break a lift, which both routes refuse
+    # with the same error
+    assert tally[True] >= 15 and tally[False] >= 10 and tally["raised"] >= 20, tally
+
+
+def test_normalization_agrees_with_the_parent_route_on_action_mutants():
+    # retracted_normalization_check keeps the diagonal's monoidal check, so
+    # equal results show that it reports nothing, whatever the action
+    # (only m_bz2, m_idem and m_trivial_z2_on_bz2 have an action cell with
+    # another transformation between the same endofunctors)
+    rng = random.Random(24)
+    mutants = 0
+    for name in MODULES:
+        md = getattr(corpus, name)()
+        cases = (md, *action_mutants(md, rng, 6))
+        for m in cases:
+            got = outcome(lambda: normalization_check(m))
+            assert got == outcome(lambda: oracles.retracted_normalization_check(
+                m, DEFAULT_BUDGET)), name
+        mutants += len(cases) - 1
+    assert mutants == 18, mutants
