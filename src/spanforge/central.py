@@ -272,12 +272,15 @@ def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
     centralizer of g.  Only the candidates, g and h when given, are checked
     monoidal: push and pull are lifts of g along the centers' forgetful
     functors, and the fiber braiding is a pair of Drinfeld-center braidings
-    (EGNO §7.13)."""
+    (EGNO §7.13).  Those lifts need a monoidal g, so a candidate that fails
+    is reported alone, with nothing built from it."""
     rb = ReportBuilder("central_module_check", cap)
     left, right = setup.left, setup.right
     rb.merge("candidate-", check_mon_functor(setup.g, cap))
     if setup.h is not None:
         rb.merge("candidate-h-", check_mon_functor(setup.h, cap))
+    if not rb.report().ok:
+        return CentralCheckResult(rb.report(), None, None)
     z1g = monoidal_centralizer(setup.g, budget)
     mi = z1g.morphism_index
     g_push = _push_center(setup.g, left.center, z1g)

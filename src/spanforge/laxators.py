@@ -102,18 +102,27 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
     if unit_key not in oi:
         raise StructureError("monoidal fiber unit is missing")
     obj = fp.objects
-    apex_ms = tabulate_monoidal(
-        apex_cat, oi[unit_key], tensor_obj,
-        tensor_mor_over_product(xs, ys, fp.morphisms, mi,
-                                "monoidal fiber tensor of morphisms left the apex"),
-        associator=lambda i, j, k, s, t: lift(
+    coherence = {
+        "associator": lambda i, j, k, s, t: lift(
             s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
             ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
-        left_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
-                                      ys.unitor(obj[i][1], True), "left unitor pair"),
-        right_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
-                                       ys.unitor(obj[i][1], False), "right unitor pair"),
-        budget=budget)
+        "left_unitor": lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
+                                         ys.unitor(obj[i][1], True), "left unitor pair"),
+        "right_unitor": lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
+                                          ys.unitor(obj[i][1], False), "right unitor pair")}
+    args = (apex_cat, oi[unit_key], tensor_obj,
+            tensor_mor_over_product(xs, ys, fp.morphisms, mi,
+                                    "monoidal fiber tensor of morphisms left the apex"))
+    # over strict feet every coherence pair is a pair of identities, and an
+    # apex morphism over (id, id) from an object to itself is its identity
+    # (the strict iso-comma, CWM §II.6); so an apex tensor associative and
+    # unital on objects makes every component an identity, and only a
+    # tensor that is not runs the callbacks, which raise at the first pair
+    # that is no apex morphism or store what they find
+    strict = xs.strict and ys.strict
+    apex_ms = tabulate_monoidal(*args, **({} if strict else coherence), budget=budget)
+    if strict and not _strict_on_objects(apex_ms.tensor_rows(), apex_ms.unit):
+        apex_ms = tabulate_monoidal(*args, **coherence, budget=budget)
     pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
     pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)
     braiding = None
@@ -128,6 +137,17 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
                      for i in range(n) for j in range(n))
         braiding = Braiding(apex_ms, beta)
     return MonoidalSquare(fp, apex_ms, pr1, pr2, braiding)
+
+
+def _strict_on_objects(rows: list[tuple[int, ...]], unit: int) -> bool:
+    """Whether the tensor with x⊗y at rows[x][y] is associative on objects,
+    (i⊗j)⊗k = i⊗(j⊗k) compared row by row, and unital, I⊗i = i = i⊗I."""
+    for row in rows:
+        for j, ij in enumerate(row):
+            if rows[ij] != tuple(row[jk] for jk in rows[j]):
+                return False
+    return rows[unit] == tuple(range(len(rows))) \
+        and all(row[unit] == i for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ braidings, multiplicativity cells), never as formulas or flags, with one
 exception: a strict structure, whose associator and unitor components are
 all identities, stores no coherence table at all.  The checkers scan every
 instance of every coherence law and report witnesses; on a strict structure
-they read the identities off the tensor (CWM §VII.1) instead of a table.
+they read the identities off the tensor (CWM §VII.1) instead of a table,
+and check_mon_functor skips its associativity scan on a strict monoidal
+functor between strict structures, where every instance compares an
+identity with itself (CWM §XI.2).
 The tensor is two flat tables, n² object pairs and m² morphism pairs, not a
 functor on base × base, whose composition table would have m⁴ entries.
 """
@@ -637,7 +640,14 @@ def is_symmetric(b: Braiding) -> bool:
 
 
 def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """Functor laws plus associativity and unit coherence of (gamma, eta)."""
+    """Functor laws plus associativity and unit coherence of (gamma, eta).
+
+    Every mult-associativity instance is composed unless
+    _strict_on_image(mf) holds once the underlying functor, the unit cell
+    and the multiplicativity cells have passed; then each instance composes
+    id_A with itself on both sides, so the scan would report nothing and
+    raise nothing, and it is skipped.
+    """
     rb = ReportBuilder("mon_functor", cap)
     src, tgt = mf.source, mf.target
     if mf.underlying.source != src.base or mf.underlying.target != tgt.base:
@@ -654,14 +664,14 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     elif not base.is_iso(mf.unit_iso):
         rb.add("unit-cell-iso", (), "unit cell is not invertible")
 
-    comp, ident = base.comp, base.identity
+    comp = base.comp
     nt, mt = base.num_objects, base.num_morphisms
     m_src = src.base.num_morphisms
     s_src, s_tgt = src.base.source, src.base.target
     obj_map, mor_map = mf.underlying.object_map, mf.underlying.morphism_map
     mult = mf.mult
-    s_obj, s_mor, s_assoc = src.tensor_objects, src.tensor_morphisms, src.associator
-    t_obj, t_mor, t_assoc = tgt.tensor_objects, tgt.tensor_morphisms, tgt.associator
+    s_obj, s_mor = src.tensor_objects, src.tensor_morphisms
+    t_obj, t_mor = tgt.tensor_objects, tgt.tensor_morphisms
     t_src, t_tgt, inv = base.source, base.target, base.inverse_table
     stop = rb.full  # a builder full on entry stops after the first instance
     for x in range(n):
@@ -679,7 +689,8 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
                 continue
             if rb.full:
                 return rb.report()
-    if any(v.law in ("mult-cell", "unit-cell") for v in rb.report().violations):
+    found = rb.report().violations
+    if any(v.law in ("mult-cell", "unit-cell") for v in found):
         return rb.report()
     # naturality of gamma in both arguments
     for p in range(m_src):
@@ -692,9 +703,102 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
                 rb.add("mult-naturality", (p, q), f"paths {lhs} vs {rhs}")
                 if rb.full:
                     return rb.report()
-    # a composite of -1 goes back through compose_path, which raises; a
-    # strict end's associator component is read off its tensor as the
-    # identity of (x⊗y)⊗z
+    if found or not _strict_on_image(mf):
+        _scan_mult_associativity(mf, rb)
+        if rb.full:
+            return rb.report()
+    for x in range(n):
+        fx = mf.on_obj(x)
+        lhs = base.compose_path(
+            mf.on_mor(src.unitor(x, True)),
+            mf.gamma(src.unit, x),
+            tgt.tensor_mor(mf.unit_iso, base.identity[fx]))
+        if lhs != tgt.unitor(fx, True):
+            rb.add("left-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, True)}")
+        lhs = base.compose_path(
+            mf.on_mor(src.unitor(x, False)),
+            mf.gamma(x, src.unit),
+            tgt.tensor_mor(base.identity[fx], mf.unit_iso))
+        if lhs != tgt.unitor(fx, False):
+            rb.add("right-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, False)}")
+        if rb.full:
+            return rb.report()
+    return rb.report()
+
+
+def _strict_on_image(mf: MonFunctor) -> bool:
+    """Whether mf is a strict monoidal functor between strict structures on
+    the objects that the mult-associativity scan reads (CWM §XI.2 strict
+    monoidal functors, §VII.1 strict monoidal categories).
+
+    Called once the underlying functor, the unit cell and the
+    multiplicativity cells have passed.  It holds when both ends are strict;
+    F(x⊗y) = Fx⊗Fy and F(I) = I on objects, with every multiplicativity
+    cell and the unit cell the identity there; id_a⊗id_b = id_(a⊗b) and
+    id∘id = id at a⊗b for a and b in the image of F, which covers the pairs
+    (F(x⊗y), Fz) and (Fx, F(y⊗z)) and the objects (F(x⊗y))⊗Fz that the
+    scan reads; and the target's tensor is associative on objects over the
+    image triples, k² row comparisons for k objects in the image.
+
+    Theorem: then every mult-associativity instance at (x, y, z) composes
+    id_A with itself on both sides, A = (Fx⊗Fy)⊗Fz.  Its left path is
+    F(id_((x⊗y)⊗z))∘gamma_(x⊗y,z)∘(gamma_(x,y)⊗id_Fz): the underlying
+    functor preserves identities and F((x⊗y)⊗z) = A, the cell is id_A, and
+    id_(F(x⊗y))⊗id_Fz = id_A.  Its right path is
+    gamma_(x,y⊗z)∘(id_Fx⊗gamma_(y,z))∘id_A, whose first two factors are
+    the identity of Fx⊗(Fy⊗Fz) = A.  So the scan would report nothing; it
+    would raise nothing either, since each composite is id_A∘id_A = id_A.
+    The checks read no more table entries than that scan does.
+    """
+    src, tgt = mf.source, mf.target
+    if not (src.strict and tgt.strict):
+        return False
+    base = tgt.base
+    n, nt, mt = src.base.num_objects, base.num_objects, base.num_morphisms
+    ident, comp = base.identity, base.comp
+    obj_map, s_obj = mf.underlying.object_map, src.tensor_objects
+    t_obj, t_mor = tgt.tensor_objects, tgt.tensor_morphisms
+    if obj_map[src.unit] != tgt.unit or mf.unit_iso != ident[tgt.unit]:
+        return False
+    if not all(0 <= xy < n for xy in s_obj):
+        return False
+    f_xy = [obj_map[xy] for xy in s_obj]
+    if f_xy != [t_obj[fx * nt + fy] for fx in obj_map for fy in obj_map] \
+            or list(mf.mult) != [ident[a] for a in f_xy]:
+        return False
+    image = sorted(set(obj_map))
+    # a⊗b for a and b in the image, itself in the image: Fx⊗Fy = F(x⊗y)
+    right = {a: [t_obj[a * nt + b] for b in image] for a in image}
+    # id_a⊗id_b = id_(a⊗b) and id∘id = id at a⊗b
+    id_image = [ident[b] for b in image]
+    for a in image:
+        left, ends = ident[a] * mt, [ident[ab] for ab in right[a]]
+        if [t_mor[left + i] for i in id_image] != ends \
+                or any(comp[i][i] != i for i in ends):
+            return False
+    # (a⊗b)⊗c = a⊗(b⊗c) for a, b, c in the image
+    for a in image:
+        an, ab = a * nt, right[a]
+        for j, b in enumerate(image):
+            if right[ab[j]] != [t_obj[an + bc] for bc in right[b]]:
+                return False
+    return True
+
+
+def _scan_mult_associativity(mf: MonFunctor, rb: ReportBuilder) -> None:
+    """The associativity hexagon of (gamma, eta) at every triple, composed
+    in full; it returns once the builder is full.  A composite of -1 goes
+    back through compose_path, which raises; a strict end's associator
+    component is read off its tensor as the identity of (x⊗y)⊗z."""
+    src, tgt = mf.source, mf.target
+    base = tgt.base
+    n = src.base.num_objects
+    comp, ident = base.comp, base.identity
+    nt, mt = base.num_objects, base.num_morphisms
+    obj_map, mor_map = mf.underlying.object_map, mf.underlying.morphism_map
+    mult = mf.mult
+    s_obj, s_assoc = src.tensor_objects, src.associator
+    t_obj, t_mor, t_assoc = tgt.tensor_objects, tgt.tensor_morphisms, tgt.associator
     s_ident = src.base.identity
     for x in range(n):
         fx = obj_map[x]
@@ -723,24 +827,7 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
                 if lhs != rhs:
                     rb.add("mult-associativity", (x, y, z), f"paths {lhs} vs {rhs}")
                     if rb.full:
-                        return rb.report()
-    for x in range(n):
-        fx = mf.on_obj(x)
-        lhs = base.compose_path(
-            mf.on_mor(src.unitor(x, True)),
-            mf.gamma(src.unit, x),
-            tgt.tensor_mor(mf.unit_iso, base.identity[fx]))
-        if lhs != tgt.unitor(fx, True):
-            rb.add("left-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, True)}")
-        lhs = base.compose_path(
-            mf.on_mor(src.unitor(x, False)),
-            mf.gamma(x, src.unit),
-            tgt.tensor_mor(base.identity[fx], mf.unit_iso))
-        if lhs != tgt.unitor(fx, False):
-            rb.add("right-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, False)}")
-        if rb.full:
-            return rb.report()
-    return rb.report()
+                        return
 
 
 def check_mon_nattrans(t: MonNatTrans, cap: int = DEFAULT_VIOLATION_CAP) -> Report:

@@ -7,6 +7,11 @@ per-call hom and inverse scans are the ones FinCategory's tables replaced,
 kept as their reference.  The exhaustive monoidal scans at the end are the
 ones check_monoidal replaced with reduced scans, kept as their reference:
 they compose every instance, in hom-sets with at most one morphism too.
+The exhaustive monoidal-functor check after them composes every
+mult-associativity instance, as check_mon_functor did before it skipped
+that scan on strict monoidal functors between strict structures.
+The monoidal fiber product runs its associator and unitor callbacks over
+strict feet too, as it did before it read a strict apex off its tensor.
 The module-functor and module-transformation checkers at the end are the
 bodies each law had before it was stated once in spans, and the module
 structure search there takes the full product of transport candidates.
@@ -88,6 +93,7 @@ from spanforge.monoidal import (
     MonNatTrans,
     MonoidalStructure,
     _check_monoidal_laws,
+    _component_ok,
     check_braided_functor,
     check_braiding,
     check_mon_functor,
@@ -98,9 +104,11 @@ from spanforge.monoidal import (
     is_symmetric,
     lift_mon_functor,
     strict_mon_functor,
+    tabulate_monoidal,
+    tensor_mor_over_product,
 )
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
-from spanforge.limits import mediate, mediate_2cell
+from spanforge.limits import fiber_product, mediate, mediate_2cell
 from spanforge.laxators import (
     LaxatorCoherenceResult,
     LaxatorResult,
@@ -356,6 +364,116 @@ def exhaustive_check_monoidal(ms: MonoidalStructure,
     return _check_monoidal_laws(ms, cap, exhaustive_tensor_scan,
                                 exhaustive_coherence)
 
+
+
+def exhaustive_check_mon_functor(mf: MonFunctor,
+                                 cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_mon_functor composing every mult-associativity instance, as it
+    did before it skipped the scan on strict monoidal functors between
+    strict structures."""
+    rb = ReportBuilder("mon_functor", cap)
+    src, tgt = mf.source, mf.target
+    if mf.underlying.source != src.base or mf.underlying.target != tgt.base:
+        raise StructureError("underlying functor does not match the monoidal structures")
+    n = src.base.num_objects
+    if len(mf.mult) != n * n:
+        raise StructureError("multiplicativity table has the wrong length")
+    rb.merge("underlying-", check_functor(mf.underlying, cap))
+    base = tgt.base
+
+    bad = _component_ok(base, mf.unit_iso, tgt.unit, mf.on_obj(src.unit))
+    if bad:
+        rb.add("unit-cell", (), bad)
+    elif not base.is_iso(mf.unit_iso):
+        rb.add("unit-cell-iso", (), "unit cell is not invertible")
+
+    comp, ident = base.comp, base.identity
+    nt, mt = base.num_objects, base.num_morphisms
+    m_src = src.base.num_morphisms
+    s_src, s_tgt = src.base.source, src.base.target
+    obj_map, mor_map = mf.underlying.object_map, mf.underlying.morphism_map
+    mult = mf.mult
+    s_obj, s_mor, s_assoc = src.tensor_objects, src.tensor_morphisms, src.associator
+    t_obj, t_mor, t_assoc = tgt.tensor_objects, tgt.tensor_morphisms, tgt.associator
+    t_src, t_tgt, inv = base.source, base.target, base.inverse_table
+    stop = rb.full  # a builder full on entry stops after the first instance
+    for x in range(n):
+        fx = obj_map[x] * nt
+        for y in range(n):
+            g = mult[x * n + y]
+            s, t = t_obj[fx + obj_map[y]], obj_map[s_obj[x * n + y]]
+            if not (0 <= g < mt and t_src[g] == s and t_tgt[g] == t):
+                rb.add("mult-cell", (x, y), _component_ok(base, g, s, t))
+            elif inv[g] is None:
+                rb.add("mult-cell-iso", (x, y), "component is not invertible")
+            elif inv[g] == -1:
+                base.inverse(g)  # the base is malformed and the scan raises
+            elif not stop:
+                continue
+            if rb.full:
+                return rb.report()
+    if any(v.law in ("mult-cell", "unit-cell") for v in rb.report().violations):
+        return rb.report()
+    # naturality of gamma in both arguments
+    for p in range(m_src):
+        x0, x1 = s_src[p] * n, s_tgt[p] * n
+        fp = mor_map[p] * mt
+        for q in range(m_src):
+            lhs = comp[mult[x1 + s_tgt[q]]][t_mor[fp + mor_map[q]]]
+            rhs = comp[mor_map[s_mor[p * m_src + q]]][mult[x0 + s_src[q]]]
+            if lhs != rhs or lhs == -1:
+                rb.add("mult-naturality", (p, q), f"paths {lhs} vs {rhs}")
+                if rb.full:
+                    return rb.report()
+    # a composite of -1 goes back through compose_path, which raises; a
+    # strict end's associator component is read off its tensor as the
+    # identity of (x⊗y)⊗z
+    s_ident = src.base.identity
+    for x in range(n):
+        fx = obj_map[x]
+        for y in range(n):
+            xy = s_obj[x * n + y]
+            fxy = fx * nt + obj_map[y]
+            fx_fy = t_obj[fxy] * nt
+            g_xy = mult[x * n + y] * mt
+            for z in range(n):
+                f3 = mor_map[s_ident[s_obj[xy * n + z]] if s_assoc is None
+                             else s_assoc[(x * n + y) * n + z]]
+                f2 = mult[xy * n + z]
+                f1 = t_mor[g_xy + ident[obj_map[z]]]
+                f32 = comp[f3][f2]
+                lhs = comp[f32][f1] if f32 >= 0 else -1
+                if lhs < 0:
+                    lhs = base.compose_path(f3, f2, f1)
+                g3 = mult[x * n + s_obj[y * n + z]]
+                g2 = t_mor[ident[fx] * mt + mult[y * n + z]]
+                g1 = ident[t_obj[fx_fy + obj_map[z]]] if t_assoc is None \
+                    else t_assoc[fxy * nt + obj_map[z]]
+                g32 = comp[g3][g2]
+                rhs = comp[g32][g1] if g32 >= 0 else -1
+                if rhs < 0:
+                    rhs = base.compose_path(g3, g2, g1)
+                if lhs != rhs:
+                    rb.add("mult-associativity", (x, y, z), f"paths {lhs} vs {rhs}")
+                    if rb.full:
+                        return rb.report()
+    for x in range(n):
+        fx = mf.on_obj(x)
+        lhs = base.compose_path(
+            mf.on_mor(src.unitor(x, True)),
+            mf.gamma(src.unit, x),
+            tgt.tensor_mor(mf.unit_iso, base.identity[fx]))
+        if lhs != tgt.unitor(fx, True):
+            rb.add("left-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, True)}")
+        lhs = base.compose_path(
+            mf.on_mor(src.unitor(x, False)),
+            mf.gamma(x, src.unit),
+            tgt.tensor_mor(base.identity[fx], mf.unit_iso))
+        if lhs != tgt.unitor(fx, False):
+            rb.add("right-unit-coherence", (x,), f"path {lhs} vs {tgt.unitor(fx, False)}")
+        if rb.full:
+            return rb.report()
+    return rb.report()
 
 # ---------------------------------------------------------------------------
 # module functors and transformations
@@ -631,6 +749,79 @@ def mediated_verify_span_construction(cell: SpanCell, endM: EndCategory,
         theta = mediate_2cell(fp, tensored, ident, gamma1, gamma2)
         if theta.components != expected:
             raise StructureError("mediated unitor disagrees with the explicit one")
+
+
+# ---------------------------------------------------------------------------
+# the monoidal fiber product through its coherence callbacks
+# ---------------------------------------------------------------------------
+
+def callback_monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
+                                    budget: Budget = DEFAULT_BUDGET,
+                                    braidings: tuple[Braiding, Braiding] | None = None,
+                                    ) -> MonoidalSquare:
+    """monoidal_fiber_product with the associator and unitor callbacks run
+    over strict feet too, as it did before it read a strict apex off its
+    tensor."""
+    if f.target != g.target:
+        raise StructureError("monoidal fiber product needs a common codomain")
+    fp = fiber_product(f.underlying, g.underlying, budget)
+    z = f.target
+    zb = z.base
+    oi = fp.object_index
+    mi = fp.morphism_index
+    xs, ys = f.source, g.source
+    apex_cat = fp.apex
+    n = apex_cat.num_objects
+
+    def tensor_obj(a0: int, a1: int) -> int:
+        x0, y0, xi0 = fp.objects[a0]
+        x1, y1, xi1 = fp.objects[a1]
+        xi = zb.compose_path(g.gamma(y0, y1), z.tensor_mor(xi0, xi1),
+                             f.gamma_inv(x0, x1))
+        key = (xs.tensor_obj(x0, x1), ys.tensor_obj(y0, y1), xi)
+        if key not in oi:
+            raise StructureError("monoidal fiber tensor left the apex")
+        return oi[key]
+
+    def lift(src: int, tgt: int, p: int, q: int, what: str) -> int:
+        key = (src, tgt, p, q)
+        if key not in mi:
+            raise StructureError(f"{what} is not an apex morphism")
+        return mi[key]
+
+    eta_f_inv = zb.inverse(f.unit_iso)
+    if eta_f_inv is None:
+        raise StructureError("unit cell of the first leg is not invertible")
+    unit_key = (xs.unit, ys.unit, zb.compose(g.unit_iso, eta_f_inv))
+    if unit_key not in oi:
+        raise StructureError("monoidal fiber unit is missing")
+    obj = fp.objects
+    apex_ms = tabulate_monoidal(
+        apex_cat, oi[unit_key], tensor_obj,
+        tensor_mor_over_product(xs, ys, fp.morphisms, mi,
+                                "monoidal fiber tensor of morphisms left the apex"),
+        associator=lambda i, j, k, s, t: lift(
+            s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
+            ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
+        left_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
+                                      ys.unitor(obj[i][1], True), "left unitor pair"),
+        right_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
+                                       ys.unitor(obj[i][1], False), "right unitor pair"),
+        budget=budget)
+    pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
+    pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)
+    braiding = None
+    if braidings is not None:
+        bx, by = braidings
+        if bx.on != xs or by.on != ys:
+            raise StructureError("braidings do not match the cospan feet")
+        beta = tuple(lift(apex_ms.tensor_obj(i, j), apex_ms.tensor_obj(j, i),
+                          bx.at(fp.objects[i][0], fp.objects[j][0]),
+                          by.at(fp.objects[i][1], fp.objects[j][1]),
+                          "braiding pair")
+                     for i in range(n) for j in range(n))
+        braiding = Braiding(apex_ms, beta)
+    return MonoidalSquare(fp, apex_ms, pr1, pr2, braiding)
 
 
 # ---------------------------------------------------------------------------

@@ -463,20 +463,43 @@ S3_ASSOCIATIVITY_FAILURES = [
 
 def test_central_check_z1_checks_the_candidate(capsys):
     # no half-braiding reads the twisted cell, so push, pull, the fiber and
-    # the induced functor are built as for the identity: the parent checked
-    # only those and printed "central-check: ok" with exit 0
+    # the induced functor could be built as for the identity, and a check of
+    # those alone printed "central-check: ok" with exit 0; the candidate
+    # fails its own check, so it is reported alone and nothing is built
     code, out, _ = run(capsys, "central-check", "z1", *map(data, CENTRAL_S3))
     assert code == 1
     assert out.splitlines() == [
         "central-check: violations found",
-        "  fiber_objects = 4",
-        "  induced_exists = True",
+        "  induced_exists = False",
         *(f"  central: candidate-mult-associativity at ({x}, {y}, {z}): "
           f"paths {lhs} vs {rhs}"
           for (x, y, z), lhs, rhs in S3_ASSOCIATIVITY_FAILURES)]
     code, out, _ = run(capsys, "validate", data(CENTRAL_S3[3]))
     assert code == 1 and "mult-associativity at (1, 1, 2)" in out
 
+
+
+def test_central_check_z1_reports_a_candidate_a_lift_reads(capsys, tmp_path):
+    # the grading candidate with its multiplicativity cell at (0, 0) set to
+    # the other automorphism: the lifts into the centralizer read that cell,
+    # and building them from it raised "associator pair is not an apex
+    # morphism" (exit 2); the candidate is now reported alone
+    files = [data(name) for name in CENTRAL_Z1]
+    tree = json.loads(files[3].read_text())
+    tree["payload"]["mult"][0][0] = 1
+    files[3] = tmp_path / "candidate.json"
+    files[3].write_text(json.dumps(tree))
+    code, out, err = run(capsys, "central-check", "z1", *files)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "central-check: violations found",
+        "  induced_exists = False",
+        "  central: candidate-mult-associativity at (0, 0, 1): paths 3 vs 2",
+        "  central: candidate-mult-associativity at (0, 1, 1): paths 0 vs 1",
+        "  central: candidate-mult-associativity at (1, 0, 0): paths 2 vs 3",
+        "  central: candidate-mult-associativity at (1, 1, 0): paths 1 vs 0",
+        "  central: candidate-left-unit-coherence at (0): path 1 vs 0",
+        "  central: candidate-right-unit-coherence at (0): path 1 vs 0"]
 
 def _drop_first_composite(tree, *path):
     for key in path:

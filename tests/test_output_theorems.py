@@ -54,7 +54,9 @@ oracles.retracted_normalization_check keep the dropped checks.  They run on
 every setup of test_central, every central-check fixture and seeded
 candidate mutants, and on every corpus module and seeded action mutants.
 The dropped checks report nothing on a lawful candidate, and on a mutant
-they report only what the candidate checks report too.
+they report only what the candidate checks report too.  Over a braided
+base a candidate that fails its check is reported alone, since the lifts
+need a monoidal candidate: the parent built them anyway and often raised.
 """
 import pathlib
 import random
@@ -70,7 +72,7 @@ from test_gate_differential import gated_families, outcome
 from test_module_laws import MODULES
 
 from spanforge import cli
-from spanforge.central import central_module_check
+from spanforge.central import CentralCheckResult, central_module_check
 from spanforge.docs import (
     Document,
     decode_braiding,
@@ -113,7 +115,7 @@ from spanforge.monoidal import (
     make_skeletal_group_category,
 )
 from spanforge.laxators import laxator, normalization_check
-from spanforge.reporting import DEFAULT_VIOLATION_CAP
+from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report
 from spanforge.spans import (
     build_span,
     build_two_span,
@@ -719,28 +721,33 @@ def test_candidate_mutants_report_the_candidate_and_the_rest_as_before():
     cases = [(True, named["trivial-base"]), (True, named["grading"]),
              (True, named["coupled"]), (True, s3_ident),
              (False, named["discrete-z2"]), (False, named["z3-pairing"])]
-    tally = {"raised": 0, True: 0, False: 0}
+    tally = {"alone": 0, "raised": 0, True: 0, False: 0}
     for new_checks, setup in cases:
         for (_, _, _, inside), m in candidate_mutants(setup, rng, 6):
             new = outcome(lambda: central_module_check(m, cap=BIG))
+            own = [replace(v, law=prefix + v.law) for prefix, c in candidates(m)
+                   for v in check_mon_functor(c, BIG).violations]
+            if new_checks and own:
+                # nothing is built from a failing candidate, so nothing raises
+                assert new == CentralCheckResult(
+                    Report("central_module_check", tuple(own)), None, None)
+                tally["alone"] += 1
+                continue
             old = outcome(lambda: oracles.checked_central_module_check(m, cap=BIG))
             if isinstance(new, tuple) or isinstance(old, tuple):
-                assert new == old
+                # only over a symmetric base, where the lifts are still built
+                # from a failing candidate
+                assert new == old and not new_checks
                 tally["raised"] += 1
                 continue
             kept = [v for v in old.report.violations if not dropped_central_law(v.law)]
-            own = [replace(v, law=prefix + v.law) for prefix, c in candidates(m)
-                   for v in check_mon_functor(c, BIG).violations] \
-                if new_checks else []
-            assert list(new.report.violations) == own + kept
+            assert list(new.report.violations) == kept
             assert not new.report.truncated
             if len(kept) < len(old.report.violations):
                 # a dropped check fails only where a candidate is unlawful
                 assert not all(check_mon_functor(c).ok for _, c in candidates(m))
             tally[inside] += 1
-    # most cells inside the image break a lift, which both routes refuse
-    # with the same error
-    assert tally[True] >= 15 and tally[False] >= 10 and tally["raised"] >= 20, tally
+    assert tally["alone"] >= 30 and tally[True] >= 10 and tally[False] >= 10, tally
 
 
 def test_normalization_agrees_with_the_parent_route_on_action_mutants():

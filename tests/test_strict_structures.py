@@ -16,6 +16,14 @@ associativity on objects, strict associativity on morphisms, unitality on
 objects or on morphisms, and the tensor's preservation of identities.  The
 exhaustive oracle agrees with check_monoidal on the small ones, as it does
 in test_reduced_scans on the span apexes and End categories.
+
+laxators.monoidal_fiber_product gives tabulate_monoidal no coherence
+callbacks over strict feet, and runs them only when the apex tensor is not
+associative and unital on objects.  It must build what
+oracles.callback_monoidal_fiber_product builds, with the callbacks, on
+every fiber product of the laxators on the composable pairs and triples
+(each laxator_coherence t_right among them) and of both central routes on
+every central setup, and raise what it raises over seeded magma feet.
 """
 import ast
 import functools
@@ -31,9 +39,9 @@ from oracles import explicit_tables
 from test_centers import monoidal_cases
 from test_reduced_scans import agree, with_scalars
 from spanforge.centers import drinfeld_center
-from spanforge.fincat import StructureError, discrete_category
+from spanforge.fincat import StructureError, constant_functor, discrete_category
 from spanforge.groups import cyclic
-from spanforge.laxators import laxator
+from spanforge.laxators import laxator, laxator_coherence, monoidal_fiber_product
 from spanforge.monoidal import (
     MonoidalStructure,
     check_braiding,
@@ -44,6 +52,7 @@ from spanforge.monoidal import (
     make_skeletal_group_category,
     strict_mon_functor,
     tabulate_monoidal,
+    terminal_monoidal,
     trivial_cochain,
 )
 from spanforge.reporting import DEFAULT_VIOLATION_CAP
@@ -295,3 +304,110 @@ def test_mixed_coherence_tables_are_refused():
     for table in TABLES:
         with pytest.raises(StructureError, match="all stored or all None"):
             check_monoidal(replace(ms, **{table: None}))
+
+
+# ---------------------------------------------------------------------------
+# the monoidal fiber product over strict feet
+# ---------------------------------------------------------------------------
+
+def recorded_fiber_products(monkeypatch):
+    """The arguments of every monoidal_fiber_product call made by laxator on
+    the composable pairs, by laxator_coherence on the composable triples (its
+    t_right among them) and by both central routes on every central setup,
+    with whether each call's tabulate_monoidal was given callbacks."""
+    import oracles
+    from spanforge import central, laxators
+    from test_central import central_setups, s3_twisted_setup
+
+    calls, tabulated = [], []
+    real_product, real_tabulate = laxators.monoidal_fiber_product, laxators.tabulate_monoidal
+
+    def product(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_product(*args, **kwargs)
+
+    def tabulate(*args, **kwargs):
+        tabulated.append("associator" in kwargs)
+        return real_tabulate(*args, **kwargs)
+
+    for module in (laxators, central, oracles):
+        monkeypatch.setattr(module, "monoidal_fiber_product", product)
+    monkeypatch.setattr(laxators, "tabulate_monoidal", tabulate)
+    for _, fd, gd in corpus.composable_pairs():
+        laxator(fd, gd)
+    for _, fd, gd, hd in corpus.composable_triples():
+        laxator_coherence(fd, gd, hd)
+    for setup in [*central_setups().values(), s3_twisted_setup()]:
+        central.central_module_check(setup)
+        oracles.checked_central_module_check(setup)
+    monkeypatch.undo()
+    assert len(tabulated) == len(calls)
+    return calls, tabulated
+
+
+def product_outcome(build, args, kwargs):
+    try:
+        return build(*args, **kwargs)
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+def test_fiber_products_over_strict_feet_match_the_callback_route(monkeypatch):
+    from oracles import callback_monoidal_fiber_product
+
+    calls, with_callbacks = recorded_fiber_products(monkeypatch)
+    kinds = set()
+    for (args, kwargs), given in zip(calls, with_callbacks):
+        f, g = args[:2]
+        assert f.source.strict and g.source.strict
+        square = monoidal_fiber_product(*args, **kwargs)
+        assert square == callback_monoidal_fiber_product(*args, **kwargs)
+        assert square.apex.strict and not given
+        kinds.add(square.braiding is not None)
+    assert len(calls) > 60 and kinds == {True, False}, (len(calls), kinds)
+
+
+def magma_feet(rng: random.Random):
+    """(what, legs) for monoidal fiber products over the terminal category
+    whose strict feet are seeded magmas, so the apex is not associative on
+    objects, and associative feet with a one-sided unit: x⊗y = x has no
+    left unit and x⊗y = y no right unit."""
+    point = terminal_monoidal()
+
+    def to_point(ms):
+        return strict_mon_functor(ms, point, constant_functor(ms.base, point.base, 0))
+
+    def semigroup(n, rows):
+        base = discrete_category(n)
+        return tabulate_monoidal(base, 0, lambda x, y: rows[x][y],
+                                 lambda f, g, s, t: base.identity[s])
+
+    cases = []
+    for n, unital in product((2, 3, 4), (True, False)):
+        for _ in range(3):
+            x = to_point(magma(n, rng, unital))
+            other = to_point(magma(n, rng, True)) if rng.random() < 0.5 \
+                else identity_mon_functor(point)
+            cases.append(("magma", (x, other) if rng.random() < 0.5 else (other, x)))
+    for n in (2, 3):
+        cases.append(("left zero", (to_point(semigroup(n, [[x] * n for x in range(n)])),
+                                    identity_mon_functor(point))))
+        cases.append(("right zero", (identity_mon_functor(point), to_point(
+            semigroup(n, [list(range(n))] * n)))))
+    return cases
+
+
+def test_fiber_products_over_magma_feet_raise_as_the_callback_route():
+    from oracles import callback_monoidal_fiber_product
+
+    messages = set()
+    for what, (f, g) in magma_feet(random.Random(25)):
+        got = product_outcome(monoidal_fiber_product, (f, g), {})
+        assert got == product_outcome(callback_monoidal_fiber_product, (f, g), {}), what
+        if isinstance(got, tuple):
+            messages.add(got[1])
+        else:
+            assert got.apex.strict, what
+    assert messages == {"associator pair is not an apex morphism",
+                        "left unitor pair is not an apex morphism",
+                        "right unitor pair is not an apex morphism"}, messages
