@@ -2,14 +2,16 @@
 
 Objects here are pairs (carrier, half-braiding): a component family
 x⊗G(y) -> H(y)⊗x that is natural in y and compatible with tensoring via the
-hexagon.  Enumeration goes object by object, pruning by naturality before
-testing hexagons; transparency-style centers are predicate scans instead.
+hexagon.  Enumeration goes object by object, testing each naturality square
+and each hexagon once the components it reads are chosen (EGNO Def. 7.13.1;
+Kassel §XIII.4); transparency-style centers are predicate scans instead.
 Both centers are centralizers of the identity functor: the Drinfeld center
 is Z(C) = Z₁(id_C) and the Müger center is Z₂(C) = Z₂(id_C), so each is
 built by the general construction.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -19,6 +21,7 @@ from .fincat import (
     FinCategory,
     Functor,
     StructureError,
+    _check_tables,
     category_over_product,
     full_subcategory,
 )
@@ -63,6 +66,9 @@ class CenterCategory:
     morphism_index: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
 
 
+Test = Callable[[list[int]], bool]  # a law tested on the components chosen so far
+
+
 # ---------------------------------------------------------------------------
 # enumeration machinery
 # ---------------------------------------------------------------------------
@@ -72,63 +78,63 @@ def enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
     """All component families x⊗G(y) -> H(y)⊗x for the carrier x, natural
     in y and satisfying the hexagon, in lexicographic order.
 
-    What the naturality and hexagon conditions read that does not depend on
-    the family is looked up once per carrier: the two tensored morphisms of
-    each naturality square, and the hexagon's α, γ⁻¹⊗1 and 1⊗γ terms at
-    each pair (y, z), these when the first complete family arrives.  A cell of h
-    without an inverse raises, through h.gamma_inv, only when a complete
-    family reaches its pair, and pairs are still tried in (y, z) order.
+    Components are chosen for y = 0, 1, ... in turn, and each law, looked up
+    once per carrier, is tested when the last component it reads is chosen:
+    the square of u: y0 -> y1 at max(y0, y1), and the hexagon at (y, z),
+    which reads the family at y, z and y⊗z only (EGNO Def. 7.13.1; Kassel
+    §XIII.4), at max(y, z, y⊗z).  A hexagon whose h cell has no inverse, or
+    whose fixed factors do not compose, raises on every family.  Tested on
+    whole families in (y, z) order, the first such, at p*, raises on the
+    first family passing every square and every hexagon before p*, if any;
+    so the hexagons after p* go untested, and the one at p* is tested last.
     """
     base = ms.base
     comp, identity, tensor_mor, alpha = base.comp, base.identity, ms.tensor_mor, ms.alpha
-    src = g.source.base
-    n = src.num_objects
-    ident_x = identity[x]
-    # each square is tested once the later of its two ends is chosen
-    squares: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for u in range(src.num_morphisms):
-        y0, y1 = src.source[u], src.target[u]
-        squares[max(y0, y1)].append((y0, y1, tensor_mor(ident_x, g.on_mor(u)),
-                                     tensor_mor(h.on_mor(u), ident_x)))
-    hexagons = []  # filled when the first complete family arrives
+    src, ident_x, n = g.source, identity[x], g.source.base.num_objects
+    ends = [(ms.tensor_obj(x, g.on_obj(y)), ms.tensor_obj(h.on_obj(y), x))
+            for y in range(n)]
+    candidates = [base.hom(*e) if lax else base.isos(*e) for e in ends]
+    if not all(candidates):
+        return []  # no family, so no law is read
+    tests: list[list[Test]] = [[] for _ in range(n)]  # by last component read
 
-    def hexagons_hold(family: tuple[int, ...]) -> bool:
-        if not hexagons:
-            for y, z in product(range(n), repeat=2):
-                gy, gz, hy = g.on_obj(y), g.on_obj(z), h.on_obj(y)
-                cell_inv = base.inverse(h.gamma(y, z))
-                hexagons.append((
-                    y, z, g.source.tensor_obj(y, z), alpha(hy, h.on_obj(z), x),
-                    None if cell_inv is None else tensor_mor(cell_inv, ident_x),
-                    tensor_mor(ident_x, g.gamma(y, z)), alpha(x, gy, gz),
-                    identity[hy], alpha(hy, x, gz), identity[gz]))
-        for y, z, yz, a_out, cell, gamma_x, a_in, id_hy, a_mid, id_gz in hexagons:
+    def square(y0: int, y1: int, left: int, right: int) -> Test:
+        return lambda c: comp[c[y1]][left] == comp[right][c[y0]] != -1
+
+    def add_hexagon(y: int, z: int) -> bool:
+        yz, gy, gz, hy = src.tensor_obj(y, z), g.on_obj(y), g.on_obj(z), h.on_obj(y)
+        cell_inv = base.inverse(h.gamma(y, z))
+        cell = None if cell_inv is None else tensor_mor(cell_inv, ident_x)
+        a_out, a_in, a_mid = alpha(hy, h.on_obj(z), x), alpha(x, gy, gz), alpha(hy, x, gz)
+        gamma_x = tensor_mor(ident_x, g.gamma(y, z))
+        id_hy, id_gz = identity[hy], identity[gz]
+
+        def holds(c: list[int]) -> bool:
             if cell is None:
                 h.gamma_inv(y, z)  # raises: the cell is not invertible
-            path_a = base.compose_path(a_out, cell, family[yz], gamma_x, a_in)
-            path_b = base.compose_path(tensor_mor(id_hy, family[z]), a_mid,
-                                       tensor_mor(family[y], id_gz))
-            if path_a != path_b:
-                return False
-        return True
+            return base.compose_path(a_out, cell, c[yz], gamma_x, a_in) == \
+                base.compose_path(tensor_mor(id_hy, c[z]), a_mid, tensor_mor(c[y], id_gz))
+        raises = cell is None or comp[a_out][cell] < 0 or comp[gamma_x][a_in] < 0 \
+            or (base.target[gamma_x], base.source[cell]) != ends[yz]
+        tests[n - 1 if raises else max(y, z, yz)].append(holds)
+        return raises
 
-    comps = [-1] * n
-    found: list[tuple[int, ...]] = []
+    for u in range(src.base.num_morphisms):
+        y0, y1 = src.base.source[u], src.base.target[u]
+        tests[max(y0, y1)].append(square(y0, y1, tensor_mor(ident_x, g.on_mor(u)),
+                                         tensor_mor(h.on_mor(u), ident_x)))
+    for y, z in product(range(n), repeat=2):
+        if add_hexagon(y, z):  # p*: the hexagons after it go untested
+            break
+    comps, found = [-1] * n, []
 
     def backtrack(y: int) -> None:
         if y == n:
-            family = tuple(comps)
-            if hexagons_hold(family):
-                found.append(family)
+            found.append(tuple(comps))
             return
-        src_obj = ms.tensor_obj(x, g.on_obj(y))
-        tgt_obj = ms.tensor_obj(h.on_obj(y), x)
-        for c in base.hom(src_obj, tgt_obj) if lax else base.isos(src_obj, tgt_obj):
-            comps[y] = c
-            if all(comp[comps[y1]][left] == comp[right][comps[y0]] != -1
-                   for y0, y1, left, right in squares[y]):
+        for comps[y] in candidates[y]:  # sets the component at y
+            if all(test(comps) for test in tests[y]):
                 backtrack(y + 1)
-            comps[y] = -1
 
     backtrack(0)
     return found
@@ -152,7 +158,14 @@ def _half_braided_category(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
     """Every half-braided object, carrier by carrier (the budget sees the
     running count after each carrier), and the ambient morphisms commuting
     with the half-braidings, built over the ambient base through
-    category_over_product; no monoidal structure or braiding yet."""
+    category_over_product; no monoidal structure or braiding yet.  A table
+    of g or h of the wrong length, or with an id out of range, is refused."""
+    for fun in (g,) if h is g else (g, h):
+        _check_tables(fun.underlying)
+        if len(fun.mult) != fun.source.base.num_objects ** 2:
+            raise StructureError("multiplicativity table has the wrong length")
+        if not all(0 <= c < ms.base.num_morphisms for c in (*fun.mult, fun.unit_iso)):
+            raise StructureError("a multiplicativity or unit cell is a dangling id")
     objects: list[HalfBraidedObject] = []
     for x in range(ms.base.num_objects):
         objects.extend(HalfBraidedObject(x, comps, lax)
@@ -388,32 +401,21 @@ def check_hpt_conditions(setup: HptSetup,
     """The square-of-half-braidings compatibility for xi_g (and xi_h), plus
     the factorization xi_h ∘ phi_m = xi_g when a transformation is given."""
     rb = ReportBuilder("hpt_conditions", cap)
-    g = setup.g
-    ms = g.target
+    ms = setup.g.target
     base = ms.base
     m, n = setup.m_half.carrier, setup.n_half.carrier
-    if base.source[setup.xi_g] != g.on_obj(m) or base.target[setup.xi_g] != n:
-        raise StructureError("xi_g has the wrong endpoints")
-    if base.inverse(setup.xi_g) is None:
-        rb.add("xi-g-iso", (), "comparison is not invertible")
-    for z in range(g.source.base.num_objects):
-        if not _square_condition(ms, g, setup.m_half, setup.n_half,
-                                 setup.xi_g, z):
-            rb.add("half-braiding-square-g", (z,),
-                   "square does not commute at the witness object")
-            if rb.full:
-                return rb.report()
-    if setup.h is not None:
-        if setup.xi_h is None:
+    for name, fun, xi in (("g", setup.g, setup.xi_g), ("h", setup.h, setup.xi_h)):
+        if fun is None:
+            continue
+        if xi is None:
             raise StructureError("second functor given without xi_h")
-        if base.source[setup.xi_h] != setup.h.on_obj(m) or base.target[setup.xi_h] != n:
-            raise StructureError("xi_h has the wrong endpoints")
-        if base.inverse(setup.xi_h) is None:
-            rb.add("xi-h-iso", (), "comparison is not invertible")
-        for z in range(setup.h.source.base.num_objects):
-            if not _square_condition(ms, setup.h, setup.m_half, setup.n_half,
-                                     setup.xi_h, z):
-                rb.add("half-braiding-square-h", (z,),
+        if base.source[xi] != fun.on_obj(m) or base.target[xi] != n:
+            raise StructureError(f"xi_{name} has the wrong endpoints")
+        if base.inverse(xi) is None:
+            rb.add(f"xi-{name}-iso", (), "comparison is not invertible")
+        for z in range(fun.source.base.num_objects):
+            if not _square_condition(ms, fun, setup.m_half, setup.n_half, xi, z):
+                rb.add(f"half-braiding-square-{name}", (z,),
                        "square does not commute at the witness object")
                 if rb.full:
                     return rb.report()

@@ -437,11 +437,14 @@ def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
     """Over a symmetric base, through Müger centers and the braided
     centralizer of g.  Only the candidates are checked braided: the fiber
     braiding is a pair of Müger-center braidings, symmetric by definition
-    (Müger 2003)."""
+    (Müger 2003).  The centralizer functors are lifts of a candidate, so a
+    candidate that fails is reported, with nothing built from it."""
     rb = ReportBuilder("central_braided_check", cap)
     left, right = setup.left, setup.right
     rb.merge("candidate-",
              check_braided_functor(setup.g, left.carrier, right.carrier, cap))
+    if not rb.report().ok:
+        return CentralCheckResult(rb.report(), None, None)
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
     mi = z2g.morphism_index
     g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
@@ -465,8 +468,10 @@ def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
     common = None
     matches = None
     if setup.phi is not None:
-        rb.merge("candidate-h-",
-                 check_braided_functor(setup.h, left.carrier, right.carrier, cap))
+        h_report = check_braided_functor(setup.h, left.carrier, right.carrier, cap)
+        rb.merge("candidate-h-", h_report)
+        if not h_report.ok:
+            return CentralCheckResult(rb.report(), fiber, induced)
         z2h = braided_centralizer(setup.h, left.carrier, right.carrier)
         common = tuple(sorted({o.carrier for o in z2g.objects_data}
                               & {o.carrier for o in z2h.objects_data}))

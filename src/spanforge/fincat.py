@@ -297,8 +297,8 @@ class Functor:
         return self.morphism_map[f]
 
 
-def check_functor(fun: Functor, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    rb = ReportBuilder("functor", cap)
+def _check_tables(fun: Functor) -> None:
+    """Refuse tables of the wrong length and ids outside the target."""
     m, n = fun.source, fun.target
     if len(fun.object_map) != m.num_objects or len(fun.morphism_map) != m.num_morphisms:
         raise StructureError("functor table lengths do not match the source category")
@@ -308,6 +308,12 @@ def check_functor(fun: Functor, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     for f in fun.morphism_map:
         if not 0 <= f < n.num_morphisms:
             raise StructureError(f"functor maps a morphism to dangling id {f}")
+
+
+def check_functor(fun: Functor, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    rb = ReportBuilder("functor", cap)
+    m, n = fun.source, fun.target
+    _check_tables(fun)
     for f in range(m.num_morphisms):
         img = fun.morphism_map[f]
         if n.source[img] != fun.object_map[m.source[f]] \

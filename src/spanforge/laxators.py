@@ -34,6 +34,7 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
+    _first_nonassociative,
     compose_mon_functors,
     identity_mon_nattrans,
     strict_mon_functor,
@@ -141,12 +142,8 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
 
 def _strict_on_objects(rows: list[tuple[int, ...]], unit: int) -> bool:
     """Whether the tensor with x⊗y at rows[x][y] is associative on objects,
-    (i⊗j)⊗k = i⊗(j⊗k) compared row by row, and unital, I⊗i = i = i⊗I."""
-    for row in rows:
-        for j, ij in enumerate(row):
-            if rows[ij] != tuple(row[jk] for jk in rows[j]):
-                return False
-    return rows[unit] == tuple(range(len(rows))) \
+    (i⊗j)⊗k = i⊗(j⊗k), and unital, I⊗i = i = i⊗I."""
+    return _first_nonassociative(rows) is None and rows[unit] == tuple(range(len(rows))) \
         and all(row[unit] == i for i, row in enumerate(rows))
 
 

@@ -102,6 +102,13 @@ class MonoidalStructure:
         return self.base.identity[x] if table is None else table[x]
 
 
+def _first_nonassociative(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with (i⊗j)⊗k ≠ i⊗(j⊗k)
+    for the tensor with x⊗y at rows[x][y], or None."""
+    return next(((i, j, k) for i, i_row in enumerate(rows) for j, ij in enumerate(i_row)
+                 for k, ijk in enumerate(rows[ij]) if ijk != i_row[rows[j][k]]), None)
+
+
 def tabulate_monoidal(base: FinCategory, unit: int,
                       on_objects: Callable[[int, int], int],
                       on_morphisms: Callable[[int, int, int, int], int],

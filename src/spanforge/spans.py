@@ -40,6 +40,7 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
+    _first_nonassociative,
     check_mon_functor,
     identity_mon_nattrans,
     lift_mon_functor,
@@ -604,17 +605,9 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
                     f"explicit tensor breaks interchange at ({f}, {g})")
     # pasting is associative on the nose; its identity associator
     # components are the strict apex's
-    rows = apex_ms.tensor_rows()
-    for i in range(n):
-        i_row = rows[i]
-        for j in range(n):
-            ij_row, j_row = rows[i_row[j]], rows[j]
-            for k in range(n):
-                left = ij_row[k]
-                right = i_row[j_row[k]]
-                if left != right:
-                    raise StructureError(
-                        f"span tensor is not strictly associative at ({i}, {j}, {k})")
+    bad = _first_nonassociative(apex_ms.tensor_rows())
+    if bad is not None:
+        raise StructureError(f"span tensor is not strictly associative at {bad}")
 
 
 def module_structures_on(f: Functor, dom: ModuleData, cod: ModuleData,

@@ -278,6 +278,26 @@ def main() -> None:
     write("s3_z2_unit_psi.json", "nat_trans", encode_nat_trans(
         NatTrans(at_unit, at_unit, s3_case.psi_g)))
 
+    # central-check z2 over the terminal base into skeletal Z/3 with the
+    # pairing braiding, z3_bicharacter_braiding.json, whose Müger center lies
+    # over the unit object: the unit action, its comparison, and the identity
+    # candidate with the scalar 1 at the unit sent to the scalar 2, one of the
+    # seeded candidate mutants of test_output_theorems; the candidate is not a
+    # functor, and building the centralizer functors from it raised
+    from test_central import phi_fiber_setup
+    z3_case, _ = phi_fiber_setup("z3-pairing")
+    write("z3_pairing_unit_action.json", "mon_functor",
+          encode_mon_functor(z3_case.left.action))
+    mor_map = z3_case.g.underlying.morphism_map
+    write("z3_pairing_mutant_mon_functor.json", "mon_functor", encode_mon_functor(
+        replace(z3_case.g, underlying=replace(
+            z3_case.g.underlying, morphism_map=(mor_map[0], 2, *mor_map[2:])))))
+    z3_base = z3_case.g.target.base
+    z3_unit = Functor(z3_case.left.base.on.base, z3_base, (0,),
+                      (z3_base.identity[0],))
+    write("z3_pairing_unit_psi.json", "nat_trans", encode_nat_trans(
+        NatTrans(z3_unit, z3_unit, z3_case.psi_g)))
+
     print(f"wrote {len(list(DATA.glob('*.json')))} fixtures to {DATA}")
 
 

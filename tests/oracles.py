@@ -41,6 +41,10 @@ the theorem that the actions are lawful.  The central check at the end
 law-checks the lifts it builds from the candidate, the fiber braiding and
 the induced functor, and over a braided base not the candidates, as
 central_module_check did before it checked the candidates instead.
+The half-braiding search after the brute-force one prunes by naturality
+alone and tests the hexagons on complete families, as
+enumerate_half_braidings did before it tested each hexagon once the
+components it reads were chosen.
 """
 from __future__ import annotations
 
@@ -269,6 +273,73 @@ def brute_force_half_braidings(ms, x: int) -> list[tuple[int, ...]]:
                     hexagon = False
         if hexagon:
             found.append(tuple(comps))
+    return found
+
+
+def reference_enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
+                                       h: MonFunctor, x: int, lax: bool) -> list[tuple[int, ...]]:
+    """All component families x⊗G(y) -> H(y)⊗x for the carrier x, natural
+    in y and satisfying the hexagon, in lexicographic order.
+
+    What the naturality and hexagon conditions read that does not depend on
+    the family is looked up once per carrier: the two tensored morphisms of
+    each naturality square, and the hexagon's α, γ⁻¹⊗1 and 1⊗γ terms at
+    each pair (y, z), these when the first complete family arrives.  A cell of h
+    without an inverse raises, through h.gamma_inv, only when a complete
+    family reaches its pair, and pairs are still tried in (y, z) order.
+    """
+    base = ms.base
+    comp, identity, tensor_mor, alpha = base.comp, base.identity, ms.tensor_mor, ms.alpha
+    src = g.source.base
+    n = src.num_objects
+    ident_x = identity[x]
+    # each square is tested once the later of its two ends is chosen
+    squares: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for u in range(src.num_morphisms):
+        y0, y1 = src.source[u], src.target[u]
+        squares[max(y0, y1)].append((y0, y1, tensor_mor(ident_x, g.on_mor(u)),
+                                     tensor_mor(h.on_mor(u), ident_x)))
+    hexagons = []  # filled when the first complete family arrives
+
+    def hexagons_hold(family: tuple[int, ...]) -> bool:
+        if not hexagons:
+            for y, z in product(range(n), repeat=2):
+                gy, gz, hy = g.on_obj(y), g.on_obj(z), h.on_obj(y)
+                cell_inv = base.inverse(h.gamma(y, z))
+                hexagons.append((
+                    y, z, g.source.tensor_obj(y, z), alpha(hy, h.on_obj(z), x),
+                    None if cell_inv is None else tensor_mor(cell_inv, ident_x),
+                    tensor_mor(ident_x, g.gamma(y, z)), alpha(x, gy, gz),
+                    identity[hy], alpha(hy, x, gz), identity[gz]))
+        for y, z, yz, a_out, cell, gamma_x, a_in, id_hy, a_mid, id_gz in hexagons:
+            if cell is None:
+                h.gamma_inv(y, z)  # raises: the cell is not invertible
+            path_a = base.compose_path(a_out, cell, family[yz], gamma_x, a_in)
+            path_b = base.compose_path(tensor_mor(id_hy, family[z]), a_mid,
+                                       tensor_mor(family[y], id_gz))
+            if path_a != path_b:
+                return False
+        return True
+
+    comps = [-1] * n
+    found: list[tuple[int, ...]] = []
+
+    def backtrack(y: int) -> None:
+        if y == n:
+            family = tuple(comps)
+            if hexagons_hold(family):
+                found.append(family)
+            return
+        src_obj = ms.tensor_obj(x, g.on_obj(y))
+        tgt_obj = ms.tensor_obj(h.on_obj(y), x)
+        for c in base.hom(src_obj, tgt_obj) if lax else base.isos(src_obj, tgt_obj):
+            comps[y] = c
+            if all(comp[comps[y1]][left] == comp[right][comps[y0]] != -1
+                   for y0, y1, left, right in squares[y]):
+                backtrack(y + 1)
+            comps[y] = -1
+
+    backtrack(0)
     return found
 
 

@@ -144,6 +144,22 @@ def test_center_of_twisted_z2():
     assert check_braiding(center.braiding).ok
 
 
+def carry_cocycle(n, k):
+    """k times the carry cocycle of Z/n, a generator of H³(Z/n, Z/n)."""
+    return tuple(tuple(tuple(k * a * ((b + c) // n) % n for c in range(n))
+                       for b in range(n)) for a in range(n))
+
+
+@pytest.mark.parametrize("n, k, expected", [(6, 0, 36), (6, 1, 6), (7, 1, 7)])
+def test_center_sizes_of_skeletal_cyclic_groups(n, k, expected):
+    # Z/n with Z/n scalars: n² objects for the trivial class, n for the
+    # carry class; each carrier took the search through n^n candidate
+    # families while it tested the hexagons on complete families only
+    zn = cyclic(n)
+    center = drinfeld_center(make_skeletal_group_category(zn, zn, carry_cocycle(n, k)))
+    assert center.as_category.num_objects == expected
+
+
 @pytest.mark.parametrize("name", list(monoidal_cases()))
 def test_center_enumeration_matches_oracle_per_object(name):
     ms = monoidal_cases()[name]

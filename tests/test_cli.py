@@ -30,7 +30,7 @@ from spanforge.fincat import (
     identity_nat_trans,
     terminal_category,
 )
-from spanforge.monoidal import identity_mon_functor
+from spanforge.monoidal import check_braided_functor, identity_mon_functor
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -500,6 +500,31 @@ def test_central_check_z1_reports_a_candidate_a_lift_reads(capsys, tmp_path):
         "  central: candidate-mult-associativity at (1, 1, 0): paths 1 vs 0",
         "  central: candidate-left-unit-coherence at (0): path 1 vs 0",
         "  central: candidate-right-unit-coherence at (0): path 1 vs 0"]
+
+# the z3-pairing setup of test_central over the terminal base, with an
+# identity candidate whose morphism map sends the scalar 1 at the unit to
+# the scalar 2, so that it is not a functor
+CENTRAL_Z2_MUTANT = ["terminal_braiding.json", "z3_bicharacter_braiding.json",
+                     "z3_bicharacter_braiding.json", "z3_pairing_unit_action.json",
+                     "z3_pairing_unit_action.json",
+                     "z3_pairing_mutant_mon_functor.json", "z3_pairing_unit_psi.json"]
+
+
+def test_central_check_z2_reports_a_failing_candidate_alone(capsys):
+    # building the braided centralizer functors from this candidate raised
+    # "fiber product: the composite of morphisms 1 and 1 is not a morphism"
+    # (exit 2); the candidate's check is now reported alone, as over a
+    # braided base
+    files = [data(name) for name in CENTRAL_Z2_MUTANT]
+    code, out, err = run(capsys, "--report", "structured", "central-check",
+                         "z2", *files)
+    assert (code, err) == (1, "")
+    braiding = decode_braiding(parse(files[1].read_text()).payload)
+    candidate = decode_mon_functor(parse(files[5].read_text()).payload)
+    own = check_braided_functor(candidate, braiding, braiding).violations
+    assert own and [v["law"] for v in parse(out).payload["violations"]] \
+        == ["candidate-" + v.law for v in own]
+
 
 def _drop_first_composite(tree, *path):
     for key in path:

@@ -21,7 +21,9 @@ layer keeps the same contract: central_module and central_module_check
 refuse modules of two kinds, short comparisons, comparison or phi
 components that are not morphism ids of the right carrier, phi without the
 second candidate, actions with the wrong ends, a non-symmetric base under
-braided carriers and a non-setup with StructureError.
+braided carriers and a non-setup with StructureError.  The center search
+behind centralizers and intertwiners refuses, before it starts, a functor
+table of the wrong length and an object, morphism or cell id out of range.
 """
 import random
 from dataclasses import replace
@@ -420,3 +422,60 @@ def test_a_dangling_comparison_component_is_refused_by_the_central_check():
         with pytest.raises(StructureError,
                            match=f"component at 0 is dangling id {component}$"):
             central_module_check(setup)
+
+
+def dangling_functor_mutants(seed=26, count=24):
+    """((table, index, value), g, h): the identity g of skeletal Z/3 with the carry cocycle,
+    and h a copy with one object image, morphism image, multiplicativity
+    cell or the unit cell set to 99 or -1, or with one table a entry short."""
+    from test_centers import carry_cocycle
+    from spanforge.groups import cyclic
+    from spanforge.monoidal import identity_mon_functor, make_skeletal_group_category
+
+    z3 = cyclic(3)
+    g = identity_mon_functor(make_skeletal_group_category(z3, z3, carry_cocycle(3, 1)))
+
+    def with_table(name, table):
+        if name == "unit_iso":
+            return replace(g, unit_iso=table[0])
+        if name == "mult":
+            return replace(g, mult=table)
+        return replace(g, underlying=replace(g.underlying, **{name: table}))
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        name = rng.choice(("object_map", "morphism_map", "mult", "unit_iso"))
+        table = (g.unit_iso,) if name == "unit_iso" else (
+            g.mult if name == "mult" else getattr(g.underlying, name))
+        i = rng.randrange(len(table))
+        value = rng.choice((99, -1, None))
+        if value is None:
+            if name == "unit_iso":
+                continue
+            mutant = table[:-1]
+        else:
+            mutant = table[:i] + (value,) + table[i + 1:]
+        out.append(((name, i, value), g, with_table(name, mutant)))
+    # the multiplicativity cell at (0, 0) at both dangling ids
+    out += [(("mult", 0, value), g, with_table("mult", (value,) + g.mult[1:]))
+            for value in (99, -1)]
+    return out
+
+
+def test_a_dangling_functor_id_is_refused_before_the_center_search():
+    # such an id raised IndexError from the search, or at -1 it wrapped
+    # round to the last id: an intertwiner came back with no object, and a
+    # unit cell at -1 went unread
+    from spanforge.centers import monoidal_centralizer, monoidal_intertwiner
+
+    mutants = dangling_functor_mutants()
+    assert {key[0] for key, _, _ in mutants} == {
+        "object_map", "morphism_map", "mult", "unit_iso"}
+    assert {key[2] for key, _, _ in mutants} == {99, -1, None}
+    for _, g, h in mutants:
+        for build in (lambda: monoidal_centralizer(h),
+                      lambda: monoidal_intertwiner(g, h),
+                      lambda: monoidal_intertwiner(h, g)):
+            with pytest.raises(StructureError):
+                build()

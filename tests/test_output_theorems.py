@@ -19,8 +19,8 @@ imported), and requires zero violations on every output built.  Its inputs
 are every fixture under tests/data, every corpus entry, pair and module
 transformation, the skeletal Z/3 and Z/4 cochains of every cohomology class
 (the cli-docs benchmark's `center` documents are the trivial class; its
-Z/5 and Z/6 cochains take 0.1-2.7 s per center, so they are left out),
-and seeded lawful inputs.
+Z/5 and Z/6 cochains are left out, and test_half_braiding_search runs the
+center search on them against its parent), and seeded lawful inputs.
 
 On seeded mutants of fiber-product and comma inputs, lawful functor tables
 over categories with one composition entry changed, the exit code must be
@@ -54,12 +54,14 @@ oracles.retracted_normalization_check keep the dropped checks.  They run on
 every setup of test_central, every central-check fixture and seeded
 candidate mutants, and on every corpus module and seeded action mutants.
 The dropped checks report nothing on a lawful candidate, and on a mutant
-they report only what the candidate checks report too.  Over a braided
-base a candidate that fails its check is reported alone, since the lifts
-need a monoidal candidate: the parent built them anyway and often raised.
+they report only what the candidate checks report too.  A candidate that
+fails its check is reported alone, since the lifts need a lawful candidate:
+the parent built them anyway and often raised, over a braided base and, on
+4 seeded mutants, over a symmetric one.
 """
 import pathlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -107,6 +109,7 @@ from spanforge.fincat import (
 from spanforge.groups import cyclic
 from spanforge.limits import comma, fiber_product
 from spanforge.monoidal import (
+    check_braided_functor,
     check_braiding,
     check_mon_functor,
     check_mon_nattrans,
@@ -712,6 +715,17 @@ def candidate_mutants(setup, rng, count):
     return out
 
 
+def own_violations(m, braided):
+    """What the candidate checks of m report, check_braided_functor over a
+    symmetric base and check_mon_functor over a braided one."""
+    def check(c):
+        if braided:
+            return check_braided_functor(c, m.left.carrier, m.right.carrier, BIG)
+        return check_mon_functor(c, BIG)
+    return [replace(v, law=prefix + v.law) for prefix, c in candidates(m)
+            for v in check(c).violations]
+
+
 def test_candidate_mutants_report_the_candidate_and_the_rest_as_before():
     rng = random.Random(24)
     named = central_setups()
@@ -721,33 +735,44 @@ def test_candidate_mutants_report_the_candidate_and_the_rest_as_before():
     cases = [(True, named["trivial-base"]), (True, named["grading"]),
              (True, named["coupled"]), (True, s3_ident),
              (False, named["discrete-z2"]), (False, named["z3-pairing"])]
-    tally = {"alone": 0, "raised": 0, True: 0, False: 0}
+    tally = Counter()
     for new_checks, setup in cases:
-        for (_, _, _, inside), m in candidate_mutants(setup, rng, 6):
+        for (field_name, _, _, inside), m in candidate_mutants(setup, rng, 6):
             new = outcome(lambda: central_module_check(m, cap=BIG))
-            own = [replace(v, law=prefix + v.law) for prefix, c in candidates(m)
-                   for v in check_mon_functor(c, BIG).violations]
-            if new_checks and own:
-                # nothing is built from a failing candidate, so nothing raises
-                assert new == CentralCheckResult(
-                    Report("central_module_check", tuple(own)), None, None)
-                tally["alone"] += 1
+            # nothing is built from a failing candidate, so nothing raises
+            assert not isinstance(new, tuple), new
+            own = own_violations(m, not new_checks)
+            if own:
+                # only one candidate is mutated, so the other reports nothing
+                subject = "central_module_check" if new_checks else "central_braided_check"
+                report = Report(subject, tuple(own))
+                if new_checks or field_name == "g":
+                    assert new == CentralCheckResult(report, None, None)
+                else:
+                    # over a symmetric base g passed, so its fiber and
+                    # induced functor are built, but nothing from h
+                    assert new.report == report
+                    assert (new.phi_fiber, new.common_carriers,
+                            new.phi_matches_common) == (None, None, None)
+                tally["alone", new_checks, inside] += 1
+                if not new_checks:
+                    # the parent built the lifts from 4 failing
+                    # symmetric-base candidates and raised
+                    tally["raised before"] += isinstance(outcome(
+                        lambda: oracles.checked_central_module_check(m, cap=BIG)), tuple)
                 continue
             old = outcome(lambda: oracles.checked_central_module_check(m, cap=BIG))
-            if isinstance(new, tuple) or isinstance(old, tuple):
-                # only over a symmetric base, where the lifts are still built
-                # from a failing candidate
-                assert new == old and not new_checks
-                tally["raised"] += 1
-                continue
+            assert not isinstance(old, tuple)
             kept = [v for v in old.report.violations if not dropped_central_law(v.law)]
             assert list(new.report.violations) == kept
             assert not new.report.truncated
             if len(kept) < len(old.report.violations):
                 # a dropped check fails only where a candidate is unlawful
                 assert not all(check_mon_functor(c).ok for _, c in candidates(m))
-            tally[inside] += 1
-    assert tally["alone"] >= 30 and tally[True] >= 10 and tally[False] >= 10, tally
+            tally["lawful"] += 1
+    assert tally["alone", True, True] + tally["alone", True, False] >= 30, tally
+    assert tally["alone", False, True] >= 10 and tally["alone", False, False] >= 10, tally
+    assert tally["raised before"] == 4 and tally["lawful"] >= 4, tally
 
 
 def test_normalization_agrees_with_the_parent_route_on_action_mutants():
