@@ -5,6 +5,9 @@ x⊗G(y) -> H(y)⊗x that is natural in y and compatible with tensoring via the
 hexagon.  Enumeration goes object by object, testing each naturality square
 and each hexagon once the components it reads are chosen (EGNO Def. 7.13.1;
 Kassel §XIII.4); transparency-style centers are predicate scans instead.
+Malformed input is refused with StructureError before it is read: a table
+of the wrong length or with a dangling id, and, before the search, a cell
+with the wrong ends or a cell of h without an inverse.
 Both centers are centralizers of the identity functor: the Drinfeld center
 is Z(C) = Z₁(id_C) and the Müger center is Z₂(C) = Z₂(id_C), so each is
 built by the general construction.
@@ -30,6 +33,9 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
+    _check_braiding_length,
+    _check_tables as _check_monoidal_tables,
+    _component_ok,
     identity_mon_functor,
     restrict_braiding,
     restrict_monoidal,
@@ -82,11 +88,9 @@ def enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
     once per carrier, is tested when the last component it reads is chosen:
     the square of u: y0 -> y1 at max(y0, y1), and the hexagon at (y, z),
     which reads the family at y, z and y⊗z only (EGNO Def. 7.13.1; Kassel
-    §XIII.4), at max(y, z, y⊗z).  A hexagon whose h cell has no inverse, or
-    whose fixed factors do not compose, raises on every family.  Tested on
-    whole families in (y, z) order, the first such, at p*, raises on the
-    first family passing every square and every hexagon before p*, if any;
-    so the hexagons after p* go untested, and the one at p* is tested last.
+    §XIII.4), at max(y, z, y⊗z).  It needs the cells of g and h to run
+    Fy⊗Fz -> F(y⊗z) and those of h to have inverses, as _half_braided_category
+    checks first: then every hexagon's fixed factors compose over a lawful ms.
     """
     base = ms.base
     comp, identity, tensor_mor, alpha = base.comp, base.identity, ms.tensor_mor, ms.alpha
@@ -101,31 +105,22 @@ def enumerate_half_braidings(ms: MonoidalStructure, g: MonFunctor,
     def square(y0: int, y1: int, left: int, right: int) -> Test:
         return lambda c: comp[c[y1]][left] == comp[right][c[y0]] != -1
 
-    def add_hexagon(y: int, z: int) -> bool:
-        yz, gy, gz, hy = src.tensor_obj(y, z), g.on_obj(y), g.on_obj(z), h.on_obj(y)
-        cell_inv = base.inverse(h.gamma(y, z))
-        cell = None if cell_inv is None else tensor_mor(cell_inv, ident_x)
+    def hexagon(y: int, z: int, yz: int) -> Test:
+        gy, gz, hy = g.on_obj(y), g.on_obj(z), h.on_obj(y)
+        cell = tensor_mor(h.gamma_inv(y, z), ident_x)
         a_out, a_in, a_mid = alpha(hy, h.on_obj(z), x), alpha(x, gy, gz), alpha(hy, x, gz)
         gamma_x = tensor_mor(ident_x, g.gamma(y, z))
         id_hy, id_gz = identity[hy], identity[gz]
-
-        def holds(c: list[int]) -> bool:
-            if cell is None:
-                h.gamma_inv(y, z)  # raises: the cell is not invertible
-            return base.compose_path(a_out, cell, c[yz], gamma_x, a_in) == \
-                base.compose_path(tensor_mor(id_hy, c[z]), a_mid, tensor_mor(c[y], id_gz))
-        raises = cell is None or comp[a_out][cell] < 0 or comp[gamma_x][a_in] < 0 \
-            or (base.target[gamma_x], base.source[cell]) != ends[yz]
-        tests[n - 1 if raises else max(y, z, yz)].append(holds)
-        return raises
+        return lambda c: base.compose_path(a_out, cell, c[yz], gamma_x, a_in) == \
+            base.compose_path(tensor_mor(id_hy, c[z]), a_mid, tensor_mor(c[y], id_gz))
 
     for u in range(src.base.num_morphisms):
         y0, y1 = src.base.source[u], src.base.target[u]
         tests[max(y0, y1)].append(square(y0, y1, tensor_mor(ident_x, g.on_mor(u)),
                                          tensor_mor(h.on_mor(u), ident_x)))
     for y, z in product(range(n), repeat=2):
-        if add_hexagon(y, z):  # p*: the hexagons after it go untested
-            break
+        yz = src.tensor_obj(y, z)
+        tests[max(y, z, yz)].append(hexagon(y, z, yz))
     comps, found = [-1] * n, []
 
     def backtrack(y: int) -> None:
@@ -153,19 +148,34 @@ def _is_center_morphism(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
     return True
 
 
+def _refuse_ill_typed(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor) -> None:
+    _check_monoidal_tables(ms)
+    for fun in (g,) if h is g else (g, h):
+        _check_tables(fun.underlying)
+        src, n = fun.source, fun.source.base.num_objects
+        if len(fun.mult) != n * n:
+            raise StructureError("multiplicativity table has the wrong length")
+        for x, y in product(range(n), repeat=2):
+            bad = _component_ok(ms.base, fun.gamma(x, y), ms.tensor_obj(
+                fun.on_obj(x), fun.on_obj(y)), fun.on_obj(src.tensor_obj(x, y)))
+            if bad:
+                raise StructureError(f"multiplicativity cell at ({x}, {y}): {bad}")
+            if fun is h:
+                h.gamma_inv(x, y)  # raises when the cell has no inverse
+        bad = _component_ok(ms.base, fun.unit_iso, ms.unit, fun.on_obj(src.unit))
+        if bad:
+            raise StructureError(f"unit cell: {bad}")
+
+
 def _half_braided_category(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
                            lax: bool, budget: Budget, what: str) -> CenterCategory:
     """Every half-braided object, carrier by carrier (the budget sees the
     running count after each carrier), and the ambient morphisms commuting
     with the half-braidings, built over the ambient base through
-    category_over_product; no monoidal structure or braiding yet.  A table
-    of g or h of the wrong length, or with an id out of range, is refused."""
-    for fun in (g,) if h is g else (g, h):
-        _check_tables(fun.underlying)
-        if len(fun.mult) != fun.source.base.num_objects ** 2:
-            raise StructureError("multiplicativity table has the wrong length")
-        if not all(0 <= c < ms.base.num_morphisms for c in (*fun.mult, fun.unit_iso)):
-            raise StructureError("a multiplicativity or unit cell is a dangling id")
+    category_over_product; no monoidal structure or braiding yet.  Before
+    the search, _refuse_ill_typed refuses malformed tables of ms, g and h,
+    cells of g or h with the wrong ends and cells of h without an inverse."""
+    _refuse_ill_typed(ms, g, h)
     objects: list[HalfBraidedObject] = []
     for x in range(ms.base.num_objects):
         objects.extend(HalfBraidedObject(x, comps, lax)
@@ -273,6 +283,7 @@ def drinfeld_center(ms: MonoidalStructure,
     so its naturality and hexagon conditions are, term by term, the plain
     ones x⊗y -> y⊗x; the CLI law-checks ms before it gets here.
     """
+    _check_monoidal_tables(ms)  # before the identity functor reads them
     center = _centralizer(identity_mon_functor(ms), budget, "drinfeld center")
     objects, monoidal, mor_index = (center.objects_data, center.monoidal,
                                     center.morphism_index)
@@ -311,6 +322,10 @@ def braided_centralizer(g: MonFunctor, b_source: Braiding,
         raise StructureError("braidings do not match the functor")
     ms = g.target
     base = ms.base
+    _check_tables(g.underlying)
+    _check_braiding_length(b_target)
+    if not all(0 <= c < base.num_morphisms for c in b_target.beta):
+        raise StructureError("a braiding component is a dangling id")
     n_src = g.source.base.num_objects
     transparent = tuple(
         x for x in range(base.num_objects)
@@ -383,9 +398,8 @@ def _square_condition(ms: MonoidalStructure, g: MonFunctor,
     """g applied to the m-half-braiding at z matches the n-half-braiding at
     g(z) under the comparison xi."""
     base = ms.base
-    m, n = m_half.carrier, n_half.carrier
+    m = m_half.carrier
     gz = g.on_obj(z)
-    gm = g.on_obj(m)
     gamma_zm_inv = g.gamma_inv(z, m)
     lhs = base.compose_path(
         ms.tensor_mor(base.identity[gz], xi),
@@ -409,7 +423,7 @@ def check_hpt_conditions(setup: HptSetup,
             continue
         if xi is None:
             raise StructureError("second functor given without xi_h")
-        if base.source[xi] != fun.on_obj(m) or base.target[xi] != n:
+        if _component_ok(base, xi, fun.on_obj(m), n):  # a dangling id too
             raise StructureError(f"xi_{name} has the wrong endpoints")
         if base.inverse(xi) is None:
             rb.add(f"xi-{name}-iso", (), "comparison is not invertible")

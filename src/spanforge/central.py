@@ -266,6 +266,21 @@ def _induced_into_fiber(rb: ReportBuilder, base_struct: MonoidalStructure,
         return None
 
 
+def _lifts_fiber(setup: CentralFunctorSetup, zg: CenterCategory, budget: Budget
+                 ) -> tuple[MonoidalSquare, list[int | None]]:
+    """The fiber product of push and pull of g into its centralizer zg, and
+    each psi_g component as a morphism id of zg, None where it is not one."""
+    left, right = setup.left, setup.right
+    g_push = _push_center(setup.g, left.center, zg)
+    g_pull = _pull_center(setup.g, right.center, zg)
+    fiber = monoidal_fiber_product(g_push, g_pull, budget,
+                                   braidings=(left.center.braiding,
+                                              right.center.braiding))
+    return fiber, [zg.morphism_index.get((g_push.on_obj(left.action.on_obj(x)),
+                                          g_pull.on_obj(right.action.on_obj(x)), psi))
+                   for x, psi in enumerate(setup.psi_g)]
+
+
 def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
                             cap: int) -> CentralCheckResult:
     """Over a braided base, through Drinfeld centers and the monoidal
@@ -281,26 +296,15 @@ def _central_monoidal_check(setup: CentralFunctorSetup, budget: Budget,
         rb.merge("candidate-h-", check_mon_functor(setup.h, cap))
     if not rb.report().ok:
         return CentralCheckResult(rb.report(), None, None)
-    z1g = monoidal_centralizer(setup.g, budget)
-    mi = z1g.morphism_index
-    g_push = _push_center(setup.g, left.center, z1g)
-    g_pull = _pull_center(setup.g, right.center, z1g)
-    fiber = monoidal_fiber_product(g_push, g_pull, budget,
-                                   braidings=(left.center.braiding,
-                                              right.center.braiding))
-
-    acting = left.base.on.base
-    psi_ids = []
-    for x in range(acting.num_objects):
+    fiber, psi_ids = _lifts_fiber(setup, monoidal_centralizer(setup.g, budget),
+                                  budget)
+    for x in range(left.base.on.base.num_objects):
         m_half = left.center.objects_data[left.action.on_obj(x)]
         n_half = right.center.objects_data[right.action.on_obj(x)]
         rb.merge("compatibility-", check_hpt_conditions(HptSetup(
             setup.g, m_half, n_half, setup.psi_g[x],
             setup.h, None if setup.psi_h is None else setup.psi_h[x],
             setup.phi), cap), (x,))
-        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
-                               g_pull.on_obj(right.action.on_obj(x)),
-                               setup.psi_g[x])))
     induced = _induced_into_fiber(rb, left.base.on, left.action, right.action,
                                   fiber, psi_ids)
 
@@ -413,32 +417,15 @@ def _phi_braiding_scan(rb: ReportBuilder, setup, carrier: MonoidalStructure,
 # the check over a symmetric base (transparent centers)
 # ---------------------------------------------------------------------------
 
-def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
-                    z2g: CenterCategory, apply_g: bool) -> MonFunctor:
-    """mueger -> braided centralizer, either applying g or including."""
-    carriers = {o.carrier: i for i, o in enumerate(z2g.objects_data)}
-    obj_map = []
-    for o in src_center.objects_data:
-        carrier = g.on_obj(o.carrier) if apply_g else o.carrier
-        if carrier not in carriers:
-            raise StructureError(
-                f"object {o.carrier} does not land in the centralizer")
-        obj_map.append(carriers[carrier])
-    if apply_g:
-        leg = _forgetful_then(g, src_center)
-    else:
-        leg = strict_mon_functor(src_center.monoidal, g.target, src_center.forgetful)
-    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g.morphism_index,
-                            obj_map, (leg,), "braided centralizer functor")
-
-
 def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
                            cap: int) -> CentralCheckResult:
     """Over a symmetric base, through Müger centers and the braided
     centralizer of g.  Only the candidates are checked braided: the fiber
     braiding is a pair of Müger-center braidings, symmetric by definition
-    (Müger 2003).  The centralizer functors are lifts of a candidate, so a
-    candidate that fails is reported, with nothing built from it."""
+    (Müger 2003).  The centralizer functors are push and pull: a braided g
+    maps a transparent object to one transparent against its image, with
+    the target's braiding as conjugated components.  They lift a candidate,
+    so a candidate that fails is reported, with nothing built from it."""
     rb = ReportBuilder("central_braided_check", cap)
     left, right = setup.left, setup.right
     rb.merge("candidate-",
@@ -446,19 +433,9 @@ def _central_braided_check(setup: CentralFunctorSetup, budget: Budget,
     if not rb.report().ok:
         return CentralCheckResult(rb.report(), None, None)
     z2g = braided_centralizer(setup.g, left.carrier, right.carrier)
-    mi = z2g.morphism_index
-    g_push = _subcat_functor(setup.g, left.center, z2g, apply_g=True)
-    g_pull = _subcat_functor(setup.g, right.center, z2g, apply_g=False)
-    fiber = monoidal_fiber_product(g_push, g_pull, budget,
-                                   braidings=(left.center.braiding,
-                                              right.center.braiding))
-
-    psi_ids = []
-    for x in range(left.base.on.base.num_objects):
-        psi_ids.append(mi.get((g_push.on_obj(left.action.on_obj(x)),
-                               g_pull.on_obj(right.action.on_obj(x)),
-                               setup.psi_g[x])))
-        if psi_ids[-1] is None:
+    fiber, psi_ids = _lifts_fiber(setup, z2g, budget)
+    for x, psi in enumerate(psi_ids):
+        if psi is None:
             rb.add("comparison", (x,),
                    "psi component is not a centralizer morphism")
     induced = _induced_into_fiber(rb, left.base.on, left.action, right.action,

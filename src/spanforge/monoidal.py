@@ -562,14 +562,18 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
     return rb.report()
 
 
+def _check_braiding_length(b: Braiding) -> None:
+    if len(b.beta) != b.on.base.num_objects ** 2:
+        raise StructureError("braiding table has the wrong length")
+
+
 def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     """Invertibility, naturality, and both hexagon identities."""
     rb = ReportBuilder("braiding", cap)
     ms = b.on
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
-    if len(b.beta) != n * n:
-        raise StructureError("braiding table has the wrong length")
+    _check_braiding_length(b)
 
     src, tgt, inv = base.source, base.target, base.inverse_table
     t_obj, beta = ms.tensor_objects, b.beta
@@ -636,6 +640,7 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
 
 def is_symmetric(b: Braiding) -> bool:
     """True iff every double braiding beta_{y,x}∘beta_{x,y} is an identity."""
+    _check_braiding_length(b)
     ms = b.on
     base = ms.base
     n = base.num_objects
@@ -868,6 +873,8 @@ def check_braided_functor(mf: MonFunctor, b_src: Braiding, b_tgt: Braiding,
     """check_mon_functor plus compatibility with the braidings."""
     if b_src.on != mf.source or b_tgt.on != mf.target:
         raise StructureError("braidings do not match the functor's structures")
+    _check_braiding_length(b_src)
+    _check_braiding_length(b_tgt)
     rb = ReportBuilder("braided_functor", cap)
     rb.merge("", check_mon_functor(mf, cap))
     base = mf.target.base
@@ -1055,13 +1062,13 @@ def restrict_monoidal(ms: MonoidalStructure,
     """The monoidal structure induced on a tensor-closed full subcategory."""
     if ms.unit not in objects:
         raise StructureError("subcategory does not contain the unit")
+    sub, inclusion = full_subcategory(ms.base, objects)  # refuses dangling ids
     obj_index = {x: i for i, x in enumerate(objects)}
     for x in objects:
         for y in objects:
             if ms.tensor_obj(x, y) not in obj_index:
                 raise StructureError(
                     f"subcategory is not closed under tensor at ({x}, {y})")
-    sub, inclusion = full_subcategory(ms.base, objects)
     mor_index = {inclusion.morphism_map[i]: i for i in range(sub.num_morphisms)}
 
     def tensor_mor(f1: int, f2: int, s: int, t: int) -> int:

@@ -40,7 +40,9 @@ are the ones the CLI ran on every intertwiner it built, before it relied on
 the theorem that the actions are lawful.  The central check at the end
 law-checks the lifts it builds from the candidate, the fiber braiding and
 the induced functor, and over a braided base not the candidates, as
-central_module_check did before it checked the candidates instead.
+central_module_check did before it checked the candidates instead.  Over
+a symmetric base it builds the centralizer functors with its own
+subcategory functor, as the library did before it reused push and pull.
 The half-braiding search after the brute-force one prunes by naturality
 alone and tests the hexagons on complete families, as
 enumerate_half_braidings did before it tested each hexagon once the
@@ -83,12 +85,12 @@ from spanforge.central import (
     CentralCheckResult,
     CentralFunctorSetup,
     _check_shape,
+    _forgetful_then,
     _induced_into_fiber,
     _phi_quadruples_z1,
     _phi_quadruples_z2,
     _pull_center,
     _push_center,
-    _subcat_functor,
 )
 from spanforge.groups import GroupTable
 from spanforge.monoidal import (
@@ -1451,6 +1453,25 @@ def _checked_monoidal_body(setup: CentralFunctorSetup, budget: Budget,
     if setup.phi is not None:
         phi_fiber = _phi_quadruples_z1(rb, setup, budget)
     return CentralCheckResult(rb.report(), fiber, induced, phi_fiber)
+
+
+def _subcat_functor(g: MonFunctor, src_center: CenterCategory,
+                    z2g: CenterCategory, apply_g: bool) -> MonFunctor:
+    """mueger -> braided centralizer, either applying g or including."""
+    carriers = {o.carrier: i for i, o in enumerate(z2g.objects_data)}
+    obj_map = []
+    for o in src_center.objects_data:
+        carrier = g.on_obj(o.carrier) if apply_g else o.carrier
+        if carrier not in carriers:
+            raise StructureError(
+                f"object {o.carrier} does not land in the centralizer")
+        obj_map.append(carriers[carrier])
+    if apply_g:
+        leg = _forgetful_then(g, src_center)
+    else:
+        leg = strict_mon_functor(src_center.monoidal, g.target, src_center.forgetful)
+    return lift_mon_functor(src_center.monoidal, z2g.monoidal, z2g.morphism_index,
+                            obj_map, (leg,), "braided centralizer functor")
 
 
 def _checked_braided_body(setup: CentralFunctorSetup, budget: Budget,

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import _subcat_functor
 from spanforge.central import (
     CentralFunctorSetup,
     _induced_into_fiber,
     _phi_quadruples_z2,
+    _pull_center,
+    _push_center,
     central_module,
     central_module_check,
 )
-from spanforge.centers import drinfeld_center, mueger_center
+from spanforge.centers import braided_centralizer, drinfeld_center, mueger_center
 from spanforge.fincat import (
     Budget,
     BudgetError,
@@ -391,3 +394,18 @@ def test_short_comparisons_are_refused(name, short, message):
         cut = getattr(setup, short)[:-1]
     with pytest.raises(StructureError, match=message):
         central_module_check(replace(setup, **{short: cut}))
+
+
+def test_the_z2_route_lifts_g_as_the_z1_route_does():
+    # over a symmetric base push and pull, built for the Drinfeld-side
+    # centralizer, are the subcategory functors the Z₂ route once built:
+    # g of a transparent object is transparent against the image of a
+    # braided g, whose conjugated components are the target's braiding
+    z2 = [s for s in central_setups().values() if isinstance(s.left.carrier, Braiding)]
+    assert len(z2) == 5
+    for setup in z2:
+        z2g = braided_centralizer(setup.g, setup.left.carrier, setup.right.carrier)
+        assert _push_center(setup.g, setup.left.center, z2g) == \
+            _subcat_functor(setup.g, setup.left.center, z2g, apply_g=True)
+        assert _pull_center(setup.g, setup.right.center, z2g) == \
+            _subcat_functor(setup.g, setup.right.center, z2g, apply_g=False)

@@ -6,18 +6,17 @@ the last component it reads is chosen; the hexagon at (y, z) reads the
 components at y, z and y⊗z only (EGNO Def. 7.13.1; Kassel §XIII.4).
 oracles.reference_enumerate_half_braidings is the parent search, verbatim:
 naturality at each depth, every hexagon on each complete family, in (y, z)
-order.  Both must return == lists, or raise the same exception class with
-the same message, on every carrier of the centers, centralizers and
-intertwiners the tests build, of skeletal Z/n with Z/n scalars and k times
-the carry cocycle (n = 2..5, every k; Z/6 with k = 0 and 1 at two carriers,
-since the parent takes 0.2-0.4 s per Z/6 carrier), and of seeded mutants
-of g and h whose cells and morphism images are set to other morphism ids.
-The mutants reach both of the parent's outcomes without a family: a raise,
-from a cell without an inverse or a hexagon whose factors do not compose,
-and [].
+order.  Both must return == lists on every carrier of the centers,
+centralizers and intertwiners the tests build, of skeletal Z/n with Z/n
+scalars and k times the carry cocycle (n = 2..5, every k; Z/6 with k = 0
+and 1 at two carriers, since the parent takes 0.2-0.4 s per Z/6 carrier),
+and of the seeded mutants of g and h, whose cells and morphism images are
+set to other morphism ids, that pass centers._refuse_ill_typed.  A mutant
+it refuses, a cell with the wrong ends or a cell of h without an inverse,
+is refused by the centralizer and the intertwiner before any search.
 """
 import random
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 
@@ -31,7 +30,12 @@ from test_centers import (
 )
 from test_output_theorems import mutate
 
-from spanforge.centers import enumerate_half_braidings
+from spanforge.centers import (
+    _refuse_ill_typed,
+    enumerate_half_braidings,
+    monoidal_centralizer,
+    monoidal_intertwiner,
+)
 from spanforge.fincat import FinCategory, Functor, StructureError, chain_category
 from spanforge.groups import cyclic, symmetric_3
 from spanforge.monoidal import (
@@ -102,6 +106,7 @@ def test_the_searches_agree_on_everything_the_tests_build():
     assert any(g.mult != identity_mon_functor(g.source).mult for g, _ in pairs
                if g.source == g.target)
     for g, h in pairs:
+        _refuse_ill_typed(g.target, g, h)  # every pair passes the check
         for lax in (False, True):
             assert_agrees(g, h, lax)
 
@@ -178,63 +183,39 @@ def test_the_searches_agree_on_seeded_cell_mutants():
                 s3, idempotent_monoid_monoidal(),
                 thin_monoidal(chain_category(3), max),
                 thin_monoidal(codiscrete_groupoid(3), lambda x, y: (x + y) % 3)]
-    seen = set()
+    agreed, with_families, refused, parents = 0, 0, 0, Counter()
     for ms in ambients:
         # a thin category has one candidate family at most, so many mutants
         # are cheap there
         thin = all(len(ms.base.hom(s, t)) < 2 for s in range(ms.base.num_objects)
                    for t in range(ms.base.num_objects))
         for g, h in cell_mutants(ms, rng, 120 if thin else 60):
-            for lax in (False, True):
-                for got in assert_agrees(g, h, lax):
-                    if isinstance(got, tuple):
-                        seen.add("no inverse" if "not invertible" in got[1]
-                                 else "no composite")
-                    else:
-                        seen.add("families" if got else "none")
-    assert seen == {"no inverse", "no composite", "families", "none"}
-
-
-def test_the_raise_waits_for_a_family_passing_the_squares():
-    # the one-object monoid {1, e} with e∘e = e: with e, which has no
-    # inverse, as h's cell, the search raises on the family (1); with
-    # h(e) = 1 too, the square at e fails on (1), the only invertible
-    # family, so the search returns [], while the lax family (e) passes it
-    ms = idempotent_monoid_monoidal()
-    ident = identity_mon_functor(ms)
-    h = replace(ident, mult=(1,))
-    raised = (StructureError, "multiplicativity cell at (0, 0) is not invertible")
-    assert assert_agrees(ident, h, False) == assert_agrees(ident, h, True) == [raised]
-    h = mutate(h, "mor", 1, 0)
-    assert assert_agrees(ident, h, False) == [[]]
-    assert assert_agrees(ident, h, True) == [raised]
-
-
-def test_a_hexagon_that_cannot_compose_raises_only_on_a_whole_family():
-    # on the codiscrete groupoid with the tensor x+y mod 3, g's cell at
-    # (0, 0) sent to the isomorphism 0 -> 1 has the right source and a wrong
-    # target, so no hexagon at (0, 0) composes; it is tested on whole
-    # families only, and when g also sends id_2 to 2 -> 1 the squares at 2
-    # fail on every family, so the search returns [] without raising
-    ms = thin_monoidal(codiscrete_groupoid(3), lambda x, y: (x + y) % 3)
-    ident = identity_mon_functor(ms)
-    g = mutate(ident, "mult", 0, 1)
-    assert all(isinstance(got, tuple) and got[0] is StructureError
-               for got in assert_agrees(g, ident, False))
-    assert assert_agrees(mutate(g, "mor", 8, 7), ident, False) == [[], [], []]
-
-
-def test_no_hexagon_after_the_first_that_cannot_compose_is_tested():
-    # skeletal Z/3: h's cell at (0, 0) sent to a scalar of the object 1, so
-    # no hexagon at (0, 0) composes, and its cell at (0, 1) to another
-    # scalar of 1, so the hexagon at (0, 1) fails on every family; tested
-    # in (y, z) order, whole families raise at (0, 0) before (0, 1) can
-    # reject them, so the search raises rather than returning []
-    ms = skeletal_zn(3, 0)
-    ident = identity_mon_functor(ms)
-    h = mutate(mutate(ident, "mult", 0, 3), "mult", 1, 4)
-    assert all(isinstance(got, tuple) and got[0] is StructureError
-               for got in assert_agrees(ident, h, False))
+            mutant = h if g == identity_mon_functor(ms) else g
+            try:
+                _refuse_ill_typed(ms, g, h)
+            except StructureError:
+                # refused up front: the parent raised on some carrier once a
+                # family reached the cell, returned [] on every carrier, or,
+                # where tensoring with the carrier hid the wrong ends,
+                # returned families
+                refused += 1
+                parent = [outcome(lambda: oracles.reference_enumerate_half_braidings(
+                    ms, g, h, x, lax)) for x in range(ms.base.num_objects)
+                    for lax in (False, True)]
+                raised = [got for got in parent if isinstance(got, tuple)]
+                assert all(cls is StructureError for cls, _ in raised)
+                parents["raised" if raised else "families" if any(parent) else "[]"] += 1
+                for build in (lambda: monoidal_centralizer(mutant),
+                              lambda: monoidal_intertwiner(g, h)):
+                    with pytest.raises(StructureError):
+                        build()
+                continue
+            agreed += 1
+            found = [got for lax in (False, True) for got in assert_agrees(g, h, lax)]
+            assert all(isinstance(got, list) for got in found)
+            with_families += any(found)
+    assert (agreed, with_families, refused) == (242, 85, 358)
+    assert parents == {"raised": 180, "[]": 155, "families": 23}
 
 
 def test_the_search_tests_each_hexagon_once_its_components_are_chosen(monkeypatch):

@@ -24,9 +24,16 @@ second candidate, actions with the wrong ends, a non-symmetric base under
 braided carriers and a non-setup with StructureError.  The center search
 behind centralizers and intertwiners refuses, before it starts, a functor
 table of the wrong length and an object, morphism or cell id out of range.
+So do the rest of the center layer on the tables they read: the Drinfeld
+center on a dangling tensor or unit id, the braided centralizer,
+intertwiner and Müger center on a dangling object image or a short or
+dangling braiding table, is_symmetric and check_braided_functor on a short
+braiding table, check_hpt_conditions on a dangling comparison and
+restrict_monoidal on a dangling object id.
 """
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -479,3 +486,87 @@ def test_a_dangling_functor_id_is_refused_before_the_center_search():
                       lambda: monoidal_intertwiner(h, g)):
             with pytest.raises(StructureError):
                 build()
+
+
+def center_layer_probes(seed=27, count=80):
+    """(kind, value, call) over skeletal Z/3 with Z/3 scalars and its
+    identity braiding: a tensor-table entry or the unit of the ambient of
+    drinfeld_center set to 99 or -1; a braiding table one entry short, or
+    with an entry set to 99 or -1, under the Müger side and, short only,
+    under is_symmetric and check_braided_functor; an object image of g set
+    to 99 or -1 under the braided centralizer and intertwiner; a comparison
+    xi of check_hpt_conditions set to 99 or -1; and a subcategory of
+    restrict_monoidal naming the object 99 or -1."""
+    from test_central import identity_braiding
+    from spanforge.centers import (
+        HptSetup,
+        braided_centralizer,
+        braided_intertwiner,
+        check_hpt_conditions,
+        drinfeld_center,
+        mueger_center,
+    )
+    from spanforge.groups import cyclic
+    from spanforge.monoidal import (
+        check_braided_functor,
+        identity_mon_functor,
+        is_symmetric,
+        make_skeletal_group_category,
+        restrict_monoidal,
+        trivial_cochain,
+    )
+
+    z3 = cyclic(3)
+    ms = make_skeletal_group_category(z3, z3, trivial_cochain(z3))
+    b, g = identity_braiding(ms), identity_mon_functor(ms)
+    half = drinfeld_center(ms).objects_data[0]
+
+    def set_entry(table, value):
+        i = rng.randrange(len(table))
+        return table[:i] + (value,) + table[i + 1:]
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kind = rng.choice(("tensor", "unit", "beta", "short-beta", "object", "xi",
+                           "subcategory"))
+        value = rng.choice((99, -1))
+        if kind == "tensor":
+            name = rng.choice(("tensor_objects", "tensor_morphisms"))
+            calls = [partial(drinfeld_center, replace(
+                ms, **{name: set_entry(getattr(ms, name), value)}))]
+        elif kind == "unit":
+            calls = [partial(drinfeld_center, replace(ms, unit=value))]
+        elif kind in ("beta", "short-beta"):
+            bad = replace(b, beta=b.beta[:-1] if kind == "short-beta"
+                          else set_entry(b.beta, value))
+            calls = [partial(mueger_center, bad),
+                     partial(braided_centralizer, g, bad, bad),
+                     partial(braided_intertwiner, g, g, b, bad)]
+            if kind == "short-beta":
+                calls += [partial(is_symmetric, bad),
+                          partial(check_braided_functor, g, bad, b),
+                          partial(check_braided_functor, g, b, bad)]
+        elif kind == "object":
+            bad = replace(g, underlying=replace(
+                g.underlying, object_map=set_entry(g.underlying.object_map, value)))
+            calls = [partial(braided_centralizer, bad, b, b),
+                     partial(braided_intertwiner, g, bad, b, b),
+                     partial(braided_intertwiner, bad, g, b, b)]
+        elif kind == "xi":
+            calls = [partial(check_hpt_conditions, HptSetup(g, half, half, value)),
+                     partial(check_hpt_conditions, HptSetup(
+                         g, half, half, ms.base.identity[0], g, value))]
+        else:
+            calls = [partial(restrict_monoidal, ms, (0, value))]
+        out += [(kind, value, call) for call in calls]
+    return out
+
+
+def test_the_center_layer_refuses_dangling_ids_and_short_braidings():
+    # each raised IndexError, or at -1 wrapped round to the last id
+    probes = center_layer_probes()
+    assert {kind for kind, _, _ in probes} == {
+        "tensor", "unit", "beta", "short-beta", "object", "xi", "subcategory"}
+    for kind, value, call in probes:
+        assert outcome(call) is StructureError, (kind, value)

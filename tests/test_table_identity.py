@@ -17,13 +17,8 @@ import hashlib
 from dataclasses import fields, is_dataclass
 
 import corpus
-from oracles import explicit_tables, intertwiner_actions
-from spanforge.central import (
-    _pull_center,
-    _push_center,
-    _subcat_functor,
-    central_module_check,
-)
+from oracles import _subcat_functor, explicit_tables, intertwiner_actions
+from spanforge.central import _pull_center, _push_center, central_module_check
 from spanforge.centers import (
     braided_centralizer,
     drinfeld_center,
