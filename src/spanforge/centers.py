@@ -33,7 +33,7 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
-    _check_braiding_length,
+    _check_braiding_ids,
     _check_tables as _check_monoidal_tables,
     _component_ok,
     identity_mon_functor,
@@ -151,6 +151,7 @@ def _is_center_morphism(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor,
 def _refuse_ill_typed(ms: MonoidalStructure, g: MonFunctor, h: MonFunctor) -> None:
     _check_monoidal_tables(ms)
     for fun in (g,) if h is g else (g, h):
+        _check_monoidal_tables(fun.source)
         _check_tables(fun.underlying)
         src, n = fun.source, fun.source.base.num_objects
         if len(fun.mult) != n * n:
@@ -312,6 +313,7 @@ def mueger_center(b: Braiding) -> CenterCategory:
     Proc. LMS 2003): the braided centralizer of the identity functor, whose
     transparency test at (x, y) is c(y, x)∘c(x, y) = 1 on any braiding table.
     """
+    _check_monoidal_tables(b.on)  # before the identity functor reads them
     return braided_centralizer(identity_mon_functor(b.on), b, b)
 
 
@@ -323,9 +325,7 @@ def braided_centralizer(g: MonFunctor, b_source: Braiding,
     ms = g.target
     base = ms.base
     _check_tables(g.underlying)
-    _check_braiding_length(b_target)
-    if not all(0 <= c < base.num_morphisms for c in b_target.beta):
-        raise StructureError("a braiding component is a dangling id")
+    _check_braiding_ids(b_target)
     n_src = g.source.base.num_objects
     transparent = tuple(
         x for x in range(base.num_objects)

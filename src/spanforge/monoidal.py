@@ -8,7 +8,9 @@ instance of every coherence law and report witnesses; on a strict structure
 they read the identities off the tensor (CWM §VII.1) instead of a table,
 and check_mon_functor skips its associativity scan on a strict monoidal
 functor between strict structures, where every instance compares an
-identity with itself (CWM §XI.2).
+identity with itself (CWM §XI.2).  Whether a tensor is associative on
+objects is decided by groups._first_nonassociative, Light's test over a
+generating set (Clifford-Preston §1.2), with an n³ scan only for a witness.
 The tensor is two flat tables, n² object pairs and m² morphism pairs, not a
 functor on base × base, whose composition table would have m⁴ entries.
 """
@@ -34,7 +36,7 @@ from .fincat import (
     identity_nat_trans,
     lift_functor,
 )
-from .groups import GroupTable, validate_group
+from .groups import GroupTable, _first_nonassociative, validate_group
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
 
@@ -100,13 +102,6 @@ class MonoidalStructure:
         """The left unitor I⊗x -> x when left, else the right unitor x⊗I -> x."""
         table = self.left_unitor if left else self.right_unitor
         return self.base.identity[x] if table is None else table[x]
-
-
-def _first_nonassociative(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in lexicographic order with (i⊗j)⊗k ≠ i⊗(j⊗k)
-    for the tensor with x⊗y at rows[x][y], or None."""
-    return next(((i, j, k) for i, i_row in enumerate(rows) for j, ij in enumerate(i_row)
-                 for k, ijk in enumerate(rows[ij]) if ijk != i_row[rows[j][k]]), None)
 
 
 def tabulate_monoidal(base: FinCategory, unit: int,
@@ -515,32 +510,16 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
     if not base_laws.ok:
         return rb.report()
     scan_tensor(ms, rb)
+    # on a strict structure the components are identities, ident[(x⊗y)⊗z]
+    # well typed iff (x⊗y)⊗z = x⊗(y⊗z), and invertible over a lawful base;
+    # so the scan would add nothing when the tensor is associative on objects
+    if ms.associator is not None or _first_nonassociative(ms.tensor_rows()) is not None:
+        _scan_associator_components(ms, rb)
+    if rb.full:
+        return rb.report()
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
-    # the base passed validate_structure, so no inverse entry is the -1 of
-    # a scan that raises
-    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
-    t_obj, assoc = ms.tensor_objects, ms.associator
-
-    # on a strict structure the components are identities, well typed iff
-    # the tensor is associative and unital on objects
-    stop = rb.full  # a builder full on entry stops after the first instance
-    k = 0
-    for x in range(n):
-        for y in range(n):
-            xy = t_obj[x * n + y] * n
-            for z in range(n):
-                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
-                a = ident[s] if assoc is None else assoc[k]
-                k += 1
-                if not (0 <= a < m and src[a] == s and tgt[a] == t):
-                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
-                elif inv[a] is None:
-                    rb.add("associator-iso", (x, y, z), "component is not invertible")
-                elif not stop:
-                    continue
-                if rb.full:
-                    return rb.report()
+    src, tgt, inv, t_obj = base.source, base.target, base.inverse_table, ms.tensor_objects
     unit = ms.unit
     for x in range(n):
         for law, cell, s in (("left-unitor", ms.unitor(x, True), t_obj[unit * n + x]),
@@ -562,9 +541,45 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
     return rb.report()
 
 
+def _scan_associator_components(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """Endpoints and invertibility of every associator component, a strict
+    structure's read off its tensor.  The base is lawful, so no inverse
+    entry is the -1 of a scan that raises."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
+    t_obj, assoc = ms.tensor_objects, ms.associator
+    stop = rb.full  # a builder full on entry stops after the first instance
+    k = 0
+    for x in range(n):
+        for y in range(n):
+            xy = t_obj[x * n + y] * n
+            for z in range(n):
+                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
+                a = ident[s] if assoc is None else assoc[k]
+                k += 1
+                if not (0 <= a < m and src[a] == s and tgt[a] == t):
+                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
+                elif inv[a] is None:
+                    rb.add("associator-iso", (x, y, z), "component is not invertible")
+                elif not stop:
+                    continue
+                if rb.full:
+                    return
+
+
 def _check_braiding_length(b: Braiding) -> None:
     if len(b.beta) != b.on.base.num_objects ** 2:
         raise StructureError("braiding table has the wrong length")
+
+
+def _check_braiding_ids(b: Braiding) -> None:
+    """The length check, and every component a morphism id, for readers
+    that compose components; check_braiding reports a dangling component
+    as a violation instead."""
+    _check_braiding_length(b)
+    if not all(0 <= c < b.on.base.num_morphisms for c in b.beta):
+        raise StructureError("a braiding component is a dangling id")
 
 
 def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
@@ -640,7 +655,7 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
 
 def is_symmetric(b: Braiding) -> bool:
     """True iff every double braiding beta_{y,x}∘beta_{x,y} is an identity."""
-    _check_braiding_length(b)
+    _check_braiding_ids(b)
     ms = b.on
     base = ms.base
     n = base.num_objects
@@ -750,7 +765,9 @@ def _strict_on_image(mf: MonFunctor) -> bool:
     id∘id = id at a⊗b for a and b in the image of F, which covers the pairs
     (F(x⊗y), Fz) and (Fx, F(y⊗z)) and the objects (F(x⊗y))⊗Fz that the
     scan reads; and the target's tensor is associative on objects over the
-    image triples, k² row comparisons for k objects in the image.
+    image triples.  The image is a sub-magma, since Fx⊗Fy = F(x⊗y), so
+    _first_nonassociative decides this by Light's test on it, k²·|S| row
+    comparisons for k objects in the image and a generating set S of it.
 
     Theorem: then every mult-associativity instance at (x, y, z) composes
     id_A with itself on both sides, A = (Fx⊗Fy)⊗Fz.  Its left path is
@@ -788,13 +805,10 @@ def _strict_on_image(mf: MonFunctor) -> bool:
         if [t_mor[left + i] for i in id_image] != ends \
                 or any(comp[i][i] != i for i in ends):
             return False
-    # (a⊗b)⊗c = a⊗(b⊗c) for a, b, c in the image
-    for a in image:
-        an, ab = a * nt, right[a]
-        for j, b in enumerate(image):
-            if right[ab[j]] != [t_obj[an + bc] for bc in right[b]]:
-                return False
-    return True
+    # (a⊗b)⊗c = a⊗(b⊗c) for a, b, c in the image, a sub-magma: Fx⊗Fy = F(x⊗y)
+    place = {a: i for i, a in enumerate(image)}.__getitem__
+    return _first_nonassociative(
+        [tuple(map(place, right[a])) for a in image]) is None
 
 
 def _scan_mult_associativity(mf: MonFunctor, rb: ReportBuilder) -> None:
@@ -873,8 +887,8 @@ def check_braided_functor(mf: MonFunctor, b_src: Braiding, b_tgt: Braiding,
     """check_mon_functor plus compatibility with the braidings."""
     if b_src.on != mf.source or b_tgt.on != mf.target:
         raise StructureError("braidings do not match the functor's structures")
-    _check_braiding_length(b_src)
-    _check_braiding_length(b_tgt)
+    _check_braiding_ids(b_src)
+    _check_braiding_ids(b_tgt)
     rb = ReportBuilder("braided_functor", cap)
     rb.merge("", check_mon_functor(mf, cap))
     base = mf.target.base

@@ -30,6 +30,7 @@ from spanforge.docs import (
 from spanforge.fincat import (
     FinCategory,
     Functor,
+    discrete_category,
     group_as_category,
     identity_functor,
     terminal_category,
@@ -42,6 +43,7 @@ from spanforge.monoidal import (
     make_bicharacter_braiding,
     make_discrete_group_category,
     make_skeletal_group_category,
+    tabulate_monoidal,
     trivial_cochain,
 )
 
@@ -91,6 +93,14 @@ def main() -> None:
           encode_monoidal(make_discrete_group_category(symmetric_3())))
     write("broken_monoidal.json", "monoidal", encode_monoidal(
         make_skeletal_group_category(Z2, Z2, bad_omega)))
+    # strict over three discrete objects, with unit 0 and 1⊗1 = 2, 1⊗2 = 1,
+    # 2⊗1 = 2⊗2 = 2: unital but not associative on objects, (1⊗1)⊗1 = 2
+    # while 1⊗(1⊗1) = 1, so its identity associator components are ill typed
+    disc3 = discrete_category(3)
+    magma = ((0, 1, 2), (1, 2, 1), (2, 2, 2))
+    write("nonassoc_strict_monoidal.json", "monoidal", encode_monoidal(
+        tabulate_monoidal(disc3, 0, lambda x, y: magma[x][y],
+                          lambda f, g, s, t: disc3.identity[s])))
 
     # braidings
     z3_ms = make_skeletal_group_category(Z3, Z3, trivial_cochain(Z3))

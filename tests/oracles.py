@@ -46,10 +46,14 @@ subcategory functor, as the library did before it reused push and pull.
 The half-braiding search after the brute-force one prunes by naturality
 alone and tests the hexagons on complete families, as
 enumerate_half_braidings did before it tested each hexagon once the
-components it reads were chosen.
+components it reads were chosen.  The associativity scans at the end run
+over every triple, as validate_group, check_monoidal's component loop, the
+strict-image test of check_mon_functor and the span audit did before
+Light's test gated them.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -61,6 +65,7 @@ from spanforge.fincat import (
     MediationError,
     NatTrans,
     StructureError,
+    check_category,
     check_functor,
     check_nat_trans,
     compose_functors,
@@ -92,14 +97,18 @@ from spanforge.central import (
     _pull_center,
     _push_center,
 )
-from spanforge.groups import GroupTable
+from spanforge.groups import GroupError, GroupTable
 from spanforge.monoidal import (
     Braiding,
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
+    ScanFn,
     _check_monoidal_laws,
+    _check_tables,
     _component_ok,
+    _scan_coherence,
+    _scan_tensor_bifunctor,
     check_braided_functor,
     check_braiding,
     check_mon_functor,
@@ -1536,3 +1545,138 @@ def checked_central_module_check(setup: CentralFunctorSetup,
     _check_shape(setup, braided)
     body = _checked_braided_body if braided else _checked_monoidal_body
     return body(setup, budget, cap)
+
+
+# ---------------------------------------------------------------------------
+# associativity on objects over every triple, before Light's test
+# ---------------------------------------------------------------------------
+
+def scanned_first_nonassociative(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in lexicographic order with (i⊗j)⊗k ≠ i⊗(j⊗k)
+    for the tensor with x⊗y at rows[x][y], or None."""
+    return next(((i, j, k) for i, i_row in enumerate(rows) for j, ij in enumerate(i_row)
+                 for k, ijk in enumerate(rows[ij]) if ijk != i_row[rows[j][k]]), None)
+
+
+def scanned_validate_group(table: GroupTable) -> None:
+    """Check closure, identity at 0, inverses, and associativity exhaustively."""
+    n = table.order
+    for a in range(n):
+        if len(table.mult[a]) != n:
+            raise GroupError(f"row {a} has length {len(table.mult[a])}, expected {n}")
+        for b in range(n):
+            if not 0 <= table.mult[a][b] < n:
+                raise GroupError(f"product of {a} and {b} is out of range")
+    for a in range(n):
+        if table.mult[0][a] != a or table.mult[a][0] != a:
+            raise GroupError(f"index 0 is not an identity against {a}")
+    for a in range(n):
+        if all(table.mult[a][b] != 0 for b in range(n)):
+            raise GroupError(f"element {a} has no inverse")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table.mult[table.mult[a][b]][c] != table.mult[a][table.mult[b][c]]:
+                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
+
+
+def scanned_check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
+                                scan_coherence: ScanFn) -> Report:
+    """check_monoidal with its tensor and coherence scans passed in, so that
+    the exhaustive scans they stand for can be run in their place as a
+    reference."""
+    rb = ReportBuilder("monoidal", cap)
+    _check_tables(ms)
+    base_laws = check_category(ms.base, cap)
+    rb.merge("base-", base_laws)
+    if not base_laws.ok:
+        return rb.report()
+    scan_tensor(ms, rb)
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    # the base passed validate_structure, so no inverse entry is the -1 of
+    # a scan that raises
+    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
+    t_obj, assoc = ms.tensor_objects, ms.associator
+
+    # on a strict structure the components are identities, well typed iff
+    # the tensor is associative and unital on objects
+    stop = rb.full  # a builder full on entry stops after the first instance
+    k = 0
+    for x in range(n):
+        for y in range(n):
+            xy = t_obj[x * n + y] * n
+            for z in range(n):
+                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
+                a = ident[s] if assoc is None else assoc[k]
+                k += 1
+                if not (0 <= a < m and src[a] == s and tgt[a] == t):
+                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
+                elif inv[a] is None:
+                    rb.add("associator-iso", (x, y, z), "component is not invertible")
+                elif not stop:
+                    continue
+                if rb.full:
+                    return rb.report()
+    unit = ms.unit
+    for x in range(n):
+        for law, cell, s in (("left-unitor", ms.unitor(x, True), t_obj[unit * n + x]),
+                             ("right-unitor", ms.unitor(x, False), t_obj[x * n + unit])):
+            if not (0 <= cell < m and src[cell] == s and tgt[cell] == x):
+                rb.add(law + "-component", (x,), _component_ok(base, cell, s, x))
+            elif inv[cell] is None:
+                rb.add(law + "-iso", (x,), "component is not invertible")
+        if rb.full:
+            return rb.report()
+
+    # ill-typed components or tensor entries make the law scans meaningless,
+    # and their paths need not compose
+    if any(v.law.endswith("-component") or v.law == "tensor-functor-endpoints"
+           for v in rb.report().violations):
+        return rb.report()
+
+    scan_coherence(ms, rb)
+    return rb.report()
+
+
+def scanned_check_monoidal(ms: MonoidalStructure,
+                           cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_monoidal with the component loop over every triple."""
+    return scanned_check_monoidal_laws(ms, cap, _scan_tensor_bifunctor, _scan_coherence)
+
+
+def scanned_strict_on_image(mf: MonFunctor) -> bool:
+    """_strict_on_image with the associativity loop over every image triple."""
+    src, tgt = mf.source, mf.target
+    if not (src.strict and tgt.strict):
+        return False
+    base = tgt.base
+    n, nt, mt = src.base.num_objects, base.num_objects, base.num_morphisms
+    ident, comp = base.identity, base.comp
+    obj_map, s_obj = mf.underlying.object_map, src.tensor_objects
+    t_obj, t_mor = tgt.tensor_objects, tgt.tensor_morphisms
+    if obj_map[src.unit] != tgt.unit or mf.unit_iso != ident[tgt.unit]:
+        return False
+    if not all(0 <= xy < n for xy in s_obj):
+        return False
+    f_xy = [obj_map[xy] for xy in s_obj]
+    if f_xy != [t_obj[fx * nt + fy] for fx in obj_map for fy in obj_map] \
+            or list(mf.mult) != [ident[a] for a in f_xy]:
+        return False
+    image = sorted(set(obj_map))
+    # a⊗b for a and b in the image, itself in the image: Fx⊗Fy = F(x⊗y)
+    right = {a: [t_obj[a * nt + b] for b in image] for a in image}
+    # id_a⊗id_b = id_(a⊗b) and id∘id = id at a⊗b
+    id_image = [ident[b] for b in image]
+    for a in image:
+        left, ends = ident[a] * mt, [ident[ab] for ab in right[a]]
+        if [t_mor[left + i] for i in id_image] != ends \
+                or any(comp[i][i] != i for i in ends):
+            return False
+    # (a⊗b)⊗c = a⊗(b⊗c) for a, b, c in the image
+    for a in image:
+        an, ab = a * nt, right[a]
+        for j, b in enumerate(image):
+            if right[ab[j]] != [t_obj[an + bc] for bc in right[b]]:
+                return False
+    return True

@@ -63,6 +63,18 @@ def test_validate_broken_category_exits_one(capsys):
     assert "associativity" in out
 
 
+def test_validate_a_strict_tensor_not_associative_on_objects_exits_one(capsys):
+    # Light's test finds a non-associative triple, and the lexicographic scan
+    # then gives the witnesses and order of the full component scan
+    code, out, err = run(capsys, "--report", "structured", "validate",
+                         data("nonassoc_strict_monoidal.json"))
+    assert (code, err) == (1, "")
+    assert [(v["law"], v["witness"], v["detail"])
+            for v in parse(out).payload["violations"]] == [
+        ("associator-component", [1, 1, 1], "endpoints 2 -> 2, expected 2 -> 1"),
+        ("associator-component", [1, 2, 1], "endpoints 2 -> 2, expected 2 -> 1")]
+
+
 def test_validate_malformed_exits_two(capsys):
     code, _, err = run(capsys, "validate", data("malformed_dangling.json"))
     assert code == 2

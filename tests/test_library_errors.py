@@ -491,12 +491,14 @@ def test_a_dangling_functor_id_is_refused_before_the_center_search():
 def center_layer_probes(seed=27, count=80):
     """(kind, value, call) over skeletal Z/3 with Z/3 scalars and its
     identity braiding: a tensor-table entry or the unit of the ambient of
-    drinfeld_center set to 99 or -1; a braiding table one entry short, or
-    with an entry set to 99 or -1, under the Müger side and, short only,
-    under is_symmetric and check_braided_functor; an object image of g set
-    to 99 or -1 under the braided centralizer and intertwiner; a comparison
-    xi of check_hpt_conditions set to 99 or -1; and a subcategory of
-    restrict_monoidal naming the object 99 or -1."""
+    drinfeld_center set to 99 or -1; a tensor-table entry of the source of
+    g and h, or of the structure under a braiding, set to 99 or -1 under the
+    monoidal centralizer and intertwiner and mueger_center; a braiding
+    table one entry short, or with an entry set to 99 or -1, under the
+    Müger side, is_symmetric and check_braided_functor; an object image of
+    g set to 99 or -1 under the braided centralizer and intertwiner; a
+    comparison xi of check_hpt_conditions set to 99 or -1; and a
+    subcategory of restrict_monoidal naming the object 99 or -1."""
     from test_central import identity_braiding
     from spanforge.centers import (
         HptSetup,
@@ -504,6 +506,8 @@ def center_layer_probes(seed=27, count=80):
         braided_intertwiner,
         check_hpt_conditions,
         drinfeld_center,
+        monoidal_centralizer,
+        monoidal_intertwiner,
         mueger_center,
     )
     from spanforge.groups import cyclic
@@ -528,13 +532,20 @@ def center_layer_probes(seed=27, count=80):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        kind = rng.choice(("tensor", "unit", "beta", "short-beta", "object", "xi",
-                           "subcategory"))
+        kind = rng.choice(("tensor", "source", "unit", "beta", "short-beta", "object",
+                           "xi", "subcategory"))
         value = rng.choice((99, -1))
         if kind == "tensor":
             name = rng.choice(("tensor_objects", "tensor_morphisms"))
             calls = [partial(drinfeld_center, replace(
                 ms, **{name: set_entry(getattr(ms, name), value)}))]
+        elif kind == "source":
+            name = rng.choice(("tensor_objects", "tensor_morphisms"))
+            source = replace(ms, **{name: set_entry(getattr(ms, name), value)})
+            calls = [partial(monoidal_centralizer, replace(g, source=source)),
+                     partial(monoidal_intertwiner, replace(g, source=source),
+                             replace(g, source=source)),
+                     partial(mueger_center, replace(b, on=source))]
         elif kind == "unit":
             calls = [partial(drinfeld_center, replace(ms, unit=value))]
         elif kind in ("beta", "short-beta"):
@@ -542,11 +553,10 @@ def center_layer_probes(seed=27, count=80):
                           else set_entry(b.beta, value))
             calls = [partial(mueger_center, bad),
                      partial(braided_centralizer, g, bad, bad),
-                     partial(braided_intertwiner, g, g, b, bad)]
-            if kind == "short-beta":
-                calls += [partial(is_symmetric, bad),
-                          partial(check_braided_functor, g, bad, b),
-                          partial(check_braided_functor, g, b, bad)]
+                     partial(braided_intertwiner, g, g, b, bad),
+                     partial(is_symmetric, bad),
+                     partial(check_braided_functor, g, bad, b),
+                     partial(check_braided_functor, g, b, bad)]
         elif kind == "object":
             bad = replace(g, underlying=replace(
                 g.underlying, object_map=set_entry(g.underlying.object_map, value)))
@@ -567,6 +577,6 @@ def test_the_center_layer_refuses_dangling_ids_and_short_braidings():
     # each raised IndexError, or at -1 wrapped round to the last id
     probes = center_layer_probes()
     assert {kind for kind, _, _ in probes} == {
-        "tensor", "unit", "beta", "short-beta", "object", "xi", "subcategory"}
+        "tensor", "source", "unit", "beta", "short-beta", "object", "xi", "subcategory"}
     for kind, value, call in probes:
         assert outcome(call) is StructureError, (kind, value)

@@ -17,6 +17,12 @@ multiplicativity or the unit law.  check_module_functor must report the
 same laws on a mutant and on its renamed copy, with each witness mapped
 through the carrier permutations.
 
+Whether a tensor is associative on objects is decided by Light's test
+over a generating set that monoidal._first_nonassociative picks in id order,
+so renaming changes the set; its verdict must not change, on every corpus
+apex (the 27-object ones too), every End category, the Z/4 center and
+seeded magmas, associative or not.
+
 check_monoidal, check_braiding and check_mon_functor keep their verdicts
 under renaming too, on the apexes, acting categories, legs and action lifts
 of the corpus, on skeletal Z/3 with the carry cocycle, on braidings of
@@ -41,6 +47,7 @@ import pytest
 from corpus import span_corpus
 from oracles import explicit_tables, transport_candidates
 
+from spanforge import monoidal
 from spanforge.centers import drinfeld_center
 from spanforge.fincat import (
     Functor,
@@ -428,3 +435,40 @@ def test_relabelled_tables_keep_verdicts_and_map_witnesses(kind):
     assert lawful == len(carriers) and compared > 3 * len(carriers), (lawful, compared)
     assert SCANNED_LAWS[kind] <= laws, laws
     assert strict, kind
+
+
+def renamed_rows(rows, perm):
+    """The tensor with x⊗y at rows[x][y], each object x renamed perm[x]."""
+    n = len(rows)
+    renamed = [[0] * n for _ in range(n)]
+    for x, y in product(range(n), repeat=2):
+        renamed[perm[x]][perm[y]] = perm[rows[x][y]]
+    return [tuple(row) for row in renamed]
+
+
+def test_the_associativity_verdict_survives_relabelling():
+    rng = random.Random(28)
+    tables = []
+    for _, fd in span_corpus():
+        tables.append(build_span(fd).apex.tensor_rows())
+        tables += [md.end.monoidal.tensor_rows() for md in (fd.dom, fd.cod)]
+    z4 = cyclic(4)
+    tables.append(drinfeld_center(make_skeletal_group_category(
+        z4, z4, trivial_cochain(z4))).monoidal.tensor_rows())
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            for x in range(n):
+                rows[x][0] = rows[0][x] = x
+        tables.append([tuple(row) for row in rows])
+    verdicts = {True: 0, False: 0}
+    for rows in tables:
+        verdict = monoidal._first_nonassociative(rows) is None
+        verdicts[verdict] += 1
+        for _ in range(3):
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            assert (monoidal._first_nonassociative(renamed_rows(rows, perm))
+                    is None) == verdict, rows
+    assert min(verdicts.values()) > 50, verdicts
