@@ -324,6 +324,8 @@ def braided_centralizer(g: MonFunctor, b_source: Braiding,
         raise StructureError("braidings do not match the functor")
     ms = g.target
     base = ms.base
+    _check_monoidal_tables(g.source)
+    _check_monoidal_tables(ms)
     _check_tables(g.underlying)
     _check_braiding_ids(b_target)
     n_src = g.source.base.num_objects

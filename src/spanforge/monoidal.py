@@ -1,18 +1,25 @@
 """Monoidal, braided, and symmetric structures on finite categories.
 
-Structure data is stored as full component tables (associators, unitors,
-braidings, multiplicativity cells), never as formulas or flags, with one
-exception: a strict structure, whose associator and unitor components are
-all identities, stores no coherence table at all.  The checkers scan every
-instance of every coherence law and report witnesses; on a strict structure
-they read the identities off the tensor (CWM §VII.1) instead of a table,
-and check_mon_functor skips its associativity scan on a strict monoidal
-functor between strict structures, where every instance compares an
-identity with itself (CWM §XI.2).  Whether a tensor is associative on
-objects is decided by groups._first_nonassociative, Light's test over a
-generating set (Clifford-Preston §1.2), with an n³ scan only for a witness.
-The tensor is two flat tables, n² object pairs and m² morphism pairs, not a
-functor on base × base, whose composition table would have m⁴ entries.
+Structure data is stored as full component tables: associators, unitors,
+braidings and multiplicativity cells.  The one exception is a strict
+structure, whose associator and unitor components are all identities; it
+stores no coherence table.  The tensor is two flat tables, n² object pairs
+and m² morphism pairs, not a functor on base × base, whose composition
+table would have m⁴ entries.
+
+The checkers scan every instance of every law and report witnesses, with
+one scan per rule.  _scan_cells checks that each associator component,
+braiding component and multiplicativity cell is a morphism with the
+required ends that has an inverse.  _scan_pentagon reads a stored
+associator, or a strict structure's identities of (x⊗y)⊗z (CWM §VII.1).
+On a strict structure the triangle holds, and the pentagon is scanned only
+when the tensor breaks identities.  check_mon_functor skips its
+associativity scan on a strict monoidal functor between strict structures,
+where every instance compares an identity with itself (CWM §XI.2).
+groups._first_nonassociative decides whether a tensor is associative on
+objects, by Light's test over a generating set (Clifford-Preston §1.2),
+with an n³ scan only for a witness.  Before a checker reads a structure's
+tables, _check_tables refuses ill-shaped ones and dangling tensor ids.
 """
 from __future__ import annotations
 
@@ -316,50 +323,24 @@ def _scan_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     sizes = _hom_sizes(ms.base)
     if max(sizes, default=0) <= 1:
         return
+    ident, m, t_mor = ms.base.identity, ms.base.num_morphisms, ms.tensor_morphisms
     # the strict reduction (CWM §VII.1): with identity components that are
     # well typed, which the component scan establishes before the coherence
     # scans run, composing a path with a component leaves it as it is, by the
     # identity law of the lawful base; so the triangle compares id_x⊗id_y
-    # with itself and holds, and the other scans read the tensor alone
-    scans = (_scan_associator_naturality, _scan_unitor_naturality) + (
-        (_scan_strict_pentagon,) if ms.strict else (_scan_pentagon, _scan_triangle))
+    # with itself and holds, and the pentagon compares
+    # (id_w⊗id_((x⊗y)⊗z))∘(id_((w⊗x)⊗y)⊗id_z) with an identity, which it
+    # equals when id_a⊗id_b = id_(a⊗b) for all a and b
+    scans = [_scan_associator_naturality, _scan_unitor_naturality]
+    if not ms.strict:
+        scans += [_scan_pentagon, _scan_triangle]
+    elif [t_mor[i * m + j] for i in ident for j in ident] \
+            != [ident[ab] for ab in ms.tensor_objects]:
+        scans.append(_scan_pentagon)
     for scan in scans:
         scan(ms, rb, sizes)
         if rb.full:
             return
-
-
-def _scan_strict_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
-                          sizes: list[int]) -> None:
-    """_scan_pentagon on a strict structure, where it compares
-    (id_w⊗id_((x⊗y)⊗z))∘(id_((w⊗x)⊗y)⊗id_z) with the identity.  A tensor
-    that preserves identities makes both paths identities, so only a tensor
-    that breaks that law is scanned."""
-    base = ms.base
-    n, m = base.num_objects, base.num_morphisms
-    comp, ident = base.comp, base.identity
-    t_obj, t_mor = ms.tensor_objects, ms.tensor_morphisms
-    if all(t_mor[ident[x] * m + ident[y]] == ident[t_obj[x * n + y]]
-           for x in range(n) for y in range(n)):
-        return
-    for w in range(n):
-        id_w = ident[w] * m
-        for x in range(n):
-            wx = t_obj[w * n + x]
-            for y in range(n):
-                xy = t_obj[x * n + y] * n
-                wx_y = t_obj[wx * n + y]
-                for z in range(n):
-                    if sizes[t_obj[wx_y * n + z] * n
-                             + t_obj[w * n + t_obj[x * n + t_obj[y * n + z]]]] <= 1:
-                        continue
-                    lhs = comp[t_mor[id_w + ident[t_obj[xy + z]]]][
-                        t_mor[ident[wx_y] * m + ident[z]]]
-                    rhs = ident[t_obj[wx_y * n + z]]
-                    if lhs != rhs:
-                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
-                        if rb.full:
-                            return
 
 
 def _scan_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder,
@@ -422,11 +403,14 @@ def _scan_unitor_naturality(ms: MonoidalStructure, rb: ReportBuilder,
 
 def _scan_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
                    sizes: list[int]) -> None:
-    """The pentagon at (w, x, y, z), in hom(((w⊗x)⊗y)⊗z, w⊗(x⊗(y⊗z)))."""
+    """The pentagon at (w, x, y, z), in hom(((w⊗x)⊗y)⊗z, w⊗(x⊗(y⊗z))); a
+    strict structure's components are the identities of (x⊗y)⊗z."""
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
     comp, ident = base.comp, base.identity
     t_obj, t_mor, assoc = ms.tensor_objects, ms.tensor_morphisms, ms.associator
+    if assoc is None:
+        assoc = [ident[t_obj[xy * n + z]] for xy in t_obj for z in range(n)]
     for w in range(n):
         id_w = ident[w] * m
         for x in range(n):
@@ -482,6 +466,31 @@ def _component_ok(base: FinCategory, mor: int, src: int, tgt: int) -> str | None
         return (f"endpoints {base.source[mor]} -> {base.target[mor]}, "
                 f"expected {src} -> {tgt}")
     return None
+
+
+def _scan_cells(rb: ReportBuilder, base: FinCategory, laws: tuple[str, str],
+                cells: Sequence[int], sources: Sequence[int], targets: Sequence[int],
+                witness: Callable[[int], tuple[int, ...]]) -> bool:
+    """Report cell k as laws[0] at witness(k) when it is not a morphism
+    sources[k] -> targets[k], and as laws[1] when it has no inverse; an
+    inverse entry of -1, whose scan raises on a malformed base, raises again.
+    A builder full on entry stops after the first cell.  True once the
+    builder is full."""
+    m, src, tgt, inv = base.num_morphisms, base.source, base.target, base.inverse_table
+    stop = rb.full
+    for k, c in enumerate(cells):
+        s, t = sources[k], targets[k]
+        if not (0 <= c < m and src[c] == s and tgt[c] == t):
+            rb.add(laws[0], witness(k), _component_ok(base, c, s, t))
+        elif inv[c] is None:
+            rb.add(laws[1], witness(k), "component is not invertible")
+        elif inv[c] == -1:
+            base.inverse(c)  # the base is malformed and the scan raises
+        elif not stop:
+            continue
+        if rb.full:
+            return True
+    return False
 
 
 def check_monoidal(ms: MonoidalStructure, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
@@ -542,30 +551,17 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
 
 
 def _scan_associator_components(ms: MonoidalStructure, rb: ReportBuilder) -> None:
-    """Endpoints and invertibility of every associator component, a strict
-    structure's read off its tensor.  The base is lawful, so no inverse
-    entry is the -1 of a scan that raises."""
-    base = ms.base
-    n, m = base.num_objects, base.num_morphisms
-    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
-    t_obj, assoc = ms.tensor_objects, ms.associator
-    stop = rb.full  # a builder full on entry stops after the first instance
-    k = 0
-    for x in range(n):
-        for y in range(n):
-            xy = t_obj[x * n + y] * n
-            for z in range(n):
-                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
-                a = ident[s] if assoc is None else assoc[k]
-                k += 1
-                if not (0 <= a < m and src[a] == s and tgt[a] == t):
-                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
-                elif inv[a] is None:
-                    rb.add("associator-iso", (x, y, z), "component is not invertible")
-                elif not stop:
-                    continue
-                if rb.full:
-                    return
+    """Endpoints and invertibility of every associator component
+    (x⊗y)⊗z -> x⊗(y⊗z), a strict structure's read off its tensor as the
+    identity of (x⊗y)⊗z."""
+    n, t_obj = ms.base.num_objects, ms.tensor_objects
+    sources = [t_obj[xy * n + z] for xy in t_obj for z in range(n)]
+    cells = ms.associator
+    if cells is None:
+        cells = [ms.base.identity[s] for s in sources]
+    _scan_cells(rb, ms.base, ("associator-component", "associator-iso"), cells, sources,
+                [t_obj[x * n + yz] for x in range(n) for yz in t_obj],
+                lambda k: (k // n // n, k // n % n, k % n))
 
 
 def _check_braiding_length(b: Braiding) -> None:
@@ -588,25 +584,13 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     ms = b.on
     base = ms.base
     n, m = base.num_objects, base.num_morphisms
+    _check_tables(ms)
     _check_braiding_length(b)
-
-    src, tgt, inv = base.source, base.target, base.inverse_table
-    t_obj, beta = ms.tensor_objects, b.beta
-    stop = rb.full  # a builder full on entry stops after the first instance
-    for x in range(n):
-        for y in range(n):
-            c = beta[x * n + y]
-            s, t = t_obj[x * n + y], t_obj[y * n + x]
-            if not (0 <= c < m and src[c] == s and tgt[c] == t):
-                rb.add("braiding-component", (x, y), _component_ok(base, c, s, t))
-            elif inv[c] is None:
-                rb.add("braiding-iso", (x, y), "component is not invertible")
-            elif inv[c] == -1:
-                base.inverse(c)  # the base is malformed and the scan raises
-            elif not stop:
-                continue
-            if rb.full:
-                return rb.report()
+    src, tgt, t_obj, beta = base.source, base.target, ms.tensor_objects, b.beta
+    if _scan_cells(rb, base, ("braiding-component", "braiding-iso"), beta, t_obj,
+                   [t_obj[y * n + x] for x in range(n) for y in range(n)],
+                   lambda k: divmod(k, n)):
+        return rb.report()
     comp, t_mor = base.comp, ms.tensor_morphisms
     for p in range(m):
         x0, x1 = src[p] * n, tgt[p] * n
@@ -682,6 +666,8 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     n = src.base.num_objects
     if len(mf.mult) != n * n:
         raise StructureError("multiplicativity table has the wrong length")
+    _check_tables(src)
+    _check_tables(tgt)
     rb.merge("underlying-", check_functor(mf.underlying, cap))
     base = tgt.base
 
@@ -699,23 +685,10 @@ def check_mon_functor(mf: MonFunctor, cap: int = DEFAULT_VIOLATION_CAP) -> Repor
     mult = mf.mult
     s_obj, s_mor = src.tensor_objects, src.tensor_morphisms
     t_obj, t_mor = tgt.tensor_objects, tgt.tensor_morphisms
-    t_src, t_tgt, inv = base.source, base.target, base.inverse_table
-    stop = rb.full  # a builder full on entry stops after the first instance
-    for x in range(n):
-        fx = obj_map[x] * nt
-        for y in range(n):
-            g = mult[x * n + y]
-            s, t = t_obj[fx + obj_map[y]], obj_map[s_obj[x * n + y]]
-            if not (0 <= g < mt and t_src[g] == s and t_tgt[g] == t):
-                rb.add("mult-cell", (x, y), _component_ok(base, g, s, t))
-            elif inv[g] is None:
-                rb.add("mult-cell-iso", (x, y), "component is not invertible")
-            elif inv[g] == -1:
-                base.inverse(g)  # the base is malformed and the scan raises
-            elif not stop:
-                continue
-            if rb.full:
-                return rb.report()
+    if _scan_cells(rb, base, ("mult-cell", "mult-cell-iso"), mult,
+                   [t_obj[fx * nt + fy] for fx in obj_map for fy in obj_map],
+                   [obj_map[xy] for xy in s_obj], lambda k: divmod(k, n)):
+        return rb.report()
     found = rb.report().violations
     if any(v.law in ("mult-cell", "unit-cell") for v in found):
         return rb.report()

@@ -101,6 +101,13 @@ def main() -> None:
     write("nonassoc_strict_monoidal.json", "monoidal", encode_monoidal(
         tabulate_monoidal(disc3, 0, lambda x, y: magma[x][y],
                           lambda f, g, s, t: disc3.identity[s])))
+    # strict over BZ/3, tensor by the group law except id⊗id = 1: the tensor
+    # breaks identities, so the strict pentagon is scanned, and at
+    # (0, 0, 0, 0) it composes 1∘1 = 2 where the other path is the identity 0
+    bz3 = group_as_category(Z3.mult)
+    write("strict_identity_breaking_monoidal.json", "monoidal", encode_monoidal(
+        tabulate_monoidal(bz3, 0, lambda x, y: 0,
+                          lambda f, g, s, t: 1 if f == g == 0 else Z3.mul(f, g))))
 
     # braidings
     z3_ms = make_skeletal_group_category(Z3, Z3, trivial_cochain(Z3))

@@ -49,7 +49,10 @@ enumerate_half_braidings did before it tested each hexagon once the
 components it reads were chosen.  The associativity scans at the end run
 over every triple, as validate_group, check_monoidal's component loop, the
 strict-image test of check_mon_functor and the span audit did before
-Light's test gated them.
+Light's test gated them.  check_braiding with its own component loop, and
+check_monoidal with a strict structure's pentagon in a scan of its own,
+are the routes before one scan checked every component cell and one the
+pentagon.
 """
 from __future__ import annotations
 
@@ -104,11 +107,17 @@ from spanforge.monoidal import (
     MonNatTrans,
     MonoidalStructure,
     ScanFn,
+    _check_braiding_length,
     _check_monoidal_laws,
     _check_tables,
     _component_ok,
+    _hom_sizes,
+    _scan_associator_naturality,
     _scan_coherence,
+    _scan_pentagon,
     _scan_tensor_bifunctor,
+    _scan_triangle,
+    _scan_unitor_naturality,
     check_braided_functor,
     check_braiding,
     check_mon_functor,
@@ -1680,3 +1689,139 @@ def scanned_strict_on_image(mf: MonFunctor) -> bool:
             if right[ab[j]] != [t_obj[an + bc] for bc in right[b]]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# each component loop and the strict pentagon in a scan of its own, before
+# _scan_cells and _scan_pentagon stated each rule once
+# ---------------------------------------------------------------------------
+
+def reference_check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """Invertibility, naturality, and both hexagon identities."""
+    rb = ReportBuilder("braiding", cap)
+    ms = b.on
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    _check_braiding_length(b)
+
+    src, tgt, inv = base.source, base.target, base.inverse_table
+    t_obj, beta = ms.tensor_objects, b.beta
+    stop = rb.full  # a builder full on entry stops after the first instance
+    for x in range(n):
+        for y in range(n):
+            c = beta[x * n + y]
+            s, t = t_obj[x * n + y], t_obj[y * n + x]
+            if not (0 <= c < m and src[c] == s and tgt[c] == t):
+                rb.add("braiding-component", (x, y), _component_ok(base, c, s, t))
+            elif inv[c] is None:
+                rb.add("braiding-iso", (x, y), "component is not invertible")
+            elif inv[c] == -1:
+                base.inverse(c)  # the base is malformed and the scan raises
+            elif not stop:
+                continue
+            if rb.full:
+                return rb.report()
+    comp, t_mor = base.comp, ms.tensor_morphisms
+    for p in range(m):
+        x0, x1 = src[p] * n, tgt[p] * n
+        for q in range(m):
+            lhs = comp[beta[x1 + tgt[q]]][t_mor[p * m + q]]
+            rhs = comp[t_mor[q * m + p]][beta[x0 + src[q]]]
+            if lhs != rhs or lhs == -1:
+                rb.add("braiding-naturality", (p, q), f"paths {lhs} vs {rhs}")
+                if rb.full:
+                    return rb.report()
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                try:
+                    lhs = base.compose_path(
+                        ms.alpha(y, z, x),
+                        b.at(x, ms.tensor_obj(y, z)),
+                        ms.alpha(x, y, z))
+                    rhs = base.compose_path(
+                        ms.tensor_mor(base.identity[y], b.at(x, z)),
+                        ms.alpha(y, x, z),
+                        ms.tensor_mor(b.at(x, y), base.identity[z]))
+                except StructureError:
+                    rb.add("hexagon-forward", (x, y, z), "paths do not compose")
+                    continue
+                if lhs != rhs:
+                    rb.add("hexagon-forward", (x, y, z), f"paths {lhs} vs {rhs}")
+                try:
+                    lhs = base.compose_path(
+                        ms.alpha_inv(z, x, y),
+                        b.at(ms.tensor_obj(x, y), z),
+                        ms.alpha_inv(x, y, z))
+                    rhs = base.compose_path(
+                        ms.tensor_mor(b.at(x, z), base.identity[y]),
+                        ms.alpha_inv(x, z, y),
+                        ms.tensor_mor(base.identity[x], b.at(y, z)))
+                except StructureError:
+                    rb.add("hexagon-reverse", (x, y, z), "paths do not compose")
+                    continue
+                if lhs != rhs:
+                    rb.add("hexagon-reverse", (x, y, z), f"paths {lhs} vs {rhs}")
+                if rb.full:
+                    return rb.report()
+    return rb.report()
+
+
+def _scan_strict_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
+                          sizes: list[int]) -> None:
+    """_scan_pentagon on a strict structure, where it compares
+    (id_w⊗id_((x⊗y)⊗z))∘(id_((w⊗x)⊗y)⊗id_z) with the identity.  A tensor
+    that preserves identities makes both paths identities, so only a tensor
+    that breaks that law is scanned."""
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    comp, ident = base.comp, base.identity
+    t_obj, t_mor = ms.tensor_objects, ms.tensor_morphisms
+    if all(t_mor[ident[x] * m + ident[y]] == ident[t_obj[x * n + y]]
+           for x in range(n) for y in range(n)):
+        return
+    for w in range(n):
+        id_w = ident[w] * m
+        for x in range(n):
+            wx = t_obj[w * n + x]
+            for y in range(n):
+                xy = t_obj[x * n + y] * n
+                wx_y = t_obj[wx * n + y]
+                for z in range(n):
+                    if sizes[t_obj[wx_y * n + z] * n
+                             + t_obj[w * n + t_obj[x * n + t_obj[y * n + z]]]] <= 1:
+                        continue
+                    lhs = comp[t_mor[id_w + ident[t_obj[xy + z]]]][
+                        t_mor[ident[wx_y] * m + ident[z]]]
+                    rhs = ident[t_obj[wx_y * n + z]]
+                    if lhs != rhs:
+                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
+                        if rb.full:
+                            return
+
+
+def strict_pentagon_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """_scan_coherence with a strict structure's pentagon in its own scan,
+    _scan_strict_pentagon."""
+    sizes = _hom_sizes(ms.base)
+    if max(sizes, default=0) <= 1:
+        return
+    # the strict reduction (CWM §VII.1): with identity components that are
+    # well typed, which the component scan establishes before the coherence
+    # scans run, composing a path with a component leaves it as it is, by the
+    # identity law of the lawful base; so the triangle compares id_x⊗id_y
+    # with itself and holds, and the other scans read the tensor alone
+    scans = (_scan_associator_naturality, _scan_unitor_naturality) + (
+        (_scan_strict_pentagon,) if ms.strict else (_scan_pentagon, _scan_triangle))
+    for scan in scans:
+        scan(ms, rb, sizes)
+        if rb.full:
+            return
+
+
+def strict_pentagon_check_monoidal(ms: MonoidalStructure,
+                                   cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_monoidal with a strict structure's pentagon scanned by
+    _scan_strict_pentagon."""
+    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor,
+                                strict_pentagon_coherence)

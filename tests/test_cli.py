@@ -75,6 +75,17 @@ def test_validate_a_strict_tensor_not_associative_on_objects_exits_one(capsys):
         ("associator-component", [1, 2, 1], "endpoints 2 -> 2, expected 2 -> 1")]
 
 
+def test_validate_a_strict_tensor_breaking_identities_exits_one(capsys):
+    # id⊗id = 1 on BZ/3: the strict pentagon is scanned, with the witness and
+    # detail that _scan_strict_pentagon gave before _scan_pentagon read a
+    # strict structure's components off its tensor
+    code, out, err = run(capsys, "--report", "structured", "validate",
+                         data("strict_identity_breaking_monoidal.json"))
+    assert (code, err) == (1, "")
+    assert [(v["witness"], v["detail"]) for v in parse(out).payload["violations"]
+            if v["law"] == "pentagon"][0] == ([0, 0, 0, 0], "paths 2 vs 0")
+
+
 def test_validate_malformed_exits_two(capsys):
     code, _, err = run(capsys, "validate", data("malformed_dangling.json"))
     assert code == 2

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from spanforge.docs import (
 )
 from spanforge.fincat import (
     FinCategory,
+    StructureError,
     chain_category,
     discrete_category,
     group_as_category,
@@ -192,17 +193,24 @@ def test_a_dangling_morphism_does_not_break_the_others():
     assert outcome(short.inverse, 2) == ("raises", IndexError)
 
 
-def test_a_checker_raises_where_the_inverse_scan_raises():
-    # the braiding component 2: 5 -> 5 at (0, 0) is well typed against a
-    # dangling tensor object and its inverse scan reads identity[5]; the
-    # ill-typed component at (0, 1) would fill a cap of one after it
-    base = FinCategory(2, (0, 1, 5), (0, 1, 5), (0, 1),
-                       ((0, -1, -1), (-1, 1, -1), (-1, -1, 2)))
-    ms = MonoidalStructure(base, (5, 0, 0, 0), (0,) * 9, 0, (0,) * 8,
-                           (0, 1), (0, 1))
+def short_row_braiding() -> Braiding:
+    """A braiding whose component 2: 0 -> 0 at (0, 0) is well typed and
+    whose inverse scan reads past its short composition row; the ill-typed
+    component 1 at (0, 1) would fill a cap of one after it."""
+    base = FinCategory(2, (0, 1, 0), (0, 1, 0), (0, 1),
+                       ((0, -1, 2), (-1, 1, -1), (2,)))
     assert base.inverse_table == (0, 1, -1)
+    return Braiding(MonoidalStructure(base, (0, 0, 0, 0), (0,) * 9, 0, (0,) * 8,
+                                      (0, 1), (0, 1)), (2, 1, 0, 0))
+
+
+def test_a_checker_raises_where_the_inverse_scan_raises():
+    b = short_row_braiding()
     with pytest.raises(IndexError):
-        check_braiding(Braiding(ms, (2, 1, 0, 0)), cap=1)
+        check_braiding(b, cap=1)
+    # a dangling tensor object is refused before any component is read
+    with pytest.raises(StructureError, match="dangling id 5"):
+        check_braiding(replace(b, on=replace(b.on, tensor_objects=(5, 0, 0, 0))), cap=1)
 
 
 def count_calls(monkeypatch, names):

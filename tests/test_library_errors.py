@@ -493,7 +493,10 @@ def center_layer_probes(seed=27, count=80):
     identity braiding: a tensor-table entry or the unit of the ambient of
     drinfeld_center set to 99 or -1; a tensor-table entry of the source of
     g and h, or of the structure under a braiding, set to 99 or -1 under the
-    monoidal centralizer and intertwiner and mueger_center; a braiding
+    monoidal centralizer and intertwiner, mueger_center, check_braiding,
+    check_mon_functor and check_braided_functor; an entry of each tensor
+    table of the target of g set to 99 or -1 under the braided centralizer
+    and intertwiner, check_mon_functor and check_braided_functor; a braiding
     table one entry short, or with an entry set to 99 or -1, under the
     Müger side, is_symmetric and check_braided_functor; an object image of
     g set to 99 or -1 under the braided centralizer and intertwiner; a
@@ -513,6 +516,8 @@ def center_layer_probes(seed=27, count=80):
     from spanforge.groups import cyclic
     from spanforge.monoidal import (
         check_braided_functor,
+        check_braiding,
+        check_mon_functor,
         identity_mon_functor,
         is_symmetric,
         make_skeletal_group_category,
@@ -532,8 +537,8 @@ def center_layer_probes(seed=27, count=80):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        kind = rng.choice(("tensor", "source", "unit", "beta", "short-beta", "object",
-                           "xi", "subcategory"))
+        kind = rng.choice(("tensor", "source", "target", "unit", "beta", "short-beta",
+                           "object", "xi", "subcategory"))
         value = rng.choice((99, -1))
         if kind == "tensor":
             name = rng.choice(("tensor_objects", "tensor_morphisms"))
@@ -542,10 +547,22 @@ def center_layer_probes(seed=27, count=80):
         elif kind == "source":
             name = rng.choice(("tensor_objects", "tensor_morphisms"))
             source = replace(ms, **{name: set_entry(getattr(ms, name), value)})
-            calls = [partial(monoidal_centralizer, replace(g, source=source)),
-                     partial(monoidal_intertwiner, replace(g, source=source),
-                             replace(g, source=source)),
-                     partial(mueger_center, replace(b, on=source))]
+            g_bad, b_bad = replace(g, source=source), replace(b, on=source)
+            calls = [partial(monoidal_centralizer, g_bad),
+                     partial(monoidal_intertwiner, g_bad, g_bad),
+                     partial(mueger_center, b_bad),
+                     partial(check_braiding, b_bad),
+                     partial(check_mon_functor, g_bad),
+                     partial(check_braided_functor, g_bad, b_bad, b)]
+        elif kind == "target":
+            calls = []
+            for name in ("tensor_objects", "tensor_morphisms"):
+                target = replace(ms, **{name: set_entry(getattr(ms, name), value)})
+                g_bad, b_bad = replace(g, target=target), replace(b, on=target)
+                calls += [partial(braided_centralizer, g_bad, b, b_bad),
+                          partial(braided_intertwiner, g_bad, g_bad, b, b_bad),
+                          partial(check_mon_functor, g_bad),
+                          partial(check_braided_functor, g_bad, b, b_bad)]
         elif kind == "unit":
             calls = [partial(drinfeld_center, replace(ms, unit=value))]
         elif kind in ("beta", "short-beta"):
@@ -577,6 +594,8 @@ def test_the_center_layer_refuses_dangling_ids_and_short_braidings():
     # each raised IndexError, or at -1 wrapped round to the last id
     probes = center_layer_probes()
     assert {kind for kind, _, _ in probes} == {
-        "tensor", "source", "unit", "beta", "short-beta", "object", "xi", "subcategory"}
+        "tensor", "source", "target", "unit", "beta", "short-beta", "object", "xi",
+        "subcategory"}
+    assert {value for kind, value, _ in probes if kind == "target"} == {99, -1}
     for kind, value, call in probes:
         assert outcome(call) is StructureError, (kind, value)

@@ -14,10 +14,10 @@ oracles keeps the parent scans: the lexicographic scan, check_monoidal with
 its component loop over every triple, the strict-image test with its loop
 over every image triple, and validate_group with its own.  Each must agree
 with the gated code, == on return values, errors and whole reports at cap
-32 and cap 1, on the corpus apexes and their legs, End categories, 2-span
-and pairing apexes, Drinfeld centers, skeletal Z/n cochains, relabelled
-copies, seeded magmas, and one-entry mutants of associative tensors and of
-group tables, a builder already full on entry among them.  The gate must
+32, cap 1 and cap 0, on the corpus apexes and their legs, End categories,
+2-span and pairing apexes, Drinfeld centers, skeletal Z/n cochains,
+relabelled copies, seeded magmas, and one-entry mutants of associative
+tensors and of group tables, a builder already full on entry among them.  The gate must
 also keep firing: neither full loop may run on a corpus apex or a corpus
 leg.
 """
@@ -147,12 +147,16 @@ def outcome_of(check, table):
         return type(exc), str(exc)
 
 
+# cap 0: the builder is full on entry to every scan
+ALL_CAPS = CAPS + (0,)
+
+
 def assert_same_reports(ms):
-    """check_monoidal against the full component loop at both caps; the
-    reports at cap 32 and cap 1."""
-    got = [outcome(check_monoidal, ms, cap) for cap in CAPS]
-    assert got == [outcome(oracles.scanned_check_monoidal, ms, cap) for cap in CAPS]
-    return got
+    """check_monoidal against the full component loop at caps 32, 1 and 0;
+    the reports at cap 32 and cap 1."""
+    got = [outcome(check_monoidal, ms, cap) for cap in ALL_CAPS]
+    assert got == [outcome(oracles.scanned_check_monoidal, ms, cap) for cap in ALL_CAPS]
+    return got[:2]
 
 
 def test_check_monoidal_matches_the_full_component_loop():
@@ -230,8 +234,8 @@ def test_the_strict_image_test_matches_the_full_image_loop():
     assert verdicts[False] > 40, verdicts
     # the whole report, against the check that composes every instance
     for mf in cases:
-        assert [outcome(check_mon_functor, mf, cap) for cap in CAPS] \
-            == [outcome(oracles.exhaustive_check_mon_functor, mf, cap) for cap in CAPS]
+        assert [outcome(check_mon_functor, mf, cap) for cap in ALL_CAPS] \
+            == [outcome(oracles.exhaustive_check_mon_functor, mf, cap) for cap in ALL_CAPS]
 
 
 def test_the_gate_keeps_firing_on_the_corpus(monkeypatch):
