@@ -314,8 +314,8 @@ def _scan_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     """Associator and unitor naturality, pentagon and triangle, composing
     only the instances whose two paths lie in a hom-set with two or more
     morphisms.  Over a lawful base with well-typed components and tensor
-    entries, which _check_monoidal_laws establishes before it gets here,
-    the two paths of every instance are parallel morphisms, and parallel
+    entries, which check_monoidal establishes before it gets here, the
+    two paths of every instance are parallel morphisms, and parallel
     morphisms in a hom-set with at most one element are equal (CWM §I.2,
     preorders).  A skipped instance cannot fail, so the violations, their
     order and the cap are those of the full scans.
@@ -501,24 +501,13 @@ def check_monoidal(ms: MonoidalStructure, cap: int = DEFAULT_VIOLATION_CAP) -> R
     hom-sets with at most one morphism only once every component and tensor
     entry is known to be well typed.
     """
-    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor, _scan_coherence)
-
-
-ScanFn = Callable[[MonoidalStructure, ReportBuilder], None]
-
-
-def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
-                         scan_coherence: ScanFn) -> Report:
-    """check_monoidal with its tensor and coherence scans passed in, so that
-    the exhaustive scans they stand for can be run in their place as a
-    reference."""
     rb = ReportBuilder("monoidal", cap)
     _check_tables(ms)
     base_laws = check_category(ms.base, cap)
     rb.merge("base-", base_laws)
     if not base_laws.ok:
         return rb.report()
-    scan_tensor(ms, rb)
+    _scan_tensor_bifunctor(ms, rb)
     # on a strict structure the components are identities, ident[(x⊗y)⊗z]
     # well typed iff (x⊗y)⊗z = x⊗(y⊗z), and invertible over a lawful base;
     # so the scan would add nothing when the tensor is associative on objects
@@ -546,7 +535,7 @@ def _check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
            for v in rb.report().violations):
         return rb.report()
 
-    scan_coherence(ms, rb)
+    _scan_coherence(ms, rb)
     return rb.report()
 
 
@@ -589,7 +578,8 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
     src, tgt, t_obj, beta = base.source, base.target, ms.tensor_objects, b.beta
     if _scan_cells(rb, base, ("braiding-component", "braiding-iso"), beta, t_obj,
                    [t_obj[y * n + x] for x in range(n) for y in range(n)],
-                   lambda k: divmod(k, n)):
+                   lambda k: divmod(k, n)) or not all(0 <= c < m for c in beta):
+        # a dangling component, reported above, has no row of comp to read
         return rb.report()
     comp, t_mor = base.comp, ms.tensor_morphisms
     for p in range(m):
@@ -639,6 +629,7 @@ def check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
 
 def is_symmetric(b: Braiding) -> bool:
     """True iff every double braiding beta_{y,x}∘beta_{x,y} is an identity."""
+    _check_tables(b.on)
     _check_braiding_ids(b)
     ms = b.on
     base = ms.base

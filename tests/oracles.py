@@ -4,12 +4,16 @@ Everything here deliberately avoids the library's incremental/backtracking
 code paths: full cartesian products filtered by the defining laws, and
 direct cochain arithmetic for cocycle and bicharacter conditions.  The
 per-call hom and inverse scans are the ones FinCategory's tables replaced,
-kept as their reference.  The exhaustive monoidal scans at the end are the
-ones check_monoidal replaced with reduced scans, kept as their reference:
-they compose every instance, in hom-sets with at most one morphism too.
-The exhaustive monoidal-functor check after them composes every
-mult-associativity instance, as check_mon_functor did before it skipped
-that scan on strict monoidal functors between strict structures.
+kept as their reference.  check_monoidal has one reference compared with
+==, reference_check_monoidal: the structure with explicit coherence tables,
+its component loop over every triple with no associativity test before it,
+and every coherence instance composed, in hom-sets with at most one
+morphism too.  exhaustive_check_monoidal goes through the same driver with
+check_functor on the materialised product and associator naturality over
+all m³ triples, whose witnesses are a superset of the bifunctor criterion's
+and of one-variable naturality's (CWM §II.3), so it is compared by verdict
+and by subset.  check_mon_functor's reference, exhaustive_check_mon_functor,
+composes every mult-associativity instance.
 The monoidal fiber product runs its associator and unitor callbacks over
 strict feet too, as it did before it read a strict apex off its tensor.
 The module-functor and module-transformation checkers at the end are the
@@ -46,17 +50,14 @@ subcategory functor, as the library did before it reused push and pull.
 The half-braiding search after the brute-force one prunes by naturality
 alone and tests the hexagons on complete families, as
 enumerate_half_braidings did before it tested each hexagon once the
-components it reads were chosen.  The associativity scans at the end run
-over every triple, as validate_group, check_monoidal's component loop, the
-strict-image test of check_mon_functor and the span audit did before
-Light's test gated them.  check_braiding with its own component loop, and
-check_monoidal with a strict structure's pentagon in a scan of its own,
-are the routes before one scan checked every component cell and one the
-pentagon.
+components it reads were chosen.  scanned_first_nonassociative and
+scanned_validate_group, the references of groups._first_nonassociative and
+validate_group, run over every triple.  check_braiding's reference,
+reference_check_braiding, writes its component loop out.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -106,14 +107,10 @@ from spanforge.monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
-    ScanFn,
     _check_braiding_length,
-    _check_monoidal_laws,
     _check_tables,
     _component_ok,
-    _hom_sizes,
     _scan_associator_naturality,
-    _scan_coherence,
     _scan_pentagon,
     _scan_tensor_bifunctor,
     _scan_triangle,
@@ -409,7 +406,8 @@ def joint_associator_naturality(ms: MonoidalStructure, rb: ReportBuilder) -> Non
 def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
     """Associator naturality over all m³ triples, then unitor naturality, the
     pentagon and the triangle, composing both paths of every instance, thin
-    hom-sets included."""
+    hom-sets included; the pentagon reads alpha(x, y, z) at
+    a[(x*n + y)*n + z] of the explicit associator table."""
     joint_associator_naturality(ms, rb)
     if rb.full:
         return
@@ -426,13 +424,14 @@ def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
             rb.add("right-unitor-naturality", (p,), "square does not commute")
         if rb.full:
             return
+    a, t_obj, t_mor, ident = ms.associator, ms.tensor_objects, ms.tensor_morphisms, base.identity
     for w, x, y, z in product(range(n), repeat=4):
         lhs = base.compose_path(
-            ms.tensor_mor(base.identity[w], ms.alpha(x, y, z)),
-            ms.alpha(w, ms.tensor_obj(x, y), z),
-            ms.tensor_mor(ms.alpha(w, x, y), base.identity[z]))
-        rhs = base.comp[ms.alpha(w, x, ms.tensor_obj(y, z))][
-            ms.alpha(ms.tensor_obj(w, x), y, z)]
+            t_mor[ident[w] * m + a[(x * n + y) * n + z]],
+            a[(w * n + t_obj[x * n + y]) * n + z],
+            t_mor[a[(w * n + x) * n + y] * m + ident[z]])
+        rhs = base.comp[a[(w * n + x) * n + t_obj[y * n + z]]][
+            a[(t_obj[w * n + x] * n + y) * n + z]]
         if lhs != rhs:
             rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
             if rb.full:
@@ -447,14 +446,90 @@ def exhaustive_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
                 return
 
 
+ScanFn = Callable[[MonoidalStructure, ReportBuilder], None]
+
+
+def check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
+                        scan_coherence: ScanFn) -> Report:
+    """The driver of both check_monoidal references, on a structure with
+    explicit coherence tables: check_monoidal's gates with its tensor and
+    coherence scans passed in, and its component loop over every triple,
+    with no associativity test before it."""
+    rb = ReportBuilder("monoidal", cap)
+    _check_tables(ms)
+    base_laws = check_category(ms.base, cap)
+    rb.merge("base-", base_laws)
+    if not base_laws.ok:
+        return rb.report()
+    scan_tensor(ms, rb)
+    base = ms.base
+    n, m = base.num_objects, base.num_morphisms
+    # the base passed check_category, so no inverse entry is the -1 of a
+    # scan that raises
+    src, tgt, inv, t_obj = base.source, base.target, base.inverse_table, ms.tensor_objects
+    stop = rb.full  # a builder full on entry stops after the first instance
+    for k, a in enumerate(ms.associator):
+        x, y, z = k // n // n, k // n % n, k % n
+        s, t = t_obj[t_obj[x * n + y] * n + z], t_obj[x * n + t_obj[y * n + z]]
+        if not (0 <= a < m and src[a] == s and tgt[a] == t):
+            rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
+        elif inv[a] is None:
+            rb.add("associator-iso", (x, y, z), "component is not invertible")
+        elif not stop:
+            continue
+        if rb.full:
+            return rb.report()
+    unit = ms.unit
+    for x in range(n):
+        for law, cell, s in (("left-unitor", ms.unitor(x, True), t_obj[unit * n + x]),
+                             ("right-unitor", ms.unitor(x, False), t_obj[x * n + unit])):
+            if not (0 <= cell < m and src[cell] == s and tgt[cell] == x):
+                rb.add(law + "-component", (x,), _component_ok(base, cell, s, x))
+            elif inv[cell] is None:
+                rb.add(law + "-iso", (x,), "component is not invertible")
+        if rb.full:
+            return rb.report()
+
+    # ill-typed components or tensor entries make the law scans meaningless,
+    # and their paths need not compose
+    if any(v.law.endswith("-component") or v.law == "tensor-functor-endpoints"
+           for v in rb.report().violations):
+        return rb.report()
+
+    scan_coherence(ms, rb)
+    return rb.report()
+
+
+def every_coherence_instance(ms: MonoidalStructure, rb: ReportBuilder) -> None:
+    """The library's associator and unitor naturality, pentagon and
+    triangle scans with every hom-set counted as holding two morphisms, so
+    that no instance is skipped."""
+    sizes = [2] * ms.base.num_objects ** 2
+    for scan in (_scan_associator_naturality, _scan_unitor_naturality,
+                 _scan_pentagon, _scan_triangle):
+        scan(ms, rb, sizes)
+        if rb.full:
+            return
+
+
+def reference_check_monoidal(ms: MonoidalStructure,
+                             cap: int = DEFAULT_VIOLATION_CAP) -> Report:
+    """check_monoidal's reference, compared with ==: ms with explicit
+    coherence tables, every associator component, the library's bifunctor
+    scan and every coherence instance composed."""
+    _check_tables(ms)
+    return check_monoidal_laws(explicit_tables(ms), cap, _scan_tensor_bifunctor,
+                               every_coherence_instance)
+
+
 def exhaustive_check_monoidal(ms: MonoidalStructure,
                               cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """check_monoidal with the exhaustive bifunctor scan and the exhaustive
-    coherence scans in place of the reduced ones; the gates before them are
-    shared."""
-    return _check_monoidal_laws(ms, cap, exhaustive_tensor_scan,
-                                exhaustive_coherence)
-
+    """reference_check_monoidal with check_functor on the materialised
+    product and naturality over all m³ triples, whose tensor and
+    associator-naturality witnesses are a superset of the library's."""
+    _check_tables(ms)
+    return check_monoidal_laws(explicit_tables(ms), cap, exhaustive_tensor_scan,
+                               exhaustive_coherence)
 
 
 def exhaustive_check_mon_functor(mf: MonFunctor,
@@ -1589,111 +1664,8 @@ def scanned_validate_group(table: GroupTable) -> None:
                     raise GroupError(f"associativity fails at ({a}, {b}, {c})")
 
 
-def scanned_check_monoidal_laws(ms: MonoidalStructure, cap: int, scan_tensor: ScanFn,
-                                scan_coherence: ScanFn) -> Report:
-    """check_monoidal with its tensor and coherence scans passed in, so that
-    the exhaustive scans they stand for can be run in their place as a
-    reference."""
-    rb = ReportBuilder("monoidal", cap)
-    _check_tables(ms)
-    base_laws = check_category(ms.base, cap)
-    rb.merge("base-", base_laws)
-    if not base_laws.ok:
-        return rb.report()
-    scan_tensor(ms, rb)
-    base = ms.base
-    n, m = base.num_objects, base.num_morphisms
-    # the base passed validate_structure, so no inverse entry is the -1 of
-    # a scan that raises
-    src, tgt, inv, ident = base.source, base.target, base.inverse_table, base.identity
-    t_obj, assoc = ms.tensor_objects, ms.associator
-
-    # on a strict structure the components are identities, well typed iff
-    # the tensor is associative and unital on objects
-    stop = rb.full  # a builder full on entry stops after the first instance
-    k = 0
-    for x in range(n):
-        for y in range(n):
-            xy = t_obj[x * n + y] * n
-            for z in range(n):
-                s, t = t_obj[xy + z], t_obj[x * n + t_obj[y * n + z]]
-                a = ident[s] if assoc is None else assoc[k]
-                k += 1
-                if not (0 <= a < m and src[a] == s and tgt[a] == t):
-                    rb.add("associator-component", (x, y, z), _component_ok(base, a, s, t))
-                elif inv[a] is None:
-                    rb.add("associator-iso", (x, y, z), "component is not invertible")
-                elif not stop:
-                    continue
-                if rb.full:
-                    return rb.report()
-    unit = ms.unit
-    for x in range(n):
-        for law, cell, s in (("left-unitor", ms.unitor(x, True), t_obj[unit * n + x]),
-                             ("right-unitor", ms.unitor(x, False), t_obj[x * n + unit])):
-            if not (0 <= cell < m and src[cell] == s and tgt[cell] == x):
-                rb.add(law + "-component", (x,), _component_ok(base, cell, s, x))
-            elif inv[cell] is None:
-                rb.add(law + "-iso", (x,), "component is not invertible")
-        if rb.full:
-            return rb.report()
-
-    # ill-typed components or tensor entries make the law scans meaningless,
-    # and their paths need not compose
-    if any(v.law.endswith("-component") or v.law == "tensor-functor-endpoints"
-           for v in rb.report().violations):
-        return rb.report()
-
-    scan_coherence(ms, rb)
-    return rb.report()
-
-
-def scanned_check_monoidal(ms: MonoidalStructure,
-                           cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """check_monoidal with the component loop over every triple."""
-    return scanned_check_monoidal_laws(ms, cap, _scan_tensor_bifunctor, _scan_coherence)
-
-
-def scanned_strict_on_image(mf: MonFunctor) -> bool:
-    """_strict_on_image with the associativity loop over every image triple."""
-    src, tgt = mf.source, mf.target
-    if not (src.strict and tgt.strict):
-        return False
-    base = tgt.base
-    n, nt, mt = src.base.num_objects, base.num_objects, base.num_morphisms
-    ident, comp = base.identity, base.comp
-    obj_map, s_obj = mf.underlying.object_map, src.tensor_objects
-    t_obj, t_mor = tgt.tensor_objects, tgt.tensor_morphisms
-    if obj_map[src.unit] != tgt.unit or mf.unit_iso != ident[tgt.unit]:
-        return False
-    if not all(0 <= xy < n for xy in s_obj):
-        return False
-    f_xy = [obj_map[xy] for xy in s_obj]
-    if f_xy != [t_obj[fx * nt + fy] for fx in obj_map for fy in obj_map] \
-            or list(mf.mult) != [ident[a] for a in f_xy]:
-        return False
-    image = sorted(set(obj_map))
-    # a⊗b for a and b in the image, itself in the image: Fx⊗Fy = F(x⊗y)
-    right = {a: [t_obj[a * nt + b] for b in image] for a in image}
-    # id_a⊗id_b = id_(a⊗b) and id∘id = id at a⊗b
-    id_image = [ident[b] for b in image]
-    for a in image:
-        left, ends = ident[a] * mt, [ident[ab] for ab in right[a]]
-        if [t_mor[left + i] for i in id_image] != ends \
-                or any(comp[i][i] != i for i in ends):
-            return False
-    # (a⊗b)⊗c = a⊗(b⊗c) for a, b, c in the image
-    for a in image:
-        an, ab = a * nt, right[a]
-        for j, b in enumerate(image):
-            if right[ab[j]] != [t_obj[an + bc] for bc in right[b]]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# each component loop and the strict pentagon in a scan of its own, before
-# _scan_cells and _scan_pentagon stated each rule once
+# check_braiding with its own component loop, before _scan_cells
 # ---------------------------------------------------------------------------
 
 def reference_check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> Report:
@@ -1721,6 +1693,8 @@ def reference_check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> R
                 continue
             if rb.full:
                 return rb.report()
+    if not all(0 <= c < m for c in beta):
+        return rb.report()
     comp, t_mor = base.comp, ms.tensor_morphisms
     for p in range(m):
         x0, x1 = src[p] * n, tgt[p] * n
@@ -1765,63 +1739,3 @@ def reference_check_braiding(b: Braiding, cap: int = DEFAULT_VIOLATION_CAP) -> R
                 if rb.full:
                     return rb.report()
     return rb.report()
-
-
-def _scan_strict_pentagon(ms: MonoidalStructure, rb: ReportBuilder,
-                          sizes: list[int]) -> None:
-    """_scan_pentagon on a strict structure, where it compares
-    (id_w⊗id_((x⊗y)⊗z))∘(id_((w⊗x)⊗y)⊗id_z) with the identity.  A tensor
-    that preserves identities makes both paths identities, so only a tensor
-    that breaks that law is scanned."""
-    base = ms.base
-    n, m = base.num_objects, base.num_morphisms
-    comp, ident = base.comp, base.identity
-    t_obj, t_mor = ms.tensor_objects, ms.tensor_morphisms
-    if all(t_mor[ident[x] * m + ident[y]] == ident[t_obj[x * n + y]]
-           for x in range(n) for y in range(n)):
-        return
-    for w in range(n):
-        id_w = ident[w] * m
-        for x in range(n):
-            wx = t_obj[w * n + x]
-            for y in range(n):
-                xy = t_obj[x * n + y] * n
-                wx_y = t_obj[wx * n + y]
-                for z in range(n):
-                    if sizes[t_obj[wx_y * n + z] * n
-                             + t_obj[w * n + t_obj[x * n + t_obj[y * n + z]]]] <= 1:
-                        continue
-                    lhs = comp[t_mor[id_w + ident[t_obj[xy + z]]]][
-                        t_mor[ident[wx_y] * m + ident[z]]]
-                    rhs = ident[t_obj[wx_y * n + z]]
-                    if lhs != rhs:
-                        rb.add("pentagon", (w, x, y, z), f"paths {lhs} vs {rhs}")
-                        if rb.full:
-                            return
-
-
-def strict_pentagon_coherence(ms: MonoidalStructure, rb: ReportBuilder) -> None:
-    """_scan_coherence with a strict structure's pentagon in its own scan,
-    _scan_strict_pentagon."""
-    sizes = _hom_sizes(ms.base)
-    if max(sizes, default=0) <= 1:
-        return
-    # the strict reduction (CWM §VII.1): with identity components that are
-    # well typed, which the component scan establishes before the coherence
-    # scans run, composing a path with a component leaves it as it is, by the
-    # identity law of the lawful base; so the triangle compares id_x⊗id_y
-    # with itself and holds, and the other scans read the tensor alone
-    scans = (_scan_associator_naturality, _scan_unitor_naturality) + (
-        (_scan_strict_pentagon,) if ms.strict else (_scan_pentagon, _scan_triangle))
-    for scan in scans:
-        scan(ms, rb, sizes)
-        if rb.full:
-            return
-
-
-def strict_pentagon_check_monoidal(ms: MonoidalStructure,
-                                   cap: int = DEFAULT_VIOLATION_CAP) -> Report:
-    """check_monoidal with a strict structure's pentagon scanned by
-    _scan_strict_pentagon."""
-    return _check_monoidal_laws(ms, cap, _scan_tensor_bifunctor,
-                                strict_pentagon_coherence)

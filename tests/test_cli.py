@@ -76,9 +76,9 @@ def test_validate_a_strict_tensor_not_associative_on_objects_exits_one(capsys):
 
 
 def test_validate_a_strict_tensor_breaking_identities_exits_one(capsys):
-    # id⊗id = 1 on BZ/3: the strict pentagon is scanned, with the witness and
-    # detail that _scan_strict_pentagon gave before _scan_pentagon read a
-    # strict structure's components off its tensor
+    # id⊗id = 1 on BZ/3: the strict pentagon is scanned through
+    # _scan_pentagon, which reads a strict structure's components off its
+    # tensor, with the witness and detail of oracles.reference_check_monoidal
     code, out, err = run(capsys, "--report", "structured", "validate",
                          data("strict_identity_breaking_monoidal.json"))
     assert (code, err) == (1, "")

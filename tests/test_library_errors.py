@@ -29,7 +29,9 @@ center on a dangling tensor or unit id, the braided centralizer,
 intertwiner and Müger center on a dangling object image or a short or
 dangling braiding table, is_symmetric and check_braided_functor on a short
 braiding table, check_hpt_conditions on a dangling comparison and
-restrict_monoidal on a dangling object id.
+restrict_monoidal on a dangling object id.  check_braiding reports a
+dangling braiding component and reads no further, and is_symmetric refuses
+a dangling tensor id.
 """
 import random
 from dataclasses import replace
@@ -599,3 +601,29 @@ def test_the_center_layer_refuses_dangling_ids_and_short_braidings():
     assert {value for kind, value, _ in probes if kind == "target"} == {99, -1}
     for kind, value, call in probes:
         assert outcome(call) is StructureError, (kind, value)
+
+
+@pytest.mark.parametrize("value", [99, -1])
+def test_the_braiding_readers_stop_at_dangling_ids(value):
+    # on skeletal Z/3 with its trivial bicharacter braiding, 99 raised
+    # IndexError in both; -1 gave 21 check_braiding reports read through
+    # the last composition row, and is_symmetric returned False
+    from spanforge.groups import cyclic
+    from spanforge.monoidal import (
+        check_braiding,
+        is_symmetric,
+        make_bicharacter_braiding,
+        make_skeletal_group_category,
+        trivial_cochain,
+    )
+
+    z3 = cyclic(3)
+    ms = make_skeletal_group_category(z3, z3, trivial_cochain(z3))
+    b = make_bicharacter_braiding(ms, z3, [[0] * 3] * 3)
+    assert check_braiding(b).ok and is_symmetric(b)
+    report = check_braiding(replace(b, beta=(value,) + b.beta[1:]))
+    assert [(v.law, v.witness) for v in report.violations] \
+        == [("braiding-component", (0, 0))], report.lines()
+    bad = replace(b, on=replace(ms, tensor_objects=(value,) + ms.tensor_objects[1:]))
+    with pytest.raises(StructureError, match="dangling id"):
+        is_symmetric(bad)

@@ -10,52 +10,35 @@ check_mon_functor's strict-image test decides associativity over the
 image, a sub-magma, the same way, and so does validate_group on a group
 table.
 
-oracles keeps the parent scans: the lexicographic scan, check_monoidal with
-its component loop over every triple, the strict-image test with its loop
-over every image triple, and validate_group with its own.  Each must agree
-with the gated code, == on return values, errors and whole reports at cap
-32, cap 1 and cap 0, on the corpus apexes and their legs, End categories,
-2-span and pairing apexes, Drinfeld centers, skeletal Z/n cochains,
-relabelled copies, seeded magmas, and one-entry mutants of associative
-tensors and of group tables, a builder already full on entry among them.  The gate must
-also keep firing: neither full loop may run on a corpus apex or a corpus
-leg.
+oracles keeps the lexicographic scan and validate_group with its own loop
+over every triple.  Each must agree with the gated code, == on return
+values and errors, on the tensors of the corpus apexes, End categories,
+2-span and pairing apexes, Drinfeld centers and skeletal Z/n cochains,
+seeded magmas, and one-entry mutants of associative tensors and of group
+tables.  test_reference_checkers compares check_monoidal and
+check_mon_functor, gated, with their references on these structures, their
+relabelled copies and the functors whose strict-image test reaches the
+image loop.  The gate must also keep firing: neither full loop may run on
+a corpus apex or a corpus leg.
 """
 import functools
 import random
-from dataclasses import replace
-from itertools import product
 
 import corpus
 import oracles
 from test_reduced_scans import corpus_apexes, skeletal_categories
-from test_relabel_invariance import TableRelabeler
-from test_strict_mon_functors import constructions, corpus_legs
-from test_strict_structures import CAPS, magma, outcome, strict_cases, tensor_mutants
+from test_strict_mon_functors import corpus_legs
+from test_strict_structures import strict_cases
 from spanforge import groups, monoidal
 from spanforge.centers import drinfeld_center
-from spanforge.fincat import discrete_category
 from spanforge.groups import GroupError, GroupTable, cyclic, quaternion_8, symmetric_3
 from spanforge.monoidal import (
-    check_mon_functor,
     check_monoidal,
-    identity_mon_functor,
     make_discrete_group_category,
     make_skeletal_group_category,
-    restrict_monoidal,
-    strict_mon_functor,
-    tabulate_monoidal,
     trivial_cochain,
 )
 from spanforge.spans import build_span
-
-
-def magma_structure(rows):
-    """The strict structure on the discrete category whose object tensor
-    has x⊗y at rows[x][y], with unit 0."""
-    base = discrete_category(len(rows))
-    return tabulate_monoidal(base, 0, lambda x, y: rows[x][y],
-                             lambda f, g, s, t: base.identity[s])
 
 
 def carry(n, k):
@@ -145,97 +128,6 @@ def outcome_of(check, table):
         return check(table)
     except GroupError as exc:
         return type(exc), str(exc)
-
-
-# cap 0: the builder is full on entry to every scan
-ALL_CAPS = CAPS + (0,)
-
-
-def assert_same_reports(ms):
-    """check_monoidal against the full component loop at caps 32, 1 and 0;
-    the reports at cap 32 and cap 1."""
-    got = [outcome(check_monoidal, ms, cap) for cap in ALL_CAPS]
-    assert got == [outcome(oracles.scanned_check_monoidal, ms, cap) for cap in ALL_CAPS]
-    return got[:2]
-
-
-def test_check_monoidal_matches_the_full_component_loop():
-    relabel = TableRelabeler(random.Random(28))
-    for ms in structures():
-        assert_same_reports(ms)
-        if ms.base.num_morphisms <= 64:
-            assert_same_reports(relabel.monoidal(ms))
-
-
-def test_check_monoidal_matches_the_full_component_loop_on_mutants():
-    """Seeded magmas; object-entry mutants of strict constructions, which
-    break the tensor's endpoints too, so at cap 1 the builder is full before
-    the component loop; and morphism-entry mutants, whose tensor stays
-    associative on objects, so at cap 1 the gate passes on a full builder,
-    with the unit moved too, so that a unitor component after the skipped
-    loop is ill typed."""
-    rng = random.Random(29)
-    laws = set()
-    cases = [magma(n, rng, unital) for n, unital in product((2, 3, 4, 5), (True, False))
-             for _ in range(5)]
-    for ms in structures():
-        if not ms.strict or ms.base.num_objects > 16:
-            continue
-        for rows in entry_mutants(ms.tensor_rows(), rng, 2):
-            cases.append(replace(ms, tensor_objects=sum(rows, ())))
-        for _, mutant in tensor_mutants(ms, rng, 1):
-            cases += [mutant, replace(mutant, unit=rng.randrange(ms.base.num_objects))]
-    full_on_entry = {True: 0, False: 0}
-    for ms in cases:
-        report, capped = assert_same_reports(ms)
-        if capped.violations and not capped.violations[0].law.startswith(
-                ("base-", "associator-", "left-unitor-", "right-unitor-")):
-            full_on_entry[monoidal._first_nonassociative(ms.tensor_rows()) is None] += 1
-        laws |= {v.law for v in report.violations}
-    assert min(full_on_entry.values()) > 5, full_on_entry
-    assert {"associator-component", "tensor-functor-endpoints",
-            "left-unitor-component"} <= laws, laws
-
-
-def image_cases(rng):
-    """Monoidal functors whose strict-image test reaches the image loop:
-    identities of seeded magmas and of one-entry mutants of group tensors,
-    and inclusions of sub-magmas containing the unit."""
-    tables = seeded_magmas(rng, 60)
-    tables += [m for g in (cyclic(4), cyclic(5), symmetric_3())
-               for m in entry_mutants(make_discrete_group_category(g).tensor_rows(), rng, 8)]
-    cases = []
-    for rows in tables:
-        ms = magma_structure(rows)
-        cases.append(identity_mon_functor(ms))
-        closed = {0, rng.randrange(len(rows))}
-        while True:
-            more = closed | {rows[x][y] for x in closed for y in closed}
-            if more == closed:
-                break
-            closed = more
-        if len(closed) < len(rows):
-            sub, inclusion = restrict_monoidal(ms, tuple(sorted(closed)))
-            cases.append(strict_mon_functor(sub, ms, inclusion))
-    return cases
-
-
-def test_the_strict_image_test_matches_the_full_image_loop():
-    relabel = TableRelabeler(random.Random(30))
-    functors = [mf for _, mf in constructions()]
-    functors += [relabel.mon_functor(mf) for mf in functors
-                 if mf.source.base.num_morphisms <= 64]
-    cases = image_cases(random.Random(31))
-    verdicts = {True: 0, False: 0}
-    for mf in functors + cases:
-        got = monoidal._strict_on_image(mf)
-        assert got == oracles.scanned_strict_on_image(mf)
-        verdicts[got] += 1
-    assert verdicts[False] > 40, verdicts
-    # the whole report, against the check that composes every instance
-    for mf in cases:
-        assert [outcome(check_mon_functor, mf, cap) for cap in ALL_CAPS] \
-            == [outcome(oracles.exhaustive_check_mon_functor, mf, cap) for cap in ALL_CAPS]
 
 
 def test_the_gate_keeps_firing_on_the_corpus(monkeypatch):

@@ -220,12 +220,13 @@ def identity_composite_mutant():
     return identity_mon_functor(mutant)
 
 
-def test_reports_match_the_exhaustive_scan_on_gate_mutants():
+def gate_mutants():
+    """The mutants of each kind, by kind."""
     rng = random.Random(25)
     scalar_cases = [identity_mon_functor(with_scalars(mf.source))
                     for _, mf in constructions() if small(mf.source)
                     and mf.source.base.num_morphisms <= 8][:12]
-    kinds = {
+    return {
         "non-strict end": [m for _, mf in constructions() if small(mf.source)
                            for m in non_strict_ends(mf)],
         "non-identity cell": [m for mf in scalar_cases + [c for _, c in constructions()]
@@ -235,8 +236,11 @@ def test_reports_match_the_exhaustive_scan_on_gate_mutants():
         "non-associative target": non_associative_targets(),
         "id∘id": [identity_composite_mutant()],
     }
+
+
+def test_reports_match_the_exhaustive_scan_on_gate_mutants():
     raised = set()
-    for kind, mutants in kinds.items():
+    for kind, mutants in gate_mutants().items():
         assert len(mutants) >= {"id∘id": 1}.get(kind, 3), kind
         for mf in mutants:
             assert not monoidal._strict_on_image(mf), kind
