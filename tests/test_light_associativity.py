@@ -15,10 +15,11 @@ over every triple.  Each must agree with the gated code, == on return
 values and errors, on the tensors of the corpus apexes, End categories,
 2-span and pairing apexes, Drinfeld centers and skeletal Z/n cochains,
 seeded magmas, and one-entry mutants of associative tensors and of group
-tables.  test_reference_checkers compares check_monoidal and
-check_mon_functor, gated, with their references on these structures, their
-relabelled copies and the functors whose strict-image test reaches the
-image loop.  The gate must also keep firing: neither full loop may run on
+tables.  check_monoidal and check_mon_functor, gated, must give the
+reports of their references, whose loops run over every triple, on these
+structures, their relabelled copies, seeded mutants and the functors whose
+strict-image test reaches the image loop, at caps 32, 1 and 0;
+test_reference_checkers builds these pools and compares them once.  The gate must also keep firing: neither full loop may run on
 a corpus apex or a corpus leg.
 """
 import functools
@@ -128,6 +129,48 @@ def outcome_of(check, table):
         return check(table)
     except GroupError as exc:
         return type(exc), str(exc)
+
+
+def test_check_monoidal_matches_the_full_component_loop():
+    # test_reference_checkers builds its pools from this module, so it is
+    # imported here; its reference runs the associator component loop over
+    # every triple, on these structures and their relabelled copies
+    from test_reference_checkers import pool_outcomes
+    found = pool_outcomes("monoidal", "associativity structures")
+    assert set(structures()) <= set(found)
+
+
+def test_check_monoidal_matches_the_full_component_loop_on_mutants():
+    """Seeded magmas and mutants of seed 29
+    (test_reference_checkers.component_loop_mutants): object-entry mutants
+    of strict constructions, which break the tensor's endpoints too, so at
+    cap 1 the builder is full before the component loop; and morphism-entry
+    mutants, whose tensor stays associative on objects, so at cap 1 the gate
+    passes on a full builder, with the unit moved too, so that a unitor
+    component after the skipped loop is ill typed."""
+    from test_reference_checkers import pool_laws, pool_outcomes
+    found = pool_outcomes("monoidal", "component-loop mutants")
+    full_on_entry = {True: 0, False: 0}
+    for ms, (_, capped, _) in found.items():
+        if not isinstance(capped, tuple) and capped.violations \
+                and not capped.violations[0].law.startswith(
+                    ("base-", "associator-", "left-unitor-", "right-unitor-")):
+            full_on_entry[monoidal._first_nonassociative(ms.tensor_rows()) is None] += 1
+    assert min(full_on_entry.values()) > 5, full_on_entry
+    assert {"associator-component", "tensor-functor-endpoints",
+            "left-unitor-component"} <= pool_laws(found)
+
+
+def test_the_strict_image_test_matches_the_full_image_loop():
+    # exhaustive_check_mon_functor composes every instance, on the
+    # constructions, their relabelled copies and functors whose
+    # strict-image test reaches the image loop
+    from test_reference_checkers import pool_outcomes
+    verdicts = {True: 0, False: 0}
+    for name in ("constructions", "relabelled constructions", "image-loop cases"):
+        for mf in pool_outcomes("mon_functor", name):
+            verdicts[monoidal._strict_on_image(mf)] += 1
+    assert verdicts[False] > 40, verdicts
 
 
 def test_the_gate_keeps_firing_on_the_corpus(monkeypatch):

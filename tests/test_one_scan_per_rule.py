@@ -8,9 +8,12 @@ pentagon of a strict structure too, reading its components as the
 identities of (x⊗y)⊗z, and check_monoidal runs it there only when the
 tensor sends some id_x⊗id_y to another morphism.
 
-test_reference_checkers compares each checker with its reference on the
-braidings the tests build, their relabelled copies and seeded component
-and multiplicativity-cell mutants.  Here check_braiding must raise where
+check_braiding must give the report of oracles.reference_check_braiding,
+which writes its component loop out, on the braidings the tests build,
+their relabelled copies and seeded component mutants, and check_mon_functor
+that of oracles.exhaustive_check_mon_functor on seeded
+multiplicativity-cell mutants; test_reference_checkers builds these pools
+and compares them once.  check_braiding must also raise where
 oracles.reference_check_braiding raises, on a malformed base whose
 inverse scan raises, and check_monoidal must run the strict pentagon
 through _scan_pentagon on strict structures whose tensor breaks
@@ -24,11 +27,31 @@ import pytest
 
 import oracles
 from test_hom_tables import short_row_braiding
-from test_reference_checkers import CAPS, laws, outcomes
+from test_reference_checkers import CAPS, laws, outcomes, pool_laws, pool_outcomes, pools
 from test_relabel_invariance import TableRelabeler
 from test_strict_structures import small_strict_bases, tensor_mutants
 from spanforge import monoidal
 from spanforge.monoidal import check_braiding, check_monoidal
+
+
+def test_check_braiding_matches_its_own_component_loop():
+    # each braiding and its relabelled copy
+    assert len(pools()["braiding"]["braidings"]) > 60
+    found = pool_outcomes("braiding", "braidings")
+    assert {"hexagon-forward", "hexagon-reverse"} <= pool_laws(found)
+
+
+def test_check_braiding_matches_its_own_component_loop_on_mutants():
+    # wrong-end, non-invertible and dangling components of seed 30
+    assert {"braiding-component", "braiding-iso"} \
+        <= pool_laws(pool_outcomes("braiding", "component mutants"))
+
+
+def test_check_mon_functor_matches_its_own_cell_loop_on_mutants():
+    # exhaustive_check_mon_functor keeps the multiplicativity-cell loop
+    # written out; the cells are moved as the braiding components are, seed 32
+    assert {"mult-cell", "mult-cell-iso"} \
+        <= pool_laws(pool_outcomes("mon_functor", "multiplicativity-cell mutants"))
 
 
 def test_check_braiding_raises_where_its_own_component_loop_raises():

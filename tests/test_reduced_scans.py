@@ -9,10 +9,10 @@ naturality over all m³ triples, and every unitor-naturality, pentagon and
 triangle instance composed.  The verdicts must agree, every reduced witness
 must be a violation that the oracle reports too, in the same numbering of
 pairs (f*m + g), and every other law must fail at the same witnesses in the
-same order.  agree() runs here on skeletal group categories, fixtures and
-designed counterexamples, and in test_reference_checkers on every pool
-these build, the corpus apexes, End categories and 2,000 seeded mutants
-among them.
+same order.  agree() runs on the corpus apexes, End categories, skeletal
+group categories, fixtures, designed counterexamples and 2,000 seeded
+mutants; test_reference_checkers builds the pools of the apexes, End
+categories and mutants and runs agree() once per distinct structure.
 """
 import random
 from dataclasses import replace
@@ -297,6 +297,18 @@ def test_reduced_scans_agree_on_designed_counterexamples():
         assert not any(law.startswith("tensor-") for law in found)
 
 
+def test_reduced_scans_agree_on_corpus_apexes():
+    # test_reference_checkers builds its pools from this module, so it is
+    # imported here; it runs agree() once per distinct structure
+    from test_reference_checkers import agreed_on
+    assert len(agreed_on("corpus apexes")) == 23
+
+
+def test_reduced_scans_agree_on_corpus_end_categories():
+    from test_reference_checkers import agreed_on
+    assert agreed_on("corpus End categories")
+
+
 def test_reduced_scans_agree_on_skeletal_group_categories():
     for ms in skeletal_categories():
         agree(ms)
@@ -359,3 +371,15 @@ def mutants(ms, rng: random.Random, count: int):
             entries[i] = rng.choice([f for f in range(m) if f != old])
         yield replace(ms, **{table: tuple(entries)})
 
+
+def test_reduced_scans_agree_on_mutants():
+    # 2,000 or more mutants of seed 2024: test_reference_checkers.reduced_scan_mutants
+    from test_reference_checkers import agreed_on
+    reports = agreed_on("reduced-scan mutants")
+    verdicts = [report.ok for report in reports]
+    assert len(verdicts) >= 2000
+    assert True in verdicts and False in verdicts
+    assert {"tensor-functor-endpoints", "tensor-functor-composition",
+            "associator-naturality", "left-unitor-naturality",
+            "right-unitor-naturality", "pentagon", "triangle"} \
+        <= {v.law for report in reports for v in report.violations}

@@ -16,15 +16,17 @@ oracles.exhaustive_check_mon_functor, which composes every
 mult-associativity instance, and check_braiding with
 oracles.reference_check_braiding, which writes its component loop out.
 
-The pools are the inputs of the differential tests that these comparisons
-replace, with their seeds: corpus apexes, End categories, 2-span and
+The pools are the inputs of the differential tests of the modules named in
+the imports, with their seeds: corpus apexes, End categories, 2-span and
 pairing apexes, Drinfeld centers, skeletal group categories, fixtures,
 relabelled copies, seeded magmas and one-entry mutants of tensors, coherence
 tables, multiplicativity cells and braiding components, and each strict
 structure with its explicit-table form.  They are built once per session
 and deduplicated by ==, so the structures shared between pools, the
-27-object apexes among them, are checked once.  Each named pool keeps its
-minimum case count and the laws it must reach.
+27-object apexes among them, are checked once.  Where an earlier
+differential test compared a named pool, that test stays in its module
+under its name, with the pool's minimum case count and the laws it must
+reach, and reads the cached comparisons here.
 
 The reductions that can be patched are made unsound in turn, and the
 comparison must then find a difference on the pool.
@@ -363,66 +365,65 @@ def compare(check, reference, pool, key=lambda s: s):
     return found
 
 
+REFERENCES = {
+    # the reference reads ms through its explicit-table form
+    "monoidal": (check_monoidal, oracles.reference_check_monoidal, oracles.explicit_tables),
+    "mon_functor": (check_mon_functor, oracles.exhaustive_check_mon_functor, lambda s: s),
+    "braiding": (check_braiding, oracles.reference_check_braiding, lambda s: s),
+}
+
+
+@functools.cache
+def checked(kind):
+    """compare on the union of the pools of kind, once per session: the
+    outcomes of each structure at every cap."""
+    check, reference, key = REFERENCES[kind]
+    return compare(check, reference, union(pools()[kind]), key)
+
+
+def pool_outcomes(kind, name):
+    """The outcomes of each structure of the named pool of kind, each
+    compared with its reference."""
+    found = checked(kind)
+    return {s: found[s] for s in pools()[kind][name]}
+
+
+def pool_laws(found):
+    return laws(r for reports in found.values() for r in reports)
+
+
+@functools.cache
+def agreed():
+    """agree() on the union of its pools, once per session."""
+    return {ms: agree(ms) for ms in union(pools()["agree"])}
+
+
+def agreed_on(name):
+    """The reports of agree() on the named pool, in pool order."""
+    return [agreed()[ms] for ms in pools()["agree"][name]]
+
+
+# The tests of the pools that earlier differential tests built stay in
+# their modules under their names and read the comparisons above; the
+# tests here cover the union, the other pools among it.
+
 def test_check_monoidal_equals_its_reference():
     named = pools()["monoidal"]
-    # the reference reads ms through its explicit-table form
-    found = compare(check_monoidal, oracles.reference_check_monoidal, union(named),
-                    oracles.explicit_tables)
+    assert len(checked("monoidal")) == len(union(named))
     sizes = {name: len(pool) for name, pool in named.items()}
     assert sizes["corpus apexes"] == 23 and sizes["fixtures"] >= 4, sizes
-    assert sizes["reduced-scan mutants"] >= 2000, sizes
-    # at cap 1, a builder full before the skipped component loop, on tensors
-    # that pass Light's test and on tensors that fail it
-    full_on_entry = {True: 0, False: 0}
-    for ms in named["component-loop mutants"]:
-        capped = found[ms][1]
-        if not isinstance(capped, tuple) and capped.violations \
-                and not capped.violations[0].law.startswith(
-                    ("base-", "associator-", "left-unitor-", "right-unitor-")):
-            full_on_entry[monoidal._first_nonassociative(ms.tensor_rows()) is None] += 1
-    assert min(full_on_entry.values()) > 5, full_on_entry
-    assert {"associator-component", "tensor-functor-endpoints", "left-unitor-component"} \
-        <= laws(r for ms in named["component-loop mutants"] for r in found[ms])
 
 
 def test_check_monoidal_agrees_with_the_exhaustive_scans():
-    named = pools()["agree"]
-    reports = {ms: agree(ms) for ms in union(named)}
-    verdicts = [reports[ms].ok for ms in named["reduced-scan mutants"]]
-    assert True in verdicts and False in verdicts
-    assert {"tensor-functor-endpoints", "tensor-functor-composition",
-            "associator-naturality", "left-unitor-naturality",
-            "right-unitor-naturality", "pentagon", "triangle"} \
-        <= laws(reports[ms] for ms in named["reduced-scan mutants"])
-    assert {"associator-component", "left-unitor-component", "associator-naturality",
-            "left-unitor-naturality", "right-unitor-naturality", "tensor-functor-identity",
-            "pentagon"} <= laws(reports[ms] for ms in named["strict mutants"])
+    assert len(agreed()) == len(union(pools()["agree"]))
 
 
 def test_check_mon_functor_equals_its_reference():
-    named = pools()["mon_functor"]
-    found = compare(check_mon_functor, oracles.exhaustive_check_mon_functor, union(named))
-    skipped = {True: 0, False: 0}
-    for mf in named["constructions"] + named["relabelled constructions"] \
-            + named["image-loop cases"]:
-        skipped[monoidal._strict_on_image(mf)] += 1
-    assert skipped[False] > 40, skipped
-    assert {"mult-naturality"} <= laws(r for mf in named["mutated strict ends"]
-                                       for r in found[mf])
-    assert {"mult-cell", "mult-cell-iso"} \
-        <= laws(r for mf in named["multiplicativity-cell mutants"] for r in found[mf])
+    assert len(checked("mon_functor")) == len(union(pools()["mon_functor"]))
 
 
 def test_check_braiding_equals_its_reference():
-    named = pools()["braiding"]
-    found = compare(check_braiding, oracles.reference_check_braiding, union(named))
-    assert len(named["braidings"]) > 60
-    assert {"hexagon-forward", "hexagon-reverse"} \
-        <= laws(r for b in named["braidings"] for r in found[b])
-    assert {"braiding-naturality"} <= laws(r for b in named["mutated strict ends"]
-                                           for r in found[b])
-    assert {"braiding-component", "braiding-iso"} \
-        <= laws(r for b in named["component mutants"] for r in found[b])
+    assert len(checked("braiding")) == len(union(pools()["braiding"]))
 
 
 # ---------------------------------------------------------------------------

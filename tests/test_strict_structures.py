@@ -8,12 +8,13 @@ strict.  Only monoidal.py reads the table layout; everything else reads a
 component through alpha, alpha_inv or unitor.
 
 check_monoidal, check_mon_functor and check_braiding read a strict end
-through the strict reduction instead of a table.  test_reference_checkers
-compares each, on the constructions above, on their explicit-table forms
-(oracles.explicit_tables) and on seeded mutants that break one of strict
-associativity on objects, strict associativity on morphisms, unitality on
-objects or on morphisms, and the tensor's preservation of identities, with
-its reference, which reads explicit tables.  The exhaustive oracle agrees
+through the strict reduction instead of a table.  Each must give the
+report of its reference, which reads explicit tables, on the constructions
+above, on their explicit-table forms (oracles.explicit_tables) and on
+seeded mutants that break one of strict associativity on objects, strict
+associativity on morphisms, unitality on objects or on morphisms, and the
+tensor's preservation of identities; test_reference_checkers builds these
+pools and compares them once.  The exhaustive oracle agrees
 with check_monoidal on the small constructions here.
 
 laxators.monoidal_fiber_product gives tabulate_monoidal no coherence
@@ -166,6 +167,15 @@ def outcome(check, s, cap):
         return type(exc), str(exc)
 
 
+def test_strict_checks_match_the_explicit_tables_on_constructions():
+    # test_reference_checkers builds its pools from this module, so it is
+    # imported here; its reference reads every structure through explicit
+    # tables, and each strict structure's explicit form is in the pool too
+    from test_reference_checkers import pool_outcomes
+    for kind in ("monoidal", "mon_functor", "braiding"):
+        assert pool_outcomes(kind, "strict constructions"), kind
+
+
 def magma(n: int, rng: random.Random, unital: bool) -> MonoidalStructure:
     """A strict structure on the discrete category with n objects whose
     object tensor is a seeded magma with unit 0, or with a unit that is
@@ -217,6 +227,28 @@ def small_strict_bases():
               if ms.base.num_morphisms <= 6]
     assert all(ms.strict for ms in found)
     return found
+
+
+def test_strict_checks_match_the_explicit_tables_on_mutants():
+    # seeded magmas and tensor mutants of seed 22:
+    # test_reference_checkers.strict_mutants
+    from test_reference_checkers import agreed_on, pool_outcomes
+    for kind in ("monoidal", "mon_functor"):
+        assert pool_outcomes(kind, "strict mutants"), kind
+    assert {"associator-component", "left-unitor-component",
+            "associator-naturality", "left-unitor-naturality",
+            "right-unitor-naturality", "tensor-functor-identity",
+            "pentagon"} <= {v.law for report in agreed_on("strict mutants")
+                            for v in report.violations}
+
+
+def test_strict_checks_match_the_explicit_tables_on_mutated_ends():
+    # a monoidal functor or braiding whose end's tensor breaks one strict
+    # law, seed 23: test_reference_checkers.mutated_ends
+    from test_reference_checkers import pool_laws, pool_outcomes
+    assert pool_outcomes("monoidal", "mutated strict ends")
+    assert {"mult-naturality"} <= pool_laws(pool_outcomes("mon_functor", "mutated strict ends"))
+    assert {"braiding-naturality"} <= pool_laws(pool_outcomes("braiding", "mutated strict ends"))
 
 
 def test_exhaustive_oracle_agrees_on_strict_constructions():
