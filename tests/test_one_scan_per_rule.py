@@ -36,7 +36,7 @@ from spanforge.monoidal import check_braiding, check_monoidal
 
 def test_check_braiding_matches_its_own_component_loop():
     # each braiding and its relabelled copy
-    assert len(pools()["braiding"]["braidings"]) > 60
+    assert len(pools("braiding")["braidings"]) > 60
     found = pool_outcomes("braiding", "braidings")
     assert {"hexagon-forward", "hexagon-reverse"} <= pool_laws(found)
 
