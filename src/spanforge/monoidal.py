@@ -88,9 +88,19 @@ class MonoidalStructure:
         return self.tensor_morphisms[f * self.base.num_morphisms + g]
 
     def tensor_rows(self) -> list[tuple[int, ...]]:
-        """x⊗y at [x][y], for loops outside this module that read many."""
+        """x⊗y at [x][y], for loops that read many entries."""
         n = self.base.num_objects
         return [self.tensor_objects[x * n:(x + 1) * n] for x in range(n)]
+
+    def partial_tensor(self, x: int, f: int, left: bool) -> tuple[tuple[int, ...], ...]:
+        """x⊗− on objects and f⊗− on morphisms when left, else −⊗x and −⊗f,
+        as two slices of the flat tables: y ↦ x⊗y and k ↦ f⊗k are rows,
+        y ↦ y⊗x and k ↦ k⊗f strides.  The partial tensor x⊗− is f = id_x."""
+        n, m = self.base.num_objects, self.base.num_morphisms
+        if left:
+            return (self.tensor_objects[x * n:(x + 1) * n],
+                    self.tensor_morphisms[f * m:(f + 1) * m])
+        return self.tensor_objects[x::n], self.tensor_morphisms[f::m]
 
     def alpha(self, x: int, y: int, z: int) -> int:
         n = self.base.num_objects
@@ -137,9 +147,11 @@ def tabulate_monoidal(base: FinCategory, unit: int,
         budget.check_morphisms(m * m, "tensor table")
     objects = tuple(on_objects(x, y) for x in range(n) for y in range(n))
     src, tgt = base.source, base.target
-    morphisms = tuple(on_morphisms(f, g, objects[src[f] * n + src[g]],
-                                   objects[tgt[f] * n + tgt[g]])
-                      for f in range(m) for g in range(m))
+    rows = [objects[x * n:(x + 1) * n] for x in range(n)]
+    morphisms = tuple(on_morphisms(f, g, s_row[src[g]], t_row[tgt[g]])
+                      for f, s_row, t_row in zip(range(m), [rows[s] for s in src],
+                                                 [rows[t] for t in tgt])
+                      for g in range(m))
     strict = MonoidalStructure(base, objects, morphisms, unit, None, None, None)
     if associator is None and left_unitor is None and right_unitor is None:
         return strict
@@ -876,10 +888,9 @@ def strict_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
                        underlying: Functor) -> MonFunctor:
     """A functor that preserves tensor and unit on the nose, with identity
     multiplicativity and unit cells."""
-    n = source.base.num_objects
-    on_obj = underlying.object_map
-    mult = tuple(target.base.identity[target.tensor_obj(on_obj[x], on_obj[y])]
-                 for x in range(n) for y in range(n))
+    images = [underlying.object_map[x] for x in range(source.base.num_objects)]
+    rows, identity = target.tensor_rows(), target.base.identity
+    mult = tuple(identity[rows[fx][fy]] for fx in images for fy in images)
     return MonFunctor(source, target, underlying, mult,
                       target.base.identity[target.unit])
 
@@ -926,9 +937,12 @@ def tensor_mor_over_product(x: MonoidalStructure, y: MonoidalStructure,
     with arrows and index as category_over_product returns them: k0⊗k1 is
     the morphism s -> t over the tensors of their arrows in X and in Y; a
     miss raises StructureError(message)."""
+    x_mor, mx = x.tensor_morphisms, x.base.num_morphisms
+    y_mor, my = y.tensor_morphisms, y.base.num_morphisms
+
     def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
-        h = index.get((s, t, x.tensor_mor(arrows[k0][0], arrows[k1][0]),
-                       y.tensor_mor(arrows[k0][1], arrows[k1][1])))
+        (x0, y0), (x1, y1) = arrows[k0], arrows[k1]
+        h = index.get((s, t, x_mor[x0 * mx + x1], y_mor[y0 * my + y1]))
         if h is None:
             raise StructureError(message)
         return h

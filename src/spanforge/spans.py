@@ -506,15 +506,19 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
                        pullback(fd.f, endN.fc, hom_fc), budget)
     oi, mi = fp.object_index, fp.morphism_index
     comp, transes = cod.carrier.comp, hom_fc.transformations
+    m_rows, n_rows = endM.monoidal.tensor_rows(), endN.monoidal.tensor_rows()
+    # per apex object: P, Q, the transport's components, P's object map and
+    # the rows of comp at Q's morphisms
+    reads = [(p, q, transes[x].components, endM.fc.functors[p].object_map,
+              [comp[h] for h in endN.fc.functors[q].morphism_map])
+             for p, q, x in fp.objects]
 
     def tensor_obj(a0: int, a1: int) -> int:
         # the pasted transport (Q0 t1) ∘ (t0 P1): f∘P0∘P1 -> Q0∘Q1∘f
-        p0, q0, x0 = fp.objects[a0]
-        p1, q1, x1 = fp.objects[a1]
-        p, q = endM.monoidal.tensor_obj(p0, p1), endN.monoidal.tensor_obj(q0, q1)
-        t0, q0_mor = transes[x0].components, endN.fc.functors[q0].morphism_map
-        pasted = tuple(comp[q0_mor[t1_m]][t0[p1_m]] for t1_m, p1_m in
-                       zip(transes[x1].components, endM.fc.functors[p1].object_map))
+        p0, q0, t0, _, q0_comp = reads[a0]
+        p1, q1, t1, p1_obj, _ = reads[a1]
+        p, q = m_rows[p0][p1], n_rows[q0][q1]
+        pasted = tuple(q0_comp[t1_m][t0[p1_m]] for t1_m, p1_m in zip(t1, p1_obj))
         key = (p, q, _transport_id(hom_fc, fp.left.object_map[p],
                                    fp.right.object_map[q], pasted))
         if key not in oi:
@@ -573,34 +577,32 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
     objects, arrows, mi = fp.objects, fp.morphisms, fp.morphism_index
     filler, unit = fp.filler.components, apex_ms.unit
     ident, src, tgt = base.identity, base.source, base.target
-    partials: dict[bool, list[list[int]]] = {True: [], False: []}
+    mon_m, mon_n = endM.monoidal, endN.monoidal
+    partials: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
     for on_left in (True, False):
-        def pair(a: int, x: int) -> tuple[int, int]:
-            return (a, x) if on_left else (x, a)
         for a, (pa, qa, _) in enumerate(objects):
-            row = [apex_ms.tensor_obj(*pair(a, x)) for x in range(n)]
-            mor_row = [apex_ms.tensor_mor(*pair(ident[a], k)) for k in range(m)]
+            row, mor_row = apex_ms.partial_tensor(a, ident[a], on_left)
             partials[on_left].append(mor_row)
-            id_pa, id_qa = endM.monoidal.base.identity[pa], endN.monoidal.base.identity[qa]
-            if any(objects[ax] != (endM.monoidal.tensor_obj(*pair(pa, px)),
-                                   endN.monoidal.tensor_obj(*pair(qa, qx)), filler[ax])
+            p_row, p_mor = mon_m.partial_tensor(pa, mon_m.base.identity[pa], on_left)
+            q_row, q_mor = mon_n.partial_tensor(qa, mon_n.base.identity[qa], on_left)
+            if any(objects[ax] != (p_row[px], q_row[qx], filler[ax])
                    for ax, (px, qx, _) in zip(row, objects)) \
-                    or any(mi.get((row[src[k]], row[tgt[k]],
-                                   endM.monoidal.tensor_mor(*pair(id_pa, pk)),
-                                   endN.monoidal.tensor_mor(*pair(id_qa, qk)))) != ak
+                    or any(mi.get((row[src[k]], row[tgt[k]], p_mor[pk], q_mor[qk])) != ak
                            for k, ((pk, qk), ak) in enumerate(zip(arrows, mor_row))):
                 raise StructureError("mediator tensor disagrees with the explicit tensor")
         # the unique 2-cell I⊗− => id over identity whiskers (mediate_2cell)
         # exists iff I⊗− is the identity functor, and is then the identity;
         # with it the filler check above covers every apex object
-        if [apex_ms.tensor_obj(*pair(unit, x)) for x in range(n)] != list(range(n)) \
-                or partials[on_left][unit] != list(range(m)) or not apex_ms.strict:
+        if apex_ms.partial_tensor(unit, ident[unit], on_left) \
+                != (tuple(range(n)), tuple(range(m))) or not apex_ms.strict:
             raise StructureError("mediated unitor disagrees with the explicit one")
     a_tensor, tensor_b = partials[True], partials[False]  # a⊗− and −⊗b
     for f in range(m):
-        for g in range(m):
-            interchanged = base.comp[tensor_b[tgt[g]][f]][a_tensor[src[f]][g]]
-            if apex_ms.tensor_mor(f, g) != interchanged:
+        # row f of the table against f⊗g = (f⊗1_{tgt g}) ∘ (1_{src f}⊗g)
+        f_then = [base.comp[tensor_b[y][f]] for y in range(n)]
+        a_row = a_tensor[src[f]]
+        for g, fg in enumerate(apex_ms.partial_tensor(src[f], f, True)[1]):
+            if fg != f_then[tgt[g]][a_row[g]]:
                 raise StructureError(
                     f"explicit tensor breaks interchange at ({f}, {g})")
     # pasting is associative on the nose; its identity associator

@@ -1,4 +1,5 @@
-"""Every name a module under src/spanforge imports is used in that module.
+"""Every name a module under src/spanforge or tests imports is used in that
+module.
 
 An ast scan, standard library only: a module-level or local import binds
 names, and each bound name must be read somewhere in the module, string
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spanforge"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spanforge"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def annotations(tree: ast.Module):
@@ -60,7 +63,8 @@ def test_the_package_has_modules():
     assert len(MODULES) >= 12
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name
+                         if p.parent == SRC else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 

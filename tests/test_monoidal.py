@@ -9,6 +9,12 @@ from oracles import (
     is_bicharacter,
     vcomp_mon_nattrans,
 )
+from test_reduced_scans import (
+    corpus_apexes,
+    corpus_end_categories,
+    designed_counterexamples,
+    skeletal_categories,
+)
 from spanforge.laxators import monoidal_fiber_product
 from spanforge.fincat import (
     Functor,
@@ -67,6 +73,33 @@ def pairing_from(entries, g, u):
 
 def nontrivial_z2_cocycle():
     return cochain_from({(1, 1, 1): 1}, Z2, Z2)
+
+
+# ---------------------------------------------------------------------------
+# partial tensors
+# ---------------------------------------------------------------------------
+
+def test_partial_tensor_reads_the_entries():
+    # x⊗− and −⊗x at f = id_x for every object x, and f⊗− and −⊗f for every
+    # morphism f, equal the per-entry reads; the pool holds tensors that are
+    # not symmetric on objects and, on S3, on morphisms
+    pool = corpus_apexes() + corpus_end_categories() + skeletal_categories() \
+        + designed_counterexamples()[:2]
+    for ms in pool:
+        base = ms.base
+        n, m = base.num_objects, base.num_morphisms
+        for x, f in [(x, base.identity[x]) for x in range(n)] + \
+                [(base.source[f], f) for f in range(m)]:
+            assert ms.partial_tensor(x, f, True) == (
+                tuple(ms.tensor_obj(x, y) for y in range(n)),
+                tuple(ms.tensor_mor(f, k) for k in range(m)))
+            assert ms.partial_tensor(x, f, False) == (
+                tuple(ms.tensor_obj(y, x) for y in range(n)),
+                tuple(ms.tensor_mor(k, f) for k in range(m)))
+    assert any(ms.tensor_rows() != list(zip(*ms.tensor_rows())) for ms in pool)
+    assert all(any(ms.tensor_mor(f, g) != ms.tensor_mor(g, f)
+                   for f in range(6) for g in range(6))
+               for ms in designed_counterexamples()[:2])
 
 
 # ---------------------------------------------------------------------------

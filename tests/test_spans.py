@@ -436,6 +436,41 @@ def test_span_verification_catches_a_wrong_tensor_entry():
     assert caught == {(True, False), (False, True), (False, False)}
 
 
+def test_span_verification_refuses_with_its_messages():
+    # the exact refusal on the arrow-into-bz2 cell, whose tensor is not
+    # symmetric on objects or on morphisms: the transposed tensor, and one
+    # tensor_morphisms entry changed at a pair with an identity factor, on
+    # either side, or at a pair of non-identities, the interchange witness
+    fd = dict(corpus.span_corpus())["arrow-into-bz2"]
+    cell = build_span(fd)
+    apex, base = cell.apex, cell.apex.base
+    n, m = base.num_objects, base.num_morphisms
+
+    def refusal(mutant):
+        with pytest.raises(StructureError) as info:
+            _verify_span_construction(replace(cell, apex=mutant), fd.dom.end, fd.cod.end)
+        return str(info.value)
+
+    def with_entry(f, g):
+        entries = list(apex.tensor_morphisms)
+        entries[f * m + g] = next(h for h in range(m) if h != entries[f * m + g])
+        return replace(apex, tensor_morphisms=tuple(entries))
+
+    transposed = replace(
+        apex, tensor_objects=tuple(apex.tensor_obj(y, x) for x in range(n) for y in range(n)),
+        tensor_morphisms=tuple(apex.tensor_mor(g, f) for f in range(m) for g in range(m)))
+    assert transposed != apex
+    mediator = "mediator tensor disagrees with the explicit tensor"
+    assert refusal(transposed) == mediator
+    f, g, id_1 = 5, 3, base.identity[1]
+    assert not base.is_identity(f) and not base.is_identity(g)
+    assert apex.tensor_mor(f, g) != apex.tensor_mor(g, f)
+    assert refusal(with_entry(id_1, g)) == mediator
+    assert refusal(with_entry(g, id_1)) == mediator
+    assert refusal(with_entry(f, g)) == f"explicit tensor breaks interchange at ({f}, {g})"
+    assert refusal(with_entry(g, f)) == f"explicit tensor breaks interchange at ({g}, {f})"
+
+
 def test_span_apex_of_set_pullback_flavor():
     fd = dict(corpus.span_corpus())["disc2-id"]
     cell = build_span(fd)
@@ -472,7 +507,7 @@ def count_monoidal_lifts(f, dom, cod):
     # enumerate object maps c ↦ apex object with the right projections, then
     # filter whole assignments through check_mon_functor
     from spanforge.spans import ModuleFunctorData, build_span
-    from spanforge.fincat import enumerate_nat_transes, identity_nat_trans
+    from spanforge.fincat import identity_nat_trans
     # build the apex once, from any valid transport family if one exists;
     # the apex itself does not depend on the family
     probe = module_structures_on(f, dom, cod)
