@@ -40,6 +40,7 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
+    _check_tables,
     _first_nonassociative,
     check_mon_functor,
     identity_mon_nattrans,
@@ -569,9 +570,11 @@ def _verify_span_construction(cell: SpanCell, endM: EndCategory,
     object (P a⊗P x, Q a⊗Q x, filler_{a⊗x}) and each a⊗k the apex morphism
     over (id⊗P k, id⊗Q k); likewise −⊗a.  These 2n partial tensors fix
     every entry with an identity factor, and interchange, f⊗g = (f⊗1)∘(1⊗g)
-    (CWM §II.3), ties every other entry to those.
+    (CWM §II.3), ties every other entry to those.  The partial tensors are
+    slices, so ill-shaped tables are refused first.
     """
     fp, apex_ms = cell.fp, cell.apex
+    _check_tables(apex_ms)
     base = apex_ms.base
     n, m = base.num_objects, base.num_morphisms
     objects, arrows, mi = fp.objects, fp.morphisms, fp.morphism_index

@@ -471,6 +471,18 @@ def test_span_verification_refuses_with_its_messages():
     assert refusal(with_entry(g, f)) == f"explicit tensor breaks interchange at ({g}, {f})"
 
 
+def test_span_verification_refuses_ill_shaped_tables():
+    # the audit reads the apex's partial tensors as slices, which a short
+    # table would truncate: a tensor table one entry short is refused
+    for _, fd in corpus.span_corpus():
+        cell = build_span(fd)
+        apex = cell.apex
+        for table in ("tensor_objects", "tensor_morphisms"):
+            short = replace(apex, **{table: getattr(apex, table)[:-1]})
+            with pytest.raises(StructureError, match="tensor table has the wrong length"):
+                _verify_span_construction(replace(cell, apex=short), fd.dom.end, fd.cod.end)
+
+
 def test_span_apex_of_set_pullback_flavor():
     fd = dict(corpus.span_corpus())["disc2-id"]
     cell = build_span(fd)
