@@ -37,9 +37,9 @@ from .monoidal import (
     _check_tables as _check_monoidal_tables,
     _component_ok,
     identity_mon_functor,
+    monoidal_over_product,
     restrict_braiding,
     restrict_monoidal,
-    tabulate_monoidal,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -225,11 +225,15 @@ def _unit_half_braiding(ms: MonoidalStructure, g: MonFunctor) -> tuple[int, ...]
     return tuple(comps)
 
 
-def _centralizer_monoidal(g: MonFunctor, center: CenterCategory) -> MonoidalStructure:
-    """Monoidal structure on half-braided objects over a single functor."""
-    ms, objects = g.target, center.objects_data
-    obj_index, mor_index = center.object_index, center.morphism_index
-    ambient_mor = center.forgetful.morphism_map
+# ---------------------------------------------------------------------------
+# the centers
+# ---------------------------------------------------------------------------
+
+def _centralizer(g: MonFunctor, budget: Budget, what: str) -> CenterCategory:
+    """The monoidal centralizer of g, without its braiding."""
+    ms = g.target
+    center = _half_braided_category(ms, g, g, False, budget, what)
+    objects, obj_index = center.objects_data, center.object_index
 
     def tensor_obj(i: int, j: int) -> int:
         key = (ms.tensor_obj(objects[i].carrier, objects[j].carrier),
@@ -239,38 +243,12 @@ def _centralizer_monoidal(g: MonFunctor, center: CenterCategory) -> MonoidalStru
                 f"half-braided objects are not closed under tensor at ({i}, {j})")
         return obj_index[key]
 
-    def tensor_mor(a: int, b: int, s: int, t: int) -> int:
-        key = (s, t, ms.tensor_mor(ambient_mor[a], ambient_mor[b]))
-        if key not in mor_index:
-            raise StructureError("tensor of center morphisms left the center")
-        return mor_index[key]
-
     unit_key = (ms.unit, _unit_half_braiding(ms, g))
     if unit_key not in obj_index:
         raise StructureError("the unit carries no half-braiding")
-
-    def lift(src_idx: int, tgt_idx: int, ambient: int) -> int:
-        key = (src_idx, tgt_idx, ambient)
-        if key not in mor_index:
-            raise StructureError("coherence component is not a center morphism")
-        return mor_index[key]
-
-    return tabulate_monoidal(
-        center.as_category, obj_index[unit_key], tensor_obj, tensor_mor,
-        associator=lambda i, j, k, s, t: lift(s, t, ms.alpha(
-            objects[i].carrier, objects[j].carrier, objects[k].carrier)),
-        left_unitor=lambda i, s: lift(s, i, ms.unitor(objects[i].carrier, True)),
-        right_unitor=lambda i, s: lift(s, i, ms.unitor(objects[i].carrier, False)))
-
-
-# ---------------------------------------------------------------------------
-# the centers
-# ---------------------------------------------------------------------------
-
-def _centralizer(g: MonFunctor, budget: Budget, what: str) -> CenterCategory:
-    """The monoidal centralizer of g, without its braiding."""
-    center = _half_braided_category(g.target, g, g, False, budget, what)
-    return replace(center, monoidal=_centralizer_monoidal(g, center))
+    return replace(center, monoidal=monoidal_over_product(
+        center.as_category, (ms,), tuple(zip(center.forgetful.morphism_map)),
+        center.morphism_index, obj_index[unit_key], tensor_obj, "center"))
 
 
 def drinfeld_center(ms: MonoidalStructure,

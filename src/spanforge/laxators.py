@@ -34,12 +34,11 @@ from .monoidal import (
     MonFunctor,
     MonNatTrans,
     MonoidalStructure,
-    _first_nonassociative,
+    _check_braiding_ids,
     compose_mon_functors,
     identity_mon_nattrans,
+    monoidal_over_product,
     strict_mon_functor,
-    tabulate_monoidal,
-    tensor_mor_over_product,
 )
 from .reporting import Report, ReportBuilder
 from .spans import (
@@ -71,14 +70,20 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
                            ) -> MonoidalSquare:
     if f.target != g.target:
         raise StructureError("monoidal fiber product needs a common codomain")
-    fp = fiber_product(f.underlying, g.underlying, budget)
     z = f.target
     zb = z.base
+    for leg in (f, g):  # the cells' shape and ids, before the tensor reads them
+        if len(leg.mult) != leg.source.base.num_objects ** 2:
+            raise StructureError("multiplicativity table has the wrong length")
+        if not all(0 <= c < zb.num_morphisms for c in (*leg.mult, leg.unit_iso)):
+            raise StructureError("a multiplicativity or unit cell is a dangling id")
+    for b in braidings or ():
+        _check_braiding_ids(b)
+    fp = fiber_product(f.underlying, g.underlying, budget)
     oi = fp.object_index
     mi = fp.morphism_index
     xs, ys = f.source, g.source
-    apex_cat = fp.apex
-    n = apex_cat.num_objects
+    n = fp.apex.num_objects
 
     def tensor_obj(a0: int, a1: int) -> int:
         x0, y0, xi0 = fp.objects[a0]
@@ -90,40 +95,14 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
             raise StructureError("monoidal fiber tensor left the apex")
         return oi[key]
 
-    def lift(src: int, tgt: int, p: int, q: int, what: str) -> int:
-        key = (src, tgt, p, q)
-        if key not in mi:
-            raise StructureError(f"{what} is not an apex morphism")
-        return mi[key]
-
     eta_f_inv = zb.inverse(f.unit_iso)
     if eta_f_inv is None:
         raise StructureError("unit cell of the first leg is not invertible")
     unit_key = (xs.unit, ys.unit, zb.compose(g.unit_iso, eta_f_inv))
     if unit_key not in oi:
         raise StructureError("monoidal fiber unit is missing")
-    obj = fp.objects
-    coherence = {
-        "associator": lambda i, j, k, s, t: lift(
-            s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
-            ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
-        "left_unitor": lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
-                                         ys.unitor(obj[i][1], True), "left unitor pair"),
-        "right_unitor": lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
-                                          ys.unitor(obj[i][1], False), "right unitor pair")}
-    args = (apex_cat, oi[unit_key], tensor_obj,
-            tensor_mor_over_product(xs, ys, fp.morphisms, mi,
-                                    "monoidal fiber tensor of morphisms left the apex"))
-    # over strict feet every coherence pair is a pair of identities, and an
-    # apex morphism over (id, id) from an object to itself is its identity
-    # (the strict iso-comma, CWM §II.6); so an apex tensor associative and
-    # unital on objects makes every component an identity, and only a
-    # tensor that is not runs the callbacks, which raise at the first pair
-    # that is no apex morphism or store what they find
-    strict = xs.strict and ys.strict
-    apex_ms = tabulate_monoidal(*args, **({} if strict else coherence), budget=budget)
-    if strict and not _strict_on_objects(apex_ms.tensor_rows(), apex_ms.unit):
-        apex_ms = tabulate_monoidal(*args, **coherence, budget=budget)
+    apex_ms = monoidal_over_product(fp.apex, (xs, ys), fp.morphisms, mi, oi[unit_key],
+                                    tensor_obj, "monoidal fiber", budget)
     pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
     pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)
     braiding = None
@@ -131,20 +110,14 @@ def monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
         bx, by = braidings
         if bx.on != xs or by.on != ys:
             raise StructureError("braidings do not match the cospan feet")
-        beta = tuple(lift(apex_ms.tensor_obj(i, j), apex_ms.tensor_obj(j, i),
-                          bx.at(fp.objects[i][0], fp.objects[j][0]),
-                          by.at(fp.objects[i][1], fp.objects[j][1]),
-                          "braiding pair")
+        beta = tuple(mi.get((apex_ms.tensor_obj(i, j), apex_ms.tensor_obj(j, i),
+                             bx.at(fp.objects[i][0], fp.objects[j][0]),
+                             by.at(fp.objects[i][1], fp.objects[j][1])))
                      for i in range(n) for j in range(n))
+        if None in beta:
+            raise StructureError("braiding pair is not an apex morphism")
         braiding = Braiding(apex_ms, beta)
     return MonoidalSquare(fp, apex_ms, pr1, pr2, braiding)
-
-
-def _strict_on_objects(rows: list[tuple[int, ...]], unit: int) -> bool:
-    """Whether the tensor with x⊗y at rows[x][y] is associative on objects,
-    (i⊗j)⊗k = i⊗(j⊗k), and unital, I⊗i = i = i⊗I."""
-    return _first_nonassociative(rows) is None and rows[unit] == tuple(range(len(rows))) \
-        and all(row[unit] == i for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------

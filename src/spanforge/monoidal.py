@@ -23,8 +23,10 @@ tables, _check_tables refuses ill-shaped ones and dangling tensor ids.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import getitem
 from typing import Callable
 
 from .fincat import (
@@ -53,7 +55,8 @@ class MonoidalStructure:
 
     For a base with n objects and m morphisms, ``tensor_objects[x*n + y]``
     is x⊗y and ``tensor_morphisms[f*m + g]`` is f⊗g; only this module reads
-    that layout, and constructors fill it through tabulate_monoidal.
+    that layout, and constructors fill it through tabulate_monoidal, or
+    monoidal_over_product on a category over a product.
     ``associator[(x*n + y)*n + z]`` is the component (x⊗y)⊗z -> x⊗(y⊗z);
     unitor tables are indexed by object id.  Outside this module the
     components are read through alpha, alpha_inv and unitor.
@@ -62,7 +65,7 @@ class MonoidalStructure:
     associator component is the identity of (x⊗y)⊗z and every unitor
     component the identity of x.  Whether those identities are well typed,
     (x⊗y)⊗z = x⊗(y⊗z) and I⊗x = x = x⊗I, is check_monoidal's business, as
-    for a stored table.  tabulate_monoidal stores every structure whose
+    for a stored table.  Both constructors store every structure whose
     components are all identities in this one form, so == compares
     components there; a structure built directly with explicit identity
     tables is not == to its strict form.
@@ -141,48 +144,59 @@ def tabulate_monoidal(base: FinCategory, unit: int,
     on how often they are called, are called again for them.  A budget,
     when given, refuses the n² and m² pairs before any is tabulated.
     """
+    objects, rows = _tensor_objects(base, on_objects, budget)
+    m, src, tgt = base.num_morphisms, base.source, base.target
+    morphisms = tuple(on_morphisms(f, g, s_row[src[g]], t_row[tgt[g]])
+                      for f, s_row, t_row in zip(range(m), [rows[s] for s in src],
+                                                 [rows[t] for t in tgt])
+                      for g in range(m))
+    return _with_coherence(base, objects, morphisms, unit,
+                           associator, left_unitor, right_unitor)
+
+
+def _tensor_objects(base: FinCategory, on_objects: Callable[[int, int], int],
+                    budget: Budget | None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The flat table of x⊗y and its rows, after the budget's refusal."""
     n, m = base.num_objects, base.num_morphisms
     if budget is not None:
         budget.check_objects(n * n, "tensor table")
         budget.check_morphisms(m * m, "tensor table")
     objects = tuple(on_objects(x, y) for x in range(n) for y in range(n))
-    src, tgt = base.source, base.target
-    rows = [objects[x * n:(x + 1) * n] for x in range(n)]
-    morphisms = tuple(on_morphisms(f, g, s_row[src[g]], t_row[tgt[g]])
-                      for f, s_row, t_row in zip(range(m), [rows[s] for s in src],
-                                                 [rows[t] for t in tgt])
-                      for g in range(m))
+    return objects, [objects[x * n:(x + 1) * n] for x in range(n)]
+
+
+def _with_coherence(base: FinCategory, objects: tuple[int, ...],
+                    morphisms: tuple[int, ...], unit: int,
+                    associator, left_unitor, right_unitor) -> MonoidalStructure:
+    """The structure on these tensor tables with tabulate_monoidal's
+    coherence callbacks, None for identities, in its stored form."""
     strict = MonoidalStructure(base, objects, morphisms, unit, None, None, None)
     if associator is None and left_unitor is None and right_unitor is None:
         return strict
-    identity = base.identity
+    n, identity = base.num_objects, base.identity
+    associator = associator or (lambda x, y, z, s, t: identity[s])
+    left_unitor = left_unitor or (lambda x, s: identity[x])
+    right_unitor = right_unitor or (lambda x, s: identity[x])
 
-    def components(compare: bool) -> Iterator[int | bool]:
-        """The associator, left unitor and right unitor components in table
-        order, identities where a callback is left out; with compare, whether
-        each is the identity of its source instead."""
+    def components() -> Iterator[tuple[int, int]]:
+        """Each component in table order, with the identity of its source."""
         for x in range(n):
             for y in range(n):
                 xy = objects[x * n + y] * n
                 for z in range(n):
                     s = objects[xy + z]
-                    cell = identity[s] if associator is None else \
-                        associator(x, y, z, s, objects[x * n + objects[y * n + z]])
-                    yield cell == identity[s] if compare else cell
+                    yield associator(x, y, z, s, objects[x * n + objects[y * n + z]]), \
+                        identity[s]
         for x in range(n):
-            cell = identity[x] if left_unitor is None else \
-                left_unitor(x, objects[unit * n + x])
-            yield cell == identity[x] if compare else cell
+            yield left_unitor(x, objects[unit * n + x]), identity[x]
         for x in range(n):
-            cell = identity[x] if right_unitor is None else \
-                right_unitor(x, objects[x * n + unit])
-            yield cell == identity[x] if compare else cell
+            yield right_unitor(x, objects[x * n + unit]), identity[x]
 
     # no table is kept while the components are identities; a structure
     # that is not strict is tabulated in a second pass
-    if all(components(True)):
+    if all(cell == ident for cell, ident in components()):
         return strict
-    flat = tuple(components(False))
+    flat = tuple(cell for cell, _ in components())
     n3 = n ** 3
     return MonoidalStructure(base, objects, morphisms, unit, flat[:n3],
                              flat[n3:n3 + n], flat[n3 + n:])
@@ -929,24 +943,59 @@ def lift_mon_functor(source: MonoidalStructure, target: MonoidalStructure,
     return MonFunctor(source, target, fun, tuple(mult), unit)
 
 
-def tensor_mor_over_product(x: MonoidalStructure, y: MonoidalStructure,
-                            arrows: Sequence[tuple[int, int]],
-                            index: dict[tuple[int, ...], int],
-                            message: str) -> Callable[[int, int, int, int], int]:
-    """tabulate_monoidal's on_morphisms for a monoidal category over X × Y,
-    with arrows and index as category_over_product returns them: k0⊗k1 is
-    the morphism s -> t over the tensors of their arrows in X and in Y; a
-    miss raises StructureError(message)."""
-    x_mor, mx = x.tensor_morphisms, x.base.num_morphisms
-    y_mor, my = y.tensor_morphisms, y.base.num_morphisms
+def monoidal_over_product(base: FinCategory, factors: tuple[MonoidalStructure, ...],
+                          arrows: Sequence[tuple[int, ...]],
+                          index: dict[tuple[int, ...], int], unit: int,
+                          on_objects: Callable[[int, int], int], what: str,
+                          budget: Budget | None = None) -> MonoidalStructure:
+    """The monoidal structure over the factors' own on a category over the
+    product of their bases, with arrows and index as category_over_product
+    returns them, and x⊗y = on_objects(x, y) over the factors' x⊗y.
 
-    def tensor_mor(k0: int, k1: int, s: int, t: int) -> int:
-        (x0, y0), (x1, y1) = arrows[k0], arrows[k1]
-        h = index.get((s, t, x_mor[x0 * mx + x1], y_mor[y0 * my + y1]))
+    k0⊗k1, filled one row of k0 at a time, and each associator and unitor
+    component are the morphisms over the factors' own; a miss raises
+    StructureError naming what, or the component.  Over strict factors, a
+    tensor unital and, by Light's test, associative on objects gives a
+    strict structure with no lookup: each component is then a morphism from
+    an object to itself over identities, which is that object's identity,
+    since the functor to the product is faithful (the strict iso-comma, CWM
+    §II.6).  The budget is tabulate_monoidal's, and so is the stored form.
+    """
+    objects, rows = _tensor_objects(base, on_objects, budget)
+    # x⊗s' and x⊗t' per object x, and a⊗a' per factor and arrow a, over
+    # the ends s' -> t' and that factor's arrow a' of every morphism
+    at_src = [[row[s] for s in base.source] for row in rows]
+    at_tgt = [[row[t] for t in base.target] for row in rows]
+    by_arrow = [{a: [table[a * m + b] for b in column] for a in set(column)}
+                for table, m, column in zip([ms.tensor_morphisms for ms in factors],
+                                            [ms.base.num_morphisms for ms in factors],
+                                            zip(*arrows))]
+    try:
+        morphisms = tuple(chain.from_iterable(
+            map(index.__getitem__, zip(at_src[s], at_tgt[t], *map(getitem, by_arrow, arrow)))
+            for arrow, s, t in zip(arrows, base.source, base.target)))
+    except KeyError:
+        raise StructureError(f"{what} tensor of morphisms left the apex") from None
+    if all(ms.strict for ms in factors) and rows[unit] == tuple(range(len(rows))) \
+            and all(row[unit] == x for x, row in enumerate(rows)) \
+            and _first_nonassociative(rows) is None:
+        return _with_coherence(base, objects, morphisms, unit, None, None, None)
+    over = [[ms.base.source[a] for ms, a in zip(factors, arrows[i])] for i in base.identity]
+    noun = "pair" if len(factors) == 2 else "component"
+
+    def lift(law: str, s: int, t: int, parts: Iterable[int]) -> int:
+        h = index.get((s, t, *parts))
         if h is None:
-            raise StructureError(message)
+            raise StructureError(f"{law} {noun} is not an apex morphism")
         return h
-    return tensor_mor
+    return _with_coherence(
+        base, objects, morphisms, unit,
+        lambda x, y, z, s, t: lift("associator", s, t, map(
+            MonoidalStructure.alpha, factors, over[x], over[y], over[z])),
+        lambda x, s: lift("left unitor", s, x, map(
+            MonoidalStructure.unitor, factors, over[x], repeat(True))),
+        lambda x, s: lift("right unitor", s, x, map(
+            MonoidalStructure.unitor, factors, over[x], repeat(False))))
 
 
 def identity_mon_functor(ms: MonoidalStructure) -> MonFunctor:
@@ -1063,20 +1112,20 @@ def restrict_monoidal(ms: MonoidalStructure,
                     f"subcategory is not closed under tensor at ({x}, {y})")
     mor_index = {inclusion.morphism_map[i]: i for i in range(sub.num_morphisms)}
 
-    def tensor_mor(f1: int, f2: int, s: int, t: int) -> int:
-        img = ms.tensor_mor(inclusion.morphism_map[f1], inclusion.morphism_map[f2])
-        if img not in mor_index:
-            raise StructureError("subcategory is not closed under tensor of morphisms")
-        return mor_index[img]
+    def inside(f: int, what: str) -> int:
+        if f not in mor_index:
+            raise StructureError(f"subcategory is not closed under {what}")
+        return mor_index[f]
 
     restricted = tabulate_monoidal(
         sub, obj_index[ms.unit],
         lambda x, y: obj_index[ms.tensor_obj(objects[x], objects[y])],
-        tensor_mor,
-        associator=lambda x, y, z, s, t: mor_index[
-            ms.alpha(objects[x], objects[y], objects[z])],
-        left_unitor=lambda x, s: mor_index[ms.unitor(objects[x], True)],
-        right_unitor=lambda x, s: mor_index[ms.unitor(objects[x], False)])
+        lambda f1, f2, s, t: inside(ms.tensor_mor(
+            inclusion.morphism_map[f1], inclusion.morphism_map[f2]), "tensor of morphisms"),
+        associator=lambda x, y, z, s, t: inside(
+            ms.alpha(objects[x], objects[y], objects[z]), "the associator"),
+        left_unitor=lambda x, s: inside(ms.unitor(objects[x], True), "the left unitor"),
+        right_unitor=lambda x, s: inside(ms.unitor(objects[x], False), "the right unitor"))
     return restricted, inclusion
 
 
@@ -1085,6 +1134,8 @@ def restrict_braiding(b: Braiding, restricted: MonoidalStructure,
     sub = restricted.base
     mor_index = {inclusion.morphism_map[i]: i for i in range(sub.num_morphisms)}
     n = sub.num_objects
-    beta = tuple(mor_index[b.at(inclusion.object_map[x], inclusion.object_map[y])]
+    beta = tuple(mor_index.get(b.at(inclusion.object_map[x], inclusion.object_map[y]))
                  for x in range(n) for y in range(n))
+    if None in beta:
+        raise StructureError("subcategory is not closed under the braiding")
     return Braiding(restricted, beta)

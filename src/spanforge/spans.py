@@ -45,9 +45,9 @@ from .monoidal import (
     check_mon_functor,
     identity_mon_nattrans,
     lift_mon_functor,
+    monoidal_over_product,
     strict_mon_functor,
     tabulate_monoidal,
-    tensor_mor_over_product,
 )
 from .reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 
@@ -483,14 +483,15 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
     _verify_span_construction:
     - partial tensors: tensor_obj looks a⊗x up under exactly the key
       (P a⊗P x, Q a⊗Q x, pasted transport) the audit compares, and
-      tensor_mor_over_product looks a⊗k up under (id⊗P k, id⊗Q k);
+      monoidal_over_product looks a⊗k up under (id⊗P k, id⊗Q k);
     - interchange: the apex composes and tensors factor by factor, and
       End(M) and End(N) are strict 2-categorical composites (CWM §II.3,
       §II.5);
     - associativity and unit: composing functors and pasting whiskered
       transformations are associative and unital on the nose (CWM §II.5),
-      and tabulate_monoidal, given no coherence callbacks, stores the apex
-      strict: identity associator and unitors, and no table of them.
+      so, the apex tensor being strict on objects, monoidal_over_product
+      stores the apex strict over the strict End(M) and End(N), with no
+      coherence lookup: identity associator and unitors, and no table.
     So the default path checks only the hypotheses, and any failure of
     them raises StructureError.  verify=True re-derives the finished cell
     against the table form of the fiber product's mediator, the unitors
@@ -531,10 +532,8 @@ def build_span(fd: ModuleFunctorData, budget: Budget = DEFAULT_BUDGET,
                 hom_fc.as_category.identity[unit_hom])
     if unit_key not in oi:
         raise StructureError("span unit is missing from the apex")
-    tensor_mor = tensor_mor_over_product(endM.monoidal, endN.monoidal, fp.morphisms,
-                                         mi, "span tensor of morphisms left the apex")
-    apex_ms = tabulate_monoidal(fp.apex, oi[unit_key], tensor_obj, tensor_mor,
-                                budget=budget)
+    apex_ms = monoidal_over_product(fp.apex, (endM.monoidal, endN.monoidal), fp.morphisms,
+                                    mi, oi[unit_key], tensor_obj, "span", budget)
 
     leg_left = strict_mon_functor(apex_ms, endM.monoidal, fp.pr1)
     leg_right = strict_mon_functor(apex_ms, endN.monoidal, fp.pr2)
@@ -722,10 +721,8 @@ def build_two_span(ad: ModuleNatTransData,
     if unit_pair not in quad_index:
         raise StructureError("2-span unit is missing")
     unit = quad_index[unit_pair]
-    tensor_mor = tensor_mor_over_product(endM.monoidal, endN.monoidal, morphisms,
-                                         mor_index, "2-span tensor of morphisms left the apex")
-    apex_ms = tabulate_monoidal(apex_cat, unit, tensor_obj, tensor_mor,
-                                budget=budget)
+    apex_ms = monoidal_over_product(apex_cat, (endM.monoidal, endN.monoidal), morphisms,
+                                    mor_index, unit, tensor_obj, "2-span", budget)
 
     # the vertical legs send (fi, gi) to fi and gi, lying over (mu, nu) in both
     p_proj = Functor(apex_cat, endM.fc.as_category,

@@ -126,7 +126,6 @@ from spanforge.monoidal import (
     lift_mon_functor,
     strict_mon_functor,
     tabulate_monoidal,
-    tensor_mor_over_product,
 )
 from spanforge.reporting import DEFAULT_VIOLATION_CAP, Report, ReportBuilder
 from spanforge.limits import fiber_product, mediate, mediate_2cell
@@ -918,16 +917,49 @@ def mediated_verify_span_construction(cell: SpanCell, endM: EndCategory,
 
 
 # ---------------------------------------------------------------------------
-# the monoidal fiber product through its coherence callbacks
+# monoidal structures over a product through per-entry callbacks
 # ---------------------------------------------------------------------------
+
+def reference_monoidal_over_product(base: FinCategory,
+                                    factors: tuple[MonoidalStructure, ...],
+                                    arrows, index: dict, unit: int, on_objects,
+                                    what: str, budget: Budget | None = None,
+                                    ) -> MonoidalStructure:
+    """monoidal_over_product through tabulate_monoidal's per-entry callbacks,
+    with every lookup run: each k0⊗k1 on its own, and every associator and
+    unitor component even over strict factors, as the center sites did
+    before the builder."""
+    over = [[ms.base.source[a] for ms, a in zip(factors, arrows[i])]
+            for i in base.identity]
+    noun = "pair" if len(factors) == 2 else "component"
+
+    def lift(message: str, s: int, t: int, parts: list[int]) -> int:
+        h = index.get((s, t, *parts))
+        if h is None:
+            raise StructureError(message)
+        return h
+
+    return tabulate_monoidal(
+        base, unit, on_objects,
+        lambda k0, k1, s, t: lift(f"{what} tensor of morphisms left the apex", s, t, [
+            ms.tensor_mor(a, b) for ms, a, b in zip(factors, arrows[k0], arrows[k1])]),
+        associator=lambda x, y, z, s, t: lift(
+            f"associator {noun} is not an apex morphism", s, t, [
+                ms.alpha(a, b, c) for ms, a, b, c in zip(factors, over[x], over[y], over[z])]),
+        left_unitor=lambda x, s: lift(f"left unitor {noun} is not an apex morphism", s, x, [
+            ms.unitor(a, True) for ms, a in zip(factors, over[x])]),
+        right_unitor=lambda x, s: lift(f"right unitor {noun} is not an apex morphism", s, x, [
+            ms.unitor(a, False) for ms, a in zip(factors, over[x])]),
+        budget=budget)
+
 
 def callback_monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
                                     budget: Budget = DEFAULT_BUDGET,
                                     braidings: tuple[Braiding, Braiding] | None = None,
                                     ) -> MonoidalSquare:
-    """monoidal_fiber_product with the associator and unitor callbacks run
-    over strict feet too, as it did before it read a strict apex off its
-    tensor."""
+    """monoidal_fiber_product with the associator and unitor lookups run
+    over strict feet too (reference_monoidal_over_product), as it did before
+    it read a strict apex off its tensor."""
     if f.target != g.target:
         raise StructureError("monoidal fiber product needs a common codomain")
     fp = fiber_product(f.underlying, g.underlying, budget)
@@ -949,31 +981,15 @@ def callback_monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
             raise StructureError("monoidal fiber tensor left the apex")
         return oi[key]
 
-    def lift(src: int, tgt: int, p: int, q: int, what: str) -> int:
-        key = (src, tgt, p, q)
-        if key not in mi:
-            raise StructureError(f"{what} is not an apex morphism")
-        return mi[key]
-
     eta_f_inv = zb.inverse(f.unit_iso)
     if eta_f_inv is None:
         raise StructureError("unit cell of the first leg is not invertible")
     unit_key = (xs.unit, ys.unit, zb.compose(g.unit_iso, eta_f_inv))
     if unit_key not in oi:
         raise StructureError("monoidal fiber unit is missing")
-    obj = fp.objects
-    apex_ms = tabulate_monoidal(
-        apex_cat, oi[unit_key], tensor_obj,
-        tensor_mor_over_product(xs, ys, fp.morphisms, mi,
-                                "monoidal fiber tensor of morphisms left the apex"),
-        associator=lambda i, j, k, s, t: lift(
-            s, t, xs.alpha(obj[i][0], obj[j][0], obj[k][0]),
-            ys.alpha(obj[i][1], obj[j][1], obj[k][1]), "associator pair"),
-        left_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], True),
-                                      ys.unitor(obj[i][1], True), "left unitor pair"),
-        right_unitor=lambda i, s: lift(s, i, xs.unitor(obj[i][0], False),
-                                       ys.unitor(obj[i][1], False), "right unitor pair"),
-        budget=budget)
+    apex_ms = reference_monoidal_over_product(apex_cat, (xs, ys), fp.morphisms, mi,
+                                              oi[unit_key], tensor_obj, "monoidal fiber",
+                                              budget)
     pr1 = strict_mon_functor(apex_ms, xs, fp.pr1)
     pr2 = strict_mon_functor(apex_ms, ys, fp.pr2)
     braiding = None
@@ -981,12 +997,16 @@ def callback_monoidal_fiber_product(f: MonFunctor, g: MonFunctor,
         bx, by = braidings
         if bx.on != xs or by.on != ys:
             raise StructureError("braidings do not match the cospan feet")
-        beta = tuple(lift(apex_ms.tensor_obj(i, j), apex_ms.tensor_obj(j, i),
-                          bx.at(fp.objects[i][0], fp.objects[j][0]),
-                          by.at(fp.objects[i][1], fp.objects[j][1]),
-                          "braiding pair")
-                     for i in range(n) for j in range(n))
-        braiding = Braiding(apex_ms, beta)
+        beta = []
+        for i in range(n):
+            for j in range(n):
+                key = (apex_ms.tensor_obj(i, j), apex_ms.tensor_obj(j, i),
+                       bx.at(fp.objects[i][0], fp.objects[j][0]),
+                       by.at(fp.objects[i][1], fp.objects[j][1]))
+                if key not in mi:
+                    raise StructureError("braiding pair is not an apex morphism")
+                beta.append(mi[key])
+        braiding = Braiding(apex_ms, tuple(beta))
     return MonoidalSquare(fp, apex_ms, pr1, pr2, braiding)
 
 

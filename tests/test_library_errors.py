@@ -31,7 +31,11 @@ dangling braiding table, is_symmetric and check_braided_functor on a short
 braiding table, check_hpt_conditions on a dangling comparison and
 restrict_monoidal on a dangling object id.  check_braiding reports a
 dangling braiding component and reads no further, and is_symmetric refuses
-a dangling tensor id.
+a dangling tensor id.  restrict_monoidal and restrict_braiding, and the
+Müger center and braided centralizer through them, refuse an ambient
+coherence or braiding component outside the subcategory, and
+monoidal_fiber_product a short or dangling multiplicativity or unit cell
+on either leg and a short braiding table.
 """
 import random
 from dataclasses import replace
@@ -301,8 +305,8 @@ def test_a_refused_transport_never_reaches_the_span_builders(monkeypatch):
     reached = []
     monkeypatch.setattr(spans, "pushforward",
                         lambda *args: reached.append("pushforward"))
-    monkeypatch.setattr(spans, "tabulate_monoidal",
-                        lambda *args, **kwargs: reached.append("tabulate_monoidal"))
+    monkeypatch.setattr(spans, "monoidal_over_product",
+                        lambda *args, **kwargs: reached.append("monoidal_over_product"))
     entries = [fd for _, fd in corpus.span_corpus()]
     refused = 0
     for m in sweep(entries, transport_mutant, 100, random.Random(2026)) \
@@ -627,3 +631,98 @@ def test_the_braiding_readers_stop_at_dangling_ids(value):
     bad = replace(b, on=replace(ms, tensor_objects=(value,) + ms.tensor_objects[1:]))
     with pytest.raises(StructureError, match="dangling id"):
         is_symmetric(bad)
+
+
+def z4_with_z4_scalars():
+    from spanforge.groups import cyclic
+    from spanforge.monoidal import make_skeletal_group_category, trivial_cochain
+
+    z4 = cyclic(4)
+    return z4, make_skeletal_group_category(z4, z4, trivial_cochain(z4))
+
+
+def test_a_coherence_component_outside_the_subcategory_is_refused():
+    # skeletal Z/4 with Z/4 scalars, given explicit coherence tables whose
+    # associator at (0, 0, 0) is 5, an endomorphism of object 1: restricting
+    # to the objects (0, 2), which the bicharacter x*y % 4 makes the Müger
+    # center, raised KeyError: 5
+    from spanforge.centers import mueger_center
+    from spanforge.monoidal import make_bicharacter_braiding, restrict_monoidal
+
+    z4, ms = z4_with_z4_scalars()
+    flat = oracles.explicit_tables(ms)
+    bad = replace(flat, associator=(5,) + flat.associator[1:])
+    assert restrict_monoidal(flat, (0, 2))[0] == restrict_monoidal(ms, (0, 2))[0]
+    b = make_bicharacter_braiding(bad, z4, [[x * y % 4 for y in range(4)] for x in range(4)])
+    for call in (partial(restrict_monoidal, bad, (0, 2)), partial(mueger_center, b)):
+        with pytest.raises(StructureError, match="not closed under the associator"):
+            call()
+
+
+def test_a_braiding_component_outside_the_subcategory_is_refused():
+    # the unit inclusion into skeletal Z/4 with Z/4 scalars, against a
+    # bicharacter braiding whose transparent objects are (0, 2), with its
+    # component at (2, 2) set to 4, the identity of object 1: the braided
+    # centralizer raised KeyError: 4
+    from spanforge.centers import braided_centralizer
+    from spanforge.monoidal import (
+        Braiding,
+        MonFunctor,
+        make_bicharacter_braiding,
+        terminal_monoidal,
+    )
+
+    z4, ms = z4_with_z4_scalars()
+    term = terminal_monoidal()
+    g = MonFunctor(term, ms, Functor(term.base, ms.base, (0,), (0,)), (0,), 0)
+    c = [[1 if 0 in (x, y) and x + y in (1, 3) else 0 for y in range(4)] for x in range(4)]
+    b = make_bicharacter_braiding(ms, z4, c)
+    center = braided_centralizer(g, Braiding(term, (0,)), b)
+    assert [o.carrier for o in center.objects_data] == [0, 2]
+    bad = replace(b, beta=b.beta[:10] + (4,) + b.beta[11:])
+    with pytest.raises(StructureError, match="not closed under the braiding"):
+        braided_centralizer(g, Braiding(term, (0,)), bad)
+
+
+def fiber_product_leg_probes():
+    """(what, legs, braidings) for monoidal_fiber_product over skeletal Z/3
+    with Z/3 scalars: the identity monoidal functor with a short or dangling
+    multiplicativity table or a dangling unit cell on either leg, and its
+    identity braiding with a short table on either side."""
+    from test_central import identity_braiding
+    from spanforge.groups import cyclic
+    from spanforge.monoidal import (
+        identity_mon_functor,
+        make_skeletal_group_category,
+        trivial_cochain,
+    )
+
+    z3 = cyclic(3)
+    ms = make_skeletal_group_category(z3, z3, trivial_cochain(z3))
+    ident, b = identity_mon_functor(ms), identity_braiding(ms)
+    bad_legs = {"short mult": replace(ident, mult=ident.mult[:-1]),
+                "dangling mult": replace(ident, mult=(99,) * 9),
+                "unit cell 99": replace(ident, unit_iso=99),
+                "unit cell -1": replace(ident, unit_iso=-1)}
+    out = []
+    for what, leg in bad_legs.items():
+        out += [(what, (leg, ident), None), (what, (ident, leg), None)]
+    for short in (replace(b, beta=()), replace(b, beta=b.beta[:-1])):
+        out += [("short braiding", (ident, ident), (short, b)),
+                ("short braiding", (ident, ident), (b, short))]
+    return out
+
+
+def test_the_monoidal_fiber_product_refuses_malformed_cells_and_braidings():
+    # each raised IndexError, and a unit cell of -1 was reported as
+    # "morphisms -1 and 0 are not composable"
+    from spanforge.laxators import monoidal_fiber_product
+
+    messages = set()
+    for what, (f, g), braidings in fiber_product_leg_probes():
+        with pytest.raises(StructureError) as exc:
+            monoidal_fiber_product(f, g, braidings=braidings)
+        messages.add(str(exc.value))
+    assert messages == {"multiplicativity table has the wrong length",
+                        "a multiplicativity or unit cell is a dangling id",
+                        "braiding table has the wrong length"}, messages

@@ -17,13 +17,14 @@ tensor's preservation of identities; test_reference_checkers builds these
 pools and compares them once.  The exhaustive oracle agrees
 with check_monoidal on the small constructions here.
 
-laxators.monoidal_fiber_product gives tabulate_monoidal no coherence
-callbacks over strict feet, and runs them only when the apex tensor is not
-associative and unital on objects.  It must build what
-oracles.callback_monoidal_fiber_product builds, with the callbacks, on
-every fiber product of the laxators on the composable pairs and triples
-(each laxator_coherence t_right among them) and of both central routes on
-every central setup, and raise what it raises over seeded magma feet.
+laxators.monoidal_fiber_product builds its apex with
+monoidal.monoidal_over_product, which over strict feet runs no coherence
+lookup unless the apex tensor is not associative and unital on objects.
+It must build what oracles.callback_monoidal_fiber_product builds, with
+every lookup run, on every fiber product of the laxators on the composable
+pairs and triples (each laxator_coherence t_right among them) and of both
+central routes on every central setup, and raise what it raises over
+seeded magma feet.
 """
 import ast
 import functools
@@ -274,35 +275,35 @@ def recorded_fiber_products(monkeypatch):
     """The arguments of every monoidal_fiber_product call made by laxator on
     the composable pairs, by laxator_coherence on the composable triples (its
     t_right among them) and by both central routes on every central setup,
-    with whether each call's tabulate_monoidal was given callbacks."""
+    with whether each call's monoidal_over_product ran its coherence
+    lookups."""
     import oracles
     from spanforge import central, laxators
     from test_central import central_setups, s3_twisted_setup
+    from test_over_product import recorded_builds
 
-    calls, tabulated = [], []
-    real_product, real_tabulate = laxators.monoidal_fiber_product, laxators.tabulate_monoidal
+    calls = []
+    real_product = laxators.monoidal_fiber_product
 
     def product(*args, **kwargs):
         calls.append((args, kwargs))
         return real_product(*args, **kwargs)
 
-    def tabulate(*args, **kwargs):
-        tabulated.append("associator" in kwargs)
-        return real_tabulate(*args, **kwargs)
+    def run():
+        for _, fd, gd in corpus.composable_pairs():
+            laxator(fd, gd)
+        for _, fd, gd, hd in corpus.composable_triples():
+            laxator_coherence(fd, gd, hd)
+        for setup in [*central_setups().values(), s3_twisted_setup()]:
+            central.central_module_check(setup)
+            oracles.checked_central_module_check(setup)
 
     for module in (laxators, central, oracles):
         monkeypatch.setattr(module, "monoidal_fiber_product", product)
-    monkeypatch.setattr(laxators, "tabulate_monoidal", tabulate)
-    for _, fd, gd in corpus.composable_pairs():
-        laxator(fd, gd)
-    for _, fd, gd, hd in corpus.composable_triples():
-        laxator_coherence(fd, gd, hd)
-    for setup in [*central_setups().values(), s3_twisted_setup()]:
-        central.central_module_check(setup)
-        oracles.checked_central_module_check(setup)
+    builds = recorded_builds(run, (laxators,))
     monkeypatch.undo()
-    assert len(tabulated) == len(calls)
-    return calls, tabulated
+    assert len(builds) == len(calls)
+    return calls, [looked_up for _, _, looked_up in builds]
 
 
 def product_outcome(build, args, kwargs):
@@ -315,9 +316,9 @@ def product_outcome(build, args, kwargs):
 def test_fiber_products_over_strict_feet_match_the_callback_route(monkeypatch):
     from oracles import callback_monoidal_fiber_product
 
-    calls, with_callbacks = recorded_fiber_products(monkeypatch)
+    calls, looked_up = recorded_fiber_products(monkeypatch)
     kinds = set()
-    for (args, kwargs), given in zip(calls, with_callbacks):
+    for (args, kwargs), given in zip(calls, looked_up):
         f, g = args[:2]
         assert f.source.strict and g.source.strict
         square = monoidal_fiber_product(*args, **kwargs)
